@@ -1,10 +1,12 @@
 """Benchmark the word-evaluation backends against each other.
 
-Times the two hot kernels (bulk word evaluation and first-identity scan)
-over the depth-limited orbit set for a chosen target group, once per
-available backend.  The numba backend is exercised only when the package
-is installed with the ``fast`` extra; a warm-up pass keeps JIT compilation
-out of the timings.
+Times the hot kernels over the depth-limited orbit set for a chosen target
+group, once per available backend: bulk evaluation of the whole set, an
+early-witness identity scan over the set in scan order, and a full
+no-witness scan (the words the map does not kill, so the scan reads every
+block).  The words come from the orbit set's cached scan view, packed once.
+The numba backend is exercised only when the package is installed with the
+``fast`` extra; a warm-up pass keeps JIT compilation out of the timings.
 
 Usage:
     python3 benchmarks/bench_backends.py [--depth 9] [--repeats 5]
@@ -19,13 +21,18 @@ from handlebody.homs import Epimorphism
 
 
 def build_workload(depth):
-    s = generate_c0(depth=depth)
-    words = list(iter(s))
-    enc, offsets = pack_words(words)
+    """(letters, table, scans): ``scans`` maps a scan name to its packed
+    (enc, offsets, word count)."""
+    words, enc, offsets = generate_c0(depth=depth).scan_view()
     G = heisenberg(3)
     a, b = G.generators[0], G.generators[1]
-    theta = Epimorphism(G, (a, b, b, a))
-    return enc, offsets, theta.letter_images(), G.table, len(words)
+    letters = Epimorphism(G, (a, b, b, a)).letter_images()
+    values = get_backend("numpy").evaluate_words(enc, offsets, letters,
+                                                 G.table)
+    misses = [w for w, g in zip(words, values) if g != 0]
+    scans = {"orbit": (enc, offsets, len(words)),
+             "no-witness": pack_words(misses) + (len(misses),)}
+    return letters, G.table, scans
 
 
 def time_call(fn, repeats):
@@ -45,9 +52,11 @@ def main(argv=None):
                         help="timing repeats; best run is reported")
     args = parser.parse_args(argv)
 
-    enc, offsets, letters, table, count = build_workload(args.depth)
-    print("workload: %d words (depth %d), target group of order %d"
-          % (count, args.depth, table.shape[0]))
+    letters, table, scans = build_workload(args.depth)
+    enc, offsets, count = scans["orbit"]
+    print("workload: %d words (depth %d), %d of them not killed, target "
+          "group of order %d" % (count, args.depth, scans["no-witness"][2],
+                                 table.shape[0]))
 
     results = {}
     for name in available_backends():
@@ -58,18 +67,26 @@ def main(argv=None):
         t_eval = time_call(
             lambda: backend.evaluate_words(enc, offsets, letters, table),
             args.repeats)
-        t_find = time_call(
-            lambda: backend.find_identity_word(enc, offsets, letters, table),
-            args.repeats)
-        results[name] = (t_eval, t_find)
-        print("%-6s evaluate_words %8.3f ms (%6.2f Mwords/s)   "
-              "find_identity_word %8.3f ms"
-              % (name, t_eval * 1e3, count / t_eval / 1e6, t_find * 1e3))
+        line = ["%-6s evaluate_words %8.3f ms (%6.2f Mwords/s)"
+                % (name, t_eval * 1e3, count / t_eval / 1e6)]
+        times = [t_eval]
+        for scan, (s_enc, s_off, _) in scans.items():
+            index = backend.find_identity_word(s_enc, s_off, letters, table)
+            t_find = time_call(
+                lambda: backend.find_identity_word(s_enc, s_off, letters,
+                                                   table),
+                args.repeats)
+            times.append(t_find)
+            line.append("find_identity_word[%s, index %d] %8.3f ms"
+                        % (scan, index, t_find * 1e3))
+        results[name] = times
+        print("   ".join(line))
 
     if "numpy" in results and "numba" in results:
-        print("speedup (numpy/numba): evaluate %.1fx, find %.1fx"
-              % (results["numpy"][0] / results["numba"][0],
-                 results["numpy"][1] / results["numba"][1]))
+        print("speedup (numpy/numba): evaluate %.1fx, early scan %.1fx, "
+              "full scan %.1fx"
+              % tuple(p / q for p, q in zip(results["numpy"],
+                                            results["numba"])))
     elif "numba" not in results:
         print("numba backend unavailable; install the 'fast' extra to "
               "compare")

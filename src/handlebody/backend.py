@@ -10,10 +10,12 @@ multiplication table:
   group identity (the witness scan), or -1.
 
 Two interchangeable implementations are provided: numba ``@njit`` loops with
-per-word early exit, and a pure-numpy column-at-a-time fold.  Selection is
-via the HANDLEBODY_BACKEND environment variable — "numba", "numpy", or
-"auto" (default: numba when importable, else numpy).  Results are identical;
-see benchmarks/bench_backends.py for the speed comparison.
+per-word early exit, and a pure-numpy column-at-a-time fold whose identity
+scan evaluates blocks of 64, 128, ... words (doubling up to 2,048) and stops
+at the first block holding a hit, so an early witness costs one small block.
+Selection is via the HANDLEBODY_BACKEND environment variable — "numba",
+"numpy", or "auto" (default: numba when importable, else numpy).  Results
+are identical; see benchmarks/bench_backends.py for the speed comparison.
 
 Word batches are packed CSR-style: ``enc`` holds the concatenated letter
 bytes of all words, ``offsets[i]:offsets[i+1]`` delimits word i.  A letter
@@ -43,11 +45,12 @@ except ImportError:  # pragma: no cover - numba is an optional dependency
 
 
 def pack_words(word_list):
-    """Pack an iterable of Words into (enc uint8, offsets int64)."""
+    """Pack an iterable of Words into (enc uint8, offsets int64); ``enc`` is
+    a read-only view of the joined letter bytes."""
     datas = [w.data for w in word_list]
     offsets = np.zeros(len(datas) + 1, dtype=np.int64)
     np.cumsum([len(d) for d in datas], out=offsets[1:])
-    enc = np.frombuffer(b"".join(datas), dtype=np.uint8).copy()
+    enc = np.frombuffer(b"".join(datas), dtype=np.uint8)
     return enc, offsets
 
 
@@ -68,34 +71,37 @@ def letter_image_table(images, inverse, rank=4):
 
 
 def _evaluate_words_numpy(enc, offsets, letter_images, mult, identity=0):
+    # ``offsets`` may be a slice of a larger batch's offsets: they index
+    # ``enc`` directly, so a block needs no rebased copy.  Words are folded
+    # longest first, so the words still unfinished at column t are a
+    # prefix of that order: their count is ``active[t]``.
     n = len(offsets) - 1
-    state = np.full(n, identity, dtype=np.int32)
+    out = np.full(n, identity, dtype=np.int32)
     if n == 0:
-        return state
-    starts = offsets[:-1]
-    lengths = (offsets[1:] - starts).astype(np.int64)
-    max_len = int(lengths.max()) if n else 0
-    elements = letter_images[enc]
-    for t in range(max_len):
-        active = np.nonzero(lengths > t)[0]
-        if active.size == 0:
-            break
-        state[active] = mult[state[active], elements[starts[active] + t]]
-    return state
+        return out
+    lengths = offsets[1:] - offsets[:-1]
+    order = np.argsort(-lengths, kind="stable")
+    starts = offsets[:-1][order]
+    active = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
+    state = out[order]
+    for t, k in enumerate(active.tolist()):
+        state[:k] = mult[state[:k], letter_images[enc[starts[:k] + t]]]
+    out[order] = state
+    return out
 
 
 def _find_identity_word_numpy(enc, offsets, letter_images, mult, identity=0,
-                              chunk=2048):
+                              first_block=64, max_block=2048):
     n = len(offsets) - 1
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        sub_off = offsets[lo:hi + 1] - offsets[lo]
-        sub_enc = enc[offsets[lo]:offsets[hi]]
-        images = _evaluate_words_numpy(sub_enc, sub_off, letter_images, mult,
-                                       identity)
+    lo, block = 0, first_block
+    while lo < n:
+        hi = min(lo + block, n)
+        images = _evaluate_words_numpy(enc, offsets[lo:hi + 1], letter_images,
+                                       mult, identity)
         hits = np.nonzero(images == identity)[0]
         if hits.size:
             return lo + int(hits[0])
+        lo, block = hi, min(2 * block, max_block)
     return -1
 
 

@@ -26,7 +26,7 @@ from .homs import (Epimorphism, evaluate, handlebody_witness,
                    standard_metacyclic_images, noncommuting_pair_count,
                    partner_pairs, batch_pair_witnesses, quadruple_search,
                    QuadrupleCapExceeded, RelationViolated, NotGenerating)
-from .kernel_orbit import (ClosureCapExceeded,
+from .kernel_orbit import (ClosureCapExceeded, KernelClassCapExceeded,
                            kernel_orbit as compute_kernel_orbit,
                            intersection_avoids_c0, fiber_group_order)
 from .bogomolov import (b0_status, samperton_verdict, all_sylows_abelian,
@@ -42,7 +42,8 @@ EXIT_INVALID = 4
 EXIT_CAP = 5
 
 _CAP_ERRORS = (OrbitCapExceeded, CosetCapExceeded, AutCapExceeded,
-               QuadrupleCapExceeded, ClosureCapExceeded)
+               QuadrupleCapExceeded, ClosureCapExceeded,
+               KernelClassCapExceeded)
 
 
 def _emit(line):
@@ -253,6 +254,9 @@ def cmd_kernel_orbit(args, parser):
                               aut_cap=args.aut_cap)
     _emit("r=%d provenance=derived" % len(reps))
     report = intersection_avoids_c0(reps, s)
+    # The orbit set and its cached scan view are not needed past the scan;
+    # freeing them keeps them out of the fiber closure's memory peak.
+    del s
     _emit("intersection-avoids-c0=%s depth=%d"
           % (str(report.avoids).lower(), report.depth))
     if not report.avoids:

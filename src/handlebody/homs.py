@@ -17,7 +17,7 @@ import numpy as np
 
 from .words import Word, parse_word, print_word
 from .twists import apply, compose_path, commutator_base
-from .backend import get_backend, pack_words, letter_image_table
+from .backend import get_backend, letter_image_table
 from .orbit import BASE_PATH
 
 EXTENDS = "ExtendsToHandlebody"
@@ -167,8 +167,7 @@ def handlebody_witness(theta, s, backend=None):
     lexicographic order) for a word that evaluates to the identity."""
     if backend is None:
         backend = get_backend()
-    words = list(iter(s))
-    enc, offsets = pack_words(words)
+    words, enc, offsets = s.scan_view()
     idx = backend.find_identity_word(enc, offsets, theta.letter_images(),
                                      theta.group.table)
     if idx < 0:
@@ -272,8 +271,7 @@ def batch_pair_witnesses(G, a, b, pairs, s, backend=None):
     (x2, y2) alongside (a, b); -1 where the searched set has no witness."""
     if backend is None:
         backend = get_backend()
-    words = list(iter(s))
-    enc, offsets = pack_words(words)
+    _, enc, offsets = s.scan_view()
     out = np.empty(len(pairs), dtype=np.int64)
     table = G.table
     inv = G.inv

@@ -17,13 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from .twists import sigma
-from .backend import get_backend, pack_words
+from .backend import get_backend
 from .homs import Epimorphism, evaluate
-from .groups import automorphisms, automorphism_permutations, AutCapExceeded
+from .groups import automorphisms, automorphism_permutations
 
 
 class ClosureCapExceeded(RuntimeError):
     """Tuple-subgroup closure grew past its cap; order unknown."""
+
+
+class KernelClassCapExceeded(RuntimeError):
+    """Kernel-orbit BFS found more classes than its cap; orbit unknown."""
 
 
 def precompose(theta, f):
@@ -77,7 +81,7 @@ def kernel_orbit(theta, pres=None, aut_cap=200000, class_cap=10000):
                 if key in seen:
                     continue
                 if len(reps) >= class_cap:
-                    raise AutCapExceeded(
+                    raise KernelClassCapExceeded(
                         "kernel orbit exceeded class cap %d" % class_cap)
                 seen.add(key)
                 reps.append(cand)
@@ -111,8 +115,7 @@ def intersection_avoids_c0(reps, s, backend=None):
     """
     if backend is None:
         backend = get_backend()
-    words = list(iter(s))
-    enc, offsets = pack_words(words)
+    words, enc, offsets = s.scan_view()
     table = reps[0].group.table
     alive = np.ones(len(words), dtype=bool)
     survivors = []

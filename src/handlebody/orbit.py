@@ -14,7 +14,10 @@ the depth-9 set (the expensive one) is generated once per machine.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
+from types import MappingProxyType
 
+from .backend import pack_words
 from .words import Word, print_word
 from .twists import apply, apply_bytes, commutator_base, compose_path, sigma
 
@@ -36,18 +39,26 @@ def root_word():
     return apply(sigma(3), commutator_base())
 
 
+ScanView = namedtuple("ScanView", "words enc offsets")
+ScanView.__doc__ = """An orbit set's words in scan order, packed once for the
+batch kernels: ``words[i]`` is the word at scan index i and
+``enc[offsets[i]:offsets[i+1]]`` its letter bytes."""
+
+
 class OrbitSet:
     """A deduplicated orbit fragment with provenance paths.
 
     ``paths`` maps each word to either the marker string "base" (for the two
     seed words) or a tuple of move indices in application order: path
-    (1, 4) stores s4(s1(root)).
+    (1, 4) stores s4(s1(root)).  It is read-only, so the cached scan view
+    always matches it.
     """
 
     def __init__(self, paths, depth, sigmas):
-        self.paths = dict(paths)
+        self.paths = MappingProxyType(dict(paths))
         self.depth = int(depth)
         self.sigmas = tuple(int(j) for j in sigmas)
+        self._scan = None
 
     @property
     def words(self):
@@ -60,9 +71,18 @@ class OrbitSet:
         return w in self.paths
 
     def __iter__(self):
-        # Deterministic: seeds first, then by discovery order key
-        # (path length, path, word).
-        return iter(sorted(self.paths, key=self._sort_key))
+        return iter(self.scan_view().words)
+
+    def scan_view(self):
+        """The ScanView of this set, built on first use and cached.
+
+        Scan order is deterministic: seeds first, then by discovery order
+        key (path length, path, word).
+        """
+        if self._scan is None:
+            words = tuple(sorted(self.paths, key=self._sort_key))
+            self._scan = ScanView(words, *pack_words(words))
+        return self._scan
 
     def _sort_key(self, w):
         p = self.paths[w]
@@ -129,6 +149,9 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
         frontier = sorted(level.items(), key=lambda item: item[1])
 
     paths = {Word.from_bytes(data, 4): p for data, p in seen.items()}
+    # OrbitSet copies ``paths``; dropping the byte-keyed tables first keeps
+    # them out of that copy's memory peak.
+    del seen, frontier
     return OrbitSet(paths, depth, sigmas)
 
 

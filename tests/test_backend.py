@@ -68,6 +68,11 @@ def _reference_values(G, images, ws):
     return out
 
 
+def _scalar_first_identity(G, images, ws):
+    values = _reference_values(G, images, ws)
+    return next((i for i, g in enumerate(values) if g == 0), -1)
+
+
 @pytest.mark.parametrize("name", available_backends())
 def test_evaluate_words_matches_scalar(name, group55):
     a, b = group55.generators
@@ -121,6 +126,21 @@ def test_backends_agree_on_random_words(heis3, ws):
 
 
 @pytest.mark.parametrize("name", available_backends())
+@settings(max_examples=50, deadline=None)
+@given(ws=word_lists_st)
+def test_kernels_match_scalar_on_random_words(name, heis3, ws):
+    x, y = heis3.generators
+    images = (x, y, y, x)
+    enc, offsets = pack_words(ws)
+    table = _setup(heis3, images)
+    backend = get_backend(name)
+    got = backend.evaluate_words(enc, offsets, table, heis3.table)
+    assert got.tolist() == _reference_values(heis3, images, ws)
+    assert backend.find_identity_word(enc, offsets, table, heis3.table) \
+        == _scalar_first_identity(heis3, images, ws)
+
+
+@pytest.mark.parametrize("name", available_backends())
 def test_kernels_agree_with_epimorphism_evaluate(name, heis3, orbit3):
     from handlebody.homs import Epimorphism
     x, y = heis3.generators
@@ -131,3 +151,61 @@ def test_kernels_agree_with_epimorphism_evaluate(name, heis3, orbit3):
     got = get_backend(name).evaluate_words(enc, offsets, table, heis3.table)
     expected = [evaluate(theta, w) for w in ws]
     assert got.tolist() == expected
+
+
+# First-hit positions on both sides of the numpy scan's block boundaries:
+# blocks of 64, 128, ... words, doubling up to 2,048, start at 0, 64, 192,
+# 448, 960, 1984, 4032 and 6080.
+_FIRST_HIT_POSITIONS = (0, 63, 64, 191, 192, 447, 448, 1983, 1984, 2047,
+                        2048, 4031, 4032, 5000)
+
+
+@pytest.fixture(scope="module")
+def scan_pool(group55):
+    """Random words of lengths 1..14 split by their scalar image under a
+    fixed epimorphism onto the order-55 group: (images, misses, hits)."""
+    a, b = group55.generators
+    images = (a, b, group55.inverse(b), group55.mult(b, group55.inverse(a)))
+    rng = np.random.default_rng(2048)
+    misses, hits = [], [identity(4)]
+    while len(misses) < 6000 or len(hits) < 40:
+        n = int(rng.integers(1, 15))
+        w = Word(zip(rng.integers(0, 4, n).tolist(),
+                     rng.choice([1, -1], n).tolist()), rank=4)
+        if w.data:
+            (hits if _reference_values(group55, images, [w])[0] == 0
+             else misses).append(w)
+    return images, misses, hits
+
+
+@pytest.mark.parametrize("name", available_backends())
+@pytest.mark.parametrize("position", _FIRST_HIT_POSITIONS)
+def test_find_identity_word_across_block_boundaries(name, position,
+                                                    group55, scan_pool):
+    images, misses, hits = scan_pool
+    # Ragged words before the hit, the hit (the empty word at one
+    # position), then misses and further hits that must not be reported.
+    hit = hits[position % len(hits)]
+    ws = (misses[:position] + [hit]
+          + [w for pair in zip(misses[position:position + 50], hits)
+             for w in pair])
+    enc, offsets = pack_words(ws)
+    got = get_backend(name).find_identity_word(
+        enc, offsets, _setup(group55, images), group55.table)
+    assert got == _scalar_first_identity(group55, images, ws) == position
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_find_identity_word_no_witness_and_empty(name, group55, scan_pool):
+    images, misses, _ = scan_pool
+    table = _setup(group55, images)
+    backend = get_backend(name)
+    enc, offsets = pack_words(misses)
+    assert backend.find_identity_word(enc, offsets, table,
+                                      group55.table) == -1
+    assert _scalar_first_identity(group55, images, misses) == -1
+    got = backend.evaluate_words(enc, offsets, table, group55.table)
+    assert got.tolist() == _reference_values(group55, images, misses)
+    enc0, offsets0 = pack_words([])
+    assert backend.find_identity_word(enc0, offsets0, table,
+                                      group55.table) == -1

@@ -169,6 +169,20 @@ def test_kernel_orbit_aut_cap(capsys):
     assert "error=cap-exceeded" in out
 
 
+def test_kernel_orbit_class_cap(capsys, monkeypatch):
+    # The CLI has no class-cap flag; wrapping the BFS with a small cap
+    # reaches the same exit path as a wide orbit would.
+    from handlebody import cli
+    bfs = cli.compute_kernel_orbit
+    monkeypatch.setattr(cli, "compute_kernel_orbit",
+                        lambda theta, **kw: bfs(theta, class_cap=5, **kw))
+    code, out = run(capsys, "kernel-orbit", "--config", cfg("cyclic_3.cfg"),
+                    "--depth", "1")
+    assert code == 5
+    assert out.splitlines()[-1] == (
+        'error=cap-exceeded detail="kernel orbit exceeded class cap 5"')
+
+
 def test_table1_verifies_all_rows(capsys):
     code, out = run(capsys, "table1", "--depth", "9")
     assert code == 0

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from handlebody.groups import AutCapExceeded, cyclic
+from handlebody.groups import cyclic
 from handlebody.homs import Epimorphism, evaluate
-from handlebody.kernel_orbit import (fiber_group_order,
+from handlebody.kernel_orbit import (KernelClassCapExceeded,
+                                     fiber_group_order,
                                      intersection_avoids_c0, kernel_equal,
                                      kernel_orbit, precompose)
 from handlebody.orbit import BASE_PATH, generate_c0
@@ -54,7 +55,8 @@ def test_kernel_orbit_abelian_count():
 
 
 def test_kernel_orbit_class_cap():
-    with pytest.raises(AutCapExceeded):
+    with pytest.raises(KernelClassCapExceeded,
+                       match="kernel orbit exceeded class cap 5"):
         kernel_orbit(_abelian_theta(), class_cap=5)
 
 

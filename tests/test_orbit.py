@@ -1,5 +1,8 @@
 """Orbit-set enumeration, provenance replay, and the cache format."""
 
+import random
+
+import numpy as np
 import pytest
 
 from handlebody.orbit import (BASE_PATH, CacheError, OrbitCapExceeded,
@@ -140,6 +143,43 @@ def test_orbit_set_equality_includes_metadata(orbit3):
     other = OrbitSet(orbit3.paths, orbit3.depth, (1, 2, 3, 4, 5))
     assert other == orbit3
     assert OrbitSet(orbit3.paths, 4, orbit3.sigmas) != orbit3
+
+
+def test_paths_are_read_only(orbit3):
+    w = root_word()
+    with pytest.raises(TypeError):
+        orbit3.paths[w] = (1,)
+    with pytest.raises(TypeError):
+        del orbit3.paths[w]
+    assert contains(orbit3, w) == (True, BASE_PATH)
+    assert OrbitSet(dict(orbit3.paths), orbit3.depth, orbit3.sigmas) == orbit3
+
+
+def _scan_view_sources(tmp_path):
+    s = generate_c0(depth=4)
+    cache = tmp_path / "orbit.cache"
+    save_cache(s, str(cache))
+    items = list(s.paths.items())
+    random.Random(4).shuffle(items)
+    return {"generated": s, "cache": load_cache(str(cache)),
+            "shuffled": OrbitSet(dict(items), s.depth, s.sigmas)}
+
+
+@pytest.mark.parametrize("source", ["generated", "cache", "shuffled"])
+def test_scan_view_is_packed_scan_order(tmp_path, source):
+    s = _scan_view_sources(tmp_path)[source]
+    view = s.scan_view()
+    assert list(view.words) == sorted(s.paths, key=s._sort_key)
+    assert list(s) == list(view.words)
+    assert view.enc.dtype == np.uint8 and view.offsets.dtype == np.int64
+    assert not view.enc.flags.writeable
+    assert len(view.offsets) == len(s) + 1 and view.offsets[0] == 0
+    for i, w in enumerate(view.words):
+        assert view.enc[view.offsets[i]:view.offsets[i + 1]].tobytes() \
+            == w.data
+    again = s.scan_view()
+    assert again.words is view.words
+    assert again.enc is view.enc and again.offsets is view.offsets
 
 
 def _signed_letters(word):
