@@ -17,8 +17,8 @@ from .words import (Word, WordSyntaxError, UnknownGeneratorError, reduce,
                     print_word, identity, generator, default_names)
 from .twists import (TwistAuto, sigma, apply, compose, compose_path,
                      identity_auto, commutator_base)
-from .orbit import (OrbitSet, OrbitCapExceeded, CacheError, generate_c0,
-                    contains, save_cache, load_cache, root_word, replay_path)
+from .orbit import (OrbitSet, OrbitCapExceeded, generate_c0, contains,
+                    root_word, replay_path)
 from .backend import get_backend, available_backends, pack_words
 from .groups import (FiniteGroup, Presentation, PresentationError,
                      CosetCapExceeded, AutCapExceeded, coset_enumerate,

@@ -62,17 +62,6 @@ class ExtendVerdict:
         return "ExtendVerdict(%s, %r)" % (self.value, self.basis)
 
 
-def _greedy_subgroup_generators(G, elements):
-    """A small generating list for a known subgroup, deterministically."""
-    current = {0}
-    chosen = []
-    for g in elements:
-        if g not in current:
-            chosen.append(g)
-            current = set(G.subgroup_closure(chosen))
-    return chosen
-
-
 def _prime_power(n):
     """(p, k) if n = p**k with k >= 1, else None."""
     if n < 2:
@@ -160,9 +149,9 @@ def recognize_direct_product(G, candidate_cap=128):
         if g != 0:
             add(G.normal_closure([g]), [g])
     center = G.center()
-    add(center, _greedy_subgroup_generators(G, center))
+    add(center, G.greedy_generators(center))
     derived = G.derived_subgroup()
-    add(derived, _greedy_subgroup_generators(G, derived))
+    add(derived, G.greedy_generators(derived))
 
     # Saturate under joins until fixpoint or cap; joins use the recorded
     # generating lists, so each join is one cheap normal closure.

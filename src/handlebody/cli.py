@@ -10,13 +10,11 @@ text in a fixed order; every numeric claim carries a provenance token
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .words import parse_word, print_word
 from .twists import commutator_base
-from .orbit import (generate_c0, load_cache, save_cache, contains,
-                    format_path, OrbitCapExceeded, CacheError,
+from .orbit import (generate_c0, contains, format_path, OrbitCapExceeded,
                     DEFAULT_DEPTH)
 from .groups import (semidirect_pq, automorphisms, pair_orbit_count,
                      single_aut_orbit_certificate,
@@ -50,19 +48,6 @@ def _emit(line):
     sys.stdout.write(line + "\n")
 
 
-def _orbit_set(depth, cache_path):
-    """Load a matching cache or enumerate afresh (writing the cache back
-    when a path was given)."""
-    if cache_path and os.path.exists(cache_path):
-        s = load_cache(cache_path)
-        if s.depth == depth:
-            return s
-    s = generate_c0(depth=depth)
-    if cache_path:
-        save_cache(s, cache_path)
-    return s
-
-
 def _nonnegative(text):
     value = int(text)
     if value < 0:
@@ -88,7 +73,7 @@ def _override_of(cfg):
 
 def cmd_orbit(args, parser):
     try:
-        s = _orbit_set(args.depth, args.cache)
+        s = generate_c0(depth=args.depth)
     except OrbitCapExceeded as exc:
         _emit("error=orbit-cap-exceeded detail=\"%s\"" % exc)
         return EXIT_CAP
@@ -104,7 +89,7 @@ def cmd_check(args, parser):
     theta = _require_theta(cfg, parser)
     G = cfg.group
     _emit("group=%s order=%d" % (cfg.name, G.order))
-    s = _orbit_set(args.depth, args.cache)
+    s = generate_c0(depth=args.depth)
     verdict = handlebody_witness(theta, s)
     if verdict.value == homs.EXTENDS:
         _emit("extends-to-handlebody witness=\"%s\" path=%s"
@@ -123,7 +108,7 @@ def cmd_check(args, parser):
 
 
 def cmd_table1(args, parser):
-    s = _orbit_set(args.depth, args.cache)
+    s = generate_c0(depth=args.depth)
     base = commutator_base()
     verified = 0
     for (p, q, r), text in reference.RECORDED_WITNESS_ROWS:
@@ -225,7 +210,7 @@ def cmd_counts(args, parser):
           % (len(pp), _prov_for(cfg, "partner_pairs", len(pp))))
     _emit("partner_pairs_filtered=%d provenance=%s"
           % (len(ppf), _prov_for(cfg, "partner_pairs_filtered", len(ppf))))
-    s = _orbit_set(args.depth, args.cache)
+    s = generate_c0(depth=args.depth)
     idxs = batch_pair_witnesses(G, a, b, pp, s)
     witnesses = int((idxs >= 0).sum())
     _emit("witnesses=%d provenance=%s"
@@ -249,7 +234,7 @@ def cmd_kernel_orbit(args, parser):
     theta = _require_theta(cfg, parser)
     G = cfg.group
     _emit("group=%s order=%d" % (cfg.name, G.order))
-    s = _orbit_set(args.depth, args.cache)
+    s = generate_c0(depth=args.depth)
     reps, _ = compute_kernel_orbit(theta, pres=G.presentation,
                               aut_cap=args.aut_cap)
     _emit("r=%d provenance=derived" % len(reps))
@@ -291,8 +276,6 @@ def build_parser():
                            default=DEFAULT_DEPTH,
                            help="orbit generation depth (default %d)"
                                 % DEFAULT_DEPTH)
-            p.add_argument("--cache", default=None,
-                           help="orbit cache file to reuse/write")
         if "coset" in caps:
             p.add_argument("--coset-cap", type=int, default=50000,
                            help="coset enumeration cap")
@@ -342,7 +325,7 @@ def main(argv=None):
     except _CAP_ERRORS as exc:
         _emit("error=cap-exceeded detail=\"%s\"" % exc)
         return EXIT_CAP
-    except (ConfigError, CacheError, RelationViolated, NotGenerating,
+    except (ConfigError, RelationViolated, NotGenerating,
             ValueError, OSError) as exc:
         _emit("error=invalid-input detail=\"%s\"" % exc)
         return EXIT_INVALID

@@ -147,24 +147,40 @@ class FiniteGroup:
     # -- subgroup machinery -------------------------------------------
 
     def subgroup_closure(self, gens):
-        """Sorted element list of the subgroup generated by ``gens``."""
+        """Sorted element list of the subgroup generated by ``gens``.
+
+        Breadth-first over ``table``: each level multiplies the newly
+        reached elements by the generators and their inverses at once.
+        """
         gens = [int(g) for g in gens]
-        seen = {0}
-        frontier = [0]
-        step = gens + [int(self.inv[g]) for g in gens]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in step:
-                    x = int(self.table[h, g])
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        if self.order % len(seen):
+        step = np.array(gens + [int(self.inv[g]) for g in gens], dtype=np.intp)
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            new = np.zeros(self.order, dtype=bool)
+            new[self.table[frontier[:, None], step]] = True
+            new &= ~seen
+            seen |= new
+            frontier = new.nonzero()[0]
+        elements = seen.nonzero()[0]
+        if self.order % elements.size:
             raise AssertionError("closure size %d does not divide group order %d"
-                                 % (len(seen), self.order))
-        return sorted(seen)
+                                 % (elements.size, self.order))
+        return elements.tolist()
+
+    def greedy_generators(self, elements):
+        """A generating subset of ``elements``, walked in the order given:
+        an element is kept when the ones kept before it do not generate it.
+        """
+        chosen = []
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        for g in elements:
+            if not reached[g]:
+                chosen.append(int(g))
+                reached[self.subgroup_closure(chosen)] = True
+        return chosen
 
     def conjugacy_class_of(self, g):
         allg = np.arange(self.order)
@@ -175,22 +191,14 @@ class FiniteGroup:
         """Smallest normal subgroup containing ``gens``.
 
         The subgroup generated by a conjugation-closed set is normal, so one
-        closure over the union of conjugacy classes suffices; a greedy
-        generating subset keeps the closure cheap.
+        closure over the union of conjugacy classes suffices.
         """
         seed = set()
         for g in gens:
             seed.update(self.conjugacy_class_of(g))
-        current = {0}
-        chosen = []
-        for s in sorted(seed):
-            if s not in current:
-                chosen.append(s)
-                current = set(self.subgroup_closure(chosen))
-        return sorted(current)
+        return self.subgroup_closure(seed)
 
     def center(self):
-        n = self.order
         mask = (self.table == self.table.T).all(axis=1)
         return [int(g) for g in np.nonzero(mask)[0]]
 
@@ -282,58 +290,18 @@ class FiniteGroup:
                 table[i] = [index[int(x)] for x in row]
             except KeyError:
                 raise ValueError("element set is not closed under product")
-        gens = _greedy_generators(table)
-        sub = FiniteGroup(table, gens, name=name or ("subgroup(order=%d) of %s"
-                                                     % (k, self.name)))
-        return sub
+        gens = [index[g] for g in self.greedy_generators(elements)]
+        return FiniteGroup(table, gens, name=name or ("subgroup(order=%d) of %s"
+                                                      % (k, self.name)))
 
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
 
 
-def _greedy_generators(table):
-    """A small generating list for a multiplication table, deterministically."""
-    n = table.shape[0]
-    if n == 1:
-        return []
-    gens = []
-    size = 1
-    current = {0}
-    for g in range(1, n):
-        if g in current:
-            continue
-        gens.append(g)
-        current = set(_closure_from_table(table, gens))
-        size = len(current)
-        if size == n:
-            break
-    return gens
-
-
-def _closure_from_table(table, gens):
-    seen = {0}
-    frontier = [0]
-    n = table.shape[0]
-    inv = np.empty(n, dtype=np.int64)
-    rows, cols = np.nonzero(table == 0)
-    inv[rows] = cols
-    step = list(gens) + [int(inv[g]) for g in gens]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in step:
-                x = int(table[h, g])
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return sorted(seen)
-
-
 # --- Todd-Coxeter coset enumeration ------------------------------------
 
 
-def _relator_letters(rel, rank):
+def _relator_letters(rel):
     out = []
     for gen, sign in rel.letters:
         out.append(2 * gen if sign > 0 else 2 * gen + 1)
@@ -448,7 +416,7 @@ def coset_enumerate(pres, coset_cap=50000):
     needed even after a lookahead compression pass.
     """
     nletters = 2 * pres.gen_count
-    rels = [_relator_letters(r, pres.gen_count) for r in pres.relators]
+    rels = [_relator_letters(r) for r in pres.relators]
     ct = _CosetTable(nletters, coset_cap)
 
     def live_cosets():
@@ -518,11 +486,20 @@ def coset_enumerate(pres, coset_cap=50000):
 
 
 def evaluate_in_group(G, word, images):
-    """Image of a word under generator assignments ``images``."""
+    """Image of a word under generator assignments ``images``.
+
+    The scalar fold: letter byte b maps to ``letters[b]`` (the images, then
+    their inverses), folded left to right through ``G.table``.
+    """
+    images = [int(g) for g in images[:word.rank]]
+    if len(images) < word.rank:
+        raise ValueError("need %d generator images, got %d"
+                         % (word.rank, len(images)))
+    letters = [0] + images + [int(G.inv[g]) for g in images]
+    table = G.table
     out = 0
-    for gen, sign in word.letters:
-        g = images[gen] if sign > 0 else G.inverse(images[gen])
-        out = G.mult(out, g)
+    for byte in word.data:
+        out = int(table[out, letters[byte]])
     return out
 
 

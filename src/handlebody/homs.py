@@ -18,6 +18,7 @@ import numpy as np
 from .words import Word, parse_word, print_word
 from .twists import apply, compose_path, commutator_base
 from .backend import get_backend, letter_image_table
+from .groups import evaluate_in_group
 from .orbit import BASE_PATH
 
 EXTENDS = "ExtendsToHandlebody"
@@ -92,12 +93,7 @@ def evaluate(theta, w):
     """Image of a rank-4 word under the epimorphism."""
     if w.rank != 4:
         raise ValueError("expected a rank-4 word")
-    G = theta.group
-    out = 0
-    table = theta.letter_images()
-    for byte in w.data:
-        out = int(G.table[out, table[byte]])
-    return out
+    return evaluate_in_group(theta.group, w, theta.images)
 
 
 # The nine short products whose triviality immediately certifies an
@@ -208,27 +204,6 @@ def noncommuting_pair_count(G):
     return G.order ** 2 - G.order * G.conjugacy_class_count()
 
 
-def _closure_reaches(G, seed_mask, gens, frontier):
-    """Vectorized subgroup closure from a seed; returns True iff it is G."""
-    n = G.order
-    seen = seed_mask.copy()
-    count = int(seen.sum())
-    step = np.array(sorted({int(g) for g in gens}
-                           | {int(G.inv[g]) for g in gens}), dtype=np.int64)
-    frontier = np.array(frontier, dtype=np.int64)
-    while frontier.size:
-        prods = G.table[np.repeat(frontier, step.size),
-                        np.tile(step, frontier.size)]
-        prods = np.unique(prods)
-        new = prods[~seen[prods]]
-        seen[new] = True
-        count += new.size
-        if count == n:
-            return True
-        frontier = new
-    return count == n
-
-
 def partner_pairs(G, a, b, filter_quick=False):
     """Ordered pairs (r, t) with [a,b][r,t] = 1 and <a,b,r,t> = G.
 
@@ -237,10 +212,7 @@ def partner_pairs(G, a, b, filter_quick=False):
     """
     n = G.order
     target = G.inverse(G.commutator(a, b))
-    base = G.subgroup_closure([a, b])
-    base_mask = np.zeros(n, dtype=bool)
-    base_mask[base] = True
-    base_is_all = len(base) == n
+    base_is_all = len(G.subgroup_closure([a, b])) == n
 
     # Vectorized commutator: comm[r, t] = r t r^-1 t^-1.
     pairs = []
@@ -251,9 +223,7 @@ def partner_pairs(G, a, b, filter_quick=False):
         comm = G.table[rtr, inv_all]           # r t r^-1 t^-1
         for t in np.nonzero(comm == target)[0]:
             t = int(t)
-            if base_is_all or _closure_reaches(
-                    G, base_mask, [a, b, r, t],
-                    [g for g in (r, t) if not base_mask[g]] + base):
+            if base_is_all or len(G.subgroup_closure([a, b, r, t])) == n:
                 pairs.append((r, t))
     if filter_quick:
         kept = []

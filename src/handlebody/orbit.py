@@ -6,19 +6,15 @@ compositions of the configured moves (default s1..s5), deduplicated on freely
 reduced words.  Every stored word carries one replayable provenance path —
 the shortest derivation, ties broken by lexicographically least index
 sequence — so reports can show how a witness was produced.
-
-Orbit sets round-trip through a line-oriented text cache with a checksum, so
-the depth-9 set (the expensive one) is generated once per machine.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import namedtuple
 from types import MappingProxyType
 
 from .backend import pack_words
-from .words import Word, print_word
+from .words import Word
 from .twists import apply, apply_bytes, commutator_base, compose_path, sigma
 
 BASE_PATH = "base"
@@ -28,10 +24,6 @@ DEFAULT_SIGMAS = (1, 2, 3, 4, 5)
 
 class OrbitCapExceeded(RuntimeError):
     """Word-count cap hit during generation; partial sets are never returned."""
-
-
-class CacheError(ValueError):
-    """Cache file malformed (bad version, header, or checksum); regenerate."""
 
 
 def root_word():
@@ -167,90 +159,3 @@ def format_path(path):
     if path == BASE_PATH:
         return BASE_PATH
     return ",".join(str(j) for j in path)
-
-
-def _parse_path(text):
-    if text == BASE_PATH:
-        return BASE_PATH
-    return tuple(int(part) for part in text.split(","))
-
-
-def _render_body(s):
-    lines = []
-    for w in iter(s):
-        lines.append("%s\t%s\n" % (print_word(w), format_path(s.paths[w])))
-    return "".join(lines)
-
-
-def save_cache(s, path):
-    """Write the orbit set to a checksummed text cache file."""
-    body = _render_body(s)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    header = ("c0-cache v1\n"
-              "depth=%d\n"
-              "sigmas=%s\n"
-              "count=%d\n"
-              "sha256=%s\n" % (s.depth, ",".join(map(str, s.sigmas)),
-                               len(s), digest))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        fh.write(body)
-
-
-_DISPLAY_LETTER = {"x1": 1, "y1": 2, "x2": 3, "y2": 4}
-
-
-def _decode_display(text):
-    """Decode print_word output directly to bytes (records are written by
-    save_cache, so the display grammar subset suffices; the checksum has
-    already vouched for the text)."""
-    if text == "1":
-        return Word.from_bytes(b"", 4)
-    out = bytearray()
-    for token in text.split(" "):
-        name, _, exp = token.partition("^")
-        base = _DISPLAY_LETTER.get(name)
-        if base is None:
-            raise CacheError("unknown generator %r in cache record" % name)
-        try:
-            e = int(exp) if exp else 1
-        except ValueError:
-            raise CacheError("bad exponent in cache record %r"
-                             % token) from None
-        if e == 0:
-            raise CacheError("zero exponent in cache record %r" % token)
-        out.extend([base if e > 0 else base + 4] * abs(e))
-    return Word.from_bytes(bytes(out), 4)
-
-
-def load_cache(path):
-    """Read a cache file back; raises CacheError on any mismatch."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if len(lines) < 5 or lines[0] != "c0-cache v1":
-        raise CacheError("not a c0-cache v1 file: %s" % path)
-    header = {}
-    for i, key in enumerate(("depth", "sigmas", "count", "sha256"), start=1):
-        prefix = key + "="
-        if not lines[i].startswith(prefix):
-            raise CacheError("missing header line %r in %s" % (prefix, path))
-        header[key] = lines[i][len(prefix):]
-    body = "\n".join(lines[5:])
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if digest != header["sha256"]:
-        raise CacheError("checksum mismatch in %s (file truncated or edited); "
-                         "regenerate the cache" % path)
-    depth = int(header["depth"])
-    sigmas = tuple(int(j) for j in header["sigmas"].split(","))
-    count = int(header["count"])
-    paths = {}
-    for line in body.splitlines():
-        word_text, _, path_text = line.partition("\t")
-        if not path_text:
-            raise CacheError("malformed record %r in %s" % (line, path))
-        paths[_decode_display(word_text)] = _parse_path(path_text)
-    if len(paths) != count:
-        raise CacheError("count mismatch in %s: header says %d, body has %d"
-                         % (path, count, len(paths)))
-    return OrbitSet(paths, depth, sigmas)

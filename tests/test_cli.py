@@ -36,23 +36,6 @@ def test_orbit_rejects_negative_depth(capsys):
     assert exc.value.code == 2
 
 
-def test_orbit_cache_round_trip(tmp_path, capsys):
-    cache = str(tmp_path / "c0.cache")
-    code1, out1 = run(capsys, "orbit", "--depth", "3", "--cache", cache)
-    assert code1 == 0 and os.path.exists(cache)
-    code2, out2 = run(capsys, "orbit", "--depth", "3", "--cache", cache)
-    assert code2 == 0
-    assert out1 == out2  # byte-deterministic reports
-
-
-def test_orbit_corrupt_cache_is_invalid_input(tmp_path, capsys):
-    cache = tmp_path / "c0.cache"
-    cache.write_text("c0-cache v1\ngarbage\n")
-    code, out = run(capsys, "orbit", "--depth", "3", "--cache", str(cache))
-    assert code == 4
-    assert "error=invalid-input" in out
-
-
 def test_check_finds_witness(capsys):
     code, out = run(capsys, "check", "--config",
                     cfg("semidirect_11_5_3.cfg"), "--depth", "3")

@@ -1,0 +1,67 @@
+"""Golden CLI transcripts: stdout and exit code, byte for byte.
+
+``golden/runs.json`` lists 22 runs at depth 9: ``orbit``, ``table1``, and
+``check``/``counts``/``quadruple``/``kernel-orbit`` on each shipped config.
+``golden/<name>.txt`` holds each run's stdout as printed by
+``python -m handlebody.cli ARGV`` from the repository root.  The four runs
+marked slow take 7-45 s each and are collected only when
+HANDLEBODY_GOLDEN_SLOW=1.
+
+An intended change of output regenerates the transcripts with
+``python tests/test_golden.py`` and says why in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from handlebody.cli import main
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+with open(os.path.join(GOLDEN, "runs.json"), encoding="utf-8") as _fh:
+    RUNS = json.load(_fh)
+
+SLOW = os.environ.get("HANDLEBODY_GOLDEN_SLOW") == "1"
+
+
+def _transcript(name):
+    with open(os.path.join(GOLDEN, name + ".txt"), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(RUNS) if SLOW or not RUNS[n]["slow"]])
+def test_cli_transcript_matches_golden(name):
+    run = RUNS[name]
+    argv = [os.path.join(ROOT, a) if a.startswith("configs/") else a
+            for a in run["argv"].split()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert out.getvalue().encode("utf-8") == _transcript(name)
+    assert code == run["exit"]
+
+
+def capture():
+    """Rewrite every transcript from a fresh CLI process per run."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for name in sorted(RUNS):
+        proc = subprocess.run(
+            [sys.executable, "-m", "handlebody.cli"] + RUNS[name]["argv"].split(),
+            cwd=ROOT, env=env, capture_output=True, check=False)
+        with open(os.path.join(GOLDEN, name + ".txt"), "wb") as fh:
+            fh.write(proc.stdout)
+        if proc.returncode != RUNS[name]["exit"]:
+            print("%s: exit %d, runs.json says %d"
+                  % (name, proc.returncode, RUNS[name]["exit"]))
+
+
+if __name__ == "__main__":
+    capture()

@@ -1,6 +1,8 @@
 """Finite-group engine: constructors, coset enumeration, subgroup and
 automorphism machinery."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,78 @@ def test_subgroup_as_group():
     sub = G.subgroup_as_group(G.sylow_subgroup(11))
     assert sub.order == 11
     assert sub.is_abelian()
+
+
+# Closure oracle groups, drawn by key and built once: an int n is cyclic(n).
+_NAMED_GROUPS = {
+    "semidirect_pq(11,5,3)": lambda: semidirect_pq(11, 5, 3),
+    "heisenberg(3)": lambda: heisenberg(3),
+    "heisenberg(3) x cyclic(2)": lambda: direct_product(heisenberg(3),
+                                                        cyclic(2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_group(key):
+    return cyclic(key) if isinstance(key, int) else _NAMED_GROUPS[key]()
+
+
+def _brute_closure(G, gens):
+    """Multiply everything reached by every generator until nothing new
+    appears; in a finite group that is the generated subgroup."""
+    reached = {0}
+    while True:
+        grown = reached | {int(G.table[h, g]) for h in reached for g in gens}
+        if grown == reached:
+            return sorted(reached)
+        reached = grown
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(1, 30), st.sampled_from(sorted(_NAMED_GROUPS))),
+       st.data())
+def test_subgroup_closure_matches_brute_force(key, data):
+    G = _oracle_group(key)
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    closure = G.subgroup_closure(gens)
+    assert closure == _brute_closure(G, gens)
+
+    # The greedy subset regenerates the subgroup, in any walking order, and
+    # keeps exactly the elements its predecessors do not generate.
+    walk = data.draw(st.permutations(closure))
+    chosen = G.greedy_generators(walk)
+    assert G.subgroup_closure(chosen) == closure
+    for i, g in enumerate(chosen):
+        assert g not in G.subgroup_closure(chosen[:i])
+    assert chosen == [g for g in walk if g in chosen]
+
+
+def test_closure_of_nothing_is_trivial():
+    G = heisenberg(3)
+    assert G.subgroup_closure([]) == [0]
+    assert G.subgroup_closure([0, 0]) == [0]
+    assert G.greedy_generators([]) == []
+    assert G.greedy_generators([0]) == []
+    assert G.normal_closure([0]) == [0]
+
+
+def test_subgroup_as_group_generators_are_pinned(order243):
+    # Generators (indices into the reindexed subgroup) as the greedy walk
+    # over the sorted elements has always chosen them.
+    h3c2 = direct_product(heisenberg(3), cyclic(2))
+    c4h3 = direct_product(cyclic(4), heisenberg(3))
+    cases = [
+        (h3c2, h3c2.center(), (1, 2)),
+        (h3c2, h3c2.sylow_subgroup(3), (1, 3, 9)),
+        (h3c2, h3c2.derived_subgroup(), (1,)),
+        (c4h3, c4h3.center(), (1, 3)),
+        (c4h3, c4h3.sylow_subgroup(3), (1, 3, 9)),
+        (order243, order243.sylow_subgroup(3), (1, 3, 5, 7)),
+        (order243, order243.derived_subgroup(), (1,)),
+        (semidirect_pq(23, 11, 2), [0], ()),
+    ]
+    for G, elements, gens in cases:
+        assert G.subgroup_as_group(elements).generators == gens
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,13 +1,13 @@
-"""Orbit-set enumeration, provenance replay, and the cache format."""
+"""Orbit-set enumeration, provenance replay and the scan view."""
 
 import random
 
 import numpy as np
 import pytest
 
-from handlebody.orbit import (BASE_PATH, CacheError, OrbitCapExceeded,
-                              OrbitSet, contains, format_path, generate_c0,
-                              load_cache, replay_path, root_word, save_cache)
+from handlebody.orbit import (BASE_PATH, OrbitCapExceeded, OrbitSet,
+                              contains, format_path, generate_c0,
+                              replay_path, root_word)
 from handlebody.twists import apply, commutator_base, sigma
 from handlebody.words import parse_word
 
@@ -90,46 +90,6 @@ def test_format_path():
     assert format_path(()) == ""
 
 
-def test_cache_round_trip(tmp_path, orbit3):
-    cache = tmp_path / "orbit.cache"
-    save_cache(orbit3, str(cache))
-    loaded = load_cache(str(cache))
-    assert loaded == orbit3
-    text = cache.read_text()
-    assert text.startswith("c0-cache v1\n")
-    assert "depth=3\n" in text and "count=41\n" in text
-
-
-def test_cache_is_byte_deterministic(tmp_path, orbit3):
-    a, b = tmp_path / "a", tmp_path / "b"
-    save_cache(orbit3, str(a))
-    save_cache(orbit3, str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cache_rejects_corruption(tmp_path, orbit3):
-    cache = tmp_path / "orbit.cache"
-    save_cache(orbit3, str(cache))
-    good = cache.read_text()
-
-    bad_header = good.replace("c0-cache v1", "c0-cache v9", 1)
-    (tmp_path / "h").write_text(bad_header)
-    with pytest.raises(CacheError):
-        load_cache(str(tmp_path / "h"))
-
-    # Flipping one word invalidates the checksum.
-    tampered = good.replace("x2^-1 y1 x1 y1", "x2^-1 y1 x1 y2", 1)
-    assert tampered != good
-    (tmp_path / "t").write_text(tampered)
-    with pytest.raises(CacheError):
-        load_cache(str(tmp_path / "t"))
-
-    truncated = good[:len(good) // 2]
-    (tmp_path / "u").write_text(truncated)
-    with pytest.raises(CacheError):
-        load_cache(str(tmp_path / "u"))
-
-
 def test_restricted_move_set():
     s = generate_c0(depth=2, sigmas=(1, 2))
     assert s.sigmas == (1, 2)
@@ -155,19 +115,17 @@ def test_paths_are_read_only(orbit3):
     assert OrbitSet(dict(orbit3.paths), orbit3.depth, orbit3.sigmas) == orbit3
 
 
-def _scan_view_sources(tmp_path):
+def _scan_view_sources():
     s = generate_c0(depth=4)
-    cache = tmp_path / "orbit.cache"
-    save_cache(s, str(cache))
     items = list(s.paths.items())
     random.Random(4).shuffle(items)
-    return {"generated": s, "cache": load_cache(str(cache)),
+    return {"generated": s,
             "shuffled": OrbitSet(dict(items), s.depth, s.sigmas)}
 
 
-@pytest.mark.parametrize("source", ["generated", "cache", "shuffled"])
-def test_scan_view_is_packed_scan_order(tmp_path, source):
-    s = _scan_view_sources(tmp_path)[source]
+@pytest.mark.parametrize("source", ["generated", "shuffled"])
+def test_scan_view_is_packed_scan_order(source):
+    s = _scan_view_sources()[source]
     view = s.scan_view()
     assert list(view.words) == sorted(s.paths, key=s._sort_key)
     assert list(s) == list(view.words)
