@@ -36,6 +36,8 @@ class B0Status:
     rule-derived value (the derived value wins).
     """
 
+    __slots__ = ("value", "reason", "attempted", "warning")
+
     def __init__(self, value, reason, attempted=(), warning=None):
         self.value = value
         self.reason = reason
@@ -51,9 +53,30 @@ class B0Status:
 
 
 class ExtendVerdict:
-    def __init__(self, value, basis):
+    """Extendability verdict, with the B0 status it rests on and, for a
+    NonZero status, the number of involutions that decided it.
+
+    ``basis`` explains the verdict in words.  It is formatted when read, so
+    a verdict that callers keep holds no string of its own.
+    """
+
+    __slots__ = ("value", "status", "involutions")
+
+    def __init__(self, value, status, involutions=None):
         self.value = value
-        self.basis = basis
+        self.status = status
+        self.involutions = involutions
+
+    @property
+    def basis(self):
+        if self.value == ALL_EXTEND:
+            return "B0(G)=0 (%s)" % self.status.reason
+        if self.value == EXISTS_NON_EXTENDABLE:
+            return ("B0(G)!=0 (%s) and %d involution(s) <= 1"
+                    % (self.status.reason, self.involutions))
+        if self.status.value == NONZERO:
+            return "B0(G)!=0 but %d involutions > 1" % self.involutions
+        return "B0 status unknown"
 
     def __eq__(self, other):
         return isinstance(other, ExtendVerdict) and self.value == other.value
@@ -99,33 +122,39 @@ def is_extraspecial(G):
     pk = _prime_power(len(center))
     if pk is None or pk[1] != 1 or len(center) == G.order:
         return False
-    p = pk[0]
-    zset = set(center)
-    for g in range(G.order):
-        if G.power(g, p) not in zset:
-            return False
-        for h in range(g + 1, G.order):
-            if G.commutator(g, h) not in zset:
-                return False
-    return True
+    in_center = np.zeros(G.order, dtype=bool)
+    in_center[center] = True
+    allg = np.arange(G.order)
+    powers = allg
+    for _ in range(pk[0] - 1):
+        powers = G.table[powers, allg]
+    # Z is a subgroup, so every commutator lies in it iff [G, G] does.
+    return bool(in_center[powers].all()
+                and in_center[G.derived_subgroup()].all())
 
 
 def _quotient_is_cyclic(G, normal_elements):
-    """Whether G/N is cyclic, for N given as an element set."""
-    nset = set(normal_elements)
+    """Whether G/N is cyclic, for N given as an element set.
+
+    G/N of order m is cyclic iff some g has g^k outside N for all 0 < k < m;
+    the powers of all still-candidate g advance together.
+    """
+    in_normal = np.zeros(G.order, dtype=bool)
+    in_normal[normal_elements] = True
     quotient_order = G.order // len(normal_elements)
-    for g in range(G.order):
-        k, acc = 1, g
-        while acc not in nset:
-            acc = G.mult(acc, g)
-            k += 1
-        if k == quotient_order:
-            return True
-    return quotient_order == 1
+    alive = np.arange(G.order)
+    powers = alive
+    for _ in range(1, quotient_order):
+        keep = ~in_normal[powers]
+        alive, powers = alive[keep], powers[keep]
+        if not alive.size:
+            return False
+        powers = G.table[powers, alive]
+    return True
 
 
 def recognize_direct_product(G, candidate_cap=128):
-    """An internal direct decomposition (N1, N2) as element lists, or None.
+    """An internal direct decomposition (N1, N2) as element tuples, or None.
 
     Candidate normal subgroups: normal closures of single elements, the
     center and the derived subgroup, saturated under pairwise joins (the
@@ -133,50 +162,49 @@ def recognize_direct_product(G, candidate_cap=128):
     genuine decomposition (trivial intersection, orders multiply to |G|) —
     but not complete if the candidate cap truncates saturation.
     """
-    candidates = {}  # elements tuple -> small generating list
+    candidates = {}  # sorted elements tuple -> (element array, membership mask)
 
-    def add(elems, gens):
+    def add(elems):
         key = tuple(elems)
-        if 1 < len(elems) < G.order and key not in candidates:
-            candidates[key] = list(gens)
+        if 1 < len(key) < G.order and key not in candidates:
+            elems = np.array(key, dtype=np.intp)
+            mask = np.zeros(G.order, dtype=bool)
+            mask[elems] = True
+            candidates[key] = elems, mask
             return True
         return False
 
-    # One normal closure per conjugacy class (conjugate elements have equal
-    # normal closures).
+    # One normal closure per conjugacy class: the subgroup a class generates
+    # is the normal closure of each of its elements.
     for cls in G.conjugacy_classes():
-        g = cls[0]
-        if g != 0:
-            add(G.normal_closure([g]), [g])
-    center = G.center()
-    add(center, G.greedy_generators(center))
-    derived = G.derived_subgroup()
-    add(derived, G.greedy_generators(derived))
+        if cls[0] != 0:
+            add(G.subgroup_closure(cls))
+    add(G.center())
+    add(G.derived_subgroup())
 
-    # Saturate under joins until fixpoint or cap; joins use the recorded
-    # generating lists, so each join is one cheap normal closure.
+    # Saturate under joins until fixpoint or cap.  The join of two normal
+    # subgroups is their product set N1 N2, read off the table in one gather.
     grew = True
     while grew and len(candidates) < candidate_cap:
         grew = False
         ordered = sorted(candidates.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        for i, (k1, gens1) in enumerate(ordered):
-            s1 = set(k1)
-            for k2, gens2 in ordered[i + 1:]:
+        for i, (_, (e1, m1)) in enumerate(ordered):
+            for _, (e2, _) in ordered[i + 1:]:
                 if len(candidates) >= candidate_cap:
                     break
-                if set(k2) <= s1:
+                if m1[e2].all():
                     continue
-                join_gens = gens1 + [g for g in gens2 if g not in s1]
-                if add(G.normal_closure(join_gens), join_gens):
+                join = np.zeros(G.order, dtype=bool)
+                join[G.table[e1[:, None], e2]] = True
+                if add(join.nonzero()[0].tolist()):
                     grew = True
 
-    ordered = sorted(candidates, key=lambda k: (len(k), k))
-    for i, n1 in enumerate(ordered):
-        s1 = set(n1)
-        for n2 in ordered[i:]:
+    ordered = sorted(candidates.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    for i, (n1, (_, m1)) in enumerate(ordered):
+        for n2, (e2, _) in ordered[i:]:
             if len(n1) * len(n2) != G.order:
                 continue
-            if sum(1 for x in n2 if x in s1) == 1:  # intersection = {identity}
+            if np.count_nonzero(m1[e2]) == 1:  # N1 ∩ N2 = {identity}
                 return n1, n2
     return None
 
@@ -201,8 +229,8 @@ def _apply_rules(G, _seen_orders=()):
 
     attempted.append("R4:derived-abelian-with-cyclic-quotient")
     derived = G.derived_subgroup()
-    derived_group = G.subgroup_as_group(derived)
-    if derived_group.is_abelian() and _quotient_is_cyclic(G, derived):
+    block = G.table[np.ix_(derived, derived)]
+    if np.array_equal(block, block.T) and _quotient_is_cyclic(G, derived):
         return B0Status(ZERO, "R4: derived subgroup abelian and G/[G,G] cyclic")
 
     attempted.append("R5:all-Sylow-Zero")
@@ -272,15 +300,10 @@ def all_sylows_abelian(G):
 def samperton_verdict(G, status):
     """Extendability-over-3-manifolds verdict from a B0 status."""
     if status.value == ZERO:
-        return ExtendVerdict(ALL_EXTEND,
-                             "B0(G)=0 (%s)" % status.reason)
+        return ExtendVerdict(ALL_EXTEND, status)
     if status.value == NONZERO:
         involutions = G.count_involutions()
         if involutions <= 1:
-            return ExtendVerdict(
-                EXISTS_NON_EXTENDABLE,
-                "B0(G)!=0 (%s) and %d involution(s) <= 1"
-                % (status.reason, involutions))
-        return ExtendVerdict(VERDICT_UNKNOWN,
-                             "B0(G)!=0 but %d involutions > 1" % involutions)
-    return ExtendVerdict(VERDICT_UNKNOWN, "B0 status unknown")
+            return ExtendVerdict(EXISTS_NON_EXTENDABLE, status, involutions)
+        return ExtendVerdict(VERDICT_UNKNOWN, status, involutions)
+    return ExtendVerdict(VERDICT_UNKNOWN, status)

@@ -182,21 +182,17 @@ class FiniteGroup:
                 reached[self.subgroup_closure(chosen)] = True
         return chosen
 
-    def conjugacy_class_of(self, g):
-        allg = np.arange(self.order)
-        orbit = np.unique(self.table[self.table[allg, g], self.inv[allg]])
-        return [int(x) for x in orbit]
-
     def normal_closure(self, gens):
         """Smallest normal subgroup containing ``gens``.
 
         The subgroup generated by a conjugation-closed set is normal, so one
-        closure over the union of conjugacy classes suffices.
+        closure over every conjugate h g h^-1 of every g in ``gens`` (taken
+        in one gather) suffices.
         """
-        seed = set()
-        for g in gens:
-            seed.update(self.conjugacy_class_of(g))
-        return self.subgroup_closure(seed)
+        gens = np.asarray(gens, dtype=np.intp)
+        allg = np.arange(self.order)
+        conj = self.table[self.table[allg[:, None], gens], self.inv[:, None]]
+        return self.subgroup_closure(np.unique(conj))
 
     def center(self):
         mask = (self.table == self.table.T).all(axis=1)
@@ -233,13 +229,15 @@ class FiniteGroup:
         return int(np.count_nonzero(diag == 0)) - 1  # exclude the identity
 
     def derived_subgroup(self):
-        comms = set()
-        for g in range(self.order):
-            gh = self.table[g]
-            row = self.table[self.table[gh, self.inv[g]], self.inv[np.arange(self.order)]]
-            # row[h] = [g, h]
-            comms.update(int(x) for x in np.unique(row))
-        return self.normal_closure(sorted(comms))
+        """[G, G] as the normal closure of the commutators [s, t] of a
+        generating set (G.generators, or every element when there are none):
+        G modulo that closure is abelian, since its generators commute.
+        """
+        gens = np.asarray(self.generators or range(self.order), dtype=np.intp)
+        st = self.table[gens[:, None], gens]
+        comms = self.table[self.table[st, self.inv[gens][:, None]],
+                           self.inv[gens]]
+        return self.normal_closure(np.unique(comms))
 
     def sylow_subgroup(self, p):
         """A Sylow p-subgroup, by greedy normalizer extension."""
@@ -278,21 +276,18 @@ class FiniteGroup:
 
     def subgroup_as_group(self, elements, name=""):
         """Reindex a closed element subset as its own FiniteGroup."""
-        elements = sorted(int(x) for x in elements)
-        if elements[0] != 0:
+        elements = np.sort(np.asarray(elements, dtype=np.intp))
+        if not elements.size or elements[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        index = {g: i for i, g in enumerate(elements)}
-        k = len(elements)
-        table = np.empty((k, k), dtype=np.int32)
-        for i, g in enumerate(elements):
-            row = self.table[g, elements]
-            try:
-                table[i] = [index[int(x)] for x in row]
-            except KeyError:
-                raise ValueError("element set is not closed under product")
-        gens = [index[g] for g in self.greedy_generators(elements)]
+        position = np.full(self.order, SENTINEL, dtype=np.int32)
+        position[elements] = np.arange(elements.size)
+        table = position[self.table[elements[:, None], elements]]
+        if (table == SENTINEL).any():
+            raise ValueError("element set is not closed under product")
+        gens = position[self.greedy_generators(elements)]
         return FiniteGroup(table, gens, name=name or ("subgroup(order=%d) of %s"
-                                                      % (k, self.name)))
+                                                      % (elements.size,
+                                                         self.name)))
 
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)

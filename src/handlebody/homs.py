@@ -125,6 +125,8 @@ def quick_witness(theta):
 
 
 class WitnessReport:
+    __slots__ = ("witness", "sigma_path", "verification")
+
     def __init__(self, witness, sigma_path, verification):
         self.witness = witness
         self.sigma_path = sigma_path
@@ -138,6 +140,8 @@ class WitnessReport:
 class Verdict:
     """Search outcome: EXTENDS (with a WitnessReport), NO_WITNESS (orbit
     exhausted at its depth — inconclusive), or IMMEDIATE (quick product)."""
+
+    __slots__ = ("value", "report", "kind", "searched_depth")
 
     def __init__(self, value, report=None, kind=None, searched_depth=None):
         self.value = value

@@ -159,6 +159,16 @@ _NAMED_GROUPS = {
     "heisenberg(3)": lambda: heisenberg(3),
     "heisenberg(3) x cyclic(2)": lambda: direct_product(heisenberg(3),
                                                         cyclic(2)),
+    # [s, t] of its two generators lies in the Klein four-group [A4, A4]
+    # but does not generate it.
+    "alternating(4)": lambda: coset_enumerate(
+        Presentation(["a", "b"], ["a^3", "b^2", "(a b)^3"])),
+    "cyclic(3) x semidirect_pq(7,3,2)": lambda: direct_product(
+        cyclic(3), semidirect_pq(7, 3, 2)),
+    # No declared generators: queries that start from G.generators must
+    # fall back to the whole group.
+    "semidirect_pq(7,3,2), no generators": lambda: FiniteGroup(
+        semidirect_pq(7, 3, 2).table, ()),
 }
 
 
@@ -186,6 +196,8 @@ def test_subgroup_closure_matches_brute_force(key, data):
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
     closure = G.subgroup_closure(gens)
     assert closure == _brute_closure(G, gens)
+    conjugates = {G.conjugate(g, h) for g in gens for h in range(G.order)}
+    assert G.normal_closure(gens) == _brute_closure(G, conjugates)
 
     # The greedy subset regenerates the subgroup, in any walking order, and
     # keeps exactly the elements its predecessors do not generate.
@@ -195,6 +207,33 @@ def test_subgroup_closure_matches_brute_force(key, data):
     for i, g in enumerate(chosen):
         assert g not in G.subgroup_closure(chosen[:i])
     assert chosen == [g for g in walk if g in chosen]
+
+
+@pytest.mark.parametrize("key", [1, 2, 12, 30] + sorted(_NAMED_GROUPS))
+def test_derived_subgroup_and_reindexing_match_brute_force(key):
+    G = _oracle_group(key)
+    commutators = {G.commutator(g, h)
+                   for g in range(G.order) for h in range(G.order)}
+    derived = G.derived_subgroup()
+    assert derived == _brute_closure(G, commutators)
+
+    # Element i of the reindexed subgroup is derived[i].
+    sub = G.subgroup_as_group(derived)
+    assert sub.order == len(derived)
+    for i, g in enumerate(derived):
+        for j, h in enumerate(derived):
+            assert derived[sub.mult(i, j)] == G.mult(g, h)
+
+
+def test_subgroup_as_group_rejects_non_subgroups():
+    G = semidirect_pq(11, 5, 3)
+    a, b = G.generators
+    with pytest.raises(ValueError, match="not closed"):
+        G.subgroup_as_group([0, a])
+    with pytest.raises(ValueError, match="not closed"):
+        G.subgroup_as_group(G.subgroup_closure([a]) + [b])
+    with pytest.raises(ValueError, match="identity"):
+        G.subgroup_as_group([a, b])
 
 
 def test_closure_of_nothing_is_trivial():
