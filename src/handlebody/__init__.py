@@ -34,8 +34,7 @@ from .homs import (Epimorphism, RelationViolated, NotGenerating,
                    standard_metacyclic_images, r3_criterion_word,
                    r_cubed_criterion, noncommuting_pair_count,
                    partner_pairs, batch_pair_witnesses, quadruple_search)
-from .kernel_orbit import (ClosureCapExceeded, KernelClassCapExceeded,
-                           precompose, kernel_equal,
-                           kernel_orbit, intersection_avoids_c0,
+from .kernel_orbit import (KernelClassCapExceeded, precompose, kernel_keys,
+                           kernel_equal, kernel_orbit, intersection_avoids_c0,
                            fiber_group_order, IntersectionReport)
 from .config import RunConfig, ConfigError, parse_config, load_config

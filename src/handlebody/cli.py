@@ -22,9 +22,10 @@ from .groups import (semidirect_pq, automorphisms, pair_orbit_count,
 from . import homs
 from .homs import (Epimorphism, evaluate, handlebody_witness,
                    standard_metacyclic_images, noncommuting_pair_count,
-                   partner_pairs, batch_pair_witnesses, quadruple_search,
-                   QuadrupleCapExceeded, RelationViolated, NotGenerating)
-from .kernel_orbit import (ClosureCapExceeded, KernelClassCapExceeded,
+                   partner_pairs, drop_quick_pairs, batch_pair_witnesses,
+                   quadruple_search, QuadrupleCapExceeded, RelationViolated,
+                   NotGenerating)
+from .kernel_orbit import (KernelClassCapExceeded,
                            kernel_orbit as compute_kernel_orbit,
                            intersection_avoids_c0, fiber_group_order)
 from .bogomolov import (b0_status, samperton_verdict, all_sylows_abelian,
@@ -40,8 +41,7 @@ EXIT_INVALID = 4
 EXIT_CAP = 5
 
 _CAP_ERRORS = (OrbitCapExceeded, CosetCapExceeded, AutCapExceeded,
-               QuadrupleCapExceeded, ClosureCapExceeded,
-               KernelClassCapExceeded)
+               QuadrupleCapExceeded, KernelClassCapExceeded)
 
 
 def _emit(line):
@@ -205,7 +205,7 @@ def cmd_counts(args, parser):
     theta = cfg.theta()
     a, b = theta.images[0], theta.images[1]
     pp = partner_pairs(G, a, b)
-    ppf = partner_pairs(G, a, b, filter_quick=True)
+    ppf = drop_quick_pairs(G, a, b, pp)
     _emit("partner_pairs=%d provenance=%s"
           % (len(pp), _prov_for(cfg, "partner_pairs", len(pp))))
     _emit("partner_pairs_filtered=%d provenance=%s"
@@ -235,8 +235,7 @@ def cmd_kernel_orbit(args, parser):
     G = cfg.group
     _emit("group=%s order=%d" % (cfg.name, G.order))
     s = generate_c0(depth=args.depth)
-    reps, _ = compute_kernel_orbit(theta, pres=G.presentation,
-                              aut_cap=args.aut_cap)
+    reps, _ = compute_kernel_orbit(theta)
     _emit("r=%d provenance=derived" % len(reps))
     report = intersection_avoids_c0(reps, s)
     # The orbit set and its cached scan view are not needed past the scan;
@@ -312,7 +311,7 @@ def build_parser():
     p_ko = sub.add_parser("kernel-orbit",
                           help="kernel orbit and intersection report")
     add_common(p_ko, config=True, orbit=True,
-               caps=("coset", "aut", "closure"))
+               caps=("coset", "closure"))
     p_ko.set_defaults(func=cmd_kernel_orbit)
     return parser
 

@@ -230,14 +230,15 @@ def partner_pairs(G, a, b, filter_quick=False):
             if base_is_all or len(G.subgroup_closure([a, b, r, t])) == n:
                 pairs.append((r, t))
     if filter_quick:
-        kept = []
-        for r, t in pairs:
-            u, v = a, b
-            if any(product(G, u, v, r, t) == 0 for _, product in _QUICK_PRODUCTS):
-                continue
-            kept.append((r, t))
-        pairs = kept
+        pairs = drop_quick_pairs(G, a, b, pairs)
     return pairs
+
+
+def drop_quick_pairs(G, a, b, pairs):
+    """``pairs`` less those (r, t) with a trivial quick product."""
+    return [(r, t) for r, t in pairs
+            if not any(product(G, a, b, r, t) == 0
+                       for _, product in _QUICK_PRODUCTS)]
 
 
 def batch_pair_witnesses(G, a, b, pairs, s, backend=None):

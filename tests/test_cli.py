@@ -144,12 +144,12 @@ def test_kernel_orbit_abelian_counterexample(capsys):
     assert "fiber-action" not in out  # no certificate when a word intersects
 
 
-def test_kernel_orbit_aut_cap(capsys):
-    code, out = run(capsys, "kernel-orbit", "--config",
-                    cfg("heisenberg_3.cfg"), "--depth", "1",
-                    "--aut-cap", "5")
-    assert code == 5
-    assert "error=cap-exceeded" in out
+def test_kernel_orbit_takes_no_aut_cap():
+    # Kernels are keyed without Aut(G), so the option is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel-orbit", "--config", cfg("heisenberg_3.cfg"),
+              "--aut-cap", "5"])
+    assert exc.value.code == 2
 
 
 def test_kernel_orbit_class_cap(capsys, monkeypatch):

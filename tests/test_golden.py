@@ -3,9 +3,9 @@
 ``golden/runs.json`` lists 22 runs at depth 9: ``orbit``, ``table1``, and
 ``check``/``counts``/``quadruple``/``kernel-orbit`` on each shipped config.
 ``golden/<name>.txt`` holds each run's stdout as printed by
-``python -m handlebody.cli ARGV`` from the repository root.  The four runs
-marked slow take 7-45 s each and are collected only when
-HANDLEBODY_GOLDEN_SLOW=1.
+``python -m handlebody.cli ARGV`` from the repository root.  The two runs
+marked slow (``counts`` and ``quadruple`` on order243_presented) take
+5-10 s each and are collected only when HANDLEBODY_GOLDEN_SLOW=1.
 
 An intended change of output regenerates the transcripts with
 ``python tests/test_golden.py`` and says why in CHANGES.md.

@@ -8,7 +8,8 @@ from handlebody.groups import (coset_enumerate, cyclic, direct_product,
                                evaluate_in_group, Presentation, semidirect_pq)
 from handlebody.homs import (EXTENDS, Epimorphism, IMMEDIATE, NO_WITNESS,
                              NotGenerating, QuadrupleCapExceeded,
-                             RelationViolated, batch_pair_witnesses, evaluate,
+                             RelationViolated, batch_pair_witnesses,
+                             drop_quick_pairs, evaluate,
                              handlebody_witness, make_epimorphism,
                              noncommuting_pair_count, partner_pairs,
                              quadruple_search, quick_verdict, quick_witness,
@@ -151,6 +152,11 @@ def test_partner_pairs_against_brute_force(heis3, group55):
     filtered = partner_pairs(heis3, x, y, filter_quick=True)
     assert len(filtered) == 181
     assert set(filtered) <= set(pairs)
+    # The counts report filters the unfiltered list with the same test.
+    assert drop_quick_pairs(heis3, x, y, pairs) == filtered
+    assert filtered == [
+        (r, t) for r, t in pairs
+        if quick_witness(Epimorphism(heis3, (x, y, r, t))) is None]
 
     a, b = group55.generators
     assert partner_pairs(group55, a, b) == _brute_partner_pairs(group55, a, b)

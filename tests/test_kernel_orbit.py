@@ -1,23 +1,93 @@
 """Kernel-orbit enumeration, the intersection certificate, and fiber sizes."""
 
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 
-from handlebody.groups import cyclic
-from handlebody.homs import Epimorphism, evaluate
+from handlebody.groups import (automorphism_permutations, automorphisms,
+                               cyclic, heisenberg, semidirect_pq)
+from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
+                             standard_metacyclic_images)
 from handlebody.kernel_orbit import (KernelClassCapExceeded,
                                      fiber_group_order,
                                      intersection_avoids_c0, kernel_equal,
-                                     kernel_orbit, precompose)
+                                     kernel_keys, kernel_orbit, precompose)
 from handlebody.orbit import BASE_PATH, generate_c0
 from handlebody.twists import apply, commutator_base, sigma
 from handlebody.words import parse_word
+
+ko = importlib.import_module("handlebody.kernel_orbit")
 
 
 def _abelian_theta():
     K = cyclic(3)
     g = K.generators[0]
     return Epimorphism(K, (g, g, g, g))
+
+
+def _seed(name):
+    """A seed epimorphism onto each oracle group."""
+    if name == "cyclic3":
+        return _abelian_theta()
+    if name == "heisenberg3":
+        G = heisenberg(3)
+        x, y = G.generators
+        return Epimorphism(G, (x, y, y, x))
+    p, q, r = {"semidirect_11_5_3": (11, 5, 3),
+               "semidirect_7_3_2": (7, 3, 2)}[name]
+    G = semidirect_pq(p, q, r)
+    return Epimorphism(G, standard_metacyclic_images(G))
+
+
+ORACLE_GROUPS = ("cyclic3", "heisenberg3", "semidirect_11_5_3",
+                 "semidirect_7_3_2")
+
+
+def _aut_perms(G):
+    return np.array(automorphism_permutations(G, automorphisms(G)),
+                    dtype=np.int64)
+
+
+def _aut_canonical(perms, images):
+    """Oracle: the code of the pointwise-least Aut(G) translate of each
+    image row.  Two epimorphisms share a kernel exactly when some
+    automorphism maps one image tuple to the other, i.e. when these codes
+    agree."""
+    n = perms.shape[1]
+    translates = perms[:, np.asarray(images, dtype=np.int64)]
+    codes = ((translates[..., 0] * n + translates[..., 1]) * n
+             + translates[..., 2]) * n + translates[..., 3]
+    return codes.min(axis=0)
+
+
+def _random_epimorphism(G, rng):
+    while True:
+        a, b, c = (int(v) for v in rng.integers(0, G.order, size=3))
+        target = G.inverse(G.commutator(a, b))
+        ds = [d for d in range(G.order) if G.commutator(c, d) == target]
+        if not ds:
+            continue
+        try:
+            return Epimorphism(G, (a, b, c, ds[rng.integers(len(ds))]))
+        except NotGenerating:
+            continue
+
+
+def _scalar_key(G, images):
+    """The key by its definition, one product at a time."""
+    number = {0: 0}
+    elements = [0]
+    key = []
+    for g in elements:
+        for img in images:
+            h = G.mult(g, img)
+            if h not in number:
+                number[h] = len(elements)
+                elements.append(h)
+            key.append(number[h])
+    return key
 
 
 def test_precompose_is_composition(heis3, orbit3):
@@ -30,28 +100,109 @@ def test_precompose_is_composition(heis3, orbit3):
             assert evaluate(composed, w) == evaluate(theta, apply(f, w))
 
 
-def test_kernel_equal_uses_target_automorphisms(group55):
-    from handlebody.kernel_orbit import _aut_perms
-    perms = _aut_perms(group55, group55.presentation)
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_kernel_keys_match_aut_oracle(name):
+    theta = _seed(name)
+    G = theta.group
+    rng = np.random.default_rng(7)
+    # The first candidates of the orbit BFS: repeated kernels and new ones.
+    maps = [theta] + [precompose(theta, sigma(j)) for j in (1, 2, 3)]
+    rows = [precompose(th, sigma(j)).images
+            for th in maps for j in range(1, 11)]
+    perms = _aut_perms(G)
+    for _ in range(12):
+        images = np.array(_random_epimorphism(G, rng).images)
+        rows.append(tuple(images))
+        rows.append(tuple(perms[rng.integers(len(perms))][images]))
+    canon = _aut_canonical(perms, rows)
+    keys = kernel_keys(G, rows)
+    same_key = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
+    same_kernel = canon[:, None] == canon[None, :]
+    assert np.array_equal(same_key, same_kernel)
+    off_diagonal = ~np.eye(len(rows), dtype=bool)
+    assert (same_kernel & off_diagonal).any()
+    assert (~same_kernel).any()
+    for i in (0, 5, len(rows) - 1):
+        assert keys[i].tolist() == _scalar_key(G, rows[i])
+        assert kernel_equal(Epimorphism(G, rows[i]),
+                            Epimorphism(G, rows[-1])) == bool(
+                                same_kernel[i, -1])
+
+
+def test_kernel_keys_reject_non_generating(group55):
+    a, b = group55.generators
+    with pytest.raises(NotGenerating):
+        kernel_keys(group55, [(a, b, 0, a), (b, b, b, b)])
+
+
+@pytest.mark.parametrize("name", ("heisenberg3", "semidirect_7_3_2"))
+def test_batched_candidates_are_precompositions(name, monkeypatch):
+    theta = _seed(name)
+    reps, keys = kernel_orbit(theta)
+    # Small blocks exercise the chunking; the orbit must not change.
+    calls = []
+    keys_of = ko.kernel_keys
+    monkeypatch.setattr(ko, "_BLOCK", 7)
+    monkeypatch.setattr(ko, "kernel_keys",
+                        lambda G, images: calls.append(np.array(images))
+                        or keys_of(G, images))
+    chunked, chunked_keys = kernel_orbit(theta)
+    assert chunked == reps and chunked_keys == keys
+    cands = np.concatenate(calls[1:])
+    want = [precompose(th, sigma(j)).images
+            for th in reps for j in range(1, 11)]
+    assert cands.tolist() == [list(w) for w in want]
+
+
+@pytest.mark.parametrize("name", ("cyclic3", "heisenberg3",
+                                  "semidirect_7_3_2"))
+def test_kernel_orbit_matches_scalar_bfs(name):
+    """The orbit against a BFS on precompose and the Aut(G) oracle."""
+    theta = _seed(name)
+    G = theta.group
+    perms = _aut_perms(G)
+    seen = set(_aut_canonical(perms, [theta.images]).tolist())
+    want = [theta]
+    frontier = [theta]
+    while frontier:
+        cands = [precompose(th, sigma(j))
+                 for th in frontier for j in range(1, 11)]
+        canon = _aut_canonical(perms, [c.images for c in cands])
+        frontier = []
+        for cand, code in zip(cands, canon.tolist()):
+            if code not in seen:
+                seen.add(code)
+                want.append(cand)
+                frontier.append(cand)
+    reps, keys = kernel_orbit(theta)
+    assert reps == want
+    assert len(set(keys)) == len(keys) == len(reps)
+
+
+def test_kernel_equal_same_kernel_under_target_automorphism(group55):
     a, b = group55.generators
     th1 = Epimorphism(group55, (a, b, group55.inverse(b),
                                 group55.mult(b, group55.inverse(a))))
-    assert kernel_equal(th1, th1, perms)
+    assert kernel_equal(th1, th1)
     # Post-composing with a target automorphism preserves the kernel.
     a2 = group55.power(a, 2)
     th2 = Epimorphism(group55, (a2, b, group55.inverse(b),
                                 group55.mult(b, group55.inverse(a2))))
-    assert kernel_equal(th1, th2, perms)
+    assert kernel_equal(th1, th2)
+    th3 = precompose(th1, sigma(1))
+    canon = _aut_canonical(_aut_perms(group55), [th1.images, th3.images])
+    assert canon[0] != canon[1]
+    assert not kernel_equal(th1, th3)
 
 
 def test_kernel_orbit_abelian_count():
-    reps, perms = kernel_orbit(_abelian_theta())
+    reps, keys = kernel_orbit(_abelian_theta())
     assert len(reps) == 40
     assert all(isinstance(r, Epimorphism) for r in reps)
+    assert len(set(keys)) == 40
     # Distinct classes really have distinct kernels.
-    for i in range(0, 40, 13):
-        for j in range(i + 1, 40, 13):
-            assert not kernel_equal(reps[i], reps[j], perms)
+    for i, j in itertools.combinations(range(0, 40, 13), 2):
+        assert not kernel_equal(reps[i], reps[j])
 
 
 def test_kernel_orbit_class_cap():
