@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 from .backend import pack_words
 from .words import Word
-from .twists import apply, apply_bytes, commutator_base, compose_path, sigma
+from .twists import apply, apply_bytes, commutator_base, sigma
 
 BASE_PATH = "base"
 DEFAULT_DEPTH = 9
@@ -97,7 +97,10 @@ class OrbitSet:
 def replay_path(path):
     """Fold a provenance path over the root: path (i1, i2, ...) applies i1
     first.  The empty path returns the root itself."""
-    return apply(compose_path(path), root_word())
+    w = root_word()
+    for j in path:
+        w = apply(sigma(j), w)
+    return w
 
 
 def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
@@ -114,23 +117,25 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
     for j in sigmas:
         if not 1 <= j <= 10:
             raise ValueError("move index must be in 1..10, got %r" % (j,))
-    tables = {j: sigma(j)._table for j in sigmas}
+    plans = {j: sigma(j)._plan for j in sorted(sigmas)}
 
     base = commutator_base()
     root = root_word()
     seen = {base.data: BASE_PATH, root.data: BASE_PATH}
-    # Frontier entries are (word bytes, path tuple); the root's path is ().
-    frontier = [(root.data, ())]
+    # The frontier maps word bytes to path tuples; the root's path is ().
+    frontier = {root.data: ()}
 
     for _ in range(depth):
         if not frontier:
             break
         level = {}
         # Parents in lex path order, moves ascending: first assignment to a
-        # child is its lexicographically least shortest derivation.
-        for data, path in frontier:
-            for j in sigmas:
-                child = apply_bytes(tables[j], data)
+        # child is its lexicographically least shortest derivation, and
+        # ``level`` is filled in lex path order, so the next frontier needs
+        # no sort.
+        for data, path in frontier.items():
+            for j, plan in plans.items():
+                child = apply_bytes(plan, data)
                 if child not in seen and child not in level:
                     level[child] = path + (j,)
         if word_cap is not None and len(seen) + len(level) > word_cap:
@@ -138,7 +143,7 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
                 "orbit would exceed word cap %d (have %d, next level adds %d)"
                 % (word_cap, len(seen), len(level)))
         seen.update(level)
-        frontier = sorted(level.items(), key=lambda item: item[1])
+        frontier = level
 
     paths = {Word.from_bytes(data, 4): p for data, p in seen.items()}
     # OrbitSet copies ``paths``; dropping the byte-keyed tables first keeps

@@ -15,12 +15,15 @@ from __future__ import annotations
 from .words import Word, identity, parse_word, print_word
 
 RANK = 4
+# Letter b cancels against b + RANK: x x^-1 and x^-1 x for each generator.
+_INVERSE_PAIRS = tuple(bytes(p) for a in range(1, RANK + 1)
+                       for p in ((a, a + RANK), (a + RANK, a)))
 
 
 class TwistAuto:
     """A free-group endomorphism given by generator images (rank 4)."""
 
-    __slots__ = ("images", "label", "_table")
+    __slots__ = ("images", "label", "_plan")
 
     def __init__(self, images, label=None):
         images = tuple(images)
@@ -31,12 +34,12 @@ class TwistAuto:
                 raise ValueError("images must be rank-%d words" % RANK)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "label", label)
-        # Byte-level substitution table: letter value 1..8 -> image bytes.
-        table = [b""] * (2 * RANK + 1)
-        for i, img in enumerate(images):
-            table[i + 1] = img.data
-            table[i + 1 + RANK] = (~img).data
-        object.__setattr__(self, "_table", tuple(table))
+        # apply_bytes's plan, over the letters whose image is not themselves.
+        data = [w.data for w in images] + [(~w).data for w in images]
+        moved = {b: d for b, d in enumerate(data, 1) if d != bytes((b,))}
+        table = bytes.maketrans(bytes(moved), bytes(16 + b for b in moved))
+        subs = tuple((bytes((16 + b,)), d) for b, d in moved.items())
+        object.__setattr__(self, "_plan", (table, subs))
 
     def __setattr__(self, name, value):
         raise AttributeError("TwistAuto is immutable")
@@ -54,27 +57,33 @@ class TwistAuto:
         return "TwistAuto(%s)" % imgs
 
 
-def apply_bytes(table, data, rank=RANK):
-    """Substitute letter bytes through ``table`` and freely reduce.
+def apply_bytes(plan, data):
+    """Substitute letter bytes through ``plan`` and freely reduce.
 
-    Shared hot path for apply() and the orbit generator; ``table`` maps each
-    letter byte to the byte string of its image word.
+    Shared hot path for apply() and the orbit generator.  A TwistAuto's
+    ``plan`` is (translate table, ((placeholder, image), ...)): the table
+    sends each moved letter b to the byte 16 + b, never a letter, and one
+    replace per moved letter writes its image.  Free reduction deletes the
+    eight inverse pairs until the length stops changing; it is confluent,
+    so the order of cancellation does not matter.
     """
-    out = bytearray()
-    for b in data:
-        for c in table[b]:
-            if out and out[-1] == (c - rank if c > rank else c + rank):
-                out.pop()
-            else:
-                out.append(c)
-    return bytes(out)
+    table, subs = plan
+    data = data.translate(table)
+    for holder, image in subs:
+        data = data.replace(holder, image)
+    n = -1
+    while n != len(data):
+        n = len(data)
+        for pair in _INVERSE_PAIRS:
+            data = data.replace(pair, b"")
+    return data
 
 
 def apply(f, w):
     """Image of word ``w`` under the substitution ``f``."""
     if w.rank != RANK:
         raise ValueError("expected a rank-%d word" % RANK)
-    return Word.from_bytes(apply_bytes(f._table, w.data), RANK)
+    return Word.from_bytes(apply_bytes(f._plan, w.data), RANK)
 
 
 def _join_labels(a, b):

@@ -99,6 +99,19 @@ def test_restricted_move_set():
             assert set(p) <= {1, 2}
 
 
+@pytest.mark.parametrize("depth,sigmas", [
+    (9, (1, 2, 3, 4, 5)), (9, (3, 8)), (5, tuple(range(1, 11))),
+    (5, (5, 2, 4))])
+def test_generation_order_is_scan_order(orbit9, depth, sigmas):
+    # generate_c0 never sorts a level: it relies on insertion order being
+    # lex path order, whatever order the moves are given in.
+    if (depth, sigmas) == (orbit9.depth, orbit9.sigmas):
+        s = orbit9
+    else:
+        s = generate_c0(depth=depth, sigmas=sigmas)
+    assert tuple(s.paths) == s.scan_view().words
+
+
 def test_orbit_set_equality_includes_metadata(orbit3):
     other = OrbitSet(orbit3.paths, orbit3.depth, (1, 2, 3, 4, 5))
     assert other == orbit3

@@ -3,13 +3,67 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from handlebody.twists import (apply, commutator_base, compose, compose_path,
-                               identity_auto, sigma)
-from handlebody.words import Word, commutator, generator, parse_word
+from handlebody.twists import (TwistAuto, apply, commutator_base, compose,
+                               compose_path, identity_auto, sigma)
+from handlebody.words import (Word, commutator, generator, identity,
+                              parse_word)
 
 letters_st = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=30)
 words_st = letters_st.map(lambda ls: Word(ls, rank=4))
+
+
+def _reduced_bytes(first, steps):
+    """A freely reduced word from its first letter byte and, for each later
+    letter, an index into the seven letters that do not cancel it."""
+    data = bytearray([first])
+    for k in steps:
+        inverse = data[-1] + 4 if data[-1] <= 4 else data[-1] - 4
+        data.append([b for b in range(1, 9) if b != inverse][k])
+    return Word.from_bytes(data, 4)
+
+
+reduced_words_st = st.one_of(
+    st.just(identity()),
+    st.builds(_reduced_bytes, st.integers(1, 8),
+              st.lists(st.integers(0, 6), max_size=199)))
+
+
+def _one_image_killed(j, i):
+    """sigma(j) with generator i sent to the identity, so whole images
+    cancel."""
+    images = list(sigma(j).images)
+    images[i] = identity()
+    return TwistAuto(images)
+
+
+maps_st = st.one_of(
+    st.integers(1, 10).map(sigma),
+    st.lists(st.integers(1, 10), max_size=6).map(compose_path),
+    st.just(identity_auto()),
+    st.builds(_one_image_killed, st.integers(1, 10), st.integers(0, 3)))
+
+
+def _stack_fold(f, w):
+    """Reference substitution: each letter's image pushed letter by letter,
+    cancelling against the top of a stack."""
+    table = [b""] * 9
+    for i, img in enumerate(f.images):
+        table[i + 1] = img.data
+        table[i + 5] = (~img).data
+    out = bytearray()
+    for b in w.data:
+        for c in table[b]:
+            if out and out[-1] == (c - 4 if c > 4 else c + 4):
+                out.pop()
+            else:
+                out.append(c)
+    return bytes(out)
+
+
+@given(maps_st, reduced_words_st)
+def test_apply_matches_stack_fold(f, w):
+    assert apply(f, w).data == _stack_fold(f, w)
 
 
 def test_base_is_commutator_of_first_handles():
