@@ -1,10 +1,15 @@
-"""Time orbit generation, its scan view and provenance replay at depth 9.
+"""Time orbit generation, its scan view, provenance replay and full-set
+evaluation at depth 9.
 
-Prints the best-of-N seconds of three stages: ``generate_c0(9)`` (29,922
-words), ``scan_view()`` (sort and pack) on a fresh copy of that set, and
-``replay_path`` over a seeded sample of 3,000 stored paths.  The copy and
-the sample are made outside the timed region, and every replayed word is
-checked against the set after timing.
+Prints the best-of-N seconds of six stages: ``generate_c0(9)`` (29,922
+words), ``scan_view()`` (sort and pack) on a fresh copy of that set,
+``replay_path`` over a seeded sample of 3,000 stored paths,
+``path_trie()`` on a fresh copy whose scan view is already built, and one
+map (the standard epimorphism onto the metacyclic group of order 55)
+evaluated on every word, first by folding letters through the backend,
+then by precomposing along the path trie (``orbit_values``).  Copies and
+samples are made outside the timed region; the replayed words and the two
+evaluations are checked after timing.
 
 Usage:
     python3 benchmarks/bench_orbit.py [--repeats 7]
@@ -14,7 +19,12 @@ import argparse
 import random
 import time
 
-from handlebody import OrbitSet, generate_c0, replay_path
+import numpy as np
+
+from handlebody import (Epimorphism, OrbitSet, generate_c0, get_backend,
+                        replay_path, semidirect_pq,
+                        standard_metacyclic_images)
+from handlebody.kernel_orbit import orbit_values
 from handlebody.orbit import BASE_PATH
 
 DEPTH = 9
@@ -49,12 +59,32 @@ def main(argv=None):
     if replayed != [w for w, _ in sample]:
         raise SystemExit("replay_path disagrees with the stored words")
 
-    print("%-28s %10s" % ("stage", "best s"))
-    print("%-28s %10.3f" % ("generate_c0(%d), %d words" % (DEPTH, len(s)),
+    def fresh_view():
+        copy = OrbitSet(s.paths, s.depth, s.sigmas)
+        copy.scan_view()
+        return (copy,)
+
+    t_trie, trie = best_of(args.repeats, OrbitSet.path_trie, fresh_view)
+    G = semidirect_pq(11, 5, 3)
+    theta = Epimorphism(G, standard_metacyclic_images(G))
+    backend = get_backend()
+    t_fold, folded = best_of(args.repeats, lambda: backend.evaluate_words(
+        view.enc, view.offsets, theta.letter_images(), G.table))
+    s.path_trie()
+    t_values, values = best_of(args.repeats, orbit_values,
+                               lambda: (theta, s))
+    if not np.array_equal(folded, values):
+        raise SystemExit("orbit_values disagrees with the letter fold")
+
+    print("%-32s %10s" % ("stage", "best s"))
+    print("%-32s %10.3f" % ("generate_c0(%d), %d words" % (DEPTH, len(s)),
                             t_gen))
-    print("%-28s %10.3f" % ("scan_view(), %d words" % len(view.words),
+    print("%-32s %10.3f" % ("scan_view(), %d words" % len(view.words),
                             t_scan))
-    print("%-28s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
+    print("%-32s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
+    print("%-32s %10.3f" % ("path_trie(), %d nodes" % trie.size, t_trie))
+    print("%-32s %10.4f" % ("one map, letter fold", t_fold))
+    print("%-32s %10.4f" % ("one map, path trie", t_values))
 
 
 if __name__ == "__main__":

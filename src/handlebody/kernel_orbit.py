@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .twists import sigma
-from .backend import get_backend, pack_words
+from .twists import RANK, sigma
+from .orbit import root_word
 from .homs import Epimorphism, NotGenerating, evaluate
 
 
@@ -33,6 +33,46 @@ def precompose(theta, f):
     """theta o f for a rank-4 substitution automorphism f."""
     images = tuple(evaluate(theta, w) for w in f.images)
     return Epimorphism(theta.group, images)
+
+
+def _word_images(G, rows, data):
+    """Image [K] of the nonempty word with letter bytes ``data`` under each
+    of the image rows [K, 4]."""
+    cols = [rows[:, b - 1] if b <= RANK else G.inv[rows[:, b - 1 - RANK]]
+            for b in data]
+    g = cols[0]
+    for h in cols[1:]:
+        g = G.table[g, h]
+    return g
+
+
+def _precompose_rows(G, rows, f):
+    """Image rows [K, 4] of theta o f for the image rows [K, 4] of theta."""
+    return np.stack([_word_images(G, rows, w.data) for w in f.images],
+                    axis=1)
+
+
+def orbit_values(theta, s):
+    """theta on every word of the orbit set ``s``, in scan order.
+
+    Reads the words off ``s.path_trie()``: each node's map is its parent's
+    precomposed with one twist, and a word's value is the root under its
+    node's map, so the cost follows the trie's size, not the words'
+    letters.  Every path in ``s.paths`` must therefore replay to its word
+    (see OrbitSet).
+    """
+    G = theta.group
+    trie = s.path_trie()
+    maps = np.empty((trie.size, 4), dtype=G.table.dtype)
+    maps[0] = theta.images
+    for j, lo, parents in trie.blocks:
+        maps[lo:lo + len(parents)] = _precompose_rows(G, maps[parents],
+                                                      sigma(j))
+    values = _word_images(G, maps, root_word().data)[trie.node]
+    words = s.scan_view().words
+    for i in np.nonzero(trie.node < 0)[0].tolist():
+        values[i] = evaluate(theta, words[i])
+    return values
 
 
 def kernel_keys(G, images):
@@ -76,18 +116,16 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
     ``pres`` is accepted and unused.
     """
     G = theta.group
-    backend = get_backend()
-    enc, offsets = pack_words([w for j in range(1, 11)
-                               for w in sigma(j).images])
+    twists = [sigma(j) for j in range(1, 11)]
     reps = [theta]
     seen = {kernel_keys(G, [theta.images])[0].tobytes(): 0}  # key -> rep index
     done = 0
     while done < len(reps):
         block = reps[done:done + _BLOCK]
         done += len(block)
-        cands = np.stack([backend.evaluate_words(
-            enc, offsets, th.letter_images(), G.table) for th in block])
-        cands = cands.reshape(-1, 4)
+        rows = np.array([th.images for th in block], dtype=G.table.dtype)
+        cands = np.stack([_precompose_rows(G, rows, f) for f in twists],
+                         axis=1).reshape(-1, 4)
         for images, key in zip(cands, kernel_keys(G, cands)):
             key = key.tobytes()
             if key in seen:
@@ -117,22 +155,21 @@ class IntersectionReport:
         self.depth = depth
 
 
-def intersection_avoids_c0(reps, s, backend=None):
+def intersection_avoids_c0(reps, s):
     """Does the kernel intersection miss every word of the orbit set?
 
     Evaluates the whole set under each kernel class in turn, keeping only
-    words trivial so far; empty survivors certify avoidance.
+    words trivial so far; empty survivors certify avoidance.  The values
+    come from ``orbit_values``, which reads provenance paths, not letters:
+    every path in ``s.paths`` must replay to its word.  ``generate_c0``
+    guarantees this, and ``paths`` is read-only, so the cached trie cannot
+    go stale.  A counterexample is re-verified on the scalar path.
     """
-    if backend is None:
-        backend = get_backend()
-    words, enc, offsets = s.scan_view()
-    table = reps[0].group.table
+    words = s.scan_view().words
     alive = np.ones(len(words), dtype=bool)
     survivors = []
     for th in reps:
-        values = backend.evaluate_words(enc, offsets, th.letter_images(),
-                                        table)
-        alive &= (values == 0)
+        alive &= orbit_values(th, s) == 0
         survivors.append(int(alive.sum()))
         if not alive.any():
             return IntersectionReport(True, None, None, survivors, s.depth)

@@ -11,7 +11,10 @@ sequence — so reports can show how a witness was produced.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from types import MappingProxyType
+
+import numpy as np
 
 from .backend import pack_words
 from .words import Word
@@ -36,6 +39,17 @@ ScanView.__doc__ = """An orbit set's words in scan order, packed once for the
 batch kernels: ``words[i]`` is the word at scan index i and
 ``enc[offsets[i]:offsets[i+1]]`` its letter bytes."""
 
+PathTrie = namedtuple("PathTrie", "size blocks node")
+PathTrie.__doc__ = """An orbit set's provenance paths, reversed and merged into
+a trie, for evaluating one map on every word without reading its letters.
+Node 0 is the empty suffix.  Each block ``(j, lo, parents)`` numbers
+``lo, lo + 1, ...`` the nodes that extend the nodes ``parents`` by the move
+j, and every parent is numbered before its block.  The word with path
+(i1, ..., ik) is s_ik o ... o s_i1 (root), so it is the root under the map
+theta o s_ik o ... o s_i1 of node (ik, ..., i1): a child's map is its
+parent's map precomposed with s_j.  ``node[i]`` is the node of scan word i
+(0 for the root), or -1 for a word to evaluate directly (the base word)."""
+
 
 class OrbitSet:
     """A deduplicated orbit fragment with provenance paths.
@@ -43,7 +57,11 @@ class OrbitSet:
     ``paths`` maps each word to either the marker string "base" (for the two
     seed words) or a tuple of move indices in application order: path
     (1, 4) stores s4(s1(root)).  It is read-only, so the cached scan view
-    always matches it.
+    and path trie always match it.
+
+    Full-set evaluation (``kernel_orbit.orbit_values``) reads ``paths``, not
+    the words' letters: every path must replay to its word (``replay_path``).
+    ``generate_c0`` guarantees this; a set built from other paths must too.
     """
 
     def __init__(self, paths, depth, sigmas):
@@ -51,6 +69,7 @@ class OrbitSet:
         self.depth = int(depth)
         self.sigmas = tuple(int(j) for j in sigmas)
         self._scan = None
+        self._trie = None
 
     @property
     def words(self):
@@ -76,6 +95,13 @@ class OrbitSet:
             self._scan = ScanView(words, *pack_words(words))
         return self._scan
 
+    def path_trie(self):
+        """The PathTrie of this set in scan order, built on first use and
+        cached."""
+        if self._trie is None:
+            self._trie = _path_trie(self.scan_view().words, self.paths)
+        return self._trie
+
     def _sort_key(self, w):
         p = self.paths[w]
         if p == BASE_PATH:
@@ -92,6 +118,40 @@ class OrbitSet:
     def __repr__(self):
         return "OrbitSet(%d words, depth=%d, sigmas=%s)" % (
             len(self.paths), self.depth, ",".join(map(str, self.sigmas)))
+
+
+def _path_trie(words, paths):
+    seq = [paths[w] for w in words]
+    derived = np.fromiter((p != BASE_PATH for p in seq), dtype=bool,
+                          count=len(seq))
+    suffixes = [p for p in seq if p != BASE_PATH]
+    lengths = np.fromiter(map(len, suffixes), dtype=np.intp,
+                          count=len(suffixes))
+    starts = np.zeros(len(suffixes), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    moves = np.fromiter(chain.from_iterable(map(reversed, suffixes)),
+                        dtype=np.intp, count=int(lengths.sum()))
+    cur = np.zeros(len(suffixes), dtype=np.intp)  # node of each suffix so far
+    size, blocks = 1, []
+    for d in range(int(lengths.max(initial=0))):
+        live = np.nonzero(lengths > d)[0]
+        # One key per (parent node, move); parents are below ``size``, so
+        # the key is unique and sorts the new nodes by move, then parent.
+        keys, child = np.unique(moves[starts[live] + d] * size + cur[live],
+                                return_inverse=True)
+        cur[live] = size + child
+        level_moves, parents = np.divmod(keys, size)
+        for j in np.unique(level_moves).tolist():
+            lo, hi = np.searchsorted(level_moves, [j, j + 1])
+            blocks.append((j, size + int(lo), parents[lo:hi]))
+        size += len(keys)
+    node = np.zeros(len(words), dtype=np.intp)
+    node[derived] = cur
+    root = root_word()
+    for i in np.flatnonzero(~derived).tolist():
+        if words[i] != root:
+            node[i] = -1
+    return PathTrie(size, tuple(blocks), node)
 
 
 def replay_path(path):

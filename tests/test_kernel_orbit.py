@@ -5,7 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from handlebody.backend import get_backend
 from handlebody.groups import (automorphism_permutations, automorphisms,
                                cyclic, heisenberg, semidirect_pq)
 from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
@@ -13,8 +15,10 @@ from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
 from handlebody.kernel_orbit import (KernelClassCapExceeded,
                                      fiber_group_order,
                                      intersection_avoids_c0, kernel_equal,
-                                     kernel_keys, kernel_orbit, precompose)
-from handlebody.orbit import BASE_PATH, generate_c0
+                                     kernel_keys, kernel_orbit, orbit_values,
+                                     precompose)
+from handlebody.orbit import (BASE_PATH, DEFAULT_SIGMAS, OrbitSet,
+                              generate_c0)
 from handlebody.twists import apply, commutator_base, sigma
 from handlebody.words import parse_word
 
@@ -88,6 +92,104 @@ def _scalar_key(G, images):
                 elements.append(h)
             key.append(number[h])
     return key
+
+
+def _fold_values(theta, s):
+    """Oracle: theta on every scan-order word, folding its letters."""
+    _, enc, offsets = s.scan_view()
+    return get_backend().evaluate_words(enc, offsets, theta.letter_images(),
+                                        theta.group.table)
+
+
+def _fold_intersection(reps, s):
+    """Oracle: the intersection scan on letter folds, as
+    (avoids, counterexample, survivors)."""
+    words = s.scan_view().words
+    alive = np.ones(len(words), dtype=bool)
+    survivors = []
+    for th in reps:
+        alive &= _fold_values(th, s) == 0
+        survivors.append(int(alive.sum()))
+        if not alive.any():
+            return True, None, survivors
+    return False, words[int(np.nonzero(alive)[0][0])], survivors
+
+
+# (depth, moves) of the orbit sets evaluated through their path trie; the
+# (3, 8) chain at depth 25 has suffixes longer than a base-11 int64 holds.
+TRIE_SETS = ((0, DEFAULT_SIGMAS), (1, DEFAULT_SIGMAS), (3, DEFAULT_SIGMAS),
+             (9, DEFAULT_SIGMAS), (9, (3, 8)), (25, (3, 8)),
+             (5, tuple(range(1, 11))), (5, (5, 2, 4)))
+TRIE_GROUPS = ("cyclic3", "heisenberg3", "semidirect_11_5_3", "order243")
+_TRIE_SET_CACHE = {}
+
+
+def _set_id(case):
+    return "depth%d-s%s" % (case[0], ",".join(map(str, case[1])))
+
+
+def _trie_set(case, orbit9):
+    if case == (orbit9.depth, orbit9.sigmas):
+        return orbit9
+    if case not in _TRIE_SET_CACHE:
+        _TRIE_SET_CACHE[case] = generate_c0(depth=case[0], sigmas=case[1])
+    return _TRIE_SET_CACHE[case]
+
+
+def _trie_group(name, heis3, group55, order243):
+    return {"cyclic3": cyclic(3), "heisenberg3": heis3,
+            "semidirect_11_5_3": group55, "order243": order243}[name]
+
+
+@pytest.mark.parametrize("case", TRIE_SETS, ids=_set_id)
+@pytest.mark.parametrize("name", TRIE_GROUPS)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_orbit_values_match_letter_fold(name, case, seed, orbit9, heis3,
+                                        group55, order243):
+    G = _trie_group(name, heis3, group55, order243)
+    theta = _random_epimorphism(G, np.random.default_rng(seed))
+    s = _trie_set(case, orbit9)
+    values = orbit_values(theta, s)
+    assert values.shape == (len(s),)
+    assert np.array_equal(values, _fold_values(theta, s))
+
+
+def test_path_trie_is_cached_with_one_node_per_suffix(orbit3):
+    trie = orbit3.path_trie()
+    assert orbit3.path_trie() is trie
+    # One node per distinct reversed path suffix, root suffix included.
+    suffixes = {p[::-1][:d] for p in orbit3.paths.values()
+                if p != BASE_PATH for d in range(len(p) + 1)}
+    assert trie.size == len(suffixes)
+    fresh = OrbitSet(orbit3.paths, orbit3.depth, orbit3.sigmas).path_trie()
+    assert np.array_equal(fresh.node, trie.node)
+
+
+@pytest.mark.parametrize("name", TRIE_GROUPS)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), maps=st.integers(1, 6),
+       case=st.sampled_from(TRIE_SETS))
+def test_intersection_matches_fold_oracle(name, seed, maps, case, orbit9,
+                                          heis3, group55, order243):
+    G = _trie_group(name, heis3, group55, order243)
+    rng = np.random.default_rng(seed)
+    reps = [_random_epimorphism(G, rng) for _ in range(maps)]
+    s = _trie_set(case, orbit9)
+    report = intersection_avoids_c0(reps, s)
+    avoids, counterexample, survivors = _fold_intersection(reps, s)
+    assert report.avoids is avoids
+    assert report.survivors == survivors
+    assert report.counterexample == counterexample
+    assert report.counterexample_path == (
+        None if counterexample is None else s.paths[counterexample])
+
+
+def test_intersection_matches_fold_oracle_on_kernel_orbit(orbit9):
+    reps, _ = kernel_orbit(_seed("heisenberg3"))
+    report = intersection_avoids_c0(reps, orbit9)
+    assert (report.avoids, report.counterexample, report.survivors) == (
+        _fold_intersection(reps, orbit9))
 
 
 def test_precompose_is_composition(heis3, orbit3):
