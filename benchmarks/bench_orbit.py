@@ -1,34 +1,41 @@
 """Time orbit generation, its scan view, provenance replay and full-set
 evaluation at depth 9.
 
-Prints the best-of-N seconds of six stages: ``generate_c0(9)`` (29,922
-words), ``scan_view()`` (sort and pack) on a fresh copy of that set,
+Prints the best-of-N seconds of seven stages: ``generate_c0(9)`` finished
+to all 29,922 words, ``scan_view()`` (sort and pack) on a fresh copy of that
+set,
 ``replay_path`` over a seeded sample of 3,000 stored paths,
 ``path_trie()`` on a fresh copy whose scan view is already built, and one
 map (the standard epimorphism onto the metacyclic group of order 55)
 evaluated on every word, first by folding letters through the backend,
-then by precomposing along the path trie (``orbit_values``).  Copies and
-samples are made outside the timed region; the replayed words and the two
-evaluations are checked after timing.
+then by precomposing along the path trie (``orbit_values``), and the first
+witness of each shipped config's theta on a fresh (partial) set, with the
+number of words that scan generated.  Copies, samples and fresh sets are
+made outside the timed region; the replayed words, the two evaluations and
+each witness (against the finished set) are checked after timing.
 
 Usage:
     python3 benchmarks/bench_orbit.py [--repeats 7]
 """
 
 import argparse
+import glob
+import os
 import random
 import time
 
 import numpy as np
 
 from handlebody import (Epimorphism, OrbitSet, generate_c0, get_backend,
-                        replay_path, semidirect_pq,
-                        standard_metacyclic_images)
+                        handlebody_witness, load_config, replay_path,
+                        semidirect_pq, standard_metacyclic_images)
 from handlebody.kernel_orbit import orbit_values
 from handlebody.orbit import BASE_PATH
 
 DEPTH = 9
 REPLAYS = 3000
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "configs")
 
 
 def best_of(repeats, fn, prepare=lambda: ()):
@@ -42,13 +49,24 @@ def best_of(repeats, fn, prepare=lambda: ()):
     return best, result
 
 
+def answer(verdict):
+    report = verdict.report
+    return (verdict.value, report and report.witness,
+            report and report.sigma_path)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7,
                         help="timing repeats; best run is reported")
     args = parser.parse_args(argv)
 
-    t_gen, s = best_of(args.repeats, generate_c0, lambda: (DEPTH,))
+    def full_set():
+        s = generate_c0(DEPTH)
+        len(s)  # the set grows on demand; this finishes it
+        return s
+
+    t_gen, s = best_of(args.repeats, full_set)
     t_scan, view = best_of(
         args.repeats, OrbitSet.scan_view,
         lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
@@ -76,6 +94,25 @@ def main(argv=None):
     if not np.array_equal(folded, values):
         raise SystemExit("orbit_values disagrees with the letter fold")
 
+    witnesses = []
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))):
+        cfg = load_config(path)
+        if cfg.theta_words is None:
+            continue
+        theta = cfg.theta()
+        fresh = []
+
+        def fresh_set():
+            fresh.append(generate_c0(DEPTH))
+            return (fresh[-1],)
+
+        t_wit, got = best_of(args.repeats,
+                             lambda t: handlebody_witness(theta, t),
+                             fresh_set)
+        if answer(got) != answer(handlebody_witness(theta, s)):
+            raise SystemExit("%s: the fresh-set witness differs" % cfg.name)
+        witnesses.append((cfg.name, fresh[-1].generated, t_wit))
+
     print("%-32s %10s" % ("stage", "best s"))
     print("%-32s %10.3f" % ("generate_c0(%d), %d words" % (DEPTH, len(s)),
                             t_gen))
@@ -85,6 +122,9 @@ def main(argv=None):
     print("%-32s %10.3f" % ("path_trie(), %d nodes" % trie.size, t_trie))
     print("%-32s %10.4f" % ("one map, letter fold", t_fold))
     print("%-32s %10.4f" % ("one map, path trie", t_values))
+    for name, generated, t_wit in witnesses:
+        print("%-32s %10.4f" % ("witness %s, %d words" % (name, generated),
+                                t_wit))
 
 
 if __name__ == "__main__":

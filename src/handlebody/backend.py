@@ -47,7 +47,11 @@ except ImportError:  # pragma: no cover - numba is an optional dependency
 def pack_words(word_list):
     """Pack an iterable of Words into (enc uint8, offsets int64); ``enc`` is
     a read-only view of the joined letter bytes."""
-    datas = [w.data for w in word_list]
+    return pack_bytes([w.data for w in word_list])
+
+
+def pack_bytes(datas):
+    """``pack_words`` for a list of letter-byte strings."""
     offsets = np.zeros(len(datas) + 1, dtype=np.int64)
     np.cumsum([len(d) for d in datas], out=offsets[1:])
     enc = np.frombuffer(b"".join(datas), dtype=np.uint8)

@@ -72,11 +72,7 @@ def _override_of(cfg):
 
 
 def cmd_orbit(args, parser):
-    try:
-        s = generate_c0(depth=args.depth)
-    except OrbitCapExceeded as exc:
-        _emit("error=orbit-cap-exceeded detail=\"%s\"" % exc)
-        return EXIT_CAP
+    s = generate_c0(depth=args.depth)
     count = len(s.paths)
     _emit("count=%d depth=%d provenance=%s"
           % (count, s.depth,

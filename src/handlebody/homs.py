@@ -164,20 +164,33 @@ def quick_verdict(theta):
 
 def handlebody_witness(theta, s, backend=None):
     """Scan the orbit set (bases first, then by provenance depth, paths in
-    lexicographic order) for a word that evaluates to the identity."""
+    lexicographic order) for a word that evaluates to the identity.
+
+    A partial set is grown only as far as the witness's level; a scan that
+    finds none has finished it."""
     if backend is None:
         backend = get_backend()
-    words, enc, offsets = s.scan_view()
-    idx = backend.find_identity_word(enc, offsets, theta.letter_images(),
-                                     theta.group.table)
+    idx = _first_identity(s, theta.letter_images(), theta.group.table,
+                          backend)
     if idx < 0:
         return Verdict(NO_WITNESS, searched_depth=s.depth)
-    w = words[idx]
+    w = s.word_at(idx)
     image = evaluate(theta, w)
-    if image != 0 or w not in s:
+    path = s.path(w)
+    if image != 0 or path is None:
         raise AssertionError("witness failed re-verification")
-    return Verdict(EXTENDS, report=WitnessReport(w, s.paths[w], image),
+    return Verdict(EXTENDS, report=WitnessReport(w, path, image),
                    searched_depth=s.depth)
+
+
+def _first_identity(s, letters, table, backend):
+    """Scan index of the first word of ``s`` mapped to the identity, or -1:
+    one backend call per block of ``s.scan_blocks()``."""
+    for start, enc, offsets in s.scan_blocks():
+        idx = backend.find_identity_word(enc, offsets, letters, table)
+        if idx >= 0:
+            return start + idx
+    return -1
 
 
 def standard_metacyclic_images(G):
@@ -243,10 +256,11 @@ def drop_quick_pairs(G, a, b, pairs):
 
 def batch_pair_witnesses(G, a, b, pairs, s, backend=None):
     """First-witness word index in scan order for each pair (r, t) mapped to
-    (x2, y2) alongside (a, b); -1 where the searched set has no witness."""
+    (x2, y2) alongside (a, b); -1 where the searched set has no witness.
+    A partial set is grown only as far as the deepest witness needs, or
+    finished by a pair with none."""
     if backend is None:
         backend = get_backend()
-    _, enc, offsets = s.scan_view()
     out = np.empty(len(pairs), dtype=np.int64)
     table = G.table
     inv = G.inv
@@ -256,7 +270,7 @@ def batch_pair_witnesses(G, a, b, pairs, s, backend=None):
     for i, (r, t) in enumerate(pairs):
         letters[3], letters[7] = r, inv[r]
         letters[4], letters[8] = t, inv[t]
-        out[i] = backend.find_identity_word(enc, offsets, letters, table)
+        out[i] = _first_identity(s, letters, table, backend)
     return out
 
 

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .backend import pack_words
+from .backend import pack_bytes, pack_words
 from .words import Word
 from .twists import apply, apply_bytes, commutator_base, sigma
 
@@ -59,17 +59,74 @@ class OrbitSet:
     (1, 4) stores s4(s1(root)).  It is read-only, so the cached scan view
     and path trie always match it.
 
+    A set from ``generate_c0`` starts as the two seeds and grows one level
+    at a time, on demand.  Calls that need the whole set finish it: ``len``,
+    ``paths``, ``words``, iteration, ``scan_view``, ``path_trie``, ``==``,
+    and a membership lookup (``in``, ``path``, ``contains``) that misses.
+    A lookup grows the set only until the word appears, ``word_at`` only
+    until its index is generated, and ``scan_blocks`` one level per block
+    asked for.  Generation order is scan order, and a word is generated
+    only at its first level, so none of these calls sees a different answer
+    on a partial set.  A set built from ``paths`` is complete from the
+    start.
+
     Full-set evaluation (``kernel_orbit.orbit_values``) reads ``paths``, not
     the words' letters: every path must replay to its word (``replay_path``).
     ``generate_c0`` guarantees this; a set built from other paths must too.
     """
 
     def __init__(self, paths, depth, sigmas):
-        self.paths = MappingProxyType(dict(paths))
         self.depth = int(depth)
         self.sigmas = tuple(int(j) for j in sigmas)
+        self._paths = MappingProxyType(dict(paths))
         self._scan = None
         self._trie = None
+        # Growth state of a partial set: word bytes -> path for the
+        # generated prefix, the same bytes in scan order, the level
+        # generator, and the packed prefix.  All None once complete.
+        self._seen = self._order = self._levels = self._pack = None
+
+    @classmethod
+    def _growing(cls, seen, levels, depth, sigmas):
+        s = cls((), depth, sigmas)
+        s._paths = None
+        s._seen, s._order, s._levels = seen, list(seen), levels
+        return s
+
+    @property
+    def complete(self):
+        """True once every level is generated."""
+        return self._seen is None
+
+    @property
+    def generated(self):
+        """Words generated so far; the set's size once it is complete."""
+        return len(self._paths) if self.complete else len(self._order)
+
+    def _grow(self):
+        """Generate the next level; on a set with none left, finish it and
+        return False."""
+        level = None if self.complete else next(self._levels, None)
+        if level is None:
+            self._finish()
+            return False
+        self._order.extend(level)
+        return True
+
+    def _finish(self):
+        if self.complete:
+            return
+        for _ in self._levels:
+            pass
+        self._order = self._levels = self._pack = None
+        paths = {Word.from_bytes(data, 4): p for data, p in self._seen.items()}
+        self._seen = None
+        self._paths = MappingProxyType(paths)
+
+    @property
+    def paths(self):
+        self._finish()
+        return self._paths
 
     @property
     def words(self):
@@ -79,7 +136,7 @@ class OrbitSet:
         return len(self.paths)
 
     def __contains__(self, w):
-        return w in self.paths
+        return self.path(w) is not None
 
     def __iter__(self):
         return iter(self.scan_view().words)
@@ -95,6 +152,40 @@ class OrbitSet:
             self._scan = ScanView(words, *pack_words(words))
         return self._scan
 
+    def scan_blocks(self):
+        """Yield ``(start, enc, offsets)`` blocks that cover the scan order
+        in turn, block i holding the words from scan index ``start`` on.
+
+        On a complete set this is its whole cached scan view, one block.  On
+        a partial set it is first the generated prefix, then each further
+        level, generated only when the caller asks for the next block; the
+        set is finished after its last level, so a caller that exhausts the
+        blocks has read the whole set.
+        """
+        start = 0
+        while not self.complete:
+            enc, offsets = self._packed_prefix()
+            yield start, enc, offsets[start:]
+            start = len(offsets) - 1
+            if not self._grow():
+                break
+        if start < len(self._paths):
+            view = self.scan_view()
+            yield start, view.enc, view.offsets[start:]
+
+    def _packed_prefix(self):
+        if self._pack is None or len(self._pack[1]) - 1 < len(self._order):
+            self._pack = pack_bytes(self._order)
+        return self._pack
+
+    def word_at(self, i):
+        """The word at scan index ``i``."""
+        while not self.complete and i >= len(self._order) and self._grow():
+            pass
+        if self.complete:
+            return self.scan_view().words[i]
+        return Word.from_bytes(self._order[i], 4)
+
     def path_trie(self):
         """The PathTrie of this set in scan order, built on first use and
         cached."""
@@ -109,6 +200,12 @@ class OrbitSet:
         return (1, (len(p),) + p, len(w.data), w.data)
 
     def path(self, w):
+        """The provenance path of ``w``, or None if it is not in the set."""
+        if isinstance(w, Word) and w.rank == 4:
+            while not self.complete:
+                p = self._seen.get(w.data)
+                if p is not None or not self._grow():
+                    return p
         return self.paths.get(w)
 
     def __eq__(self, other):
@@ -116,8 +213,9 @@ class OrbitSet:
                 and self.depth == other.depth and self.sigmas == other.sigmas)
 
     def __repr__(self):
-        return "OrbitSet(%d words, depth=%d, sigmas=%s)" % (
-            len(self.paths), self.depth, ",".join(map(str, self.sigmas)))
+        return "OrbitSet(%d words%s, depth=%d, sigmas=%s)" % (
+            self.generated, "" if self.complete else " so far", self.depth,
+            ",".join(map(str, self.sigmas)))
 
 
 def _path_trie(words, paths):
@@ -164,12 +262,16 @@ def replay_path(path):
 
 
 def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
-    """Enumerate the orbit set to the given composition depth.
+    """The orbit set to the given composition depth.
 
     Breadth-first with global dedup on reduced words; provenance is the
-    shortest derivation with lexicographically least move sequence.  Raises
-    OrbitCapExceeded if the set would exceed ``word_cap`` words (a partial
-    set must never be used to report a negative search verdict).
+    shortest derivation with lexicographically least move sequence.  The
+    arguments are checked at once, but the set is returned with only its
+    two seeds generated: it grows level by level as callers need it (see
+    OrbitSet for the calls that finish it).  With ``word_cap`` the set is
+    finished before it is returned, and OrbitCapExceeded is raised if it
+    would exceed ``word_cap`` words (a partial set must never be used to
+    report a negative search verdict).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0, got %r" % (depth,))
@@ -178,16 +280,20 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
         if not 1 <= j <= 10:
             raise ValueError("move index must be in 1..10, got %r" % (j,))
     plans = {j: sigma(j)._plan for j in sorted(sigmas)}
+    seen = {commutator_base().data: BASE_PATH, root_word().data: BASE_PATH}
+    s = OrbitSet._growing(seen, _levels(plans, seen, depth, word_cap),
+                          depth, sigmas)
+    if word_cap is not None:
+        s._finish()
+    return s
 
-    base = commutator_base()
-    root = root_word()
-    seen = {base.data: BASE_PATH, root.data: BASE_PATH}
+
+def _levels(plans, seen, depth, word_cap):
+    """Yield the words of each new level in lex path order, after adding
+    them with their paths to ``seen``."""
     # The frontier maps word bytes to path tuples; the root's path is ().
-    frontier = {root.data: ()}
-
+    frontier = {root_word().data: ()}
     for _ in range(depth):
-        if not frontier:
-            break
         level = {}
         # Parents in lex path order, moves ascending: first assignment to a
         # child is its lexicographically least shortest derivation, and
@@ -198,23 +304,21 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
                 child = apply_bytes(plan, data)
                 if child not in seen and child not in level:
                     level[child] = path + (j,)
+        if not level:
+            return
         if word_cap is not None and len(seen) + len(level) > word_cap:
             raise OrbitCapExceeded(
                 "orbit would exceed word cap %d (have %d, next level adds %d)"
                 % (word_cap, len(seen), len(level)))
         seen.update(level)
         frontier = level
-
-    paths = {Word.from_bytes(data, 4): p for data, p in seen.items()}
-    # OrbitSet copies ``paths``; dropping the byte-keyed tables first keeps
-    # them out of that copy's memory peak.
-    del seen, frontier
-    return OrbitSet(paths, depth, sigmas)
+        yield level
 
 
 def contains(s, w):
-    """Membership plus provenance: (True, path) or (False, None)."""
-    p = s.paths.get(w)
+    """Membership plus provenance: (True, path) or (False, None).  Grows a
+    partial set only until ``w`` appears."""
+    p = s.path(w)
     if p is None:
         return False, None
     return True, p

@@ -181,3 +181,43 @@ def test_reports_are_key_value_lines(capsys):
     for line in out.strip().splitlines():
         assert re.fullmatch(r"[a-z0-9_-]+=\S.*( [a-z0-9_-]+=\S.*)*", line), \
             line
+
+
+def _orbit_sets(monkeypatch):
+    """Record each orbit set the CLI generates."""
+    from handlebody import cli
+    made = []
+
+    def generate(*args, **kwargs):
+        made.append(cli_generate(*args, **kwargs))
+        return made[-1]
+
+    cli_generate = cli.generate_c0
+    monkeypatch.setattr(cli, "generate_c0", generate)
+    return made
+
+
+@pytest.mark.parametrize("argv,exact,most", [
+    (("check", "--config", cfg("heisenberg_3.cfg")), True, 5),
+    (("check", "--config", cfg("semidirect_11_5_3.cfg")), True, 41),
+    (("table1",), False, 122),
+    (("counts", "--config", cfg("heisenberg_3.cfg")), False, 122),
+    (("counts", "--config", cfg("semidirect_11_5_3.cfg")), False, 122),
+])
+def test_witness_commands_generate_few_words(capsys, monkeypatch, argv,
+                                             exact, most):
+    # Every witness of these runs lies in levels <= 4 (122 words); the
+    # depth-9 set has 29,922.
+    made = _orbit_sets(monkeypatch)
+    code, _ = run(capsys, *argv)
+    assert code == 0 and len(made) == 1
+    assert not made[0].complete
+    assert made[0].generated == most if exact else \
+        made[0].generated <= most
+
+
+def test_orbit_command_finishes_the_set(capsys, monkeypatch):
+    made = _orbit_sets(monkeypatch)
+    code, out = run(capsys, "orbit", "--depth", "3")
+    assert code == 0 and "count=41 " in out
+    assert made[0].complete

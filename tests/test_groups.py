@@ -15,7 +15,7 @@ from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
                                heisenberg, heisenberg_presentation,
                                pair_orbit_count, semidirect_pq,
                                single_aut_orbit_certificate)
-from handlebody.words import parse_word
+from handlebody.words import Word, parse_word
 
 
 def test_presentation_validation():
@@ -108,6 +108,54 @@ def test_coset_enumeration_small_groups():
         ["i", "j"], ["i^4", "i^2 (j^2)^-1", "j^-1 i j i"]))
     assert q8.order == 8
     assert q8.count_involutions() == 1
+
+
+def _sympy_order(relators):
+    """Order of <a, b | relators> by sympy's Todd-Coxeter: the number of
+    cosets of the trivial subgroup once the table is compressed.
+    (``FpGroup.order()`` is not used: it recursed past Python's limit on
+    <a,b | a^7, b^3, b a b^-1 a^-2, a b a b>.)"""
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+    F, a, b = free_group("a b")
+    gens = (a, b)
+    rels = []
+    for w in relators:
+        r = F.identity
+        for g, sign in w.letters:
+            r = r * gens[g] ** sign
+        rels.append(r)
+    table = FpGroup(F, rels).coset_enumeration([])
+    table.compress()
+    return len(table.table)
+
+
+@st.composite
+def _metacyclic_presentations(draw):
+    """<a, b | a^m, b^n, b a b^-1 a^-k> with k^n = 1 mod m (order m n),
+    optionally with one random extra relator."""
+    m = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 100 // m))
+    k = draw(st.sampled_from([k for k in range(1, m + 1)
+                              if pow(k, n, m) == 1 % m]))
+    rels = [Word([(0, 1)] * m, rank=2), Word([(1, 1)] * n, rank=2),
+            Word([(1, 1), (0, 1), (1, -1)] + [(0, -1)] * k, rank=2)]
+    extra = Word(draw(st.lists(st.tuples(st.integers(0, 1),
+                                         st.sampled_from([1, -1])),
+                               max_size=6)), rank=2)
+    if draw(st.booleans()) and len(extra):
+        rels.append(extra)
+    return [r for r in rels if len(r)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_metacyclic_presentations())
+def test_coset_enumeration_matches_sympy(relators):
+    G = coset_enumerate(Presentation(["a", "b"], relators))
+    assert G.order == _sympy_order(relators)
+    if len(relators) == 3:
+        m, n = len(relators[0]), len(relators[1])
+        assert G.order == m * n
 
 
 def test_coset_enumeration_respects_cap():

@@ -1,11 +1,17 @@
 """Surface-group epimorphisms, quick products, witness search, pair counts
 and the quadruple search."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from handlebody.config import load_config
 
 from handlebody.groups import (coset_enumerate, cyclic, direct_product,
-                               evaluate_in_group, Presentation, semidirect_pq)
+                               evaluate_in_group, heisenberg, Presentation,
+                               semidirect_pq)
 from handlebody.homs import (EXTENDS, Epimorphism, IMMEDIATE, NO_WITNESS,
                              NotGenerating, QuadrupleCapExceeded,
                              RelationViolated, batch_pair_witnesses,
@@ -208,3 +214,112 @@ def test_standard_metacyclic_images_family():
         G = semidirect_pq(p, q, r)
         theta = Epimorphism(G, standard_metacyclic_images(G))
         assert theta.genus_of_total_space == 1 + p * q
+
+
+# --- partial (fresh) orbit sets against finished ones -------------------
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+_GROUPS = {
+    "cyclic_3": lambda: cyclic(3),
+    "heisenberg_3": lambda: heisenberg(3),
+    "semidirect_11_5_3": lambda: semidirect_pq(11, 5, 3),
+    "order243_presented": lambda: load_config(
+        os.path.join(CONFIG_DIR, "order243_presented.cfg")).group,
+}
+_ORBIT_CASES = [(0, (1, 2, 3, 4, 5)), (3, (1, 2, 3, 4, 5)),
+                (9, (1, 2, 3, 4, 5)), (9, (3, 8)), (5, (5, 2, 4))]
+_CACHE = {}
+
+
+def _cached(key, build):
+    if key not in _CACHE:
+        _CACHE[key] = build()
+    return _CACHE[key]
+
+
+def _group(name):
+    return _cached(name, _GROUPS[name])
+
+
+def _finished(depth, sigmas):
+    def build():
+        s = generate_c0(depth=depth, sigmas=sigmas)
+        len(s)
+        return s
+    return _cached((depth, sigmas), build)
+
+
+def _partner(G, a, b, c, k):
+    """The k-th (cyclically) d with [a,b][c,d] = 1, or None."""
+    ds = [d for d in range(G.order)
+          if G.mult(G.commutator(a, b), G.commutator(c, d)) == 0]
+    return ds[k % len(ds)] if ds else None
+
+
+_ELEMENT = st.integers(0, 242)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_GROUPS)),
+       case=st.sampled_from(_ORBIT_CASES),
+       abck=st.tuples(_ELEMENT, _ELEMENT, _ELEMENT, st.integers(0, 10 ** 6)))
+def test_witness_agrees_on_fresh_and_finished_sets(name, case, abck):
+    G = _group(name)
+    a, b, c = (x % G.order for x in abck[:3])
+    d = _partner(G, a, b, c, abck[3])
+    assume(d is not None)
+    try:
+        theta = Epimorphism(G, (a, b, c, d))
+    except NotGenerating:
+        assume(False)
+    fresh = generate_c0(depth=case[0], sigmas=case[1])
+    got = handlebody_witness(theta, fresh)
+    want = handlebody_witness(theta, _finished(*case))
+    assert got.value == want.value
+    assert got.searched_depth == want.searched_depth == case[0]
+    if want.report is None:
+        assert got.report is None and fresh.complete
+    else:
+        assert got.report.witness == want.report.witness
+        assert got.report.sigma_path == want.report.sigma_path
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_GROUPS)),
+       case=st.sampled_from(_ORBIT_CASES),
+       ab=st.tuples(_ELEMENT, _ELEMENT),
+       cks=st.lists(st.tuples(_ELEMENT, st.integers(0, 10 ** 6)),
+                    min_size=1, max_size=6))
+def test_batch_agrees_on_fresh_and_finished_sets(name, case, ab, cks):
+    G = _group(name)
+    a, b = (x % G.order for x in ab)
+    pairs = [(c % G.order, _partner(G, a, b, c % G.order, k))
+             for c, k in cks]
+    pairs = [(c, d) for c, d in pairs if d is not None]
+    assume(pairs)
+    fresh = generate_c0(depth=case[0], sigmas=case[1])
+    got = batch_pair_witnesses(G, a, b, pairs, fresh)
+    want = batch_pair_witnesses(G, a, b, pairs, _finished(*case))
+    assert got.tolist() == want.tolist()
+    if (want < 0).any():
+        assert fresh.complete
+
+
+def test_witness_scan_stops_at_the_witness_level(group55):
+    # The witness has path (3, 4, 4), a level-3 word: levels 0..3 hold 41.
+    theta = Epimorphism(group55, standard_metacyclic_images(group55))
+    s = generate_c0(depth=9)
+    assert handlebody_witness(theta, s).report.sigma_path == (3, 4, 4)
+    assert not s.complete and s.generated == 41
+
+
+def test_no_witness_scan_finishes_the_set(group55, heis3):
+    theta = Epimorphism(group55, standard_metacyclic_images(group55))
+    s = generate_c0(depth=2)
+    assert handlebody_witness(theta, s).value == NO_WITNESS
+    assert s.complete and s.generated == 14
+
+    a, b, c, d = theta.images
+    s = generate_c0(depth=2)
+    idxs = batch_pair_witnesses(group55, a, b, [(c, d)], s)
+    assert idxs.tolist() == [-1] and s.complete

@@ -4,12 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handlebody.orbit import (BASE_PATH, OrbitCapExceeded, OrbitSet,
                               contains, format_path, generate_c0,
                               replay_path, root_word)
 from handlebody.twists import apply, commutator_base, sigma
-from handlebody.words import parse_word
+from handlebody.words import Word, parse_word
 
 # Regression values measured by exhaustive enumeration (see tests below for
 # the replay cross-check; the full-depth value is asserted in acceptance).
@@ -42,8 +43,76 @@ def test_invalid_arguments():
 def test_word_cap_raises_before_truncation():
     with pytest.raises(OrbitCapExceeded):
         generate_c0(depth=3, word_cap=20)
-    # A cap at least as large as the result is harmless.
-    assert len(generate_c0(depth=2, word_cap=14)) == 14
+    # A cap at least as large as the result is harmless, and the capped set
+    # is finished before it is returned.
+    s = generate_c0(depth=2, word_cap=14)
+    assert s.complete and s.generated == 14
+    assert len(s) == 14
+
+
+def test_fresh_set_holds_only_the_seeds():
+    s = generate_c0(depth=9)
+    assert not s.complete and s.generated == 2
+    assert repr(s) == "OrbitSet(2 words so far, depth=9, sigmas=1,2,3,4,5)"
+
+
+# Each call that needs the whole set, applied to a fresh one.
+_FINISHING_CALLS = {
+    "len": len,
+    "paths": lambda s: s.paths,
+    "words": lambda s: s.words,
+    "iter": lambda s: next(iter(s)),
+    "scan_view": lambda s: s.scan_view(),
+    "path_trie": lambda s: s.path_trie(),
+    "eq": lambda s: s == generate_c0(depth=s.depth),
+    "in (miss)": lambda s: parse_word("x1^50") in s,
+    "path (miss)": lambda s: s.path(parse_word("x1^50")),
+    "contains (miss)": lambda s: contains(s, parse_word("x1^50")),
+    "in (other rank)": lambda s: Word.from_bytes(b"\x01\x02", 2) in s,
+}
+
+
+@pytest.mark.parametrize("call", sorted(_FINISHING_CALLS))
+def test_full_set_calls_finish_the_set(call):
+    s = generate_c0(depth=4)
+    _FINISHING_CALLS[call](s)
+    assert s.complete and s.generated == CUMULATIVE_COUNTS[4]
+    assert s == generate_c0(depth=4, word_cap=CUMULATIVE_COUNTS[4])
+
+
+@pytest.mark.parametrize("finish_at", [None, 0, 1, 3])
+def test_scan_blocks_cover_the_scan_order(finish_at):
+    # Blocks are read in turn; ``finish_at`` finishes the set from outside
+    # after that many blocks (0: before the first).
+    s = generate_c0(depth=4)
+    if finish_at == 0:
+        len(s)
+    enc, starts = b"", []
+    for k, (start, block_enc, offsets) in enumerate(s.scan_blocks()):
+        if k + 1 == finish_at:
+            len(s)
+        assert start == len(starts)
+        starts.extend(offsets[:-1].tolist())
+        enc += block_enc[offsets[0]:offsets[-1]].tobytes()
+    view = s.scan_view()
+    assert s.complete and starts == view.offsets[:-1].tolist()
+    assert enc == view.enc.tobytes()
+
+
+def test_lookups_grow_only_to_the_words_level():
+    finished = generate_c0(depth=5, word_cap=CUMULATIVE_COUNTS[5])
+    for w in finished:
+        p = finished.paths[w]
+        level = 0 if p == BASE_PATH else len(p)
+        for lookup in (contains, lambda s, w: s.path(w),
+                       lambda s, w: w in s):
+            s = generate_c0(depth=5)
+            lookup(s, w)
+            assert s.generated == CUMULATIVE_COUNTS[level]
+        s = generate_c0(depth=5)
+        i = finished.scan_view().words.index(w)
+        assert s.word_at(i) == w
+        assert s.generated == CUMULATIVE_COUNTS[level]
 
 
 def test_paths_replay_to_their_words(orbit3):
@@ -75,6 +144,34 @@ def test_iteration_deterministic_and_seeds_first(orbit3):
     assert order[1] == root_word()
     assert order == list(orbit3)
     assert order == sorted(orbit3.paths, key=orbit3._sort_key)
+
+
+_FINISHED = {}
+
+
+def _finished(depth, sigmas):
+    key = (depth, sigmas)
+    if key not in _FINISHED:
+        _FINISHED[key] = generate_c0(depth=depth, sigmas=sigmas,
+                                     word_cap=10 ** 6)
+    return _FINISHED[key]
+
+
+_LETTER = st.sampled_from([(g, e) for g in range(4) for e in (1, -1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([(0, (1, 2, 3, 4, 5)), (3, (1, 2, 3, 4, 5)),
+                             (9, (3, 8)), (5, (5, 2, 4))]),
+       pick=st.integers(0, 10 ** 9), letters=st.lists(_LETTER, max_size=12))
+def test_contains_agrees_on_fresh_and_finished_sets(case, pick, letters):
+    # A word of the set, and an arbitrary word (mostly outside it).
+    finished = _finished(*case)
+    words = finished.scan_view().words
+    for w in (words[pick % len(words)], Word(letters)):
+        fresh = generate_c0(depth=case[0], sigmas=case[1])
+        assert contains(fresh, w) == contains(finished, w)
+        assert (w in fresh) == (w in finished)
 
 
 def test_contains_reports_provenance(orbit3):
