@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .words import parse_word, print_word
 from .twists import commutator_base
 from .orbit import (generate_c0, contains, format_path, OrbitCapExceeded,
@@ -172,8 +174,8 @@ def cmd_counts(args, parser):
     noncomm = noncommuting_pair_count(G)
     _emit("noncommuting=%d provenance=%s"
           % (noncomm, _prov_for(cfg, "noncommuting", noncomm)))
-    pairs_all = [(u, v) for u in range(G.order) for v in range(G.order)
-                 if G.commutator(u, v) != 0]
+    us, vs = np.nonzero(G.conjugation_table() != np.arange(G.order))
+    pairs_all = list(zip(us.tolist(), vs.tolist()))
     try:
         auts = automorphisms(G, cfg.group.presentation,
                              node_cap=args.aut_cap)

@@ -111,6 +111,13 @@ class FiniteGroup:
     def inverse(self, g):
         return int(self.inv[g])
 
+    def conjugation_table(self):
+        """The n x n array of g h g^-1 at [g, h], in one gather.
+
+        [g, h] = x exactly when g h g^-1 = x h, so one comparison against
+        it finds every pair with a given commutator."""
+        return self.table[self.table, self.inv[:, None]]
+
     def conjugate(self, g, h):
         """h g h^-1."""
         return int(self.table[self.table[h, g], self.inv[h]])
@@ -540,15 +547,11 @@ def semidirect_pq(p, q, r):
         raise ValueError("need r^q = 1 mod p: %d^%d = %d mod %d"
                          % (r, q, pow(r, q, p), p))
     n = p * q
-    rpow = [pow(r, j, p) for j in range(q)]
-    table = np.empty((n, n), dtype=np.int32)
-    for i1 in range(p):
-        for j1 in range(q):
-            e1 = i1 * q + j1
-            for i2 in range(p):
-                for j2 in range(q):
-                    table[e1, i2 * q + j2] = ((i1 + i2 * rpow[j1]) % p) * q \
-                        + (j1 + j2) % q
+    # Element a^i b^j sits at index i*q + j, and
+    # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2 r^j1) b^(j1 + j2).
+    rpow = np.array([pow(r, j, p) for j in range(q)])
+    i1, j1, i2, j2 = np.ix_(range(p), range(q), range(p), range(q))
+    table = (((i1 + i2 * rpow[j1]) % p) * q + (j1 + j2) % q).reshape(n, n)
     pres = Presentation(("a", "b"),
                         ("a^%d" % p, "b^%d" % q, "b a b^-1 a^-%d" % r))
     return FiniteGroup(table, [q, 1], gen_names=("a", "b"),
@@ -571,21 +574,11 @@ def heisenberg(p):
     if not _is_prime(p):
         raise ValueError("p=%d must be prime" % p)
     n = p ** 3
-
-    def enc(i, j, k):
-        return (i * p + j) * p + k
-
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                e1 = enc(i, j, k)
-                for m in range(p):
-                    for nn in range(p):
-                        for l in range(p):
-                            table[e1, enc(m, nn, l)] = enc(
-                                (i + m) % p, (j + nn) % p, (k + l + i * nn) % p)
-    x, y = enc(1, 0, 0), enc(0, 1, 0)
+    # (i, j, k) sits at index (i*p + j)*p + k.
+    i, j, k, m, nn, l = np.ix_(*[range(p)] * 6)
+    table = (((i + m) % p * p + (j + nn) % p) * p
+             + (k + l + i * nn) % p).reshape(n, n)
+    x, y = p * p, p
     return FiniteGroup(table, [x, y], gen_names=("x", "y"),
                        name="heisenberg(%d)" % p,
                        presentation=heisenberg_presentation(p))

@@ -99,17 +99,19 @@ def evaluate(theta, w):
 # The nine short products whose triviality immediately certifies an
 # extension (each corresponds to a separating or non-separating simple loop
 # construction on the quotient surface).  (u, v, r, t) = images of
-# (x1, y1, x2, y2).
+# (x1, y1, x2, y2); each product is a gather over the multiplication table
+# ``m`` and inverse table ``i``, so it takes elements or element arrays.
 _QUICK_PRODUCTS = (
-    ("commutator [u,v] trivial", lambda G, u, v, r, t: G.commutator(u, v)),
-    ("ur trivial", lambda G, u, v, r, t: G.mult(u, r)),
-    ("uv trivial", lambda G, u, v, r, t: G.mult(u, v)),
-    ("uv^-1 trivial", lambda G, u, v, r, t: G.mult(u, G.inverse(v))),
-    ("ut^-1 trivial", lambda G, u, v, r, t: G.mult(u, G.inverse(t))),
-    ("rt trivial", lambda G, u, v, r, t: G.mult(r, t)),
-    ("rt^-1 trivial", lambda G, u, v, r, t: G.mult(r, G.inverse(t))),
-    ("rv^-1 trivial", lambda G, u, v, r, t: G.mult(r, G.inverse(v))),
-    ("tv trivial", lambda G, u, v, r, t: G.mult(t, v)),
+    ("commutator [u,v] trivial", lambda m, i, u, v, r, t: m[m[m[u, v], i[u]],
+                                                            i[v]]),
+    ("ur trivial", lambda m, i, u, v, r, t: m[u, r]),
+    ("uv trivial", lambda m, i, u, v, r, t: m[u, v]),
+    ("uv^-1 trivial", lambda m, i, u, v, r, t: m[u, i[v]]),
+    ("ut^-1 trivial", lambda m, i, u, v, r, t: m[u, i[t]]),
+    ("rt trivial", lambda m, i, u, v, r, t: m[r, t]),
+    ("rt^-1 trivial", lambda m, i, u, v, r, t: m[r, i[t]]),
+    ("rv^-1 trivial", lambda m, i, u, v, r, t: m[r, i[v]]),
+    ("tv trivial", lambda m, i, u, v, r, t: m[t, v]),
 )
 
 
@@ -117,9 +119,8 @@ def quick_witness(theta):
     """Name of the first trivial product in the nine-element quick set, or
     None when all nine are nontrivial."""
     G = theta.group
-    u, v, r, t = theta.images
     for kind, product in _QUICK_PRODUCTS:
-        if product(G, u, v, r, t) == 0:
+        if product(G.table, G.inv, *theta.images) == 0:
             return kind
     return None
 
@@ -227,31 +228,64 @@ def partner_pairs(G, a, b, filter_quick=False):
     With ``filter_quick``, pairs where any of the nine quick products is
     trivial are dropped.  Deterministic: ascending (r, t).
     """
-    n = G.order
     target = G.inverse(G.commutator(a, b))
-    base_is_all = len(G.subgroup_closure([a, b])) == n
-
-    # Vectorized commutator: comm[r, t] = r t r^-1 t^-1.
-    pairs = []
-    inv_all = G.inv[np.arange(n)]
-    for r in range(n):
-        rt = G.table[r]                        # r*t for all t
-        rtr = G.table[rt, inv_all[r]]          # r t r^-1
-        comm = G.table[rtr, inv_all]           # r t r^-1 t^-1
-        for t in np.nonzero(comm == target)[0]:
-            t = int(t)
-            if base_is_all or len(G.subgroup_closure([a, b, r, t])) == n:
-                pairs.append((r, t))
+    rs, ts = np.nonzero(G.conjugation_table() == G.table[target])
+    K = G.subgroup_closure([a, b])
+    if len(K) < G.order:
+        keep = _generating_mask(G, K, a, b, rs, ts)
+        rs, ts = rs[keep], ts[keep]
     if filter_quick:
-        pairs = drop_quick_pairs(G, a, b, pairs)
-    return pairs
+        keep = ~_quick_mask(G, a, b, rs, ts)
+        rs, ts = rs[keep], ts[keep]
+    return list(zip(rs.tolist(), ts.tolist()))
+
+
+def _least_in_cosets(G, H):
+    """For every element g, the least element of its right coset H g."""
+    return G.table[H].min(axis=0)
+
+
+def _generating_mask(G, K, a, b, rs, ts):
+    """Whether <a,b,r,t> = G for each pair of rs, ts; K = <a,b>.
+
+    <X, g> = <X, x g> for every x in the subgroup <X>, so <a,b,r> = H
+    depends only on the right coset K r, and <a,b,r,t> = <H, t> only on H
+    and the right coset H t.  Each coset is named by its least element, and
+    one closure is made per distinct (H, coset of t)."""
+    n = G.order
+    keep = np.ones(rs.size, dtype=bool)
+    decided = {}
+    r_cosets = _least_in_cosets(G, K)[rs]
+    for r in np.unique(r_cosets).tolist():     # r stands for its coset K r
+        H = G.subgroup_closure([a, b, r])
+        if len(H) == n:
+            continue
+        sel = r_cosets == r
+        t_cosets, back = np.unique(_least_in_cosets(G, H)[ts[sel]],
+                                   return_inverse=True)
+        key = tuple(H)
+        generates = []
+        for t in t_cosets.tolist():
+            if (key, t) not in decided:
+                decided[key, t] = len(G.subgroup_closure([a, b, r, t])) == n
+            generates.append(decided[key, t])
+        keep[sel] = np.array(generates)[back]
+    return keep
+
+
+def _quick_mask(G, a, b, rs, ts):
+    """Whether any quick product is trivial, for each pair of rs, ts."""
+    trivial = np.zeros(len(rs), dtype=bool)
+    for _, product in _QUICK_PRODUCTS:
+        trivial |= product(G.table, G.inv, a, b, rs, ts) == 0
+    return trivial
 
 
 def drop_quick_pairs(G, a, b, pairs):
     """``pairs`` less those (r, t) with a trivial quick product."""
-    return [(r, t) for r, t in pairs
-            if not any(product(G, a, b, r, t) == 0
-                       for _, product in _QUICK_PRODUCTS)]
+    rs, ts = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    keep = ~_quick_mask(G, a, b, rs, ts)
+    return [pair for pair, k in zip(pairs, keep.tolist()) if k]
 
 
 def batch_pair_witnesses(G, a, b, pairs, s, backend=None):

@@ -15,6 +15,7 @@ from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
                                heisenberg, heisenberg_presentation,
                                pair_orbit_count, semidirect_pq,
                                single_aut_orbit_certificate)
+from handlebody.reference import RECORDED_WITNESS_ROWS
 from handlebody.words import Word, parse_word
 
 
@@ -73,6 +74,70 @@ def test_semidirect_rejects_bad_parameters():
         semidirect_pq(10, 5, 3)  # p not prime
     with pytest.raises(ValueError):
         semidirect_pq(11, 4, 3)  # q not prime
+
+
+def _semidirect_table_by_loops(p, q, r):
+    """a^i b^j at index i*q + j, multiplied one entry at a time."""
+    n = p * q
+    rpow = [pow(r, j, p) for j in range(q)]
+    table = np.empty((n, n), dtype=np.int32)
+    for i1 in range(p):
+        for j1 in range(q):
+            e1 = i1 * q + j1
+            for i2 in range(p):
+                for j2 in range(q):
+                    table[e1, i2 * q + j2] = ((i1 + i2 * rpow[j1]) % p) * q \
+                        + (j1 + j2) % q
+    return table
+
+
+def _heisenberg_table_by_loops(p):
+    """(i,j,k)*(m,n,l) = (i+m, j+n, k+l+i*n) at index (i*p + j)*p + k,
+    one entry at a time."""
+    n = p ** 3
+
+    def enc(i, j, k):
+        return (i * p + j) * p + k
+
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(p):
+        for j in range(p):
+            for k in range(p):
+                e1 = enc(i, j, k)
+                for m in range(p):
+                    for nn in range(p):
+                        for l in range(p):
+                            table[e1, enc(m, nn, l)] = enc(
+                                (i + m) % p, (j + nn) % p, (k + l + i * nn) % p)
+    return table, (enc(1, 0, 0), enc(0, 1, 0))
+
+
+def _same_table(G, table):
+    return (G.table.dtype == np.int32 and G.table.flags.c_contiguous
+            and G.table.tobytes() == table.tobytes())
+
+
+@pytest.mark.parametrize("pqr", [pqr for pqr, _ in RECORDED_WITNESS_ROWS]
+                         + [(7, 3, 2), (13, 3, 3), (31, 5, 2)])
+def test_semidirect_table_matches_entrywise_loops(pqr):
+    G = semidirect_pq(*pqr)
+    assert _same_table(G, _semidirect_table_by_loops(*pqr))
+    assert G.generators == (pqr[1], 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_heisenberg_table_matches_entrywise_loops(p):
+    G = heisenberg(p)
+    table, gens = _heisenberg_table_by_loops(p)
+    assert _same_table(G, table)
+    assert G.generators == gens
+
+
+def test_conjugation_table_matches_scalar_products():
+    G = semidirect_pq(7, 3, 2)
+    conj = G.conjugation_table()
+    assert conj.tolist() == [[G.conjugate(h, g) for h in range(G.order)]
+                             for g in range(G.order)]
 
 
 def test_heisenberg_structure():
@@ -334,6 +399,48 @@ def test_automorphisms_of_known_groups(heis3):
     G = semidirect_pq(11, 5, 3)
     assert len(automorphisms(G, G.presentation)) == 110
     assert len(automorphisms(cyclic(12), cyclic(12).presentation)) == 4
+
+
+def _brute_automorphism_count(G):
+    """Bijective homomorphisms G -> G, over every assignment of generator
+    images: each element is reached from the identity along a spanning
+    tree of the Cayley graph, so an assignment fixes at most one map, which
+    is then checked against the whole multiplication table."""
+    n, gens = G.order, G.generators
+    steps = []                          # (element, parent, generator slot)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for slot, g in enumerate(gens):
+                x = G.mult(h, g)
+                if x not in seen:
+                    seen.add(x)
+                    steps.append((x, h, slot))
+                    nxt.append(x)
+        frontier = nxt
+    assert len(seen) == n
+    grids = np.meshgrid(*[np.arange(n)] * len(gens), indexing="ij")
+    images = np.stack([g.ravel() for g in grids], axis=1)     # [A, k]
+    maps = np.zeros((len(images), n), dtype=np.int64)
+    for x, h, slot in steps:
+        maps[:, x] = G.table[maps[:, h], images[:, slot]]
+    homomorphic = (maps[:, G.table] == G.table[maps[:, :, None],
+                                               maps[:, None, :]]).all(
+        axis=(1, 2))
+    bijective = (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
+    return int((homomorphic & bijective).sum())
+
+
+@pytest.mark.parametrize("key", list(range(2, 31))
+                         + ["semidirect_pq(7,3,2)", "heisenberg(3)"])
+def test_automorphism_count_matches_brute_force(key):
+    G = {"semidirect_pq(7,3,2)": lambda: semidirect_pq(7, 3, 2),
+         "heisenberg(3)": lambda: heisenberg(3)}.get(
+             key, lambda: cyclic(key))()
+    assert len(automorphisms(G, G.presentation)) == \
+        _brute_automorphism_count(G)
 
 
 def test_automorphisms_cap(heis3):

@@ -1,6 +1,7 @@
 """Surface-group epimorphisms, quick products, witness search, pair counts
 and the quadruple search."""
 
+import functools
 import os
 
 import numpy as np
@@ -166,6 +167,53 @@ def test_partner_pairs_against_brute_force(heis3, group55):
 
     a, b = group55.generators
     assert partner_pairs(group55, a, b) == _brute_partner_pairs(group55, a, b)
+
+
+def _quick_product_trivial(G, u, v, r, t):
+    """The nine quick products, one scalar product at a time."""
+    inv = G.inverse
+    return 0 in (G.commutator(u, v), G.mult(u, r), G.mult(u, v),
+                 G.mult(u, inv(v)), G.mult(u, inv(t)), G.mult(r, t),
+                 G.mult(r, inv(t)), G.mult(r, inv(v)), G.mult(t, v))
+
+
+def _check_partner_pairs(G, a, b):
+    pairs = partner_pairs(G, a, b)
+    assert pairs == _brute_partner_pairs(G, a, b)
+    filtered = [(r, t) for r, t in pairs
+                if not _quick_product_trivial(G, a, b, r, t)]
+    assert partner_pairs(G, a, b, filter_quick=True) == filtered
+    assert drop_quick_pairs(G, a, b, pairs) == filtered
+
+
+_PROPER_PAIR_GROUPS = {
+    "heisenberg(3) x cyclic(3)": lambda: direct_product(heisenberg(3),
+                                                       cyclic(3)),
+    "cyclic(12)": lambda: cyclic(12),
+    "semidirect_pq(7,3,2) x cyclic(3)": lambda: direct_product(
+        semidirect_pq(7, 3, 2), cyclic(3)),
+}
+_proper_pair_group = functools.lru_cache(maxsize=None)(
+    lambda key: _PROPER_PAIR_GROUPS[key]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_PROPER_PAIR_GROUPS)), st.data())
+def test_partner_pairs_when_a_b_generate_a_proper_subgroup(key, data):
+    """(a, b) that do not generate G: generation is then decided per
+    (subgroup <a,b,r>, coset of t), which the brute force does per pair."""
+    G = _proper_pair_group(key)
+    a = data.draw(st.integers(0, G.order - 1), label="a")
+    b = data.draw(st.integers(0, G.order - 1), label="b")
+    assume(len(G.subgroup_closure([a, b])) < G.order)
+    _check_partner_pairs(G, a, b)
+
+
+def test_partner_pairs_order243_proper_pairs(order243):
+    # order243 needs four generators, so no (a, b) generates it.
+    for a, b in ((1, 2), (37, 200)):
+        assert len(order243.subgroup_closure([a, b])) < order243.order
+        _check_partner_pairs(order243, a, b)
 
 
 def test_batch_pair_witnesses(heis3, orbit9):
