@@ -1,12 +1,11 @@
-"""Benchmark the word-evaluation backends against each other.
+"""Benchmark the word-evaluation kernels.
 
-Times the hot kernels over the depth-limited orbit set for a chosen target
-group, once per available backend: bulk evaluation of the whole set, an
+Times the numpy kernels of ``handlebody.backend`` over the depth-limited
+orbit set for a fixed target group: bulk evaluation of the whole set, an
 early-witness identity scan over the set in scan order, and a full
 no-witness scan (the words the map does not kill, so the scan reads every
 block).  The words come from the orbit set's cached scan view, packed once.
-The numba backend is exercised only when the package is installed with the
-``fast`` extra; a warm-up pass keeps JIT compilation out of the timings.
+Each time is the best of ``--repeats`` runs.
 
 Usage:
     python3 benchmarks/bench_backends.py [--depth 9] [--repeats 5]
@@ -16,7 +15,7 @@ import argparse
 import time
 
 from handlebody import generate_c0, heisenberg, pack_words
-from handlebody.backend import available_backends, get_backend
+from handlebody.backend import evaluate_words, find_identity_word
 from handlebody.homs import Epimorphism
 
 
@@ -27,8 +26,7 @@ def build_workload(depth):
     G = heisenberg(3)
     a, b = G.generators[0], G.generators[1]
     letters = Epimorphism(G, (a, b, b, a)).letter_images()
-    values = get_backend("numpy").evaluate_words(enc, offsets, letters,
-                                                 G.table)
+    values = evaluate_words(enc, offsets, letters, G.table)
     misses = [w for w, g in zip(words, values) if g != 0]
     scans = {"orbit": (enc, offsets, len(words)),
              "no-witness": pack_words(misses) + (len(misses),)}
@@ -58,38 +56,17 @@ def main(argv=None):
           "group of order %d" % (count, args.depth, scans["no-witness"][2],
                                  table.shape[0]))
 
-    results = {}
-    for name in available_backends():
-        backend = get_backend(name)
-        # Warm-up (compiles the jitted kernels on first call).
-        backend.evaluate_words(enc, offsets, letters, table)
-        backend.find_identity_word(enc, offsets, letters, table)
-        t_eval = time_call(
-            lambda: backend.evaluate_words(enc, offsets, letters, table),
+    t_eval = time_call(
+        lambda: evaluate_words(enc, offsets, letters, table), args.repeats)
+    print("evaluate_words %8.3f ms (%6.2f Mwords/s)"
+          % (t_eval * 1e3, count / t_eval / 1e6))
+    for scan, (s_enc, s_off, _) in scans.items():
+        index = find_identity_word(s_enc, s_off, letters, table)
+        t_find = time_call(
+            lambda: find_identity_word(s_enc, s_off, letters, table),
             args.repeats)
-        line = ["%-6s evaluate_words %8.3f ms (%6.2f Mwords/s)"
-                % (name, t_eval * 1e3, count / t_eval / 1e6)]
-        times = [t_eval]
-        for scan, (s_enc, s_off, _) in scans.items():
-            index = backend.find_identity_word(s_enc, s_off, letters, table)
-            t_find = time_call(
-                lambda: backend.find_identity_word(s_enc, s_off, letters,
-                                                   table),
-                args.repeats)
-            times.append(t_find)
-            line.append("find_identity_word[%s, index %d] %8.3f ms"
-                        % (scan, index, t_find * 1e3))
-        results[name] = times
-        print("   ".join(line))
-
-    if "numpy" in results and "numba" in results:
-        print("speedup (numpy/numba): evaluate %.1fx, early scan %.1fx, "
-              "full scan %.1fx"
-              % tuple(p / q for p, q in zip(results["numpy"],
-                                            results["numba"])))
-    elif "numba" not in results:
-        print("numba backend unavailable; install the 'fast' extra to "
-              "compare")
+        print("find_identity_word[%s, index %d] %8.3f ms"
+              % (scan, index, t_find * 1e3))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ set,
 ``replay_path`` over a seeded sample of 3,000 stored paths,
 ``path_trie()`` on a fresh copy whose scan view is already built, and one
 map (the standard epimorphism onto the metacyclic group of order 55)
-evaluated on every word, first by folding letters through the backend,
+evaluated on every word, first by folding letters (``evaluate_words``),
 then by precomposing along the path trie (``orbit_values``), and the first
 witness of each shipped config's theta on a fresh (partial) set, with the
 number of words that scan generated.  Copies, samples and fresh sets are
@@ -26,9 +26,10 @@ import time
 
 import numpy as np
 
-from handlebody import (Epimorphism, OrbitSet, generate_c0, get_backend,
+from handlebody import (Epimorphism, OrbitSet, generate_c0,
                         handlebody_witness, load_config, replay_path,
                         semidirect_pq, standard_metacyclic_images)
+from handlebody.backend import evaluate_words
 from handlebody.kernel_orbit import orbit_values
 from handlebody.orbit import BASE_PATH
 
@@ -85,8 +86,7 @@ def main(argv=None):
     t_trie, trie = best_of(args.repeats, OrbitSet.path_trie, fresh_view)
     G = semidirect_pq(11, 5, 3)
     theta = Epimorphism(G, standard_metacyclic_images(G))
-    backend = get_backend()
-    t_fold, folded = best_of(args.repeats, lambda: backend.evaluate_words(
+    t_fold, folded = best_of(args.repeats, lambda: evaluate_words(
         view.enc, view.offsets, theta.letter_images(), G.table))
     s.path_trie()
     t_values, values = best_of(args.repeats, orbit_values,

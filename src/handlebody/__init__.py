@@ -19,7 +19,7 @@ from .twists import (TwistAuto, sigma, apply, compose, compose_path,
                      identity_auto, commutator_base)
 from .orbit import (OrbitSet, OrbitCapExceeded, generate_c0, contains,
                     root_word, replay_path)
-from .backend import get_backend, available_backends, pack_words
+from .backend import pack_words
 from .groups import (FiniteGroup, Presentation, PresentationError,
                      CosetCapExceeded, AutCapExceeded, coset_enumerate,
                      evaluate_in_group, cyclic, semidirect_pq, heisenberg,

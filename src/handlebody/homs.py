@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import Word, parse_word, print_word
+from .words import parse_word, print_word
 from .twists import apply, compose_path, commutator_base
-from .backend import get_backend, letter_image_table
+from .backend import find_identity_word, letter_image_table
 from .groups import evaluate_in_group
-from .orbit import BASE_PATH
 
 EXTENDS = "ExtendsToHandlebody"
 NO_WITNESS = "NoWitnessInSearchedSet"
@@ -72,7 +71,7 @@ class Epimorphism:
 
     def letter_images(self):
         """Letter-byte -> element table for the batch kernels."""
-        return letter_image_table(self.images, self.group.inv, rank=4)
+        return letter_image_table(self.images, self.group.inv)
 
     def __eq__(self, other):
         return (isinstance(other, Epimorphism) and self.group is other.group
@@ -163,16 +162,13 @@ def quick_verdict(theta):
     return Verdict(IMMEDIATE, kind=kind)
 
 
-def handlebody_witness(theta, s, backend=None):
+def handlebody_witness(theta, s):
     """Scan the orbit set (bases first, then by provenance depth, paths in
     lexicographic order) for a word that evaluates to the identity.
 
     A partial set is grown only as far as the witness's level; a scan that
     finds none has finished it."""
-    if backend is None:
-        backend = get_backend()
-    idx = _first_identity(s, theta.letter_images(), theta.group.table,
-                          backend)
+    idx = _first_identity(s, theta.letter_images(), theta.group.table)
     if idx < 0:
         return Verdict(NO_WITNESS, searched_depth=s.depth)
     w = s.word_at(idx)
@@ -184,11 +180,11 @@ def handlebody_witness(theta, s, backend=None):
                    searched_depth=s.depth)
 
 
-def _first_identity(s, letters, table, backend):
+def _first_identity(s, letters, table):
     """Scan index of the first word of ``s`` mapped to the identity, or -1:
-    one backend call per block of ``s.scan_blocks()``."""
+    one ``find_identity_word`` call per block of ``s.scan_blocks()``."""
     for start, enc, offsets in s.scan_blocks():
-        idx = backend.find_identity_word(enc, offsets, letters, table)
+        idx = find_identity_word(enc, offsets, letters, table)
         if idx >= 0:
             return start + idx
     return -1
@@ -288,13 +284,11 @@ def drop_quick_pairs(G, a, b, pairs):
     return [pair for pair, k in zip(pairs, keep.tolist()) if k]
 
 
-def batch_pair_witnesses(G, a, b, pairs, s, backend=None):
+def batch_pair_witnesses(G, a, b, pairs, s):
     """First-witness word index in scan order for each pair (r, t) mapped to
     (x2, y2) alongside (a, b); -1 where the searched set has no witness.
     A partial set is grown only as far as the deepest witness needs, or
     finished by a pair with none."""
-    if backend is None:
-        backend = get_backend()
     out = np.empty(len(pairs), dtype=np.int64)
     table = G.table
     inv = G.inv
@@ -304,7 +298,7 @@ def batch_pair_witnesses(G, a, b, pairs, s, backend=None):
     for i, (r, t) in enumerate(pairs):
         letters[3], letters[7] = r, inv[r]
         letters[4], letters[8] = t, inv[t]
-        out[i] = _first_identity(s, letters, table, backend)
+        out[i] = _first_identity(s, letters, table)
     return out
 
 

@@ -12,7 +12,7 @@ Labels follow the rightmost-applied-first convention used in reports:
 
 from __future__ import annotations
 
-from .words import Word, identity, parse_word, print_word
+from .words import Word, parse_word, print_word
 
 RANK = 4
 # Letter b cancels against b + RANK: x x^-1 and x^-1 x for each generator.

@@ -1,11 +1,12 @@
-"""Word-evaluation kernels: packing, both backends, selection logic."""
+"""Word-evaluation kernels: packing, the batch fold and the identity scan,
+against a scalar fold over the group table."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlebody.backend import (HAVE_NUMBA, ENV_VAR, available_backends,
-                                get_backend, letter_image_table, pack_words)
+from handlebody.backend import (evaluate_words, find_identity_word,
+                                letter_image_table, pack_words)
 from handlebody.homs import evaluate
 from handlebody.words import Word, identity, parse_word
 
@@ -37,26 +38,7 @@ def test_letter_image_table_layout(group55):
     assert table[2] == b and table[6] == group55.inverse(b)
 
 
-def test_available_backends_contains_numpy():
-    names = available_backends()
-    assert "numpy" in names
-    assert ("numba" in names) == HAVE_NUMBA
-
-
-def test_get_backend_names_and_errors(monkeypatch):
-    assert get_backend("numpy").name == "numpy"
-    with pytest.raises(ValueError):
-        get_backend("fortran")
-    monkeypatch.setenv(ENV_VAR, "numpy")
-    assert get_backend().name == "numpy"
-    monkeypatch.setenv(ENV_VAR, "auto")
-    assert get_backend().name == ("numba" if HAVE_NUMBA else "numpy")
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert get_backend().name in available_backends()
-
-
 def _reference_values(G, images, ws):
-    from handlebody.homs import Epimorphism
     # Scalar evaluation via the group table, independent of the kernels.
     out = []
     for w in ws:
@@ -73,22 +55,19 @@ def _scalar_first_identity(G, images, ws):
     return next((i for i, g in enumerate(values) if g == 0), -1)
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_evaluate_words_matches_scalar(name, group55):
+def test_evaluate_words_matches_scalar(group55):
     a, b = group55.generators
     images = (a, b, group55.inverse(b), group55.mult(b, group55.inverse(a)))
     ws = [parse_word(t) for t in
           ("1", "x1", "y2^-1", "[x1,y1]", "x1 y1 x2 y2", "(x1 y1)^5",
            "x2^-2 y2^3 x1^-1")]
     enc, offsets = pack_words(ws)
-    backend = get_backend(name)
-    got = backend.evaluate_words(enc, offsets, _setup(group55, images),
-                                 group55.table)
+    got = evaluate_words(enc, offsets, _setup(group55, images),
+                         group55.table)
     assert got.tolist() == _reference_values(group55, images, ws)
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_find_identity_word_first_index(name, group55):
+def test_find_identity_word_first_index(group55):
     a, b = group55.generators
     images = (a, b, group55.inverse(b), group55.mult(b, group55.inverse(a)))
     table = _setup(group55, images)
@@ -96,64 +75,39 @@ def test_find_identity_word_first_index(name, group55):
     killer = parse_word("x1^55")  # order(a) divides 55, so this maps to 1
     ws = [nontrivial, killer, killer * parse_word("y1 y1^-1 x1 x1^-1")]
     enc, offsets = pack_words(ws)
-    backend = get_backend(name)
-    assert backend.find_identity_word(enc, offsets, table,
-                                      group55.table) == 1
+    assert find_identity_word(enc, offsets, table, group55.table) == 1
     enc2, offsets2 = pack_words([nontrivial, nontrivial])
-    assert backend.find_identity_word(enc2, offsets2, table,
-                                      group55.table) == -1
+    assert find_identity_word(enc2, offsets2, table, group55.table) == -1
     enc3, offsets3 = pack_words([])
-    assert backend.find_identity_word(enc3, offsets3, table,
-                                      group55.table) == -1
+    assert find_identity_word(enc3, offsets3, table, group55.table) == -1
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-@settings(max_examples=25, deadline=None)
-@given(word_lists_st)
-def test_backends_agree_on_random_words(heis3, ws):
-    x, y = heis3.generators
-    images = (x, y, y, x)
-    enc, offsets = pack_words(ws)
-    table = _setup(heis3, images)
-    a = get_backend("numpy").evaluate_words(enc, offsets, table, heis3.table)
-    b = get_backend("numba").evaluate_words(enc, offsets, table, heis3.table)
-    assert a.tolist() == b.tolist()
-    ia = get_backend("numpy").find_identity_word(enc, offsets, table,
-                                                 heis3.table)
-    ib = get_backend("numba").find_identity_word(enc, offsets, table,
-                                                 heis3.table)
-    assert ia == ib
-
-
-@pytest.mark.parametrize("name", available_backends())
 @settings(max_examples=50, deadline=None)
 @given(ws=word_lists_st)
-def test_kernels_match_scalar_on_random_words(name, heis3, ws):
+def test_kernels_match_scalar_on_random_words(heis3, ws):
     x, y = heis3.generators
     images = (x, y, y, x)
     enc, offsets = pack_words(ws)
     table = _setup(heis3, images)
-    backend = get_backend(name)
-    got = backend.evaluate_words(enc, offsets, table, heis3.table)
+    got = evaluate_words(enc, offsets, table, heis3.table)
     assert got.tolist() == _reference_values(heis3, images, ws)
-    assert backend.find_identity_word(enc, offsets, table, heis3.table) \
+    assert find_identity_word(enc, offsets, table, heis3.table) \
         == _scalar_first_identity(heis3, images, ws)
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_kernels_agree_with_epimorphism_evaluate(name, heis3, orbit3):
+def test_kernels_agree_with_epimorphism_evaluate(heis3, orbit3):
     from handlebody.homs import Epimorphism
     x, y = heis3.generators
     theta = Epimorphism(heis3, (x, y, y, x))
     ws = list(orbit3)
     enc, offsets = pack_words(ws)
     table = _setup(heis3, theta.images)
-    got = get_backend(name).evaluate_words(enc, offsets, table, heis3.table)
+    got = evaluate_words(enc, offsets, table, heis3.table)
     expected = [evaluate(theta, w) for w in ws]
     assert got.tolist() == expected
 
 
-# First-hit positions on both sides of the numpy scan's block boundaries:
+# First-hit positions on both sides of the identity scan's block boundaries:
 # blocks of 64, 128, ... words, doubling up to 2,048, start at 0, 64, 192,
 # 448, 960, 1984, 4032 and 6080.
 _FIRST_HIT_POSITIONS = (0, 63, 64, 191, 192, 447, 448, 1983, 1984, 2047,
@@ -178,11 +132,11 @@ def scan_pool(group55):
     return images, misses, hits
 
 
-@pytest.mark.parametrize("name", available_backends())
 @pytest.mark.parametrize("position", _FIRST_HIT_POSITIONS)
-def test_find_identity_word_across_block_boundaries(name, position,
-                                                    group55, scan_pool):
+def test_find_identity_word_across_block_boundaries(position, group55,
+                                                    scan_pool):
     images, misses, hits = scan_pool
+    table = _setup(group55, images)
     # Ragged words before the hit, the hit (the empty word at one
     # position), then misses and further hits that must not be reported.
     hit = hits[position % len(hits)]
@@ -190,22 +144,25 @@ def test_find_identity_word_across_block_boundaries(name, position,
           + [w for pair in zip(misses[position:position + 50], hits)
              for w in pair])
     enc, offsets = pack_words(ws)
-    got = get_backend(name).find_identity_word(
-        enc, offsets, _setup(group55, images), group55.table)
+    got = find_identity_word(enc, offsets, table, group55.table)
     assert got == _scalar_first_identity(group55, images, ws) == position
+    # The same words as the tail of a larger pack whose head holds hits,
+    # scanned through ``offsets[start:]`` as ``OrbitSet.scan_blocks()``
+    # passes a level: the index counts from ``start`` and no hit of the
+    # head is reported.
+    head = [w for pair in zip(misses[-37:], hits[1:]) for w in pair]
+    enc, offsets = pack_words(head + ws)
+    got = find_identity_word(enc, offsets[len(head):], table, group55.table)
+    assert got == position
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_find_identity_word_no_witness_and_empty(name, group55, scan_pool):
+def test_find_identity_word_no_witness_and_empty(group55, scan_pool):
     images, misses, _ = scan_pool
     table = _setup(group55, images)
-    backend = get_backend(name)
     enc, offsets = pack_words(misses)
-    assert backend.find_identity_word(enc, offsets, table,
-                                      group55.table) == -1
+    assert find_identity_word(enc, offsets, table, group55.table) == -1
     assert _scalar_first_identity(group55, images, misses) == -1
-    got = backend.evaluate_words(enc, offsets, table, group55.table)
+    got = evaluate_words(enc, offsets, table, group55.table)
     assert got.tolist() == _reference_values(group55, images, misses)
     enc0, offsets0 = pack_words([])
-    assert backend.find_identity_word(enc0, offsets0, table,
-                                      group55.table) == -1
+    assert find_identity_word(enc0, offsets0, table, group55.table) == -1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlebody.backend import get_backend
+from handlebody.backend import evaluate_words
 from handlebody.groups import (automorphism_permutations, automorphisms,
                                cyclic, heisenberg, semidirect_pq)
 from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
@@ -97,8 +97,8 @@ def _scalar_key(G, images):
 def _fold_values(theta, s):
     """Oracle: theta on every scan-order word, folding its letters."""
     _, enc, offsets = s.scan_view()
-    return get_backend().evaluate_words(enc, offsets, theta.letter_images(),
-                                        theta.group.table)
+    return evaluate_words(enc, offsets, theta.letter_images(),
+                          theta.group.table)
 
 
 def _fold_intersection(reps, s):
