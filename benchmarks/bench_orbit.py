@@ -2,8 +2,10 @@
 evaluation at depth 9.
 
 Prints the best-of-N seconds of seven stages: ``generate_c0(9)`` finished
-to all 29,922 words, ``scan_view()`` (sort and pack) on a fresh copy of that
-set,
+to all 29,922 words, with the number of twist applications it makes
+(counted in a separate, untimed run by wrapping ``handlebody.orbit``'s
+``apply_bytes``), ``scan_view()`` (pack only: a set is in scan order from
+the start) on a fresh copy of that set,
 ``replay_path`` over a seeded sample of 3,000 stored paths,
 ``path_trie()`` on a fresh copy whose scan view is already built, and one
 map (the standard epimorphism onto the metacyclic group of order 55)
@@ -29,6 +31,7 @@ import numpy as np
 from handlebody import (Epimorphism, OrbitSet, generate_c0,
                         handlebody_witness, load_config, replay_path,
                         semidirect_pq, standard_metacyclic_images)
+from handlebody import orbit
 from handlebody.backend import evaluate_words
 from handlebody.kernel_orbit import orbit_values
 from handlebody.orbit import BASE_PATH
@@ -50,6 +53,24 @@ def best_of(repeats, fn, prepare=lambda: ()):
     return best, result
 
 
+def count_twists(depth):
+    """Twist applications made by one finished ``generate_c0(depth)``."""
+    calls = 0
+    inner = orbit.apply_bytes
+
+    def counted(plan, data):
+        nonlocal calls
+        calls += 1
+        return inner(plan, data)
+
+    orbit.apply_bytes = counted
+    try:
+        len(generate_c0(depth))
+    finally:
+        orbit.apply_bytes = inner
+    return calls
+
+
 def answer(verdict):
     report = verdict.report
     return (verdict.value, report and report.witness,
@@ -68,6 +89,7 @@ def main(argv=None):
         return s
 
     t_gen, s = best_of(args.repeats, full_set)
+    twists = count_twists(DEPTH)
     t_scan, view = best_of(
         args.repeats, OrbitSet.scan_view,
         lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
@@ -114,8 +136,8 @@ def main(argv=None):
         witnesses.append((cfg.name, fresh[-1].generated, t_wit))
 
     print("%-32s %10s" % ("stage", "best s"))
-    print("%-32s %10.3f" % ("generate_c0(%d), %d words" % (DEPTH, len(s)),
-                            t_gen))
+    print("%-32s %10.3f   %d twist applications"
+          % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists))
     print("%-32s %10.3f" % ("scan_view(), %d words" % len(view.words),
                             t_scan))
     print("%-32s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))

@@ -1,16 +1,22 @@
 """Bounded-depth orbit of the commutator [x1,y1] under the twist moves.
 
-The orbit set is seeded with [x1,y1] and s3([x1,y1]) and grown breadth-first:
-level n holds the images of the root s3([x1,y1]) under all length-n
-compositions of the configured moves (default s1..s5), deduplicated on freely
-reduced words.  Every stored word carries one replayable provenance path —
-the shortest derivation, ties broken by lexicographically least index
-sequence — so reports can show how a witness was produced.
+The orbit set is seeded with [x1,y1] and s3([x1,y1]) and grown breadth-first
+from the root s3([x1,y1]): level n holds the new images of level n - 1 under
+the configured moves (default s1..s5), deduplicated on freely reduced words.
+The seeds are never expanded, so a derivation that reaches a seed stops
+there: with the move s8 alone the set is the two seeds at every depth, since
+s8(root) = [x1,y1], although s8(s8(root)) is neither seed.  Each of s1..s5
+sends [x1,y1] to a seed, so with those moves the set to depth n is [x1,y1]
+and every image of the root under at most n moves.  Every stored
+word carries one replayable provenance path — the shortest derivation, ties
+broken by lexicographically least index sequence — so reports can show how a
+witness was produced.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
 
@@ -18,7 +24,7 @@ import numpy as np
 
 from .backend import pack_bytes, pack_words
 from .words import Word
-from .twists import apply, apply_bytes, commutator_base, sigma
+from .twists import apply, apply_bytes, commutator_base, compose, sigma
 
 BASE_PATH = "base"
 DEFAULT_DEPTH = 9
@@ -68,7 +74,7 @@ class OrbitSet:
     asked for.  Generation order is scan order, and a word is generated
     only at its first level, so none of these calls sees a different answer
     on a partial set.  A set built from ``paths`` is complete from the
-    start.
+    start; its paths are put in scan order once, when it is built.
 
     Full-set evaluation (``kernel_orbit.orbit_values``) reads ``paths``, not
     the words' letters: every path must replay to its word (``replay_path``).
@@ -78,7 +84,8 @@ class OrbitSet:
     def __init__(self, paths, depth, sigmas):
         self.depth = int(depth)
         self.sigmas = tuple(int(j) for j in sigmas)
-        self._paths = MappingProxyType(dict(paths))
+        self._paths = MappingProxyType(
+            dict(sorted(dict(paths).items(), key=_scan_key)))
         self._scan = None
         self._trie = None
         # Growth state of a partial set: word bytes -> path for the
@@ -144,11 +151,11 @@ class OrbitSet:
     def scan_view(self):
         """The ScanView of this set, built on first use and cached.
 
-        Scan order is deterministic: seeds first, then by discovery order
-        key (path length, path, word).
+        Scan order is the order of ``paths``: seeds first, then by discovery
+        order key (path length, path, word).
         """
         if self._scan is None:
-            words = tuple(sorted(self.paths, key=self._sort_key))
+            words = tuple(self.paths)
             self._scan = ScanView(words, *pack_words(words))
         return self._scan
 
@@ -193,12 +200,6 @@ class OrbitSet:
             self._trie = _path_trie(self.scan_view().words, self.paths)
         return self._trie
 
-    def _sort_key(self, w):
-        p = self.paths[w]
-        if p == BASE_PATH:
-            return (0, (), len(w.data), w.data)
-        return (1, (len(p),) + p, len(w.data), w.data)
-
     def path(self, w):
         """The provenance path of ``w``, or None if it is not in the set."""
         if isinstance(w, Word) and w.rank == 4:
@@ -216,6 +217,13 @@ class OrbitSet:
         return "OrbitSet(%d words%s, depth=%d, sigmas=%s)" % (
             self.generated, "" if self.complete else " so far", self.depth,
             ",".join(map(str, self.sigmas)))
+
+
+def _scan_key(item):
+    w, p = item
+    if p == BASE_PATH:
+        return (0, (), len(w.data), w.data)
+    return (1, (len(p),) + p, len(w.data), w.data)
 
 
 def _path_trie(words, paths):
@@ -288,9 +296,38 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
     return s
 
 
+@lru_cache(maxsize=None)
+def _commuting_below(m):
+    """The moves j < m with s_j s_m = s_m s_j, or none when s_m sends
+    [x1,y1] off the seeds (see _levels)."""
+    base = commutator_base()
+    if apply(sigma(m), base) not in (base, root_word()):
+        return frozenset()
+    return frozenset(j for j in range(1, m) if compose(sigma(j), sigma(m))
+                     == compose(sigma(m), sigma(j)))
+
+
 def _levels(plans, seen, depth, word_cap):
     """Yield the words of each new level in lex path order, after adding
-    them with their paths to ``seen``."""
+    them with their paths to ``seen``.
+
+    A parent whose path ends with the move m skips each move j < m that
+    commutes with s_m; its child would already be in ``seen`` or the
+    level, so the set, its paths and their order are the same.  Proof:
+    the parent is s_m(w'), w' the parent's parent, so the child s_j(s_m(w'))
+    is s_m(u) with u = s_j(w').  Then u is a seed or is in the set with a
+    path no longer than the parent's and, at equal length, lexicographically
+    smaller, since it ends in j < m.  So u was expanded before the parent,
+    and s_m(u) is in the set already (by induction when that step was itself
+    skipped).  A seed u is the root, which is expanded, or [x1,y1], which is
+    not; so m skips nothing unless s_m([x1,y1]) is a seed (true for every
+    built-in move but s8).
+    """
+    # The moves to apply after a path's last move; () for the root.
+    after = {(): tuple(plans.items())}
+    for m in plans:
+        after[(m,)] = tuple((j, plan) for j, plan in plans.items()
+                            if j not in _commuting_below(m))
     # The frontier maps word bytes to path tuples; the root's path is ().
     frontier = {root_word().data: ()}
     for _ in range(depth):
@@ -300,7 +337,7 @@ def _levels(plans, seen, depth, word_cap):
         # ``level`` is filled in lex path order, so the next frontier needs
         # no sort.
         for data, path in frontier.items():
-            for j, plan in plans.items():
+            for j, plan in after[path[-1:]]:
                 child = apply_bytes(plan, data)
                 if child not in seen and child not in level:
                     level[child] = path + (j,)

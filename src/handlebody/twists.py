@@ -39,7 +39,8 @@ class TwistAuto:
         moved = {b: d for b, d in enumerate(data, 1) if d != bytes((b,))}
         table = bytes.maketrans(bytes(moved), bytes(16 + b for b in moved))
         subs = tuple((bytes((16 + b,)), d) for b, d in moved.items())
-        object.__setattr__(self, "_plan", (table, subs))
+        object.__setattr__(self, "_plan",
+                           (table, subs, _cancelling_pairs(moved)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TwistAuto is immutable")
@@ -57,24 +58,45 @@ class TwistAuto:
         return "TwistAuto(%s)" % imgs
 
 
+def _cancelling_pairs(moved):
+    """The inverse pairs apply_bytes deletes after substituting ``moved``
+    (letter byte -> image bytes); see apply_bytes."""
+    if all([c for c in image if c in moved] == [b]
+           for b, image in moved.items()):
+        letters = set(b"".join(moved.values()))
+        return tuple(p for p in _INVERSE_PAIRS if p[0] in letters)
+    return _INVERSE_PAIRS
+
+
 def apply_bytes(plan, data):
-    """Substitute letter bytes through ``plan`` and freely reduce.
+    """Substitute the letter bytes of the freely reduced word ``data``
+    through ``plan`` and freely reduce.
 
     Shared hot path for apply() and the orbit generator.  A TwistAuto's
-    ``plan`` is (translate table, ((placeholder, image), ...)): the table
-    sends each moved letter b to the byte 16 + b, never a letter, and one
-    replace per moved letter writes its image.  Free reduction deletes the
-    eight inverse pairs until the length stops changing; it is confluent,
-    so the order of cancellation does not matter.
+    ``plan`` is (translate table, ((placeholder, image), ...), pairs): the
+    table sends each moved letter b to the byte 16 + b, never a letter, and
+    one replace per moved letter writes its image.  Free reduction deletes
+    the inverse pairs ``pairs`` until the length stops changing; it is
+    confluent, so the order of cancellation does not matter.
+
+    ``pairs`` is all eight inverse pairs unless every moved letter b has an
+    image u b v with u and v over unmoved letters.  Such a map is an
+    automorphism (its inverse sends b to u^-1 b v^-1), and then two letters
+    that cancel cannot both be unmoved letters of ``data``: the segment
+    between them would be the image of the segment of ``data`` between
+    them, which would map to 1, so it would be empty and ``data`` would not
+    be reduced.  So every pair that can meet holds a letter c of a moved
+    image, and ``pairs`` is the pairs (c, c^-1) for those c: four for s1,
+    s2, s4, s5 and their inverses, all eight for s3 and s8.
     """
-    table, subs = plan
+    table, subs, pairs = plan
     data = data.translate(table)
     for holder, image in subs:
         data = data.replace(holder, image)
     n = -1
     while n != len(data):
         n = len(data)
-        for pair in _INVERSE_PAIRS:
+        for pair in pairs:
             data = data.replace(pair, b"")
     return data
 

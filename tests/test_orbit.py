@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from handlebody.orbit import (BASE_PATH, OrbitCapExceeded, OrbitSet,
                               contains, format_path, generate_c0,
                               replay_path, root_word)
-from handlebody.twists import apply, commutator_base, sigma
+from handlebody.twists import apply, apply_bytes, commutator_base, sigma
 from handlebody.words import Word, parse_word
 
 # Regression values measured by exhaustive enumeration (see tests below for
@@ -38,6 +38,54 @@ def test_invalid_arguments():
         generate_c0(depth=1, sigmas=(0,))
     with pytest.raises(ValueError):
         generate_c0(depth=1, sigmas=(11,))
+
+
+def test_seeds_are_not_expanded():
+    # s8 sends the root back to [x1,y1], where the derivation stops, so
+    # s8(s8(root)) is never generated.  Each of s1..s5 sends [x1,y1] to a
+    # seed, so the default moves lose nothing this way.
+    s = generate_c0(depth=3, sigmas=(8,))
+    assert list(s.paths.values()) == [BASE_PATH, BASE_PATH]
+    lost = apply(sigma(8), apply(sigma(8), root_word()))
+    assert lost == parse_word("y1^-1 x2 x1 y1 x1^-1 x2^-1")
+    assert lost not in s
+    seeds = generate_c0(depth=0)
+    for j in (1, 2, 3, 4, 5):
+        assert apply(sigma(j), commutator_base()) in seeds
+
+
+def _unpruned_paths(depth, sigmas):
+    """The orbit's (word, path) items in generation order, from the level
+    loop with every move applied to every parent (no commuting prune)."""
+    plans = {j: sigma(j)._plan for j in sorted(sigmas)}
+    seen = {commutator_base().data: BASE_PATH, root_word().data: BASE_PATH}
+    frontier = {root_word().data: ()}
+    for _ in range(depth):
+        level = {}
+        for data, path in frontier.items():
+            for j, plan in plans.items():
+                child = apply_bytes(plan, data)
+                if child not in seen and child not in level:
+                    level[child] = path + (j,)
+        seen.update(level)
+        frontier = level
+    return [(Word.from_bytes(data, 4), p) for data, p in seen.items()]
+
+
+@pytest.mark.parametrize("sigmas,depth", [
+    ((1, 2, 3, 4, 5), 9), (tuple(range(1, 11)), 5), ((3, 8), 14),
+    ((5, 2, 4), 8), ((8,), 6), ((3, 8, 9), 8)])
+def test_commuting_prune_keeps_paths_and_order(sigmas, depth):
+    assert list(generate_c0(depth, sigmas).paths.items()) \
+        == _unpruned_paths(depth, sigmas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigmas=st.lists(st.integers(1, 10), unique=True, max_size=10),
+       depth=st.integers(0, 6))
+def test_commuting_prune_keeps_paths_on_any_moves(sigmas, depth):
+    assert list(generate_c0(depth, sigmas).paths.items()) \
+        == _unpruned_paths(depth, sigmas)
 
 
 def test_word_cap_raises_before_truncation():
@@ -138,12 +186,23 @@ def test_paths_are_shortest_and_lex_least(orbit3):
             assert child_steps <= steps + 1
 
 
+def _scan_order(paths):
+    """The words of ``paths`` sorted into scan order: seeds first, then by
+    (path length, path, word length, word)."""
+    def key(w):
+        p = paths[w]
+        if p == BASE_PATH:
+            return (0, (), len(w), w.data)
+        return (1, (len(p),) + p, len(w), w.data)
+    return sorted(paths, key=key)
+
+
 def test_iteration_deterministic_and_seeds_first(orbit3):
     order = list(orbit3)
     assert order[0] == commutator_base()
     assert order[1] == root_word()
     assert order == list(orbit3)
-    assert order == sorted(orbit3.paths, key=orbit3._sort_key)
+    assert order == _scan_order(orbit3.paths)
 
 
 _FINISHED = {}
@@ -200,12 +259,13 @@ def test_restricted_move_set():
     (9, (1, 2, 3, 4, 5)), (9, (3, 8)), (5, tuple(range(1, 11))),
     (5, (5, 2, 4))])
 def test_generation_order_is_scan_order(orbit9, depth, sigmas):
-    # generate_c0 never sorts a level: it relies on insertion order being
-    # lex path order, whatever order the moves are given in.
+    # Neither generate_c0 nor scan_view sorts: they rely on insertion order
+    # being lex path order, whatever order the moves are given in.
     if (depth, sigmas) == (orbit9.depth, orbit9.sigmas):
         s = orbit9
     else:
         s = generate_c0(depth=depth, sigmas=sigmas)
+    assert list(s.paths) == _scan_order(s.paths)
     assert tuple(s.paths) == s.scan_view().words
 
 
@@ -237,7 +297,7 @@ def _scan_view_sources():
 def test_scan_view_is_packed_scan_order(source):
     s = _scan_view_sources()[source]
     view = s.scan_view()
-    assert list(view.words) == sorted(s.paths, key=s._sort_key)
+    assert list(view.words) == _scan_order(s.paths)
     assert list(s) == list(view.words)
     assert view.enc.dtype == np.uint8 and view.offsets.dtype == np.int64
     assert not view.enc.flags.writeable

@@ -66,6 +66,32 @@ def test_apply_matches_stack_fold(f, w):
     assert apply(f, w).data == _stack_fold(f, w)
 
 
+def _pair_letters(f):
+    """The letters whose inverse pairs apply_bytes deletes for ``f``."""
+    return sorted(p[0] for p in f._plan[2])
+
+
+def test_cancelling_pairs_of_each_map():
+    # Each built-in twist sends every moved letter b to u b v with u and v
+    # unmoved, so it deletes only the pairs of its images' letters; s3 and
+    # s8 have all four generators in their images.
+    first, second, every = [1, 2, 5, 6], [3, 4, 7, 8], list(range(1, 9))
+    expected = {1: first, 2: first, 6: first, 7: first, 3: every, 8: every,
+                4: second, 5: second, 9: second, 10: second}
+    for j, letters in expected.items():
+        pairs = sigma(j)._plan[2]
+        assert all(len(p) == 2 and p[1] == (p[0] + 4 if p[0] <= 4
+                                            else p[0] - 4) for p in pairs)
+        assert _pair_letters(sigma(j)) == letters
+    # Maps where some moved image holds another moved letter, or none: all
+    # eight pairs.
+    for path in [(1, 2), (2, 1), (4, 5), (5, 4), (1, 2, 4), (3, 2)]:
+        assert _pair_letters(compose_path(path)) == every
+    for j in range(1, 11):
+        for i in range(4):
+            assert _pair_letters(_one_image_killed(j, i)) == every
+
+
 def test_base_is_commutator_of_first_handles():
     assert commutator_base() == commutator(generator(0), generator(1))
 
