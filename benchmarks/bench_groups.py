@@ -3,9 +3,12 @@
 Prints the best-of-N seconds of ``partner_pairs`` on the theta of the two
 order-243 configs, unfiltered and with the nine quick products filtered
 out, and checks the pair counts (order243_presented: 12,312 and 12,312;
-the stand-in: 5,832 and 5,725).  Then times building the 14 table-1
-metacyclic groups with ``semidirect_pq`` (all 14 in one timed run) and
-``heisenberg(5)``.  Configs are loaded outside the timed region.
+the stand-in: 5,832 and 5,725).  Then times ``drop_quick_pairs`` on
+order243_presented's unfiltered pairs (all 12,312 kept), the full
+``automorphisms(heisenberg(3))`` search (432 found), and building the 14
+table-1 metacyclic groups with ``semidirect_pq`` (all 14 in one timed run)
+and ``heisenberg(5)``.  Configs and groups are built outside the timed
+region.
 
 Usage:
     python3 benchmarks/bench_groups.py [--repeats 5]
@@ -15,8 +18,9 @@ import argparse
 import os
 import time
 
-from handlebody import (heisenberg, load_config, partner_pairs, reference,
-                        semidirect_pq)
+from handlebody import (automorphisms, heisenberg, load_config,
+                        partner_pairs, reference, semidirect_pq)
+from handlebody.homs import drop_quick_pairs
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "configs")
@@ -44,6 +48,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rows = []
+    quick_case = None
     for name, expected in EXPECTED_PAIRS.items():
         cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
         G = cfg.group
@@ -57,6 +62,23 @@ def main(argv=None):
                                                   want))
             rows.append(("partner_pairs %s %s, %d" % (
                 name, "filtered" if filtered else "all", want), t))
+            if name == "order243_presented" and not filtered:
+                quick_case = (G, a, b, pairs, expected[1])
+
+    G, a, b, pairs, want = quick_case
+    t_quick, kept = best_of(args.repeats,
+                            lambda: drop_quick_pairs(G, a, b, pairs))
+    if len(kept) != want:
+        raise SystemExit("drop_quick_pairs kept %d pairs, expected %d"
+                         % (len(kept), want))
+    rows.append(("drop_quick_pairs order243_presented, %d kept" % want,
+                 t_quick))
+    heis3 = heisenberg(3)
+    t_aut, auts = best_of(args.repeats, lambda: automorphisms(heis3))
+    if len(auts) != 432:
+        raise SystemExit("automorphisms(heisenberg(3)): %d, expected 432"
+                         % len(auts))
+    rows.append(("automorphisms heisenberg(3), 432", t_aut))
 
     triples = [pqr for pqr, _ in reference.RECORDED_WITNESS_ROWS]
     t_pq, _ = best_of(args.repeats,

@@ -274,14 +274,14 @@ def build_parser():
                            help="orbit generation depth (default %d)"
                                 % DEFAULT_DEPTH)
         if "coset" in caps:
-            p.add_argument("--coset-cap", type=int, default=50000,
+            p.add_argument("--coset-cap", type=_nonnegative, default=50000,
                            help="coset enumeration cap")
         if "aut" in caps:
-            p.add_argument("--aut-cap", type=int, default=200000,
+            p.add_argument("--aut-cap", type=_nonnegative, default=200000,
                            help="automorphism search node cap")
         if "closure" in caps:
-            p.add_argument("--closure-cap", type=int, default=1000000,
-                           help="closure/search node cap")
+            p.add_argument("--closure-cap", type=_nonnegative,
+                           default=1000000, help="closure/search node cap")
 
     p_orbit = sub.add_parser("orbit", help="enumerate the orbit set")
     add_common(p_orbit, orbit=True)

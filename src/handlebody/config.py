@@ -110,6 +110,7 @@ def parse_config(text, coset_cap=50000):
     known_b0 = None
     theta_words = None
     kind_line = gens_line = None
+    kind_no = 0
     rel_lines = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -126,7 +127,7 @@ def parse_config(text, coset_cap=50000):
             if not rest or rest[0] not in KINDS:
                 raise ConfigError("line %d: kind must be one of %s"
                                   % (line_no, ", ".join(KINDS)))
-            kind = rest[0]
+            kind, kind_no = rest[0], line_no
             params = _parse_params(rest[1:], line_no)
             kind_line = "kind " + " ".join([kind] + sorted(
                 "%s=%d" % kv for kv in params.items()))
@@ -168,13 +169,13 @@ def parse_config(text, coset_cap=50000):
         raise ConfigError("missing 'kind' line")
 
     if kind == "cyclic":
-        _require(params, ("n",), kind, 0)
+        _require(params, ("n",), kind, kind_no)
         group = cyclic(params["n"])
     elif kind == "semidirect_pq":
-        _require(params, ("p", "q", "r"), kind, 0)
+        _require(params, ("p", "q", "r"), kind, kind_no)
         group = semidirect_pq(params["p"], params["q"], params["r"])
     elif kind == "heisenberg":
-        _require(params, ("p",), kind, 0)
+        _require(params, ("p",), kind, kind_no)
         group = heisenberg(params["p"])
     else:
         if params:

@@ -505,6 +505,23 @@ def evaluate_in_group(G, word, images):
     return out
 
 
+def evaluate_rows(G, word, gens):
+    """Image of the nonempty ``word`` when generator i maps to ``gens[i]``.
+
+    Each ``gens[i]`` is an element or an array of elements, and all of
+    them broadcast together, so one call evaluates the word under a batch
+    of assignments.  The fold starts from the first letter's column and
+    reads only the generators the word uses.
+    """
+    rank = word.rank
+    cols = [gens[b - 1] if b <= rank else G.inv[gens[b - 1 - rank]]
+            for b in word.data]
+    out = cols[0]
+    for col in cols[1:]:
+        out = G.table[out, col]
+    return out
+
+
 # --- built-in constructors ----------------------------------------------
 
 
@@ -602,25 +619,6 @@ def direct_product(G1, G2, name=""):
 # --- automorphisms -------------------------------------------------------
 
 
-def _relator_survivors(G, rel, images, var_gen, cands):
-    """Subset of ``cands`` that, assigned as images[var_gen], map ``rel`` to 1.
-
-    All other generators appearing in the relator must already be assigned
-    in ``images``.  Evaluates the relator over the whole candidate vector
-    with table indexing.
-    """
-    table = G.table
-    inv_cands = G.inv[cands]
-    acc = np.zeros(len(cands), dtype=np.int32)
-    for gen, sign in rel.letters:
-        if gen == var_gen:
-            acc = table[acc, cands if sign > 0 else inv_cands]
-        else:
-            g = images[gen] if sign > 0 else int(G.inv[images[gen]])
-            acc = table[acc, g]
-    return cands[acc == 0]
-
-
 def automorphisms(G, pres=None, node_cap=200000, fixed=None, limit=None):
     """Automorphisms of G as generator-image tuples.
 
@@ -653,7 +651,7 @@ def automorphisms(G, pres=None, node_cap=200000, fixed=None, limit=None):
             img = int(fixed[i])
             pool = [img] if int(orders[img]) == gen_orders[i] else []
         else:
-            pool = [g for g in range(G.order) if orders[g] == gen_orders[i]]
+            pool = np.flatnonzero(orders == gen_orders[i])
         candidates[i] = np.array(pool, dtype=np.int32)
 
     # For pruning: relators checkable once all their generators are assigned.
@@ -684,10 +682,12 @@ def automorphisms(G, pres=None, node_cap=200000, fixed=None, limit=None):
         if nodes > node_cap:
             raise AutCapExceeded(
                 "automorphism search exceeded node cap %d" % node_cap)
+        gens = list(images)
         for ri in check_after[pos]:
             if not len(cands):
                 break
-            cands = _relator_survivors(G, pres.relators[ri], images, gi, cands)
+            gens[gi] = cands
+            cands = cands[evaluate_rows(G, pres.relators[ri], gens) == 0]
         for cand in cands:
             images[gi] = int(cand)
             if backtrack(pos + 1):

@@ -18,7 +18,7 @@ import numpy as np
 from .words import parse_word, print_word
 from .twists import apply, compose_path, commutator_base
 from .backend import find_identity_word, letter_image_table
-from .groups import evaluate_in_group
+from .groups import evaluate_in_group, evaluate_rows
 
 EXTENDS = "ExtendsToHandlebody"
 NO_WITNESS = "NoWitnessInSearchedSet"
@@ -97,29 +97,26 @@ def evaluate(theta, w):
 
 # The nine short products whose triviality immediately certifies an
 # extension (each corresponds to a separating or non-separating simple loop
-# construction on the quotient surface).  (u, v, r, t) = images of
-# (x1, y1, x2, y2); each product is a gather over the multiplication table
-# ``m`` and inverse table ``i``, so it takes elements or element arrays.
-_QUICK_PRODUCTS = (
-    ("commutator [u,v] trivial", lambda m, i, u, v, r, t: m[m[m[u, v], i[u]],
-                                                            i[v]]),
-    ("ur trivial", lambda m, i, u, v, r, t: m[u, r]),
-    ("uv trivial", lambda m, i, u, v, r, t: m[u, v]),
-    ("uv^-1 trivial", lambda m, i, u, v, r, t: m[u, i[v]]),
-    ("ut^-1 trivial", lambda m, i, u, v, r, t: m[u, i[t]]),
-    ("rt trivial", lambda m, i, u, v, r, t: m[r, t]),
-    ("rt^-1 trivial", lambda m, i, u, v, r, t: m[r, i[t]]),
-    ("rv^-1 trivial", lambda m, i, u, v, r, t: m[r, i[v]]),
-    ("tv trivial", lambda m, i, u, v, r, t: m[t, v]),
-)
+# construction on the quotient surface), as words in (x1, y1, x2, y2); each
+# kind names its product by the images (u, v, r, t).
+_QUICK_PRODUCTS = tuple((kind, parse_word(text)) for kind, text in (
+    ("commutator [u,v] trivial", "[x1,y1]"),
+    ("ur trivial", "x1 x2"),
+    ("uv trivial", "x1 y1"),
+    ("uv^-1 trivial", "x1 y1^-1"),
+    ("ut^-1 trivial", "x1 y2^-1"),
+    ("rt trivial", "x2 y2"),
+    ("rt^-1 trivial", "x2 y2^-1"),
+    ("rv^-1 trivial", "x2 y1^-1"),
+    ("tv trivial", "y2 y1"),
+))
 
 
 def quick_witness(theta):
     """Name of the first trivial product in the nine-element quick set, or
     None when all nine are nontrivial."""
-    G = theta.group
-    for kind, product in _QUICK_PRODUCTS:
-        if product(G.table, G.inv, *theta.images) == 0:
+    for kind, word in _QUICK_PRODUCTS:
+        if evaluate_rows(theta.group, word, theta.images) == 0:
             return kind
     return None
 
@@ -272,8 +269,8 @@ def _generating_mask(G, K, a, b, rs, ts):
 def _quick_mask(G, a, b, rs, ts):
     """Whether any quick product is trivial, for each pair of rs, ts."""
     trivial = np.zeros(len(rs), dtype=bool)
-    for _, product in _QUICK_PRODUCTS:
-        trivial |= product(G.table, G.inv, a, b, rs, ts) == 0
+    for _, word in _QUICK_PRODUCTS:
+        trivial |= evaluate_rows(G, word, (a, b, rs, ts)) == 0
     return trivial
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .twists import RANK, sigma
+from .twists import sigma
 from .orbit import root_word
+from .groups import evaluate_rows
 from .homs import Epimorphism, NotGenerating, evaluate
 
 
@@ -35,21 +36,9 @@ def precompose(theta, f):
     return Epimorphism(theta.group, images)
 
 
-def _word_images(G, rows, data):
-    """Image [K] of the nonempty word with letter bytes ``data`` under each
-    of the image rows [K, 4]."""
-    cols = [rows[:, b - 1] if b <= RANK else G.inv[rows[:, b - 1 - RANK]]
-            for b in data]
-    g = cols[0]
-    for h in cols[1:]:
-        g = G.table[g, h]
-    return g
-
-
 def _precompose_rows(G, rows, f):
     """Image rows [K, 4] of theta o f for the image rows [K, 4] of theta."""
-    return np.stack([_word_images(G, rows, w.data) for w in f.images],
-                    axis=1)
+    return np.stack([evaluate_rows(G, w, rows.T) for w in f.images], axis=1)
 
 
 def orbit_values(theta, s):
@@ -68,7 +57,7 @@ def orbit_values(theta, s):
     for j, lo, parents in trie.blocks:
         maps[lo:lo + len(parents)] = _precompose_rows(G, maps[parents],
                                                       sigma(j))
-    values = _word_images(G, maps, root_word().data)[trie.node]
+    values = evaluate_rows(G, root_word(), maps.T)[trie.node]
     words = s.scan_view().words
     for i in np.nonzero(trie.node < 0)[0].tolist():
         values[i] = evaluate(theta, words[i])

@@ -36,6 +36,17 @@ def test_orbit_rejects_negative_depth(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--config", cfg("cyclic_3.cfg"), "--coset-cap", "-1"),
+    ("counts", "--config", cfg("heisenberg_3.cfg"), "--aut-cap", "-1"),
+    ("kernel-orbit", "--config", cfg("cyclic_3.cfg"), "--closure-cap", "-1"),
+], ids=["coset-cap", "aut-cap", "closure-cap"])
+def test_caps_reject_negative_values(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_check_finds_witness(capsys):
     code, out = run(capsys, "check", "--config",
                     cfg("semidirect_11_5_3.cfg"), "--depth", "3")

@@ -59,6 +59,7 @@ def test_known_b0_values():
     ("group g\nkind wheel n=3\n", "kind"),               # unknown kind
     ("group g\nkind cyclic\n", "exactly"),               # missing param
     ("group g\nkind cyclic n=3 m=4\n", "exactly"),       # extra param
+    ("group g\n\nkind cyclic m=3\n", "line 3: kind cyclic takes exactly n"),
     ("group g\nkind cyclic n=x\n", "integer"),           # non-integer
     ("group g\nkind cyclic n=3\nbogus 1\n", "directive"),
     ("group g\nkind presentation\nrel a^2\n", "gens"),

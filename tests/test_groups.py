@@ -5,13 +5,14 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
                                Presentation, PresentationError,
                                automorphism_permutations, automorphisms,
                                coset_enumerate, cyclic, direct_product,
-                               evaluate_in_group, extend_to_permutation,
+                               evaluate_in_group, evaluate_rows,
+                               extend_to_permutation,
                                heisenberg, heisenberg_presentation,
                                pair_orbit_count, semidirect_pq,
                                single_aut_orbit_certificate)
@@ -389,6 +390,31 @@ def test_cyclic_word_evaluation_matches_exponent_sum(n, data):
         for i, s in ls) or "1")
     total = sum(s for _, s in ls)
     assert evaluate_in_group(G, w, (g, g, g, g)) == G.power(g, total)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, "semidirect_pq(11,5,3)", "heisenberg(3)",
+                        "order243"]),
+       st.sampled_from([2, 4]), st.data())
+def test_evaluate_rows_matches_scalar_fold(order243, key, rank, data):
+    """The row fold agrees, row by row, with the scalar fold, whichever
+    generators are broadcast as scalars and which as arrays."""
+    G = order243 if key == "order243" else _oracle_group(key)
+    letters = data.draw(st.lists(
+        st.tuples(st.integers(0, rank - 1), st.sampled_from([1, -1])),
+        min_size=1, max_size=12))
+    w = Word(letters, rank)
+    assume(not w.is_identity())
+    K = data.draw(st.integers(1, 6))
+    element = st.integers(0, G.order - 1)
+    gens = [data.draw(element) if data.draw(st.booleans())
+            else np.array(data.draw(st.lists(element, min_size=K,
+                                             max_size=K)))
+            for _ in range(rank)]
+    rows = np.broadcast_to(evaluate_rows(G, w, gens), (K,))
+    for k in range(K):
+        images = [g if np.ndim(g) == 0 else g[k] for g in gens]
+        assert rows[k] == evaluate_in_group(G, w, images)
 
 
 def test_automorphisms_of_known_groups(heis3):

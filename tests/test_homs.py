@@ -19,7 +19,8 @@ from handlebody.homs import (EXTENDS, Epimorphism, IMMEDIATE, NO_WITNESS,
                              drop_quick_pairs, evaluate,
                              handlebody_witness, make_epimorphism,
                              noncommuting_pair_count, partner_pairs,
-                             quadruple_search, quick_verdict, quick_witness,
+                             _quick_mask, quadruple_search, quick_verdict,
+                             quick_witness,
                              r3_criterion_word, r_cubed_criterion,
                              standard_metacyclic_images)
 from handlebody.orbit import generate_c0
@@ -207,6 +208,35 @@ def test_partner_pairs_when_a_b_generate_a_proper_subgroup(key, data):
     b = data.draw(st.integers(0, G.order - 1), label="b")
     assume(len(G.subgroup_closure([a, b])) < G.order)
     _check_partner_pairs(G, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["heisenberg(3)", "semidirect_pq(11,5,3)",
+                        "order243"]), st.data())
+def test_quick_mask_matches_quick_witness(heis3, group55, order243, key,
+                                          data):
+    """The batched quick filter fires on exactly the epimorphisms whose
+    quick witness does.  Pairs are drawn from the solutions of
+    [a,b][r,t] = 1 as well as at random, so that many are epimorphisms."""
+    G = {"heisenberg(3)": heis3, "semidirect_pq(11,5,3)": group55,
+         "order243": order243}[key]
+    element = st.integers(0, G.order - 1)
+    a, b = data.draw(element, label="a"), data.draw(element, label="b")
+    target = G.inverse(G.commutator(a, b))
+    sol_r, sol_t = np.nonzero(G.conjugation_table() == G.table[target])
+    pair = st.one_of(
+        st.integers(0, sol_r.size - 1).map(
+            lambda i: (int(sol_r[i]), int(sol_t[i]))),
+        st.tuples(element, element))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=16), label="pairs")
+    rs, ts = np.array(pairs).T
+    mask = _quick_mask(G, a, b, rs, ts)
+    for (r, t), fired in zip(pairs, mask.tolist()):
+        try:
+            theta = Epimorphism(G, (a, b, r, t))
+        except (RelationViolated, NotGenerating):
+            continue
+        assert fired == (quick_witness(theta) is not None)
 
 
 def test_partner_pairs_order243_proper_pairs(order243):
