@@ -4,7 +4,8 @@ Times the numpy kernels of ``handlebody.backend`` over the depth-limited
 orbit set for a fixed target group: bulk evaluation of the whole set, an
 early-witness identity scan over the set in scan order, and a full
 no-witness scan (the words the map does not kill, so the scan reads every
-block).  The words come from the orbit set's cached scan view, packed once.
+block).  The words come from the orbit set's single scan block, packed
+once and cached on the set.
 Each time is the best of ``--repeats`` runs.
 
 Usage:
@@ -22,7 +23,9 @@ from handlebody.homs import Epimorphism
 def build_workload(depth):
     """(letters, table, scans): ``scans`` maps a scan name to its packed
     (enc, offsets, word count)."""
-    words, enc, offsets = generate_c0(depth=depth).scan_view()
+    s = generate_c0(depth=depth)
+    words = list(s)
+    (_, enc, offsets), = s.scan_blocks()
     G = heisenberg(3)
     a, b = G.generators[0], G.generators[1]
     letters = Epimorphism(G, (a, b, b, a)).letter_images()

@@ -1,13 +1,13 @@
-"""Time orbit generation, its scan view, provenance replay and full-set
+"""Time orbit generation, its pack, provenance replay and full-set
 evaluation at depth 9.
 
 Prints the best-of-N seconds of seven stages: ``generate_c0(9)`` finished
 to all 29,922 words, with the number of twist applications it makes
 (counted in a separate, untimed run by wrapping ``handlebody.orbit``'s
-``apply_bytes``), ``scan_view()`` (pack only: a set is in scan order from
-the start) on a fresh copy of that set,
+``apply_bytes``), the first ``scan_blocks()`` block (pack only: a set is
+in scan order from the start) on a fresh copy of that set,
 ``replay_path`` over a seeded sample of 3,000 stored paths,
-``path_trie()`` on a fresh copy whose scan view is already built, and one
+``path_trie()`` on a fresh copy, and one
 map (the standard epimorphism onto the metacyclic group of order 55)
 evaluated on every word, first by folding letters (``evaluate_words``),
 then by precomposing along the path trie (``orbit_values``), and the first
@@ -90,8 +90,8 @@ def main(argv=None):
 
     t_gen, s = best_of(args.repeats, full_set)
     twists = count_twists(DEPTH)
-    t_scan, view = best_of(
-        args.repeats, OrbitSet.scan_view,
+    t_scan, (_, enc, offsets) = best_of(
+        args.repeats, lambda copy: next(copy.scan_blocks()),
         lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
     sample = random.Random(0).sample(
         [(w, p) for w, p in s.paths.items() if p != BASE_PATH], REPLAYS)
@@ -100,16 +100,13 @@ def main(argv=None):
     if replayed != [w for w, _ in sample]:
         raise SystemExit("replay_path disagrees with the stored words")
 
-    def fresh_view():
-        copy = OrbitSet(s.paths, s.depth, s.sigmas)
-        copy.scan_view()
-        return (copy,)
-
-    t_trie, trie = best_of(args.repeats, OrbitSet.path_trie, fresh_view)
+    t_trie, trie = best_of(
+        args.repeats, OrbitSet.path_trie,
+        lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
     G = semidirect_pq(11, 5, 3)
     theta = Epimorphism(G, standard_metacyclic_images(G))
     t_fold, folded = best_of(args.repeats, lambda: evaluate_words(
-        view.enc, view.offsets, theta.letter_images(), G.table))
+        enc, offsets, theta.letter_images(), G.table))
     s.path_trie()
     t_values, values = best_of(args.repeats, orbit_values,
                                lambda: (theta, s))
@@ -138,8 +135,7 @@ def main(argv=None):
     print("%-32s %10s" % ("stage", "best s"))
     print("%-32s %10.3f   %d twist applications"
           % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists))
-    print("%-32s %10.3f" % ("scan_view(), %d words" % len(view.words),
-                            t_scan))
+    print("%-32s %10.3f" % ("pack, %d words" % (len(offsets) - 1), t_scan))
     print("%-32s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
     print("%-32s %10.3f" % ("path_trie(), %d nodes" % trie.size, t_trie))
     print("%-32s %10.4f" % ("one map, letter fold", t_fold))

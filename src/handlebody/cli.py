@@ -75,7 +75,7 @@ def _override_of(cfg):
 
 def cmd_orbit(args, parser):
     s = generate_c0(depth=args.depth)
-    count = len(s.paths)
+    count = len(s)
     _emit("count=%d depth=%d provenance=%s"
           % (count, s.depth,
              provenance(count, reference.RECORDED_ORBIT_COUNT)))

@@ -1,7 +1,8 @@
 """Plain-text run configuration: a group, an optional generator
 assignment, and an optional asserted extension-obstruction status.
 
-Format (one directive per line, ``#`` starts a comment):
+Format (one directive per line, ``#`` starts a comment; each directive
+but ``rel``, each kind parameter and each theta key at most once):
 
     group <name>
     kind cyclic n=<int>
@@ -85,6 +86,9 @@ def _parse_params(tokens, line_no):
             raise ConfigError("line %d: expected key=value, got %r"
                               % (line_no, tok))
         key, _, value = tok.partition("=")
+        if key in out:
+            raise ConfigError("line %d: repeated parameter %s"
+                              % (line_no, key))
         try:
             out[key] = int(value)
         except ValueError:
@@ -110,8 +114,8 @@ def parse_config(text, coset_cap=50000):
     known_b0 = None
     theta_words = None
     kind_line = gens_line = None
-    kind_no = 0
     rel_lines = []
+    first = {}  # each directive but rel -> the line it is on
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -119,6 +123,11 @@ def parse_config(text, coset_cap=50000):
             continue
         tokens = line.split()
         directive, rest = tokens[0], tokens[1:]
+        if directive in first:
+            raise ConfigError("line %d: repeated %s line (first on line %d)"
+                              % (line_no, directive, first[directive]))
+        if directive != "rel":
+            first[directive] = line_no
         if directive == "group":
             if len(rest) != 1:
                 raise ConfigError("line %d: group takes one name" % line_no)
@@ -127,7 +136,7 @@ def parse_config(text, coset_cap=50000):
             if not rest or rest[0] not in KINDS:
                 raise ConfigError("line %d: kind must be one of %s"
                                   % (line_no, ", ".join(KINDS)))
-            kind, kind_no = rest[0], line_no
+            kind = rest[0]
             params = _parse_params(rest[1:], line_no)
             kind_line = "kind " + " ".join([kind] + sorted(
                 "%s=%d" % kv for kv in params.items()))
@@ -155,6 +164,9 @@ def parse_config(text, coset_cap=50000):
                     raise ConfigError(
                         "line %d: theta entries are x1=<word> .. y2=<word>"
                         % line_no)
+                if key in theta_words:
+                    raise ConfigError("line %d: repeated theta key %s"
+                                      % (line_no, key))
                 theta_words[key] = word
             if sorted(theta_words) != sorted(SURFACE_KEYS):
                 raise ConfigError("line %d: theta needs all of %s"
@@ -168,6 +180,7 @@ def parse_config(text, coset_cap=50000):
     if kind is None:
         raise ConfigError("missing 'kind' line")
 
+    kind_no = first["kind"]
     if kind == "cyclic":
         _require(params, ("n",), kind, kind_no)
         group = cyclic(params["n"])
@@ -179,7 +192,8 @@ def parse_config(text, coset_cap=50000):
         group = heisenberg(params["p"])
     else:
         if params:
-            raise ConfigError("kind presentation takes no parameters")
+            raise ConfigError("line %d: kind presentation takes no "
+                              "parameters" % kind_no)
         if gens is None:
             raise ConfigError("kind presentation requires a gens line")
         if not rels:

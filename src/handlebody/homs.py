@@ -55,6 +55,9 @@ class Epimorphism:
         images = tuple(int(g) for g in images)
         if len(images) != 4:
             raise ValueError("need 4 generator images")
+        if not all(0 <= g < group.order for g in images):
+            raise ValueError("generator images must be elements 0..%d, got %s"
+                             % (group.order - 1, images))
         a, b, c, d = images
         rel = group.mult(group.commutator(a, b), group.commutator(c, d))
         if rel != 0:

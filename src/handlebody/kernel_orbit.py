@@ -47,7 +47,7 @@ def orbit_values(theta, s):
     Reads the words off ``s.path_trie()``: each node's map is its parent's
     precomposed with one twist, and a word's value is the root under its
     node's map, so the cost follows the trie's size, not the words'
-    letters.  Every path in ``s.paths`` must therefore replay to its word
+    letters.  Every path of ``s`` must therefore replay to its word
     (see OrbitSet).
     """
     G = theta.group
@@ -58,9 +58,8 @@ def orbit_values(theta, s):
         maps[lo:lo + len(parents)] = _precompose_rows(G, maps[parents],
                                                       sigma(j))
     values = evaluate_rows(G, root_word(), maps.T)[trie.node]
-    words = s.scan_view().words
     for i in np.nonzero(trie.node < 0)[0].tolist():
-        values[i] = evaluate(theta, words[i])
+        values[i] = evaluate(theta, s.word_at(i))
     return values
 
 
@@ -150,12 +149,11 @@ def intersection_avoids_c0(reps, s):
     Evaluates the whole set under each kernel class in turn, keeping only
     words trivial so far; empty survivors certify avoidance.  The values
     come from ``orbit_values``, which reads provenance paths, not letters:
-    every path in ``s.paths`` must replay to its word.  ``generate_c0``
-    guarantees this, and ``paths`` is read-only, so the cached trie cannot
+    every path of ``s`` must replay to its word.  ``generate_c0``
+    guarantees this, and the paths are read-only, so the cached trie cannot
     go stale.  A counterexample is re-verified on the scalar path.
     """
-    words = s.scan_view().words
-    alive = np.ones(len(words), dtype=bool)
+    alive = np.ones(len(s), dtype=bool)
     survivors = []
     for th in reps:
         alive &= orbit_values(th, s) == 0
@@ -163,11 +161,11 @@ def intersection_avoids_c0(reps, s):
         if not alive.any():
             return IntersectionReport(True, None, None, survivors, s.depth)
     idx = int(np.nonzero(alive)[0][0])
-    w = words[idx]
+    w = s.word_at(idx)
     for th in reps:
         if evaluate(th, w) != 0:
             raise AssertionError("counterexample failed re-verification")
-    return IntersectionReport(False, w, s.paths[w], survivors, s.depth)
+    return IntersectionReport(False, w, s.path(w), survivors, s.depth)
 
 
 # Working-set budget for the fiber closure, in int32 entries (~256 MB):

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .backend import pack_bytes, pack_words
+from .backend import pack_bytes
 from .words import Word
 from .twists import apply, apply_bytes, commutator_base, compose, sigma
 
@@ -39,11 +39,6 @@ def root_word():
     """s3([x1,y1]), the expansion seed."""
     return apply(sigma(3), commutator_base())
 
-
-ScanView = namedtuple("ScanView", "words enc offsets")
-ScanView.__doc__ = """An orbit set's words in scan order, packed once for the
-batch kernels: ``words[i]`` is the word at scan index i and
-``enc[offsets[i]:offsets[i+1]]`` its letter bytes."""
 
 PathTrie = namedtuple("PathTrie", "size blocks node")
 PathTrie.__doc__ = """An orbit set's provenance paths, reversed and merged into
@@ -62,77 +57,69 @@ class OrbitSet:
 
     ``paths`` maps each word to either the marker string "base" (for the two
     seed words) or a tuple of move indices in application order: path
-    (1, 4) stores s4(s1(root)).  It is read-only, so the cached scan view
-    and path trie always match it.
+    (1, 4) stores s4(s1(root)).  It is read-only, so the cached pack and
+    path trie always match it.
 
-    A set from ``generate_c0`` starts as the two seeds and grows one level
-    at a time, on demand.  Calls that need the whole set finish it: ``len``,
-    ``paths``, ``words``, iteration, ``scan_view``, ``path_trie``, ``==``,
-    and a membership lookup (``in``, ``path``, ``contains``) that misses.
-    A lookup grows the set only until the word appears, ``word_at`` only
-    until its index is generated, and ``scan_blocks`` one level per block
-    asked for.  Generation order is scan order, and a word is generated
-    only at its first level, so none of these calls sees a different answer
-    on a partial set.  A set built from ``paths`` is complete from the
-    start; its paths are put in scan order once, when it is built.
+    The set is held once, in scan order (seeds first, then by path length,
+    path and word): word bytes -> path, the same bytes as a list, and their
+    pack, made on the first scan.  A set from ``generate_c0`` starts as the
+    two seeds and grows one level at a time, on demand.  Calls that need
+    the whole set finish it: ``len``, ``paths``, ``words``, iteration,
+    ``path_trie``, ``==``, and a membership lookup (``in``, ``path``,
+    ``contains``) that misses.  A lookup grows the set only until the word
+    appears, ``word_at`` only until its index is generated, and
+    ``scan_blocks`` one level per block asked for.  Generation order is
+    scan order, and a word is generated only at its first level, so none of
+    these calls sees a different answer on a partial set.  A set built
+    from ``paths`` is complete from the start; its paths are put in scan
+    order once, when it is built.
 
-    Full-set evaluation (``kernel_orbit.orbit_values``) reads ``paths``, not
-    the words' letters: every path must replay to its word (``replay_path``).
-    ``generate_c0`` guarantees this; a set built from other paths must too.
+    Full-set evaluation (``kernel_orbit.orbit_values``) reads the paths,
+    not the words' letters: every path must replay to its word
+    (``replay_path``).  ``generate_c0`` guarantees this; a set built from
+    other paths must too.
     """
 
     def __init__(self, paths, depth, sigmas):
         self.depth = int(depth)
         self.sigmas = tuple(int(j) for j in sigmas)
-        self._paths = MappingProxyType(
-            dict(sorted(dict(paths).items(), key=_scan_key)))
-        self._scan = None
-        self._trie = None
-        # Growth state of a partial set: word bytes -> path for the
-        # generated prefix, the same bytes in scan order, the level
-        # generator, and the packed prefix.  All None once complete.
-        self._seen = self._order = self._levels = self._pack = None
-
-    @classmethod
-    def _growing(cls, seen, levels, depth, sigmas):
-        s = cls((), depth, sigmas)
-        s._paths = None
-        s._seen, s._order, s._levels = seen, list(seen), levels
-        return s
+        self._seen = dict(sorted(((w.data, p) for w, p in
+                                  dict(paths).items()), key=_scan_key))
+        self._order = list(self._seen)
+        # The level generator while the set grows (see generate_c0), the
+        # packed words, the path trie and the Word-keyed paths, all made
+        # on demand.
+        self._levels = self._pack = self._trie = self._paths = None
 
     @property
     def complete(self):
         """True once every level is generated."""
-        return self._seen is None
+        return self._levels is None
 
     @property
     def generated(self):
         """Words generated so far; the set's size once it is complete."""
-        return len(self._paths) if self.complete else len(self._order)
+        return len(self._order)
 
     def _grow(self):
-        """Generate the next level; on a set with none left, finish it and
-        return False."""
+        """Generate the next level; False once none is left."""
         level = None if self.complete else next(self._levels, None)
         if level is None:
-            self._finish()
+            self._levels = None
             return False
         self._order.extend(level)
         return True
 
     def _finish(self):
-        if self.complete:
-            return
-        for _ in self._levels:
+        while self._grow():
             pass
-        self._order = self._levels = self._pack = None
-        paths = {Word.from_bytes(data, 4): p for data, p in self._seen.items()}
-        self._seen = None
-        self._paths = MappingProxyType(paths)
 
     @property
     def paths(self):
-        self._finish()
+        if self._paths is None:
+            self._finish()
+            self._paths = MappingProxyType({
+                Word.from_bytes(d, 4): p for d, p in self._seen.items()})
         return self._paths
 
     @property
@@ -140,77 +127,64 @@ class OrbitSet:
         return self.paths.keys()
 
     def __len__(self):
-        return len(self.paths)
+        self._finish()
+        return len(self._order)
 
     def __contains__(self, w):
         return self.path(w) is not None
 
     def __iter__(self):
-        return iter(self.scan_view().words)
-
-    def scan_view(self):
-        """The ScanView of this set, built on first use and cached.
-
-        Scan order is the order of ``paths``: seeds first, then by discovery
-        order key (path length, path, word).
-        """
-        if self._scan is None:
-            words = tuple(self.paths)
-            self._scan = ScanView(words, *pack_words(words))
-        return self._scan
+        self._finish()
+        return (Word.from_bytes(data, 4) for data in self._order)
 
     def scan_blocks(self):
         """Yield ``(start, enc, offsets)`` blocks that cover the scan order
-        in turn, block i holding the words from scan index ``start`` on.
+        in turn, block i holding the words from scan index ``start`` on:
+        ``enc[offsets[k]:offsets[k+1]]`` is the letter bytes of word
+        ``start + k``.
 
-        On a complete set this is its whole cached scan view, one block.  On
-        a partial set it is first the generated prefix, then each further
-        level, generated only when the caller asks for the next block; the
-        set is finished after its last level, so a caller that exhausts the
-        blocks has read the whole set.
+        On a complete set this is one block, packed on the first scan and
+        cached.  On a partial set it is first the generated words, then
+        each further level, generated only when the caller asks for the
+        next block; a caller that exhausts the blocks has read the whole
+        set.
         """
         start = 0
-        while not self.complete:
-            enc, offsets = self._packed_prefix()
+        while start < len(self._order) or self._grow():
+            if self._pack is None or len(self._pack[1]) <= len(self._order):
+                self._pack = pack_bytes(self._order)
+            enc, offsets = self._pack
             yield start, enc, offsets[start:]
             start = len(offsets) - 1
-            if not self._grow():
-                break
-        if start < len(self._paths):
-            view = self.scan_view()
-            yield start, view.enc, view.offsets[start:]
-
-    def _packed_prefix(self):
-        if self._pack is None or len(self._pack[1]) - 1 < len(self._order):
-            self._pack = pack_bytes(self._order)
-        return self._pack
 
     def word_at(self, i):
-        """The word at scan index ``i``."""
-        while not self.complete and i >= len(self._order) and self._grow():
+        """The word at scan index ``i`` (IndexError if ``i`` < 0 or past
+        the end)."""
+        if i < 0:
+            raise IndexError("scan index %d is negative" % i)
+        while i >= len(self._order) and self._grow():
             pass
-        if self.complete:
-            return self.scan_view().words[i]
         return Word.from_bytes(self._order[i], 4)
 
     def path_trie(self):
         """The PathTrie of this set in scan order, built on first use and
         cached."""
         if self._trie is None:
-            self._trie = _path_trie(self.scan_view().words, self.paths)
+            self._finish()
+            self._trie = _path_trie(self._seen)
         return self._trie
 
     def path(self, w):
         """The provenance path of ``w``, or None if it is not in the set."""
-        if isinstance(w, Word) and w.rank == 4:
-            while not self.complete:
-                p = self._seen.get(w.data)
-                if p is not None or not self._grow():
-                    return p
-        return self.paths.get(w)
+        data = w.data if isinstance(w, Word) and w.rank == 4 else None
+        p = self._seen.get(data)
+        while p is None and self._grow():
+            p = self._seen.get(data)
+        return p
 
     def __eq__(self, other):
-        return (isinstance(other, OrbitSet) and self.paths == other.paths
+        return (isinstance(other, OrbitSet) and len(self) == len(other)
+                and self._seen == other._seen
                 and self.depth == other.depth and self.sigmas == other.sigmas)
 
     def __repr__(self):
@@ -220,14 +194,15 @@ class OrbitSet:
 
 
 def _scan_key(item):
-    w, p = item
+    data, p = item
     if p == BASE_PATH:
-        return (0, (), len(w.data), w.data)
-    return (1, (len(p),) + p, len(w.data), w.data)
+        return (0, (), len(data), data)
+    return (1, (len(p),) + p, len(data), data)
 
 
-def _path_trie(words, paths):
-    seq = [paths[w] for w in words]
+def _path_trie(seen):
+    """The PathTrie of ``seen``, word bytes -> path in scan order."""
+    seq = list(seen.values())
     derived = np.fromiter((p != BASE_PATH for p in seq), dtype=bool,
                           count=len(seq))
     suffixes = [p for p in seq if p != BASE_PATH]
@@ -251,11 +226,11 @@ def _path_trie(words, paths):
             lo, hi = np.searchsorted(level_moves, [j, j + 1])
             blocks.append((j, size + int(lo), parents[lo:hi]))
         size += len(keys)
-    node = np.zeros(len(words), dtype=np.intp)
+    node = np.zeros(len(seq), dtype=np.intp)
     node[derived] = cur
-    root = root_word()
+    root, order = root_word().data, list(seen)
     for i in np.flatnonzero(~derived).tolist():
-        if words[i] != root:
+        if order[i] != root:
             node[i] = -1
     return PathTrie(size, tuple(blocks), node)
 
@@ -288,9 +263,9 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
         if not 1 <= j <= 10:
             raise ValueError("move index must be in 1..10, got %r" % (j,))
     plans = {j: sigma(j)._plan for j in sorted(sigmas)}
-    seen = {commutator_base().data: BASE_PATH, root_word().data: BASE_PATH}
-    s = OrbitSet._growing(seen, _levels(plans, seen, depth, word_cap),
-                          depth, sigmas)
+    s = OrbitSet({commutator_base(): BASE_PATH, root_word(): BASE_PATH},
+                 depth, sigmas)
+    s._levels = _levels(plans, s._seen, depth, word_cap)
     if word_cap is not None:
         s._finish()
     return s

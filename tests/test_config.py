@@ -66,6 +66,22 @@ def test_known_b0_values():
     ("group g\nkind presentation\ngens a\nrel a^^2\n", "bad relator"),
     ("group g\nkind cyclic n=3\ntheta x1=a\n", "theta"),
     ("group g\nkind cyclic n=3\ntheta x1=Q y1=a x2=a y2=a\n", "theta x1"),
+    ("group g\nkind cyclic n=3 n=5\n", "line 2: repeated parameter n"),
+    ("group g\nkind cyclic n=3\ntheta x1=a x1=a^2 y1=a x2=a y2=a\n",
+     "line 3: repeated theta key x1"),
+    ("group g\ngroup h\nkind cyclic n=3\n",
+     "line 2: repeated group line (first on line 1)"),
+    ("group g\nkind cyclic n=3\n\nkind cyclic n=5\n",
+     "line 4: repeated kind line (first on line 2)"),
+    ("group g\nkind presentation\ngens a\nrel a^2\ngens b\n",
+     "line 5: repeated gens line (first on line 3)"),
+    ("group g\nkind cyclic n=3\nknown_b0 zero\nknown_b0 nonzero\n",
+     "line 4: repeated known_b0 line (first on line 3)"),
+    ("group g\nkind cyclic n=3\ntheta x1=a y1=a x2=a y2=a\n"
+     "theta x1=a y1=a x2=a y2=a\n",
+     "line 4: repeated theta line (first on line 3)"),
+    ("group g\nkind presentation n=3\ngens a\nrel a^3\n",
+     "line 2: kind presentation takes no parameters"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:

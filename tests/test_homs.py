@@ -51,6 +51,15 @@ def test_epimorphism_validation(group55, heis3):
                                                               (x, y, y, x))
 
 
+@pytest.mark.parametrize("images", [(-18, 3, 3, 9), (27, 3, 3, 9),
+                                    (9, 3, 3, 27)])
+def test_epimorphism_rejects_images_outside_the_group(heis3, images):
+    # (9, 3, 3, 9) is the shipped heisenberg_3 theta; -18 is 9 mod 27.
+    assert Epimorphism(heis3, (9, 3, 3, 9)).images == (9, 3, 3, 9)
+    with pytest.raises(ValueError, match="elements 0..26"):
+        Epimorphism(heis3, images)
+
+
 def _fold_over_table(G, images, w):
     """Image of ``w``: each letter's element (an image, or the inverse found
     by searching its row for the identity) multiplied on from the right."""

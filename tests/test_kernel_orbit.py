@@ -96,15 +96,15 @@ def _scalar_key(G, images):
 
 def _fold_values(theta, s):
     """Oracle: theta on every scan-order word, folding its letters."""
-    _, enc, offsets = s.scan_view()
-    return evaluate_words(enc, offsets, theta.letter_images(),
-                          theta.group.table)
+    return np.concatenate([
+        evaluate_words(enc, offsets, theta.letter_images(), theta.group.table)
+        for _, enc, offsets in s.scan_blocks()])
 
 
 def _fold_intersection(reps, s):
     """Oracle: the intersection scan on letter folds, as
     (avoids, counterexample, survivors)."""
-    words = s.scan_view().words
+    words = list(s)
     alive = np.ones(len(words), dtype=bool)
     survivors = []
     for th in reps:

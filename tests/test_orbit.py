@@ -110,7 +110,7 @@ _FINISHING_CALLS = {
     "paths": lambda s: s.paths,
     "words": lambda s: s.words,
     "iter": lambda s: next(iter(s)),
-    "scan_view": lambda s: s.scan_view(),
+    "scan_blocks (all)": lambda s: list(s.scan_blocks()),
     "path_trie": lambda s: s.path_trie(),
     "eq": lambda s: s == generate_c0(depth=s.depth),
     "in (miss)": lambda s: parse_word("x1^50") in s,
@@ -142,14 +142,15 @@ def test_scan_blocks_cover_the_scan_order(finish_at):
         assert start == len(starts)
         starts.extend(offsets[:-1].tolist())
         enc += block_enc[offsets[0]:offsets[-1]].tobytes()
-    view = s.scan_view()
-    assert s.complete and starts == view.offsets[:-1].tolist()
-    assert enc == view.enc.tobytes()
+    (_, all_enc, all_offsets), = s.scan_blocks()
+    assert s.complete and starts == all_offsets[:-1].tolist()
+    assert enc == all_enc.tobytes()
+    assert enc == b"".join(w.data for w in s)
 
 
 def test_lookups_grow_only_to_the_words_level():
     finished = generate_c0(depth=5, word_cap=CUMULATIVE_COUNTS[5])
-    for w in finished:
+    for i, w in enumerate(finished):
         p = finished.paths[w]
         level = 0 if p == BASE_PATH else len(p)
         for lookup in (contains, lambda s, w: s.path(w),
@@ -158,9 +159,21 @@ def test_lookups_grow_only_to_the_words_level():
             lookup(s, w)
             assert s.generated == CUMULATIVE_COUNTS[level]
         s = generate_c0(depth=5)
-        i = finished.scan_view().words.index(w)
         assert s.word_at(i) == w
         assert s.generated == CUMULATIVE_COUNTS[level]
+
+
+def test_word_at_rejects_negative_indices():
+    # The answer must not depend on how far the set has grown.
+    s = generate_c0(depth=4)
+    for state in ("partial", "complete"):
+        with pytest.raises(IndexError):
+            s.word_at(-1)
+        assert s.complete == (state == "complete")
+        len(s)
+    with pytest.raises(IndexError):
+        s.word_at(len(s))
+    assert s.word_at(len(s) - 1) == list(s)[-1]
 
 
 def test_paths_replay_to_their_words(orbit3):
@@ -226,8 +239,7 @@ _LETTER = st.sampled_from([(g, e) for g in range(4) for e in (1, -1)])
 def test_contains_agrees_on_fresh_and_finished_sets(case, pick, letters):
     # A word of the set, and an arbitrary word (mostly outside it).
     finished = _finished(*case)
-    words = finished.scan_view().words
-    for w in (words[pick % len(words)], Word(letters)):
+    for w in (finished.word_at(pick % len(finished)), Word(letters)):
         fresh = generate_c0(depth=case[0], sigmas=case[1])
         assert contains(fresh, w) == contains(finished, w)
         assert (w in fresh) == (w in finished)
@@ -259,14 +271,14 @@ def test_restricted_move_set():
     (9, (1, 2, 3, 4, 5)), (9, (3, 8)), (5, tuple(range(1, 11))),
     (5, (5, 2, 4))])
 def test_generation_order_is_scan_order(orbit9, depth, sigmas):
-    # Neither generate_c0 nor scan_view sorts: they rely on insertion order
-    # being lex path order, whatever order the moves are given in.
+    # generate_c0 does not sort: it relies on insertion order being lex
+    # path order, whatever order the moves are given in.
     if (depth, sigmas) == (orbit9.depth, orbit9.sigmas):
         s = orbit9
     else:
         s = generate_c0(depth=depth, sigmas=sigmas)
     assert list(s.paths) == _scan_order(s.paths)
-    assert tuple(s.paths) == s.scan_view().words
+    assert list(s.paths) == list(s)
 
 
 def test_orbit_set_equality_includes_metadata(orbit3):
@@ -285,7 +297,7 @@ def test_paths_are_read_only(orbit3):
     assert OrbitSet(dict(orbit3.paths), orbit3.depth, orbit3.sigmas) == orbit3
 
 
-def _scan_view_sources():
+def _scan_sources():
     s = generate_c0(depth=4)
     items = list(s.paths.items())
     random.Random(4).shuffle(items)
@@ -294,20 +306,20 @@ def _scan_view_sources():
 
 
 @pytest.mark.parametrize("source", ["generated", "shuffled"])
-def test_scan_view_is_packed_scan_order(source):
-    s = _scan_view_sources()[source]
-    view = s.scan_view()
-    assert list(view.words) == _scan_order(s.paths)
-    assert list(s) == list(view.words)
-    assert view.enc.dtype == np.uint8 and view.offsets.dtype == np.int64
-    assert not view.enc.flags.writeable
-    assert len(view.offsets) == len(s) + 1 and view.offsets[0] == 0
-    for i, w in enumerate(view.words):
-        assert view.enc[view.offsets[i]:view.offsets[i + 1]].tobytes() \
-            == w.data
-    again = s.scan_view()
-    assert again.words is view.words
-    assert again.enc is view.enc and again.offsets is view.offsets
+def test_complete_set_scans_one_packed_block(source):
+    s = _scan_sources()[source]
+    words = list(s)
+    assert words == _scan_order(s.paths)
+    (start, enc, offsets), = s.scan_blocks()
+    assert start == 0
+    assert enc.dtype == np.uint8 and offsets.dtype == np.int64
+    assert not enc.flags.writeable
+    assert len(offsets) == len(s) + 1 and offsets[0] == 0
+    for i, w in enumerate(words):
+        assert enc[offsets[i]:offsets[i + 1]].tobytes() == w.data
+    # The pack is made once and reused by every later scan.
+    (_, again_enc, again_offsets), = s.scan_blocks()
+    assert again_enc is enc and again_offsets.base is offsets.base
 
 
 def _signed_letters(word):
