@@ -5,7 +5,9 @@ order-243 configs, unfiltered and with the nine quick products filtered
 out, and checks the pair counts (order243_presented: 12,312 and 12,312;
 the stand-in: 5,832 and 5,725).  Then times ``drop_quick_pairs`` on
 order243_presented's unfiltered pairs (all 12,312 kept), the full
-``automorphisms(heisenberg(3))`` search (432 found), and building the 14
+``automorphisms(heisenberg(3))`` search (432 found),
+``single_aut_orbit_certificate`` on order243_presented's 38,880
+noncommuting pairs (one Aut(G) orbit, so True), and building the 14
 table-1 metacyclic groups with ``semidirect_pq`` (all 14 in one timed run)
 and ``heisenberg(5)``.  Configs and groups are built outside the timed
 region.
@@ -18,8 +20,11 @@ import argparse
 import os
 import time
 
+import numpy as np
+
 from handlebody import (automorphisms, heisenberg, load_config,
-                        partner_pairs, reference, semidirect_pq)
+                        partner_pairs, reference, semidirect_pq,
+                        single_aut_orbit_certificate)
 from handlebody.homs import drop_quick_pairs
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
@@ -79,6 +84,17 @@ def main(argv=None):
         raise SystemExit("automorphisms(heisenberg(3)): %d, expected 432"
                          % len(auts))
     rows.append(("automorphisms heisenberg(3), 432", t_aut))
+
+    us, vs = np.nonzero(G.conjugation_table() != np.arange(G.order))
+    noncommuting = list(zip(us.tolist(), vs.tolist()))
+    t_cert, cert = best_of(args.repeats, lambda: single_aut_orbit_certificate(
+        G, noncommuting))
+    if len(noncommuting) != 38880 or cert is not True:
+        raise SystemExit("single_aut_orbit_certificate order243_presented: "
+                         "%s on %d pairs, expected True on 38880"
+                         % (cert, len(noncommuting)))
+    rows.append(("single_aut_orbit_certificate order243_presented, 38880",
+                 t_cert))
 
     triples = [pqr for pqr, _ in reference.RECORDED_WITNESS_ROWS]
     t_pq, _ = best_of(args.repeats,

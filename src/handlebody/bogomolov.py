@@ -209,7 +209,7 @@ def recognize_direct_product(G, candidate_cap=128):
     return None
 
 
-def _apply_rules(G, _seen_orders=()):
+def _apply_rules(G):
     attempted = []
 
     attempted.append("R1:abelian")

@@ -185,8 +185,7 @@ def cmd_counts(args, parser):
               % (orbits, _prov_for(cfg, "aut_orbits", orbits)))
     except AutCapExceeded:
         # Enumeration is out of reach; a single orbit can still be
-        # certified by per-class extension queries.
-        cert = None
+        # certified by the orbit algorithm's extension queries.
         try:
             cert = single_aut_orbit_certificate(
                 G, pairs_all, pres=cfg.group.presentation,

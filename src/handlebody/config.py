@@ -149,7 +149,7 @@ def parse_config(text, coset_cap=50000):
         elif directive == "rel":
             if not rest:
                 raise ConfigError("line %d: rel needs a word" % line_no)
-            rels.append(" ".join(rest))
+            rels.append((line_no, " ".join(rest)))
             rel_lines.append("rel " + " ".join(rest))
         elif directive == "known_b0":
             if rest not in (["zero"], ["nonzero"]):
@@ -195,11 +195,20 @@ def parse_config(text, coset_cap=50000):
             raise ConfigError("line %d: kind presentation takes no "
                               "parameters" % kind_no)
         if gens is None:
-            raise ConfigError("kind presentation requires a gens line")
+            raise ConfigError("line %d: kind presentation requires a gens "
+                              "line" % kind_no)
         if not rels:
-            raise ConfigError("kind presentation requires rel lines")
+            raise ConfigError("line %d: kind presentation requires rel lines"
+                              % kind_no)
+        words = []
+        for rel_no, rel in rels:
+            try:
+                words.append(parse_word(rel, gens))
+            except ValueError as exc:
+                raise ConfigError("line %d: bad relator: %s"
+                                  % (rel_no, exc)) from None
         try:
-            pres = Presentation(gens, rels)
+            pres = Presentation(gens, words)
         except ValueError as exc:
             raise ConfigError("bad relator: %s" % exc) from None
         group = coset_enumerate(pres, coset_cap=coset_cap)

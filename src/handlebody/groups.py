@@ -755,15 +755,20 @@ def pair_orbit_count(G, pairs, auts=None, pres=None, node_cap=200000):
 def single_aut_orbit_certificate(G, pairs, pres=None, node_cap=200000):
     """Best-effort proof that an Aut-closed pair list is one Aut(G) orbit.
 
-    Avoids enumerating Aut(G): pairs are first fused under conjugation
-    (inner maps are free), then one constrained automorphism-existence
-    query runs per conjugation class, pinning a noncommuting pair of
-    presentation generators onto the class representative.  Every class
-    reached means every pair lies in the generator pair's orbit, so the
-    list is exactly one orbit.
+    The orbit algorithm over a growing generating set (Holt, Eick &
+    O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1):
+    the orbit of a noncommuting pair of presentation generators is closed
+    under conjugation by each generator of G (G is finite, so no inverses
+    are needed), vectorized over the pair codes u*|G| + v.  While a listed
+    pair lies outside the orbit, one pinned ``automorphisms`` query looks
+    for an automorphism sending the generator pair onto it.  None means
+    that pair lies in another orbit; otherwise the automorphism joins the
+    generating set and the orbit, closed again, strictly grows.  Without a
+    cap the answer is therefore True exactly when every listed pair lies
+    in the generator pair's orbit.
 
-    Returns True (certified single orbit), False (some class admits no
-    automorphism, so there are at least two orbits), or None when no
+    Returns True (certified single orbit), False (some listed pair admits
+    no automorphism, so there are at least two orbits), or None when no
     presentation or no noncommuting generator pair is available.  Raises
     AutCapExceeded if an existence query hits the node cap.  The single-
     orbit reading requires ``pairs`` to be closed under the diagonal
@@ -774,47 +779,36 @@ def single_aut_orbit_certificate(G, pairs, pres=None, node_cap=200000):
     if pres is None or not pairs:
         return None
     gens = G.generators
-    source = None
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if i != j and G.commutator(gens[i], gens[j]) != 0:
-                source = (i, j)
-                break
-        if source is not None:
-            break
+    source = next(((i, j) for i in range(len(gens)) for j in range(len(gens))
+                   if i != j and G.commutator(gens[i], gens[j]) != 0), None)
     if source is None:
         return None
 
     n = G.order
-    conj = []
-    for g in G.generators:
-        for h in (g, int(G.inv[g])):
-            x = np.arange(n, dtype=np.int64)
-            conj.append(G.table[G.table[h, x], G.inv[h]].astype(np.int64))
-
-    visited = set()
-    reps = []
-    for u, v in pairs:
-        code = int(u) * n + int(v)
-        if code in visited:
-            continue
-        reps.append((int(u), int(v)))
-        visited.add(code)
-        frontier = [code]
-        while frontier:
-            us = np.array([c // n for c in frontier], dtype=np.int64)
-            vs = np.array([c % n for c in frontier], dtype=np.int64)
-            nxt = []
-            for perm in conj:
-                for m in (perm[us] * n + perm[vs]).tolist():
-                    if m not in visited:
-                        visited.add(m)
-                        nxt.append(m)
-            frontier = nxt
-
+    listed = np.zeros(n * n, dtype=bool)
+    codes = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    listed[codes[:, 0] * n + codes[:, 1]] = True
+    x = np.arange(n)
+    perms = [G.table[G.table[g, x], G.inv[g]].astype(np.int64) for g in gens]
     gi, gj = source
-    for a, b in reps:
-        if not automorphisms(G, pres, node_cap=node_cap,
-                             fixed={gi: a, gj: b}, limit=1):
+    orbit = np.zeros(n * n, dtype=bool)
+    frontier = np.array([gens[gi] * n + gens[gj]], dtype=np.int64)
+    orbit[frontier] = True
+    while True:
+        while frontier.size:
+            us, vs = np.divmod(frontier, n)
+            images = np.concatenate([perm[us] * n + perm[vs]
+                                     for perm in perms])
+            frontier = np.unique(images[~orbit[images]])
+            orbit[frontier] = True
+        outside = np.flatnonzero(listed & ~orbit)
+        if not outside.size:
+            return True
+        a, b = divmod(int(outside[0]), n)
+        found = automorphisms(G, pres, node_cap=node_cap,
+                              fixed={gi: a, gj: b}, limit=1)
+        if not found:
             return False
-    return True
+        perms.append(extend_to_permutation(G, gens, found[0])
+                     .astype(np.int64))
+        frontier = np.flatnonzero(orbit)

@@ -13,6 +13,8 @@ the full orbit is infinite, so callers must treat it as inconclusive.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .words import parse_word, print_word
@@ -22,7 +24,6 @@ from .groups import evaluate_in_group, evaluate_rows
 
 EXTENDS = "ExtendsToHandlebody"
 NO_WITNESS = "NoWitnessInSearchedSet"
-IMMEDIATE = "ImmediateWitness"
 
 
 class RelationViolated(ValueError):
@@ -52,10 +53,16 @@ class Epimorphism:
     """A validated surjection of the genus-2 surface group onto ``group``."""
 
     def __init__(self, group, images):
-        images = tuple(int(g) for g in images)
+        try:
+            images = tuple(map(operator.index, images))
+        except TypeError:   # a float or string names no element
+            images = tuple(images)
+            in_range = False
+        else:
+            in_range = all(0 <= g < group.order for g in images)
         if len(images) != 4:
             raise ValueError("need 4 generator images")
-        if not all(0 <= g < group.order for g in images):
+        if not in_range:
             raise ValueError("generator images must be elements 0..%d, got %s"
                              % (group.order - 1, images))
         a, b, c, d = images
@@ -67,10 +74,6 @@ class Epimorphism:
             raise NotGenerating(len(closure), group.order)
         self.group = group
         self.images = images
-
-    @property
-    def genus_of_total_space(self):
-        return 1 + self.group.order
 
     def letter_images(self):
         """Letter-byte -> element table for the batch kernels."""
@@ -85,10 +88,6 @@ class Epimorphism:
 
     def __repr__(self):
         return "Epimorphism(%s; images=%s)" % (self.group.name, self.images)
-
-
-def make_epimorphism(G, a, b, c, d):
-    return Epimorphism(G, (a, b, c, d))
 
 
 def evaluate(theta, w):
@@ -138,28 +137,18 @@ class WitnessReport:
 
 
 class Verdict:
-    """Search outcome: EXTENDS (with a WitnessReport), NO_WITNESS (orbit
-    exhausted at its depth — inconclusive), or IMMEDIATE (quick product)."""
+    """Search outcome: EXTENDS (with a WitnessReport) or NO_WITNESS (orbit
+    exhausted at its depth — inconclusive)."""
 
-    __slots__ = ("value", "report", "kind", "searched_depth")
+    __slots__ = ("value", "report", "searched_depth")
 
-    def __init__(self, value, report=None, kind=None, searched_depth=None):
+    def __init__(self, value, report=None, searched_depth=None):
         self.value = value
         self.report = report
-        self.kind = kind
         self.searched_depth = searched_depth
 
     def __repr__(self):
-        extra = self.report if self.report is not None else self.kind
-        return "Verdict(%s, %r)" % (self.value, extra)
-
-
-def quick_verdict(theta):
-    """IMMEDIATE verdict if a quick product fires, else None."""
-    kind = quick_witness(theta)
-    if kind is None:
-        return None
-    return Verdict(IMMEDIATE, kind=kind)
+        return "Verdict(%s, %r)" % (self.value, self.report)
 
 
 def handlebody_witness(theta, s):

@@ -90,12 +90,6 @@ def kernel_keys(G, images):
     return keys.T
 
 
-def kernel_equal(th1, th2):
-    """True when the two epimorphisms have the same kernel."""
-    keys = kernel_keys(th1.group, [th1.images, th2.images])
-    return bool(np.array_equal(keys[0], keys[1]))
-
-
 def kernel_orbit(theta, pres=None, class_cap=10000):
     """BFS of ker(theta) under the ten twist substitutions.
 

@@ -82,6 +82,14 @@ def test_known_b0_values():
      "line 4: repeated theta line (first on line 3)"),
     ("group g\nkind presentation n=3\ngens a\nrel a^3\n",
      "line 2: kind presentation takes no parameters"),
+    ("group g\nkind presentation\nrel a^2\n",
+     "line 2: kind presentation requires a gens line"),
+    ("group g\n\nkind presentation\ngens a\n",
+     "line 3: kind presentation requires rel lines"),
+    ("group g\nkind presentation\nrel b^2\ngens a\n",
+     "line 3: bad relator: unknown generator 'b'"),
+    ("group g\nkind presentation\ngens a\nrel a^3\n# b\nrel a b\n",
+     "line 6: bad relator: unknown generator 'b'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:

@@ -5,7 +5,8 @@
 ``golden/<name>.txt`` holds each run's stdout as printed by
 ``python -m handlebody.cli ARGV`` from the repository root.  The two runs
 marked slow (``counts`` and ``quadruple`` on order243_presented) take
-5-10 s each and are collected only when HANDLEBODY_GOLDEN_SLOW=1.
+about 4 s and 7 s on a 2-CPU machine and are collected only when
+HANDLEBODY_GOLDEN_SLOW=1.
 
 An intended change of output regenerates the transcripts with
 ``python tests/test_golden.py`` and says why in CHANGES.md.

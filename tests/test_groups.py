@@ -2,11 +2,14 @@
 automorphism machinery."""
 
 import functools
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from handlebody import groups
+from handlebody.config import load_config
 from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
                                Presentation, PresentationError,
                                automorphism_permutations, automorphisms,
@@ -535,6 +538,91 @@ def test_single_aut_orbit_certificate(heis3, order243):
     assert single_aut_orbit_certificate(
         order243, nc243, pres=order243.presentation,
         node_cap=2_000_000) is True
+
+
+def _per_class_certificate(G, pairs, pres=None, node_cap=200000):
+    """Oracle for single_aut_orbit_certificate: fuse the pairs into
+    conjugation classes, then make one pinned automorphism query per class
+    representative, from a noncommuting pair of presentation generators."""
+    pres = G.presentation if pres is None else pres
+    if pres is None or not pairs:
+        return None
+    gens = G.generators
+    source = next(((i, j) for i in range(len(gens)) for j in range(len(gens))
+                   if i != j and G.commutator(gens[i], gens[j]) != 0), None)
+    if source is None:
+        return None
+    n = G.order
+    x = np.arange(n)
+    conj = [G.table[G.table[h, x], G.inv[h]] for g in gens
+            for h in (g, int(G.inv[g]))]
+    visited = set()
+    reps = []
+    for u, v in pairs:
+        if u * n + v in visited:
+            continue
+        reps.append((u, v))
+        visited.add(u * n + v)
+        frontier = [(u, v)]
+        while frontier:
+            nxt = []
+            for a, b in frontier:
+                for perm in conj:
+                    image = (int(perm[a]), int(perm[b]))
+                    if image[0] * n + image[1] not in visited:
+                        visited.add(image[0] * n + image[1])
+                        nxt.append(image)
+            frontier = nxt
+    gi, gj = source
+    return all(automorphisms(G, pres, node_cap=node_cap,
+                             fixed={gi: a, gj: b}, limit=1)
+               for a, b in reps)
+
+
+def _noncommuting_pairs(G):
+    us, vs = np.nonzero(G.conjugation_table() != np.arange(G.order))
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+_CERTIFICATE_GROUPS = {
+    "heisenberg(3)": lambda: heisenberg(3),
+    "heisenberg(5)": lambda: heisenberg(5),
+    "semidirect_pq(11,5,3)": lambda: semidirect_pq(11, 5, 3),
+    "semidirect_pq(7,3,2)": lambda: semidirect_pq(7, 3, 2),
+    "semidirect_pq(13,3,3)": lambda: semidirect_pq(13, 3, 3),
+    "standin": lambda: load_config(os.path.join(
+        CONFIG_DIR, "order243_obstructed_standin.cfg")).group,
+    "cyclic(6)": lambda: cyclic(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFICATE_GROUPS))
+def test_single_aut_orbit_certificate_matches_per_class_oracle(name):
+    G = _CERTIFICATE_GROUPS[name]()
+    pairs = _noncommuting_pairs(G)
+    want = _per_class_certificate(G, pairs)
+    assert single_aut_orbit_certificate(G, pairs) is want
+    assert (want is None) == (name == "cyclic(6)")
+    if pairs:
+        # A commuting pair lies outside every noncommuting pair's orbit.
+        mixed = pairs + [(0, G.generators[0])]
+        assert single_aut_orbit_certificate(G, mixed) is False
+        assert _per_class_certificate(G, mixed) is False
+
+
+def test_single_aut_orbit_certificate_order243_queries(order243,
+                                                       monkeypatch):
+    pairs = _noncommuting_pairs(order243)
+    want = _per_class_certificate(order243, pairs, node_cap=2_000_000)
+    assert want is True
+    calls = []
+    query = groups.automorphisms
+    monkeypatch.setattr(groups, "automorphisms",
+                        lambda *a, **k: calls.append(k) or query(*a, **k))
+    assert single_aut_orbit_certificate(order243, pairs,
+                                        node_cap=2_000_000) is want
+    assert 1 <= len(calls) <= 10
 
 
 def test_automorphism_permutations_consistent(heis3):
