@@ -1,20 +1,23 @@
-"""Time orbit generation, its pack, provenance replay and full-set
-evaluation at depth 9.
+"""Time orbit generation, its pack, provenance replay, full-set
+evaluation and the early-exit scans at depth 9.
 
-Prints the best-of-N seconds of seven stages: ``generate_c0(9)`` finished
+Prints the best-of-N seconds of these stages: ``generate_c0(9)`` finished
 to all 29,922 words, with the number of twist applications it makes
 (counted in a separate, untimed run by wrapping ``handlebody.orbit``'s
 ``apply_bytes``), the first ``scan_blocks()`` block (pack only: a set is
 in scan order from the start) on a fresh copy of that set,
-``replay_path`` over a seeded sample of 3,000 stored paths,
-``path_trie()`` on a fresh copy, and one
-map (the standard epimorphism onto the metacyclic group of order 55)
-evaluated on every word, first by folding letters (``evaluate_words``),
-then by precomposing along the path trie (``orbit_values``), and the first
+``replay_path`` over a seeded sample of 3,000 stored paths, the one
+``trie_blocks()`` block of a fresh copy (its path trie), and one map (the
+standard epimorphism onto the metacyclic group of order 55) evaluated on
+every word, first by folding letters (``evaluate_words``), then by
+precomposing along the path trie (``trie_values``); then the first
 witness of each shipped config's theta on a fresh (partial) set, with the
-number of words that scan generated.  Copies, samples and fresh sets are
-made outside the timed region; the replayed words, the two evaluations and
-each witness (against the finished set) are checked after timing.
+number of words that scan generated, and ``intersection_avoids_c0`` of
+the kernel orbits of cyclic_3 and heisenberg_3 on a fresh set, with the
+words it generated.  Copies, samples, fresh sets and kernel orbits are
+made outside the timed region; the replayed words, the two evaluations,
+each witness and each intersection report (against the finished set) are
+checked after timing.
 
 Usage:
     python3 benchmarks/bench_orbit.py [--repeats 7]
@@ -29,15 +32,17 @@ import time
 import numpy as np
 
 from handlebody import (Epimorphism, OrbitSet, generate_c0,
-                        handlebody_witness, load_config, replay_path,
+                        handlebody_witness, intersection_avoids_c0,
+                        kernel_orbit, load_config, replay_path,
                         semidirect_pq, standard_metacyclic_images)
 from handlebody import orbit
 from handlebody.backend import evaluate_words
-from handlebody.kernel_orbit import orbit_values
+from handlebody.kernel_orbit import trie_values
 from handlebody.orbit import BASE_PATH
 
 DEPTH = 9
 REPLAYS = 3000
+KERNEL_CONFIGS = ("cyclic_3", "heisenberg_3")
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "configs")
 
@@ -77,6 +82,11 @@ def answer(verdict):
             report and report.sigma_path)
 
 
+def intersection(report):
+    return (report.avoids, report.counterexample, report.counterexample_path,
+            report.survivors)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7,
@@ -100,18 +110,17 @@ def main(argv=None):
     if replayed != [w for w, _ in sample]:
         raise SystemExit("replay_path disagrees with the stored words")
 
-    t_trie, trie = best_of(
-        args.repeats, OrbitSet.path_trie,
+    t_trie, (_, trie) = best_of(
+        args.repeats, lambda copy: next(copy.trie_blocks()),
         lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
     G = semidirect_pq(11, 5, 3)
     theta = Epimorphism(G, standard_metacyclic_images(G))
     t_fold, folded = best_of(args.repeats, lambda: evaluate_words(
         enc, offsets, theta.letter_images(), G.table))
-    s.path_trie()
-    t_values, values = best_of(args.repeats, orbit_values,
-                               lambda: (theta, s))
+    t_values, values = best_of(args.repeats, trie_values,
+                               lambda: (theta, s, 0, trie))
     if not np.array_equal(folded, values):
-        raise SystemExit("orbit_values disagrees with the letter fold")
+        raise SystemExit("trie_values disagrees with the letter fold")
 
     witnesses = []
     for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))):
@@ -132,17 +141,35 @@ def main(argv=None):
             raise SystemExit("%s: the fresh-set witness differs" % cfg.name)
         witnesses.append((cfg.name, fresh[-1].generated, t_wit))
 
+    intersections = []
+    for name in KERNEL_CONFIGS:
+        reps, _ = kernel_orbit(
+            load_config(os.path.join(CONFIG_DIR, name + ".cfg")).theta())
+        fresh = []
+
+        def fresh_set():
+            fresh.append(generate_c0(DEPTH))
+            return (reps, fresh[-1])
+
+        t_int, got = best_of(args.repeats, intersection_avoids_c0, fresh_set)
+        if intersection(got) != intersection(intersection_avoids_c0(reps, s)):
+            raise SystemExit("%s: the fresh-set intersection differs" % name)
+        intersections.append((name, fresh[-1].generated, t_int))
+
     print("%-32s %10s" % ("stage", "best s"))
     print("%-32s %10.3f   %d twist applications"
           % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists))
     print("%-32s %10.3f" % ("pack, %d words" % (len(offsets) - 1), t_scan))
     print("%-32s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
-    print("%-32s %10.3f" % ("path_trie(), %d nodes" % trie.size, t_trie))
+    print("%-32s %10.3f" % ("trie_blocks(), %d nodes" % trie.size, t_trie))
     print("%-32s %10.4f" % ("one map, letter fold", t_fold))
     print("%-32s %10.4f" % ("one map, path trie", t_values))
     for name, generated, t_wit in witnesses:
         print("%-32s %10.4f" % ("witness %s, %d words" % (name, generated),
                                 t_wit))
+    for name, generated, t_int in intersections:
+        print("%-32s %10.4f" % ("intersect %s, %d words" % (name, generated),
+                                t_int))
 
 
 if __name__ == "__main__":

@@ -200,18 +200,22 @@ def parse_config(text, coset_cap=50000):
         if not rels:
             raise ConfigError("line %d: kind presentation requires rel lines"
                               % kind_no)
+        if len(set(gens)) != len(gens):
+            raise ConfigError("line %d: duplicate generator names"
+                              % first["gens"])
         words = []
         for rel_no, rel in rels:
             try:
-                words.append(parse_word(rel, gens))
+                word = parse_word(rel, gens)
             except ValueError as exc:
                 raise ConfigError("line %d: bad relator: %s"
                                   % (rel_no, exc)) from None
-        try:
-            pres = Presentation(gens, words)
-        except ValueError as exc:
-            raise ConfigError("bad relator: %s" % exc) from None
-        group = coset_enumerate(pres, coset_cap=coset_cap)
+            if word.is_identity():
+                raise ConfigError("line %d: bad relator: %s reduces to the "
+                                  "identity" % (rel_no, rel))
+            words.append(word)
+        group = coset_enumerate(Presentation(gens, words),
+                                coset_cap=coset_cap)
     group.name = name
 
     if theta_words is not None:

@@ -9,7 +9,9 @@ breadth-first numbering of G.  Keys are equal exactly when kernels are.
 The intersection N of a kernel orbit is the kernel of the diagonal map
 into G^r; the quotient acts freely on a surface, and whether that action
 can extend over a handlebody is probed by intersecting N with the
-commutator orbit set.
+commutator orbit set.  That scan reads the set one level trie at a time
+and stops at the first word in every kernel, so it generates the whole set
+only when N avoids it.
 """
 
 from __future__ import annotations
@@ -37,29 +39,34 @@ def precompose(theta, f):
 
 
 def _precompose_rows(G, rows, f):
-    """Image rows [K, 4] of theta o f for the image rows [K, 4] of theta."""
-    return np.stack([evaluate_rows(G, w, rows.T) for w in f.images], axis=1)
+    """Image rows [K, 4] of theta o f for the image rows [K, 4] of theta.
+    Only the columns of generators that f moves are evaluated."""
+    out = rows.copy()
+    for c, w in enumerate(f.images):
+        if w.data != bytes((c + 1,)):
+            out[:, c] = evaluate_rows(G, w, rows.T)
+    return out
 
 
-def orbit_values(theta, s):
-    """theta on every word of the orbit set ``s``, in scan order.
+def trie_values(theta, s, start, trie):
+    """theta on the words of one ``s.trie_blocks()`` block, the block
+    ``(start, trie)``, in scan order.
 
-    Reads the words off ``s.path_trie()``: each node's map is its parent's
-    precomposed with one twist, and a word's value is the root under its
-    node's map, so the cost follows the trie's size, not the words'
-    letters.  Every path of ``s`` must therefore replay to its word
-    (see OrbitSet).
+    Each node's map is its parent's precomposed with one twist, and a
+    word's value is the root under its node's map, so the cost follows the
+    trie's size, not the words' letters.  Every path of ``s`` must
+    therefore replay to its word (see OrbitSet).  A word off the trie (the
+    base word) is evaluated directly, at scan index ``start + i``.
     """
     G = theta.group
-    trie = s.path_trie()
     maps = np.empty((trie.size, 4), dtype=G.table.dtype)
     maps[0] = theta.images
     for j, lo, parents in trie.blocks:
         maps[lo:lo + len(parents)] = _precompose_rows(G, maps[parents],
                                                       sigma(j))
-    values = evaluate_rows(G, root_word(), maps.T)[trie.node]
-    for i in np.nonzero(trie.node < 0)[0].tolist():
-        values[i] = evaluate(theta, s.word_at(i))
+    values = evaluate_rows(G, root_word(), maps[trie.node].T)
+    for i in np.flatnonzero(trie.node < 0).tolist():
+        values[i] = evaluate(theta, s.word_at(start + i))
     return values
 
 
@@ -123,9 +130,13 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
 class IntersectionReport:
     """Outcome of scanning the orbit set against a kernel intersection.
 
-    avoids        True iff no scanned word lies in every kernel.
+    avoids        True iff no word of the set lies in every kernel.
     counterexample  first scan-order word inside the intersection (if any).
-    survivors     per-class counts of words still inside all kernels so far.
+    survivors     survivors[k] counts the words inside the kernels of
+                  classes 0..k, among the words up to the counterexample's
+                  scan index (all words when there is none); the list ends
+                  at its first 0.  With a counterexample it counts a
+                  prefix of the set, the words the scan has read.
     """
 
     def __init__(self, avoids, counterexample, counterexample_path, survivors,
@@ -140,22 +151,40 @@ class IntersectionReport:
 def intersection_avoids_c0(reps, s):
     """Does the kernel intersection miss every word of the orbit set?
 
-    Evaluates the whole set under each kernel class in turn, keeping only
-    words trivial so far; empty survivors certify avoidance.  The values
-    come from ``orbit_values``, which reads provenance paths, not letters:
-    every path of ``s`` must replay to its word.  ``generate_c0``
-    guarantees this, and the paths are read-only, so the cached trie cannot
-    go stale.  A counterexample is re-verified on the scalar path.
+    Reads ``s.trie_blocks()`` in turn, so a partial set grows one level at
+    a time and stops at the first block that holds a word in every kernel:
+    only a set that the intersection avoids is generated in full.  Within
+    a block each kernel class in turn keeps only the words trivial so far
+    (``trie_values``), until none is left.  The values are read off
+    provenance paths, not letters: every path of ``s`` must replay to its
+    word.  ``generate_c0`` guarantees this, and the paths are read-only,
+    so the cached trie cannot go stale.  A counterexample is re-verified
+    on the scalar path.
     """
-    alive = np.ones(len(s), dtype=bool)
-    survivors = []
-    for th in reps:
-        alive &= orbit_values(th, s) == 0
-        survivors.append(int(alive.sum()))
-        if not alive.any():
-            return IntersectionReport(True, None, None, survivors, s.depth)
-    idx = int(np.nonzero(alive)[0][0])
-    w = s.word_at(idx)
+    # died[d]: words counted so far whose first class with a nonzero value
+    # is d (len(reps) for a word in every kernel).
+    died = np.zeros(len(reps) + 1, dtype=np.int64)
+    w = None
+    for start, trie in s.trie_blocks():
+        first = np.full(len(trie.node), len(reps))
+        alive = np.ones(len(trie.node), dtype=bool)
+        for k, th in enumerate(reps):
+            dies = alive & (trie_values(th, s, start, trie) != 0)
+            first[dies] = k
+            alive ^= dies
+            if not alive.any():
+                break
+        hits = np.flatnonzero(alive)
+        end = int(hits[0]) + 1 if len(hits) else len(first)
+        died += np.bincount(first[:end], minlength=len(died))
+        if len(hits):
+            w = s.word_at(start + end - 1)
+            break
+    survivors = np.cumsum(died[::-1])[-2::-1].tolist()
+    if 0 in survivors:
+        survivors = survivors[:survivors.index(0) + 1]
+    if w is None:
+        return IntersectionReport(True, None, None, survivors, s.depth)
     for th in reps:
         if evaluate(th, w) != 0:
             raise AssertionError("counterexample failed re-verification")

@@ -35,6 +35,7 @@ class OrbitCapExceeded(RuntimeError):
     """Word-count cap hit during generation; partial sets are never returned."""
 
 
+@lru_cache(maxsize=None)
 def root_word():
     """s3([x1,y1]), the expansion seed."""
     return apply(sigma(3), commutator_base())
@@ -48,8 +49,9 @@ Node 0 is the empty suffix.  Each block ``(j, lo, parents)`` numbers
 j, and every parent is numbered before its block.  The word with path
 (i1, ..., ik) is s_ik o ... o s_i1 (root), so it is the root under the map
 theta o s_ik o ... o s_i1 of node (ik, ..., i1): a child's map is its
-parent's map precomposed with s_j.  ``node[i]`` is the node of scan word i
-(0 for the root), or -1 for a word to evaluate directly (the base word)."""
+parent's map precomposed with s_j.  ``node[i]`` is the node of the block's
+word i (0 for the root), or -1 for a word to evaluate directly (the base
+word); see ``OrbitSet.trie_blocks``."""
 
 
 class OrbitSet:
@@ -65,17 +67,17 @@ class OrbitSet:
     pack, made on the first scan.  A set from ``generate_c0`` starts as the
     two seeds and grows one level at a time, on demand.  Calls that need
     the whole set finish it: ``len``, ``paths``, ``words``, iteration,
-    ``path_trie``, ``==``, and a membership lookup (``in``, ``path``,
-    ``contains``) that misses.  A lookup grows the set only until the word
-    appears, ``word_at`` only until its index is generated, and
-    ``scan_blocks`` one level per block asked for.  Generation order is
+    ``==``, and a membership lookup (``in``, ``path``, ``contains``) that
+    misses.  A lookup grows the set only until the word appears,
+    ``word_at`` only until its index is generated, and ``scan_blocks`` and
+    ``trie_blocks`` one level per block asked for.  Generation order is
     scan order, and a word is generated only at its first level, so none of
     these calls sees a different answer on a partial set.  A set built
     from ``paths`` is complete from the start; its paths are put in scan
     order once, when it is built.
 
-    Full-set evaluation (``kernel_orbit.orbit_values``) reads the paths,
-    not the words' letters: every path must replay to its word
+    Trie evaluation (``kernel_orbit.trie_values``) reads the paths, not
+    the words' letters: every path must replay to its word
     (``replay_path``).  ``generate_c0`` guarantees this; a set built from
     other paths must too.
     """
@@ -166,13 +168,26 @@ class OrbitSet:
             pass
         return Word.from_bytes(self._order[i], 4)
 
-    def path_trie(self):
-        """The PathTrie of this set in scan order, built on first use and
-        cached."""
-        if self._trie is None:
-            self._finish()
-            self._trie = _path_trie(self._seen)
-        return self._trie
+    def trie_blocks(self):
+        """Yield ``(start, trie)`` blocks, with the same boundaries as
+        ``scan_blocks``: ``trie`` is the PathTrie of the block's words,
+        its ``node[k]`` the node of the word at scan index ``start + k``.
+
+        On a complete set this is one block, whose trie is built on the
+        first scan and cached.  On a partial set it is first the generated
+        words, then each further level, generated only when the caller
+        asks for the next block.
+        """
+        start = 0
+        while start < len(self._order) or self._grow():
+            end = len(self._order)
+            if start == 0 and self.complete:
+                if self._trie is None:
+                    self._trie = _path_trie(self._order, self._seen)
+                yield 0, self._trie
+            else:
+                yield start, _path_trie(self._order[start:end], self._seen)
+            start = end
 
     def path(self, w):
         """The provenance path of ``w``, or None if it is not in the set."""
@@ -200,9 +215,10 @@ def _scan_key(item):
     return (1, (len(p),) + p, len(data), data)
 
 
-def _path_trie(seen):
-    """The PathTrie of ``seen``, word bytes -> path in scan order."""
-    seq = list(seen.values())
+def _path_trie(order, seen):
+    """The PathTrie of the words ``order``, word bytes in scan order, with
+    their paths in ``seen``."""
+    seq = list(map(seen.get, order))
     derived = np.fromiter((p != BASE_PATH for p in seq), dtype=bool,
                           count=len(seq))
     suffixes = [p for p in seq if p != BASE_PATH]
@@ -228,7 +244,7 @@ def _path_trie(seen):
         size += len(keys)
     node = np.zeros(len(seq), dtype=np.intp)
     node[derived] = cur
-    root, order = root_word().data, list(seen)
+    root = root_word().data
     for i in np.flatnonzero(~derived).tolist():
         if order[i] != root:
             node[i] = -1

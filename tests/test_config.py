@@ -90,6 +90,10 @@ def test_known_b0_values():
      "line 3: bad relator: unknown generator 'b'"),
     ("group g\nkind presentation\ngens a\nrel a^3\n# b\nrel a b\n",
      "line 6: bad relator: unknown generator 'b'"),
+    ("group g\nkind presentation\ngens a a\nrel a^2\n",
+     "line 3: duplicate generator names"),
+    ("group g\nkind presentation\ngens a\nrel a^2\nrel a a^-1\n",
+     "line 5: bad relator: a a^-1 reduces to the identity"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:

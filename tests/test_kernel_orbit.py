@@ -15,8 +15,8 @@ from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
 from handlebody.kernel_orbit import (KernelClassCapExceeded,
                                      fiber_group_order,
                                      intersection_avoids_c0,
-                                     kernel_keys, kernel_orbit, orbit_values,
-                                     precompose)
+                                     kernel_keys, kernel_orbit, precompose,
+                                     trie_values)
 from handlebody.orbit import (BASE_PATH, DEFAULT_SIGMAS, OrbitSet,
                               generate_c0)
 from handlebody.twists import apply, commutator_base, sigma
@@ -109,16 +109,28 @@ def _fold_values(theta, s):
 
 def _fold_intersection(reps, s):
     """Oracle: the intersection scan on letter folds, as
-    (avoids, counterexample, survivors)."""
+    (avoids, counterexample, survivors), the survivors counted among the
+    words up to the counterexample's scan index (all words without one)."""
     words = list(s)
     alive = np.ones(len(words), dtype=bool)
-    survivors = []
+    masks = []
     for th in reps:
         alive &= _fold_values(th, s) == 0
-        survivors.append(int(alive.sum()))
+        masks.append(alive.copy())
         if not alive.any():
-            return True, None, survivors
-    return False, words[int(np.nonzero(alive)[0][0])], survivors
+            break
+    hits = np.flatnonzero(alive)
+    end = int(hits[0]) + 1 if len(hits) else len(words)
+    survivors = [int(m[:end].sum()) for m in masks]
+    if len(hits):
+        return False, words[int(hits[0])], survivors
+    return True, None, survivors
+
+
+def _block_values(theta, s):
+    """theta on every scan-order word, by ``trie_values`` on each block."""
+    return np.concatenate([trie_values(theta, s, start, trie)
+                           for start, trie in s.trie_blocks()])
 
 
 # (depth, moves) of the orbit sets evaluated through their path trie; the
@@ -142,6 +154,10 @@ def _trie_set(case, orbit9):
     return _TRIE_SET_CACHE[case]
 
 
+def _fresh_set(case):
+    return generate_c0(depth=case[0], sigmas=case[1])
+
+
 def _trie_group(name, heis3, group55, order243):
     return {"cyclic3": cyclic(3), "heisenberg3": heis3,
             "semidirect_11_5_3": group55, "order243": order243}[name]
@@ -155,40 +171,48 @@ def test_orbit_values_match_letter_fold(name, case, seed, orbit9, heis3,
                                         group55, order243):
     G = _trie_group(name, heis3, group55, order243)
     theta = _random_epimorphism(G, np.random.default_rng(seed))
-    s = _trie_set(case, orbit9)
-    values = orbit_values(theta, s)
-    assert values.shape == (len(s),)
-    assert np.array_equal(values, _fold_values(theta, s))
+    full = _trie_set(case, orbit9)
+    want = _fold_values(theta, full)
+    # A fresh set reads one trie per level, a complete one a single trie.
+    for s in (_fresh_set(case), full):
+        assert np.array_equal(_block_values(theta, s), want)
 
 
 def test_path_trie_is_cached_with_one_node_per_suffix(orbit3):
-    trie = orbit3.path_trie()
-    assert orbit3.path_trie() is trie
+    len(orbit3)
+    (start, trie), = orbit3.trie_blocks()
+    assert start == 0
+    (_, again), = orbit3.trie_blocks()
+    assert again is trie
     # One node per distinct reversed path suffix, root suffix included.
     suffixes = {p[::-1][:d] for p in orbit3.paths.values()
                 if p != BASE_PATH for d in range(len(p) + 1)}
     assert trie.size == len(suffixes)
-    fresh = OrbitSet(orbit3.paths, orbit3.depth, orbit3.sigmas).path_trie()
+    (_, fresh), = OrbitSet(orbit3.paths, orbit3.depth,
+                           orbit3.sigmas).trie_blocks()
     assert np.array_equal(fresh.node, trie.node)
 
 
 @pytest.mark.parametrize("name", TRIE_GROUPS)
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), maps=st.integers(1, 6),
-       case=st.sampled_from(TRIE_SETS))
-def test_intersection_matches_fold_oracle(name, seed, maps, case, orbit9,
-                                          heis3, group55, order243):
+       case=st.sampled_from(TRIE_SETS), grown=st.integers(0, 2 ** 16))
+def test_intersection_matches_fold_oracle(name, seed, maps, case, grown,
+                                          orbit9, heis3, group55, order243):
     G = _trie_group(name, heis3, group55, order243)
     rng = np.random.default_rng(seed)
     reps = [_random_epimorphism(G, rng) for _ in range(maps)]
-    s = _trie_set(case, orbit9)
-    report = intersection_avoids_c0(reps, s)
-    avoids, counterexample, survivors = _fold_intersection(reps, s)
-    assert report.avoids is avoids
-    assert report.survivors == survivors
-    assert report.counterexample == counterexample
-    assert report.counterexample_path == (
-        None if counterexample is None else s.paths[counterexample])
+    full = _trie_set(case, orbit9)
+    avoids, counterexample, survivors = _fold_intersection(reps, full)
+    partial = _fresh_set(case)
+    partial.word_at(grown % len(full))
+    for s in (_fresh_set(case), partial, full):
+        report = intersection_avoids_c0(reps, s)
+        assert report.avoids is avoids
+        assert report.survivors == survivors
+        assert report.counterexample == counterexample
+        assert report.counterexample_path == (
+            None if counterexample is None else full.paths[counterexample])
 
 
 def test_intersection_matches_fold_oracle_on_kernel_orbit(orbit9):
@@ -196,6 +220,18 @@ def test_intersection_matches_fold_oracle_on_kernel_orbit(orbit9):
     report = intersection_avoids_c0(reps, orbit9)
     assert (report.avoids, report.counterexample, report.survivors) == (
         _fold_intersection(reps, orbit9))
+
+
+def test_intersection_stops_at_first_common_word():
+    # The cyclic_3 config's theta: the base word lies in every kernel, so
+    # the scan reads the two seeds and no level.
+    reps, _ = kernel_orbit(_abelian_theta())
+    s = generate_c0(9)
+    report = intersection_avoids_c0(reps, s)
+    assert report.counterexample == commutator_base()
+    assert report.counterexample_path == BASE_PATH
+    assert report.survivors == [1] * len(reps)
+    assert s.generated == 2 and not s.complete
 
 
 def test_precompose_is_composition(heis3, orbit3):

@@ -111,7 +111,7 @@ _FINISHING_CALLS = {
     "words": lambda s: s.words,
     "iter": lambda s: next(iter(s)),
     "scan_blocks (all)": lambda s: list(s.scan_blocks()),
-    "path_trie": lambda s: s.path_trie(),
+    "trie_blocks (all)": lambda s: list(s.trie_blocks()),
     "eq": lambda s: s == generate_c0(depth=s.depth),
     "in (miss)": lambda s: parse_word("x1^50") in s,
     "path (miss)": lambda s: s.path(parse_word("x1^50")),
@@ -146,6 +146,32 @@ def test_scan_blocks_cover_the_scan_order(finish_at):
     assert s.complete and starts == all_offsets[:-1].tolist()
     assert enc == all_enc.tobytes()
     assert enc == b"".join(w.data for w in s)
+
+
+def _block_sizes(s, blocks, finish_at):
+    """(start, word count) of each block; ``finish_at`` as in
+    test_scan_blocks_cover_the_scan_order."""
+    if finish_at == 0:
+        len(s)
+    sizes = []
+    for k, (start, words) in enumerate(blocks):
+        if k + 1 == finish_at:
+            len(s)
+        sizes.append((start, words))
+    return sizes
+
+
+@pytest.mark.parametrize("finish_at", [None, 0, 1, 3])
+def test_trie_blocks_follow_the_scan_blocks(finish_at):
+    s, t = generate_c0(depth=4), generate_c0(depth=4)
+    scans = _block_sizes(s, ((start, len(offsets) - 1)
+                             for start, _, offsets in s.scan_blocks()),
+                         finish_at)
+    tries = _block_sizes(t, ((start, len(trie.node))
+                             for start, trie in t.trie_blocks()), finish_at)
+    assert tries == scans
+    if finish_at is None:
+        assert tries == [(0, 2), (2, 3), (5, 9), (14, 27), (41, 81)]
 
 
 def test_lookups_grow_only_to_the_words_level():
