@@ -5,12 +5,14 @@ order-243 configs, unfiltered and with the nine quick products filtered
 out, and checks the pair counts (order243_presented: 12,312 and 12,312;
 the stand-in: 5,832 and 5,725).  Then times ``drop_quick_pairs`` on
 order243_presented's unfiltered pairs (all 12,312 kept), the full
-``automorphisms(heisenberg(3))`` search (432 found),
+``automorphisms(heisenberg(3))`` search (432 found), the 432 permutations
+of G those automorphisms induce (``automorphism_permutations``),
 ``single_aut_orbit_certificate`` on order243_presented's 38,880
-noncommuting pairs (one Aut(G) orbit, so True), and building the 14
-table-1 metacyclic groups with ``semidirect_pq`` (all 14 in one timed run)
-and ``heisenberg(5)``.  Configs and groups are built outside the timed
-region.
+noncommuting pairs (one Aut(G) orbit, so True), ``fiber_group_order`` on
+the kernel orbits of heisenberg_3 and order243_presented (|H| = 19,683
+each), and building the 14 table-1 metacyclic groups with
+``semidirect_pq`` (all 14 in one timed run) and ``heisenberg(5)``.
+Configs, groups and kernel orbits are built outside the timed region.
 
 Usage:
     python3 benchmarks/bench_groups.py [--repeats 5]
@@ -22,9 +24,10 @@ import time
 
 import numpy as np
 
-from handlebody import (automorphisms, heisenberg, load_config,
-                        partner_pairs, reference, semidirect_pq,
-                        single_aut_orbit_certificate)
+from handlebody import (automorphisms, fiber_group_order, heisenberg,
+                        kernel_orbit, load_config, partner_pairs, reference,
+                        semidirect_pq, single_aut_orbit_certificate)
+from handlebody.groups import automorphism_permutations
 from handlebody.homs import drop_quick_pairs
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
@@ -34,6 +37,9 @@ EXPECTED_PAIRS = {
     "order243_presented": (12312, 12312),
     "order243_obstructed_standin": (5832, 5725),
 }
+# Configs whose kernel orbit's fiber group is closed, and its order.
+FIBER_CONFIGS = ("heisenberg_3", "order243_presented")
+FIBER_ORDER = 19683
 
 
 def best_of(repeats, fn):
@@ -84,6 +90,14 @@ def main(argv=None):
         raise SystemExit("automorphisms(heisenberg(3)): %d, expected 432"
                          % len(auts))
     rows.append(("automorphisms heisenberg(3), 432", t_aut))
+    t_perms, perms = best_of(args.repeats,
+                             lambda: automorphism_permutations(heis3, auts))
+    perms = np.asarray(perms)
+    if perms.shape != (432, 27) or not (
+            np.sort(perms, axis=1) == np.arange(27)).all():
+        raise SystemExit("automorphism_permutations(heisenberg(3)): "
+                         "not 432 permutations of 27 elements")
+    rows.append(("automorphism_permutations heisenberg(3), 432", t_perms))
 
     us, vs = np.nonzero(G.conjugation_table() != np.arange(G.order))
     noncommuting = list(zip(us.tolist(), vs.tolist()))
@@ -95,6 +109,17 @@ def main(argv=None):
                          % (cert, len(noncommuting)))
     rows.append(("single_aut_orbit_certificate order243_presented, 38880",
                  t_cert))
+
+    for name in FIBER_CONFIGS:
+        reps, _ = kernel_orbit(
+            load_config(os.path.join(CONFIGS, name + ".cfg")).theta())
+        t_fiber, order = best_of(args.repeats,
+                                 lambda: fiber_group_order(reps))
+        if order != FIBER_ORDER:
+            raise SystemExit("fiber_group_order %s: %s, expected %d"
+                             % (name, order, FIBER_ORDER))
+        rows.append(("fiber_group_order %s, %d" % (name, FIBER_ORDER),
+                     t_fiber))
 
     triples = [pqr for pqr, _ in reference.RECORDED_WITNESS_ROWS]
     t_pq, _ = best_of(args.repeats,

@@ -700,31 +700,47 @@ def automorphisms(G, pres=None, node_cap=200000, fixed=None, limit=None):
     return found
 
 
+def _permutation_rows(G, pres_gens, images):
+    """One permutation of G per row of ``images``: the map sending
+    generator elements ``pres_gens`` to that row, extended along the
+    breadth-first tree of G from the identity under right multiplication
+    by ``pres_gens`` and then their inverses.  The tree does not depend on
+    the images, so each level is filled for every row in one gather."""
+    gens = np.asarray(pres_gens, dtype=np.int64)
+    images = np.asarray(images, dtype=np.int64).reshape(-1, len(gens))
+    moves = np.concatenate([gens, G.inv[gens]])
+    targets = np.concatenate([images, G.inv[images]], axis=1)
+    perms = np.empty((len(images), G.order), dtype=np.int32)
+    perms[:, 0] = 0
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        prods = G.table[frontier[:, None], moves].ravel()
+        fresh = np.flatnonzero(~seen[prods])
+        _, first = np.unique(prods[fresh], return_index=True)
+        pos = fresh[np.sort(first)]
+        parents, steps = np.divmod(pos, len(moves))
+        level = prods[pos]
+        perms[:, level] = G.table[perms[:, frontier[parents]],
+                                  targets[:, steps]]
+        seen[level] = True
+        frontier = level
+    if not seen.all():
+        raise ValueError("generator elements do not generate the group")
+    return perms
+
+
 def extend_to_permutation(G, pres_gens, images):
     """The permutation of G induced by mapping generator elements
     ``pres_gens`` to ``images`` (assumed to define an automorphism)."""
-    n = G.order
-    perm = np.full(n, SENTINEL, dtype=np.int32)
-    perm[0] = 0
-    frontier = [0]
-    step = [(g, img) for g, img in zip(pres_gens, images)]
-    step += [(G.inverse(g), G.inverse(img)) for g, img in step]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g, img in step:
-                x = int(G.table[h, g])
-                if perm[x] == SENTINEL:
-                    perm[x] = G.table[perm[h], img]
-                    nxt.append(x)
-        frontier = nxt
-    if SENTINEL in perm:
-        raise ValueError("generator elements do not generate the group")
-    return perm
+    return _permutation_rows(G, pres_gens, [images])[0]
 
 
 def automorphism_permutations(G, auts):
-    return [extend_to_permutation(G, G.generators, t) for t in auts]
+    """The permutations of G induced by the automorphisms ``auts`` (image
+    tuples of ``G.generators``), one row each, built in one pass."""
+    return _permutation_rows(G, G.generators, auts)
 
 
 def pair_orbit_count(G, pairs, auts=None, pres=None, node_cap=200000):
@@ -809,6 +825,6 @@ def single_aut_orbit_certificate(G, pairs, pres=None, node_cap=200000):
                               fixed={gi: a, gj: b}, limit=1)
         if not found:
             return False
-        perms.append(extend_to_permutation(G, gens, found[0])
+        perms.append(automorphism_permutations(G, found)[0]
                      .astype(np.int64))
         frontier = np.flatnonzero(orbit)

@@ -191,9 +191,9 @@ def intersection_avoids_c0(reps, s):
     return IntersectionReport(False, w, s.path(w), survivors, s.depth)
 
 
-# Working-set budget for the fiber closure, in int32 entries (~256 MB):
-# elements are length-r vectors, so the admissible element count shrinks
-# as the kernel orbit grows.
+# Coordinate budget for the fiber closure: elements are length-r vectors,
+# so at most budget // r of them are held, once in the element array (one
+# byte a coordinate while |G| <= 256, so 64 MB) and once as set keys.
 _FIBER_INT_BUDGET = 64000000
 
 
@@ -201,33 +201,35 @@ def fiber_group_order(reps, closure_cap=1000000):
     """Order of the image of the diagonal map into G^r — the group whose
     free action the kernel intersection defines.  None when the closure
     exceeds ``closure_cap`` elements, or the memory-scaled equivalent for
-    wide orbits (order unknown, not infinite)."""
+    wide orbits (order unknown, not infinite).
+
+    Dimino's algorithm (Butler, *Fundamental Algorithms for Permutation
+    Groups*, 1991): the images s1..s4 of the generators are added in turn,
+    and while s_i lies outside K = <s1..s_{i-1}>, the group <K, s_i> is
+    closed by whole right cosets K e, each one gather of the table.  K is
+    always the prefix of the element array, and only a candidate coset
+    representative is looked up in the set of element bytes."""
     G = reps[0].group
     r = len(reps)
     cap = min(closure_cap, max(1, _FIBER_INT_BUDGET // max(r, 1)))
-    gens = np.empty((8, r), dtype=np.int32)
-    for i in range(4):
-        tup = np.array([th.images[i] for th in reps], dtype=np.int32)
-        gens[2 * i] = tup
-        gens[2 * i + 1] = G.inv[tup]
-    table = G.table
-    identity = np.zeros(r, dtype=np.int32)
-    seen = {identity.tobytes()}
-    frontier = identity[None, :]
-    chunk = max(1, 4000000 // (8 * r))
-    while frontier.shape[0]:
-        fresh = []
-        for lo in range(0, frontier.shape[0], chunk):
-            block = frontier[lo:lo + chunk]
-            prods = table[block[:, None, :], gens[None, :, :]]
-            prods = prods.reshape(-1, r).astype(np.int32, copy=False)
-            for row in prods:
-                key = row.tobytes()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(key)
-                    fresh.append(row.copy())
-        frontier = (np.stack(fresh) if fresh
-                    else np.empty((0, r), dtype=np.int32))
-    return len(seen)
+    dtype = np.min_scalar_type(G.order - 1)
+    row = np.dtype((np.void, r * dtype.itemsize))
+    table = G.table.astype(dtype)
+    gens = np.array([th.images for th in reps], dtype=dtype).T
+    elts = np.zeros((max(cap, 1), r), dtype=dtype)
+    seen = {elts[0].tobytes()}
+    size = 1
+    for i, s in enumerate(gens):
+        sub = size
+        cosets = [s]
+        for rep in cosets:
+            if rep.tobytes() in seen:
+                continue
+            if size + sub > cap:
+                return None
+            coset = table[elts[:sub], rep]
+            elts[size:size + sub] = coset
+            seen.update(coset.view(row).ravel().tolist())
+            size += sub
+            cosets.extend(table[rep, gens[:i + 1]])
+    return size

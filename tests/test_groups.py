@@ -477,6 +477,29 @@ def test_automorphisms_cap(heis3):
         automorphisms(heis3, heis3.presentation, node_cap=10)
 
 
+def _loop_permutation(G, pres_gens, images):
+    """Oracle for the batched permutations: one breadth-first walk of G
+    per map, element by element, filling perm[h g] = perm[h] image."""
+    n = G.order
+    perm = np.full(n, -1, dtype=np.int32)
+    perm[0] = 0
+    frontier = [0]
+    step = [(g, img) for g, img in zip(pres_gens, images)]
+    step += [(G.inverse(g), G.inverse(img)) for g, img in step]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g, img in step:
+                x = int(G.table[h, g])
+                if perm[x] == -1:
+                    perm[x] = G.table[perm[h], img]
+                    nxt.append(x)
+        frontier = nxt
+    if (perm == -1).any():
+        raise ValueError("generator elements do not generate the group")
+    return perm
+
+
 def test_extend_to_permutation_is_homomorphic(heis3):
     auts = automorphisms(heis3, heis3.presentation)
     gens = list(heis3.generators)
@@ -487,6 +510,18 @@ def test_extend_to_permutation_is_homomorphic(heis3):
     for _ in range(50):
         g, h = rng.integers(0, n, 2)
         assert perm[heis3.table[g, h]] == heis3.table[perm[g], perm[h]]
+    assert np.array_equal(perm, _loop_permutation(heis3, gens, auts[5]))
+    # The walk does not depend on the images, so even images that define
+    # no automorphism give the oracle's array.
+    for images in rng.integers(0, n, (20, 2)):
+        assert np.array_equal(extend_to_permutation(heis3, gens, images),
+                              _loop_permutation(heis3, gens, images))
+    # Generator elements that do not generate G are refused.
+    for bad in ([gens[0]], [gens[0], gens[0]], [0, 0]):
+        with pytest.raises(ValueError):
+            _loop_permutation(heis3, bad, bad)
+        with pytest.raises(ValueError):
+            extend_to_permutation(heis3, bad, bad)
 
 
 def test_pair_orbit_count_heisenberg(heis3):
@@ -625,10 +660,17 @@ def test_single_aut_orbit_certificate_order243_queries(order243,
     assert 1 <= len(calls) <= 10
 
 
-def test_automorphism_permutations_consistent(heis3):
-    auts = automorphisms(heis3, heis3.presentation)
-    perms = np.array(automorphism_permutations(heis3, auts))
-    assert perms.shape == (432, 27)
-    # Each row is a bijection fixing the identity.
-    assert (perms[:, 0] == 0).all()
-    assert (np.sort(perms, axis=1) == np.arange(27)).all()
+def test_automorphism_permutations_consistent(heis3, group55):
+    klein4 = coset_enumerate(Presentation(["a", "b"],
+                                          ["a^2", "b^2", "[a,b]"]))
+    for G, count in ((heis3, 432), (group55, 110), (klein4, 6)):
+        auts = automorphisms(G, G.presentation)
+        perms = automorphism_permutations(G, auts)
+        assert perms.shape == (count, G.order)
+        # Each row is a bijection fixing the identity.
+        assert (perms[:, 0] == 0).all()
+        assert (np.sort(perms, axis=1) == np.arange(G.order)).all()
+        # Row for row, the one-pass build equals a walk per automorphism.
+        for aut, perm in zip(auts, perms):
+            assert np.array_equal(perm,
+                                  _loop_permutation(G, G.generators, aut))

@@ -2,12 +2,14 @@
 
 import importlib
 import itertools
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from handlebody.backend import evaluate_words
+from handlebody.config import load_config
 from handlebody.groups import (automorphism_permutations, automorphisms,
                                cyclic, heisenberg, semidirect_pq)
 from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
@@ -23,6 +25,7 @@ from handlebody.twists import apply, commutator_base, sigma
 from handlebody.words import parse_word
 
 ko = importlib.import_module("handlebody.kernel_orbit")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def _kernel_equal(th1, th2):
@@ -380,6 +383,77 @@ def test_intersection_avoids_for_seed_free_set(group55, orbit3):
     assert report.avoids is True
     assert report.counterexample is None
     assert report.survivors[-1] == 0
+
+
+def _bfs_fiber_order(reps, closure_cap=1000000):
+    """Oracle for fiber_group_order: the breadth-first closure of the
+    diagonal images and their inverses, one row lookup per product, with
+    the same cap rule (None once the closure would pass the cap)."""
+    G = reps[0].group
+    r = len(reps)
+    cap = min(closure_cap, max(1, ko._FIBER_INT_BUDGET // max(r, 1)))
+    gens = np.empty((8, r), dtype=np.int32)
+    for i in range(4):
+        tup = np.array([th.images[i] for th in reps], dtype=np.int32)
+        gens[2 * i] = tup
+        gens[2 * i + 1] = G.inv[tup]
+    identity = np.zeros(r, dtype=np.int32)
+    seen = {identity.tobytes()}
+    frontier = identity[None, :]
+    while frontier.shape[0]:
+        fresh = []
+        prods = G.table[frontier[:, None, :], gens[None, :, :]]
+        for row in prods.reshape(-1, r):
+            key = row.tobytes()
+            if key not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(key)
+                fresh.append(row)
+        frontier = (np.stack(fresh) if fresh
+                    else np.empty((0, r), dtype=np.int32))
+    return len(seen)
+
+
+def _assert_fiber_matches_oracle(reps):
+    """The closure equals the oracle at the default cap and at caps 1,
+    |H| - 1, |H| and |H| + 1; returns |H|."""
+    order = _bfs_fiber_order(reps)
+    assert order is not None
+    assert fiber_group_order(reps) == order
+    for cap in (1, order - 1, order, order + 1):
+        want = _bfs_fiber_order(reps, closure_cap=cap)
+        assert want == (order if cap >= order else None)
+        assert fiber_group_order(reps, closure_cap=cap) == want
+    return order
+
+
+@pytest.mark.parametrize("name,order", [("cyclic_3", 81),
+                                        ("heisenberg_3", 19683),
+                                        ("order243_presented", 19683)])
+def test_fiber_group_order_matches_bfs_oracle(name, order):
+    cfg = load_config(os.path.join(CONFIG_DIR, name + ".cfg"))
+    reps, _ = kernel_orbit(cfg.theta())
+    assert _assert_fiber_matches_oracle(reps) == order
+    for k in (1, 2, 3):
+        _assert_fiber_matches_oracle(reps[:k])
+
+
+@pytest.mark.parametrize("pqr,seed", [((7, 3, 2), 0), ((13, 3, 3), 1)])
+def test_fiber_group_order_matches_bfs_oracle_on_random_thetas(
+        pqr, seed, monkeypatch):
+    G = semidirect_pq(*pqr)
+    reps, _ = kernel_orbit(_random_epimorphism(G, np.random.default_rng(seed)))
+    for k in (1, 2, 3):
+        order = _assert_fiber_matches_oracle(reps[:k])
+    # The memory-scaled cap, budget // r, follows the same rule.
+    for budget, want in ((3 * order - 1, None), (3 * order, order)):
+        monkeypatch.setattr(ko, "_FIBER_INT_BUDGET", budget)
+        assert _bfs_fiber_order(reps[:3]) == want
+        assert fiber_group_order(reps[:3]) == want
+    # The whole orbit passes a small cap in both.
+    assert fiber_group_order(reps, closure_cap=500) is None
+    assert _bfs_fiber_order(reps, closure_cap=500) is None
 
 
 def test_fiber_group_order_abelian():
