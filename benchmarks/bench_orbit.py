@@ -1,23 +1,22 @@
-"""Time orbit generation, its pack, provenance replay, full-set
-evaluation and the early-exit scans at depth 9.
+"""Time orbit generation, provenance replay, full-set evaluation and the
+early-exit scans at depth 9.
 
 Prints the best-of-N seconds of these stages: ``generate_c0(9)`` finished
 to all 29,922 words, with the number of twist applications it makes
 (counted in a separate, untimed run by wrapping ``handlebody.orbit``'s
-``apply_bytes``), the first ``scan_blocks()`` block (pack only: a set is
-in scan order from the start) on a fresh copy of that set,
-``replay_path`` over a seeded sample of 3,000 stored paths, the one
-``trie_blocks()`` block of a fresh copy (its path trie), and one map (the
-standard epimorphism onto the metacyclic group of order 55) evaluated on
-every word, first by folding letters (``evaluate_words``), then by
-precomposing along the path trie (``trie_values``); then the first
-witness of each shipped config's theta on a fresh (partial) set, with the
-number of words that scan generated, and ``intersection_avoids_c0`` of
-the kernel orbits of cyclic_3 and heisenberg_3 on a fresh set, with the
-words it generated.  Copies, samples, fresh sets and kernel orbits are
-made outside the timed region; the replayed words, the two evaluations,
-each witness and each intersection report (against the finished set) are
-checked after timing.
+``apply_bytes``), ``replay_path`` over a seeded sample of 3,000 stored
+paths, every ``trie_blocks()`` level trie of a fresh copy of that set,
+and one map (the standard epimorphism onto the metacyclic group of order
+55) evaluated on every word by precomposing along those tries
+(``trie_values``); then the first witness of each shipped config's theta,
+on a fresh (partial) set, with the number of words that scan generated,
+and on the finished set, whose level tries are kept between scans; and
+``intersection_avoids_c0`` of the kernel orbits of cyclic_3 and
+heisenberg_3 on a fresh set, with the words it generated.  Copies,
+fresh sets and kernel orbits are made outside the timed region; the
+replayed words, a seeded sample of the trie values (against
+``evaluate_in_group``), each witness and each intersection report
+(against the finished set) are checked after timing.
 
 Usage:
     python3 benchmarks/bench_orbit.py [--repeats 7]
@@ -31,17 +30,17 @@ import time
 
 import numpy as np
 
-from handlebody import (Epimorphism, OrbitSet, generate_c0,
-                        handlebody_witness, intersection_avoids_c0,
-                        kernel_orbit, load_config, replay_path,
-                        semidirect_pq, standard_metacyclic_images)
+from handlebody import (Epimorphism, OrbitSet, evaluate_in_group,
+                        generate_c0, handlebody_witness,
+                        intersection_avoids_c0, kernel_orbit, load_config,
+                        replay_path, semidirect_pq,
+                        standard_metacyclic_images)
 from handlebody import orbit
-from handlebody.backend import evaluate_words
-from handlebody.kernel_orbit import trie_values
-from handlebody.orbit import BASE_PATH
+from handlebody.orbit import BASE_PATH, trie_values
 
 DEPTH = 9
 REPLAYS = 3000
+SAMPLE = 500
 KERNEL_CONFIGS = ("cyclic_3", "heisenberg_3")
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "configs")
@@ -100,9 +99,6 @@ def main(argv=None):
 
     t_gen, s = best_of(args.repeats, full_set)
     twists = count_twists(DEPTH)
-    t_scan, (_, enc, offsets) = best_of(
-        args.repeats, lambda copy: next(copy.scan_blocks()),
-        lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
     sample = random.Random(0).sample(
         [(w, p) for w, p in s.paths.items() if p != BASE_PATH], REPLAYS)
     t_replay, replayed = best_of(
@@ -110,17 +106,16 @@ def main(argv=None):
     if replayed != [w for w, _ in sample]:
         raise SystemExit("replay_path disagrees with the stored words")
 
-    t_trie, (_, trie) = best_of(
-        args.repeats, lambda copy: next(copy.trie_blocks()),
+    t_trie, tries = best_of(
+        args.repeats, lambda copy: [t for _, t in copy.trie_blocks()],
         lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
     G = semidirect_pq(11, 5, 3)
     theta = Epimorphism(G, standard_metacyclic_images(G))
-    t_fold, folded = best_of(args.repeats, lambda: evaluate_words(
-        enc, offsets, theta.letter_images(), G.table))
-    t_values, values = best_of(args.repeats, trie_values,
-                               lambda: (theta, s, 0, trie))
-    if not np.array_equal(folded, values):
-        raise SystemExit("trie_values disagrees with the letter fold")
+    t_values, values = best_of(args.repeats, lambda: np.concatenate(
+        [trie_values(G, theta.images, t) for t in tries]))
+    for i in random.Random(1).sample(range(len(s)), SAMPLE):
+        if values[i] != evaluate_in_group(G, s.word_at(i), theta.images):
+            raise SystemExit("trie_values disagrees with evaluate_in_group")
 
     witnesses = []
     for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))):
@@ -137,9 +132,11 @@ def main(argv=None):
         t_wit, got = best_of(args.repeats,
                              lambda t: handlebody_witness(theta, t),
                              fresh_set)
-        if answer(got) != answer(handlebody_witness(theta, s)):
+        t_done, want = best_of(args.repeats,
+                               lambda: handlebody_witness(theta, s))
+        if answer(got) != answer(want):
             raise SystemExit("%s: the fresh-set witness differs" % cfg.name)
-        witnesses.append((cfg.name, fresh[-1].generated, t_wit))
+        witnesses.append((cfg.name, fresh[-1].generated, t_wit, t_done))
 
     intersections = []
     for name in KERNEL_CONFIGS:
@@ -156,19 +153,19 @@ def main(argv=None):
             raise SystemExit("%s: the fresh-set intersection differs" % name)
         intersections.append((name, fresh[-1].generated, t_int))
 
-    print("%-32s %10s" % ("stage", "best s"))
-    print("%-32s %10.3f   %d twist applications"
+    print("%-44s %10s" % ("stage", "best s"))
+    print("%-44s %10.3f   %d twist applications"
           % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists))
-    print("%-32s %10.3f" % ("pack, %d words" % (len(offsets) - 1), t_scan))
-    print("%-32s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
-    print("%-32s %10.3f" % ("trie_blocks(), %d nodes" % trie.size, t_trie))
-    print("%-32s %10.4f" % ("one map, letter fold", t_fold))
-    print("%-32s %10.4f" % ("one map, path trie", t_values))
-    for name, generated, t_wit in witnesses:
-        print("%-32s %10.4f" % ("witness %s, %d words" % (name, generated),
+    print("%-44s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
+    print("%-44s %10.3f" % ("trie_blocks(), %d nodes"
+                            % sum(t.size for t in tries), t_trie))
+    print("%-44s %10.4f" % ("one map, level tries", t_values))
+    for name, generated, t_wit, t_done in witnesses:
+        print("%-44s %10.4f" % ("witness %s, %d words" % (name, generated),
                                 t_wit))
+        print("%-44s %10.4f" % ("witness %s, finished" % name, t_done))
     for name, generated, t_int in intersections:
-        print("%-32s %10.4f" % ("intersect %s, %d words" % (name, generated),
+        print("%-44s %10.4f" % ("intersect %s, %d words" % (name, generated),
                                 t_int))
 
 

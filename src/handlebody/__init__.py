@@ -19,7 +19,6 @@ from .twists import (TwistAuto, sigma, apply, compose, compose_path,
                      identity_auto, commutator_base)
 from .orbit import (OrbitSet, OrbitCapExceeded, generate_c0, contains,
                     root_word, replay_path)
-from .backend import pack_words
 from .groups import (FiniteGroup, Presentation, PresentationError,
                      CosetCapExceeded, AutCapExceeded, coset_enumerate,
                      evaluate_in_group, cyclic, semidirect_pq, heisenberg,
@@ -34,7 +33,7 @@ from .homs import (Epimorphism, RelationViolated, NotGenerating,
                    standard_metacyclic_images, r3_criterion_word,
                    r_cubed_criterion, noncommuting_pair_count,
                    partner_pairs, batch_pair_witnesses, quadruple_search)
-from .kernel_orbit import (KernelClassCapExceeded, precompose, kernel_keys,
-                           kernel_orbit, intersection_avoids_c0,
-                           fiber_group_order, IntersectionReport)
+from .kernel_orbit import (KernelClassCapExceeded, kernel_keys, kernel_orbit,
+                           intersection_avoids_c0, fiber_group_order,
+                           IntersectionReport)
 from .config import RunConfig, ConfigError, parse_config, load_config

@@ -235,7 +235,7 @@ def cmd_kernel_orbit(args, parser):
     reps, _ = compute_kernel_orbit(theta)
     _emit("r=%d provenance=derived" % len(reps))
     report = intersection_avoids_c0(reps, s)
-    # The orbit set and its cached pack and trie are not needed past the
+    # The orbit set and its cached level tries are not needed past the
     # scan; freeing them keeps them out of the fiber closure's memory peak.
     del s
     _emit("intersection-avoids-c0=%s depth=%d"

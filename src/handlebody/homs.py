@@ -19,8 +19,8 @@ import numpy as np
 
 from .words import parse_word, print_word
 from .twists import apply, compose_path, commutator_base
-from .backend import find_identity_word, letter_image_table
 from .groups import evaluate_in_group, evaluate_rows
+from .orbit import first_zero
 
 EXTENDS = "ExtendsToHandlebody"
 NO_WITNESS = "NoWitnessInSearchedSet"
@@ -74,10 +74,6 @@ class Epimorphism:
             raise NotGenerating(len(closure), group.order)
         self.group = group
         self.images = images
-
-    def letter_images(self):
-        """Letter-byte -> element table for the batch kernels."""
-        return letter_image_table(self.images, self.group.inv)
 
     def __eq__(self, other):
         return (isinstance(other, Epimorphism) and self.group is other.group
@@ -155,9 +151,11 @@ def handlebody_witness(theta, s):
     """Scan the orbit set (bases first, then by provenance depth, paths in
     lexicographic order) for a word that evaluates to the identity.
 
-    A partial set is grown only as far as the witness's level; a scan that
-    finds none has finished it."""
-    idx = _first_identity(s, theta.letter_images(), theta.group.table)
+    The scan reads one level trie at a time (``orbit.first_zero``): a
+    partial set is grown only as far as the witness's level, and a scan
+    that finds none has finished it.  The witness is re-verified on its
+    letters."""
+    idx = first_zero(s, theta.group, theta.images)
     if idx < 0:
         return Verdict(NO_WITNESS, searched_depth=s.depth)
     w = s.word_at(idx)
@@ -167,16 +165,6 @@ def handlebody_witness(theta, s):
         raise AssertionError("witness failed re-verification")
     return Verdict(EXTENDS, report=WitnessReport(w, path, image),
                    searched_depth=s.depth)
-
-
-def _first_identity(s, letters, table):
-    """Scan index of the first word of ``s`` mapped to the identity, or -1:
-    one ``find_identity_word`` call per block of ``s.scan_blocks()``."""
-    for start, enc, offsets in s.scan_blocks():
-        idx = find_identity_word(enc, offsets, letters, table)
-        if idx >= 0:
-            return start + idx
-    return -1
 
 
 def standard_metacyclic_images(G):
@@ -276,19 +264,11 @@ def drop_quick_pairs(G, a, b, pairs):
 def batch_pair_witnesses(G, a, b, pairs, s):
     """First-witness word index in scan order for each pair (r, t) mapped to
     (x2, y2) alongside (a, b); -1 where the searched set has no witness.
-    A partial set is grown only as far as the deepest witness needs, or
-    finished by a pair with none."""
-    out = np.empty(len(pairs), dtype=np.int64)
-    table = G.table
-    inv = G.inv
-    letters = np.zeros(9, dtype=np.int32)
-    letters[1], letters[5] = a, inv[a]
-    letters[2], letters[6] = b, inv[b]
-    for i, (r, t) in enumerate(pairs):
-        letters[3], letters[7] = r, inv[r]
-        letters[4], letters[8] = t, inv[t]
-        out[i] = _first_identity(s, letters, table)
-    return out
+    Each pair is its own ``orbit.first_zero`` scan, so a partial set is
+    grown only as far as the deepest witness needs, or finished by a pair
+    with none."""
+    return np.array([first_zero(s, G, (a, b, r, t)) for r, t in pairs],
+                    dtype=np.int64)
 
 
 def quadruple_search(G, node_cap=2000000):

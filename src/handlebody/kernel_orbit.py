@@ -10,17 +10,15 @@ The intersection N of a kernel orbit is the kernel of the diagonal map
 into G^r; the quotient acts freely on a surface, and whether that action
 can extend over a handlebody is probed by intersecting N with the
 commutator orbit set.  That scan reads the set one level trie at a time
-and stops at the first word in every kernel, so it generates the whole set
-only when N avoids it.
+(``OrbitSet.trie_blocks``) and stops at the first level holding a word in
+every kernel, so it generates or reads the whole set only when N avoids it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .twists import sigma
-from .orbit import root_word
-from .groups import evaluate_rows
+from .orbit import _precompose_rows, trie_values
 from .homs import Epimorphism, NotGenerating, evaluate
 
 
@@ -30,44 +28,6 @@ class KernelClassCapExceeded(RuntimeError):
 
 # Maps precomposed per block: 2,560 candidates, 15 MB of keys at |G| = 243.
 _BLOCK = 256
-
-
-def precompose(theta, f):
-    """theta o f for a rank-4 substitution automorphism f."""
-    images = tuple(evaluate(theta, w) for w in f.images)
-    return Epimorphism(theta.group, images)
-
-
-def _precompose_rows(G, rows, f):
-    """Image rows [K, 4] of theta o f for the image rows [K, 4] of theta.
-    Only the columns of generators that f moves are evaluated."""
-    out = rows.copy()
-    for c, w in enumerate(f.images):
-        if w.data != bytes((c + 1,)):
-            out[:, c] = evaluate_rows(G, w, rows.T)
-    return out
-
-
-def trie_values(theta, s, start, trie):
-    """theta on the words of one ``s.trie_blocks()`` block, the block
-    ``(start, trie)``, in scan order.
-
-    Each node's map is its parent's precomposed with one twist, and a
-    word's value is the root under its node's map, so the cost follows the
-    trie's size, not the words' letters.  Every path of ``s`` must
-    therefore replay to its word (see OrbitSet).  A word off the trie (the
-    base word) is evaluated directly, at scan index ``start + i``.
-    """
-    G = theta.group
-    maps = np.empty((trie.size, 4), dtype=G.table.dtype)
-    maps[0] = theta.images
-    for j, lo, parents in trie.blocks:
-        maps[lo:lo + len(parents)] = _precompose_rows(G, maps[parents],
-                                                      sigma(j))
-    values = evaluate_rows(G, root_word(), maps[trie.node].T)
-    for i in np.flatnonzero(trie.node < 0).tolist():
-        values[i] = evaluate(theta, s.word_at(start + i))
-    return values
 
 
 def kernel_keys(G, images):
@@ -105,7 +65,6 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
     ``pres`` is accepted and unused.
     """
     G = theta.group
-    twists = [sigma(j) for j in range(1, 11)]
     reps = [theta]
     seen = {kernel_keys(G, [theta.images])[0].tobytes(): 0}  # key -> rep index
     done = 0
@@ -113,8 +72,8 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
         block = reps[done:done + _BLOCK]
         done += len(block)
         rows = np.array([th.images for th in block], dtype=G.table.dtype)
-        cands = np.stack([_precompose_rows(G, rows, f) for f in twists],
-                         axis=1).reshape(-1, 4)
+        cands = np.stack([_precompose_rows(G, rows, j)
+                          for j in range(1, 11)], axis=1).reshape(-1, 4)
         for images, key in zip(cands, kernel_keys(G, cands)):
             key = key.tobytes()
             if key in seen:
@@ -151,15 +110,15 @@ class IntersectionReport:
 def intersection_avoids_c0(reps, s):
     """Does the kernel intersection miss every word of the orbit set?
 
-    Reads ``s.trie_blocks()`` in turn, so a partial set grows one level at
-    a time and stops at the first block that holds a word in every kernel:
-    only a set that the intersection avoids is generated in full.  Within
-    a block each kernel class in turn keeps only the words trivial so far
-    (``trie_values``), until none is left.  The values are read off
-    provenance paths, not letters: every path of ``s`` must replay to its
-    word.  ``generate_c0`` guarantees this, and the paths are read-only,
-    so the cached trie cannot go stale.  A counterexample is re-verified
-    on the scalar path.
+    Reads ``s.trie_blocks()`` level by level and stops at the first level
+    that holds a word in every kernel, on a partial set (which grows only
+    that far) and a finished one alike: only a set that the intersection
+    avoids is read in full.  Within a level each kernel class in turn
+    keeps only the words trivial so far (``trie_values``), until none is
+    left.  The values are read off provenance paths, not letters: every
+    path of ``s`` must replay to its word.  ``generate_c0`` guarantees
+    this, and the paths are read-only, so the cached tries cannot go
+    stale.  A counterexample is re-verified on the scalar path.
     """
     # died[d]: words counted so far whose first class with a nonzero value
     # is d (len(reps) for a word in every kernel).
@@ -169,7 +128,7 @@ def intersection_avoids_c0(reps, s):
         first = np.full(len(trie.node), len(reps))
         alive = np.ones(len(trie.node), dtype=bool)
         for k, th in enumerate(reps):
-            dies = alive & (trie_values(th, s, start, trie) != 0)
+            dies = alive & (trie_values(th.group, th.images, trie) != 0)
             first[dies] = k
             alive ^= dies
             if not alive.any():

@@ -11,18 +11,21 @@ and every image of the root under at most n moves.  Every stored
 word carries one replayable provenance path — the shortest derivation, ties
 broken by lexicographically least index sequence — so reports can show how a
 witness was produced.
+
+Every scan of a set (``first_zero`` for the witness scans, and the
+kernel-orbit intersection) reads it one level at a time, through one
+cached path trie per level (``OrbitSet.trie_blocks``, ``trie_values``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
-from .backend import pack_bytes
+from .groups import evaluate_rows
 from .words import Word
 from .twists import apply, apply_bytes, commutator_base, compose, sigma
 
@@ -42,16 +45,16 @@ def root_word():
 
 
 PathTrie = namedtuple("PathTrie", "size blocks node")
-PathTrie.__doc__ = """An orbit set's provenance paths, reversed and merged into
-a trie, for evaluating one map on every word without reading its letters.
-Node 0 is the empty suffix.  Each block ``(j, lo, parents)`` numbers
-``lo, lo + 1, ...`` the nodes that extend the nodes ``parents`` by the move
-j, and every parent is numbered before its block.  The word with path
-(i1, ..., ik) is s_ik o ... o s_i1 (root), so it is the root under the map
-theta o s_ik o ... o s_i1 of node (ik, ..., i1): a child's map is its
-parent's map precomposed with s_j.  ``node[i]`` is the node of the block's
-word i (0 for the root), or -1 for a word to evaluate directly (the base
-word); see ``OrbitSet.trie_blocks``."""
+PathTrie.__doc__ = """One level of an orbit set's provenance paths, reversed
+and merged into a trie, for evaluating a map on the level's words without
+reading their letters.  Node 0 is the empty suffix.  Each block
+``(j, lo, parents)`` numbers ``lo, lo + 1, ...`` the nodes that extend the
+nodes ``parents`` by the move j, and every parent is numbered before its
+block.  The word with path (i1, ..., ik) is s_ik o ... o s_i1 (root), so it
+is the root under the map theta o s_ik o ... o s_i1 of node (ik, ..., i1):
+a child's map is its parent's map precomposed with s_j.  ``node[i]`` is the
+node of the level's word i (0 for the root), or -1 for the base word
+[x1,y1]; see ``trie_values``."""
 
 
 class OrbitSet:
@@ -59,27 +62,28 @@ class OrbitSet:
 
     ``paths`` maps each word to either the marker string "base" (for the two
     seed words) or a tuple of move indices in application order: path
-    (1, 4) stores s4(s1(root)).  It is read-only, so the cached pack and
-    path trie always match it.
+    (1, 4) stores s4(s1(root)).  It is read-only, so the cached level
+    tries always match it.
 
     The set is held once, in scan order (seeds first, then by path length,
-    path and word): word bytes -> path, the same bytes as a list, and their
-    pack, made on the first scan.  A set from ``generate_c0`` starts as the
-    two seeds and grows one level at a time, on demand.  Calls that need
-    the whole set finish it: ``len``, ``paths``, ``words``, iteration,
-    ``==``, and a membership lookup (``in``, ``path``, ``contains``) that
-    misses.  A lookup grows the set only until the word appears,
-    ``word_at`` only until its index is generated, and ``scan_blocks`` and
-    ``trie_blocks`` one level per block asked for.  Generation order is
-    scan order, and a word is generated only at its first level, so none of
-    these calls sees a different answer on a partial set.  A set built
-    from ``paths`` is complete from the start; its paths are put in scan
-    order once, when it is built.
+    path and word): word bytes -> path, and the same bytes as a list.  A
+    level is the run of words with one path length, the seeds being level
+    0; its path trie is built the first time the level is scanned and then
+    kept.  A set from ``generate_c0`` starts as the two seeds and grows one
+    level at a time, on demand.  Calls that need the whole set finish it:
+    ``len``, ``paths``, ``words``, iteration, ``==``, and a membership
+    lookup of a rank-4 word (``in``, ``path``, ``contains``) that misses.
+    A lookup grows the set only until the word appears, ``word_at`` only
+    until its index is generated, and ``trie_blocks`` one level per block
+    asked for.  Generation order is scan order, and a word is generated
+    only at its first level, so none of these calls sees a different
+    answer on a partial set.  A set built from ``paths`` is complete from
+    the start; its paths are put in scan order once, when it is built.
 
-    Trie evaluation (``kernel_orbit.trie_values``) reads the paths, not
-    the words' letters: every path must replay to its word
-    (``replay_path``).  ``generate_c0`` guarantees this; a set built from
-    other paths must too.
+    Trie evaluation (``trie_values``) reads the paths, not the words'
+    letters: every path must replay to its word (``replay_path``), and the
+    base path may mark only the two seeds.  ``generate_c0`` guarantees
+    this; a set built from other paths must too.
     """
 
     def __init__(self, paths, depth, sigmas):
@@ -88,10 +92,18 @@ class OrbitSet:
         self._seen = dict(sorted(((w.data, p) for w, p in
                                   dict(paths).items()), key=_scan_key))
         self._order = list(self._seen)
-        # The level generator while the set grows (see generate_c0), the
-        # packed words, the path trie and the Word-keyed paths, all made
-        # on demand.
-        self._levels = self._pack = self._trie = self._paths = None
+        seeds = (commutator_base().data, root_word().data)
+        if any(p == BASE_PATH and d not in seeds
+               for d, p in self._seen.items()):
+            raise ValueError("the base path marks a word that is not a seed")
+        # _bounds[k]:_bounds[k + 1] is level k of _order, _tries[k] its
+        # trie once scanned.  The level generator while the set grows (see
+        # generate_c0) and the Word-keyed paths are made on demand.
+        levels = [_level(p) for p in self._seen.values()]
+        self._bounds = [i for i, n in enumerate(levels)
+                        if i == 0 or n != levels[i - 1]] + [len(levels)]
+        self._tries = []
+        self._levels = self._paths = None
 
     @property
     def complete(self):
@@ -110,6 +122,7 @@ class OrbitSet:
             self._levels = None
             return False
         self._order.extend(level)
+        self._bounds.append(len(self._order))
         return True
 
     def _finish(self):
@@ -139,26 +152,6 @@ class OrbitSet:
         self._finish()
         return (Word.from_bytes(data, 4) for data in self._order)
 
-    def scan_blocks(self):
-        """Yield ``(start, enc, offsets)`` blocks that cover the scan order
-        in turn, block i holding the words from scan index ``start`` on:
-        ``enc[offsets[k]:offsets[k+1]]`` is the letter bytes of word
-        ``start + k``.
-
-        On a complete set this is one block, packed on the first scan and
-        cached.  On a partial set it is first the generated words, then
-        each further level, generated only when the caller asks for the
-        next block; a caller that exhausts the blocks has read the whole
-        set.
-        """
-        start = 0
-        while start < len(self._order) or self._grow():
-            if self._pack is None or len(self._pack[1]) <= len(self._order):
-                self._pack = pack_bytes(self._order)
-            enc, offsets = self._pack
-            yield start, enc, offsets[start:]
-            start = len(offsets) - 1
-
     def word_at(self, i):
         """The word at scan index ``i`` (IndexError if ``i`` < 0 or past
         the end)."""
@@ -169,32 +162,31 @@ class OrbitSet:
         return Word.from_bytes(self._order[i], 4)
 
     def trie_blocks(self):
-        """Yield ``(start, trie)`` blocks, with the same boundaries as
-        ``scan_blocks``: ``trie`` is the PathTrie of the block's words,
-        its ``node[k]`` the node of the word at scan index ``start + k``.
+        """Yield ``(start, trie)`` for each level in turn: ``trie`` is the
+        level's PathTrie, its ``node[k]`` the node of the word at scan
+        index ``start + k``.
 
-        On a complete set this is one block, whose trie is built on the
-        first scan and cached.  On a partial set it is first the generated
-        words, then each further level, generated only when the caller
-        asks for the next block.
+        Each trie is built on the first scan of its level and kept, so
+        partial, finished and explicit sets all give the same blocks.  A
+        partial set generates a level only when the caller asks for its
+        block; a caller that exhausts the blocks has read the whole set.
         """
-        start = 0
-        while start < len(self._order) or self._grow():
-            end = len(self._order)
-            if start == 0 and self.complete:
-                if self._trie is None:
-                    self._trie = _path_trie(self._order, self._seen)
-                yield 0, self._trie
-            else:
-                yield start, _path_trie(self._order[start:end], self._seen)
-            start = end
+        k = 0
+        while k + 1 < len(self._bounds) or self._grow():
+            lo, hi = self._bounds[k:k + 2]
+            if k == len(self._tries):
+                self._tries.append(_path_trie(self._order[lo:hi], self._seen))
+            yield lo, self._tries[k]
+            k += 1
 
     def path(self, w):
-        """The provenance path of ``w``, or None if it is not in the set."""
-        data = w.data if isinstance(w, Word) and w.rank == 4 else None
-        p = self._seen.get(data)
+        """The provenance path of ``w``, or None if it is not in the set
+        (at once if ``w`` is not a rank-4 Word)."""
+        if not (isinstance(w, Word) and w.rank == 4):
+            return None
+        p = self._seen.get(w.data)
         while p is None and self._grow():
-            p = self._seen.get(data)
+            p = self._seen.get(w.data)
         return p
 
     def __eq__(self, other):
@@ -215,40 +207,81 @@ def _scan_key(item):
     return (1, (len(p),) + p, len(data), data)
 
 
+def _level(p):
+    """The level of a word with path ``p``: its length, 0 for a seed."""
+    return 0 if p == BASE_PATH else len(p)
+
+
 def _path_trie(order, seen):
-    """The PathTrie of the words ``order``, word bytes in scan order, with
-    their paths in ``seen``."""
-    seq = list(map(seen.get, order))
-    derived = np.fromiter((p != BASE_PATH for p in seq), dtype=bool,
-                          count=len(seq))
-    suffixes = [p for p in seq if p != BASE_PATH]
-    lengths = np.fromiter(map(len, suffixes), dtype=np.intp,
-                          count=len(suffixes))
-    starts = np.zeros(len(suffixes), dtype=np.intp)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    moves = np.fromiter(chain.from_iterable(map(reversed, suffixes)),
-                        dtype=np.intp, count=int(lengths.sum()))
-    cur = np.zeros(len(suffixes), dtype=np.intp)  # node of each suffix so far
+    """The PathTrie of one level's words ``order``, word bytes in scan
+    order, with their paths in ``seen``."""
+    paths = [seen[d] for d in order]
+    if _level(paths[0]) == 0:
+        base = commutator_base().data
+        return PathTrie(1, (), np.array([-1 if d == base else 0
+                                         for d in order], dtype=np.intp))
+    cur = np.zeros(len(paths), dtype=np.intp)  # node of each suffix so far
     size, blocks = 1, []
-    for d in range(int(lengths.max(initial=0))):
-        live = np.nonzero(lengths > d)[0]
+    for moves in np.array(paths, dtype=np.intp)[:, ::-1].T:
         # One key per (parent node, move); parents are below ``size``, so
         # the key is unique and sorts the new nodes by move, then parent.
-        keys, child = np.unique(moves[starts[live] + d] * size + cur[live],
-                                return_inverse=True)
-        cur[live] = size + child
+        keys, child = np.unique(moves * size + cur, return_inverse=True)
+        cur = size + child
         level_moves, parents = np.divmod(keys, size)
         for j in np.unique(level_moves).tolist():
             lo, hi = np.searchsorted(level_moves, [j, j + 1])
             blocks.append((j, size + int(lo), parents[lo:hi]))
         size += len(keys)
-    node = np.zeros(len(seq), dtype=np.intp)
-    node[derived] = cur
-    root = root_word().data
-    for i in np.flatnonzero(~derived).tolist():
-        if order[i] != root:
-            node[i] = -1
-    return PathTrie(size, tuple(blocks), node)
+    return PathTrie(size, tuple(blocks), cur)
+
+
+@lru_cache(maxsize=None)
+def _moved_columns(j):
+    """(column, image word) of each generator the move s_j moves."""
+    return tuple((c, w) for c, w in enumerate(sigma(j).images)
+                 if w.data != bytes((c + 1,)))
+
+
+def _precompose_rows(G, rows, j):
+    """Image rows [K, 4] of theta o s_j for the image rows [K, 4] of
+    theta.  Only the columns of generators that s_j moves are evaluated."""
+    out = rows.copy()
+    for c, w in _moved_columns(j):
+        out[:, c] = evaluate_rows(G, w, rows.T)
+    return out
+
+
+def trie_values(G, images, trie):
+    """The map sending the generators to ``images`` on the words of one
+    ``trie_blocks()`` level, in scan order.
+
+    Each node's map is its parent's precomposed with one twist, and a
+    word's value is the root under its node's map, so the cost follows the
+    trie's size, not the words' letters.  Every path must therefore replay
+    to its word (see OrbitSet).  The base word [x1,y1] is off the trie:
+    its value is the commutator of the first two images.
+    """
+    maps = np.empty((trie.size, 4), dtype=G.table.dtype)
+    maps[0] = images
+    for j, lo, parents in trie.blocks:
+        maps[lo:lo + len(parents)] = _precompose_rows(G, maps[parents], j)
+    values = evaluate_rows(G, root_word(), maps[trie.node].T)
+    values[trie.node < 0] = G.commutator(images[0], images[1])
+    return values
+
+
+def first_zero(s, G, images):
+    """Scan index of the first word of ``s`` that the map sending the
+    generators to ``images`` sends to the identity, or -1.
+
+    Reads ``s.trie_blocks()`` level by level, so a partial set grows only
+    to the first zero's level, and a scan that finds none has finished it.
+    """
+    for start, trie in s.trie_blocks():
+        hits = np.flatnonzero(trie_values(G, images, trie) == 0)
+        if hits.size:
+            return start + int(hits[0])
+    return -1
 
 
 def replay_path(path):

@@ -1,7 +1,7 @@
 """Smoke test of the timing scripts under ``benchmarks/``: each ``main()``
-runs once with ``--repeats 1`` (``bench_backends`` also at ``--depth 4``),
-so a script that no longer matches the package fails here, not when it is
-next timed.  The scripts check their own answers and exit on a mismatch.
+runs once with ``--repeats 1``, so a script that no longer matches the
+package fails here, not when it is next timed.  The scripts check their
+own answers and exit on a mismatch.
 """
 
 import glob
@@ -12,7 +12,6 @@ import pytest
 
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 SCRIPTS = sorted(glob.glob(os.path.join(BENCHMARKS, "bench_*.py")))
-EXTRA_ARGS = {"bench_backends": ["--depth", "4"]}
 
 
 def _load(path):
@@ -30,6 +29,6 @@ def test_scripts_are_found():
 @pytest.mark.parametrize("path", SCRIPTS,
                          ids=[os.path.basename(p) for p in SCRIPTS])
 def test_script_runs_once(path, capsys):
-    name, module = _load(path)
-    module.main(["--repeats", "1"] + EXTRA_ARGS.get(name, []))
+    _, module = _load(path)
+    module.main(["--repeats", "1"])
     assert capsys.readouterr().out.strip()

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlebody.backend import evaluate_words
 from handlebody.config import load_config
 from handlebody.groups import (automorphism_permutations, automorphisms,
                                cyclic, heisenberg, semidirect_pq)
@@ -17,15 +16,21 @@ from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
 from handlebody.kernel_orbit import (KernelClassCapExceeded,
                                      fiber_group_order,
                                      intersection_avoids_c0,
-                                     kernel_keys, kernel_orbit, precompose,
-                                     trie_values)
+                                     kernel_keys, kernel_orbit)
 from handlebody.orbit import (BASE_PATH, DEFAULT_SIGMAS, OrbitSet,
-                              generate_c0)
+                              generate_c0, trie_values)
 from handlebody.twists import apply, commutator_base, sigma
-from handlebody.words import parse_word
 
 ko = importlib.import_module("handlebody.kernel_orbit")
+orbit_module = importlib.import_module("handlebody.orbit")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def precompose(theta, f):
+    """Oracle: theta o f for a rank-4 substitution automorphism f, one
+    image word at a time on the scalar path."""
+    return Epimorphism(theta.group, tuple(evaluate(theta, w)
+                                          for w in f.images))
 
 
 def _kernel_equal(th1, th2):
@@ -103,11 +108,21 @@ def _scalar_key(G, images):
     return key
 
 
-def _fold_values(theta, s):
-    """Oracle: theta on every scan-order word, folding its letters."""
-    return np.concatenate([
-        evaluate_words(enc, offsets, theta.letter_images(), theta.group.table)
-        for _, enc, offsets in s.scan_blocks()])
+def _fold_values(theta, s, alive=None):
+    """Oracle: theta on every scan-order word (on the words ``alive``
+    only, if given; 0 elsewhere), folding its letters one at a time
+    through the group table, as ``evaluate_in_group`` does."""
+    table = theta.group.table.tolist()
+    letters = [0] + list(theta.images) + [theta.group.inverse(g)
+                                          for g in theta.images]
+    values = np.zeros(len(s), dtype=np.int64)
+    for i, data in enumerate(w.data for w in s):
+        if alive is None or alive[i]:
+            g = 0
+            for b in data:
+                g = table[g][letters[b]]
+            values[i] = g
+    return values
 
 
 def _fold_intersection(reps, s):
@@ -118,7 +133,7 @@ def _fold_intersection(reps, s):
     alive = np.ones(len(words), dtype=bool)
     masks = []
     for th in reps:
-        alive &= _fold_values(th, s) == 0
+        alive &= _fold_values(th, s, alive) == 0
         masks.append(alive.copy())
         if not alive.any():
             break
@@ -132,12 +147,12 @@ def _fold_intersection(reps, s):
 
 def _block_values(theta, s):
     """theta on every scan-order word, by ``trie_values`` on each block."""
-    return np.concatenate([trie_values(theta, s, start, trie)
-                           for start, trie in s.trie_blocks()])
+    return np.concatenate([trie_values(theta.group, theta.images, trie)
+                           for _, trie in s.trie_blocks()])
 
 
-# (depth, moves) of the orbit sets evaluated through their path trie; the
-# (3, 8) chain at depth 25 has suffixes longer than a base-11 int64 holds.
+# (depth, moves) of the orbit sets evaluated through their level tries;
+# the (3, 8) chain at depth 25 has paths of 25 moves.
 TRIE_SETS = ((0, DEFAULT_SIGMAS), (1, DEFAULT_SIGMAS), (3, DEFAULT_SIGMAS),
              (9, DEFAULT_SIGMAS), (9, (3, 8)), (25, (3, 8)),
              (5, tuple(range(1, 11))), (5, (5, 2, 4)))
@@ -176,24 +191,32 @@ def test_orbit_values_match_letter_fold(name, case, seed, orbit9, heis3,
     theta = _random_epimorphism(G, np.random.default_rng(seed))
     full = _trie_set(case, orbit9)
     want = _fold_values(theta, full)
-    # A fresh set reads one trie per level, a complete one a single trie.
+    # A fresh set builds each level's trie as it grows; the complete set
+    # keeps the tries of its earlier scans.
     for s in (_fresh_set(case), full):
         assert np.array_equal(_block_values(theta, s), want)
 
 
 def test_path_trie_is_cached_with_one_node_per_suffix(orbit3):
-    len(orbit3)
-    (start, trie), = orbit3.trie_blocks()
-    assert start == 0
-    (_, again), = orbit3.trie_blocks()
-    assert again is trie
-    # One node per distinct reversed path suffix, root suffix included.
-    suffixes = {p[::-1][:d] for p in orbit3.paths.values()
-                if p != BASE_PATH for d in range(len(p) + 1)}
-    assert trie.size == len(suffixes)
-    (_, fresh), = OrbitSet(orbit3.paths, orbit3.depth,
-                           orbit3.sigmas).trie_blocks()
-    assert np.array_equal(fresh.node, trie.node)
+    blocks = list(orbit3.trie_blocks())
+    again = list(orbit3.trie_blocks())
+    assert len(again) == len(blocks) == orbit3.depth + 1
+    assert all(t is u for (_, t), (_, u) in zip(again, blocks))
+    # Level 0 is the seeds: [x1,y1] off the trie, the root at node 0.
+    (start, trie), levels = blocks[0], blocks[1:]
+    assert start == 0 and trie.size == 1 and trie.blocks == ()
+    assert trie.node.tolist() == [-1, 0]
+    words = list(orbit3)
+    for n, (start, trie) in enumerate(levels, start=1):
+        paths = [orbit3.paths[w] for w in words[start:start + len(trie.node)]]
+        assert {len(p) for p in paths} == {n}
+        # One node per distinct reversed path suffix, root suffix included.
+        suffixes = {p[::-1][:d] for p in paths for d in range(n + 1)}
+        assert trie.size == len(suffixes)
+        assert len(set(trie.node.tolist())) == len(paths)
+    explicit = OrbitSet(orbit3.paths, orbit3.depth, orbit3.sigmas)
+    assert [(start, t.node.tolist()) for start, t in explicit.trie_blocks()] \
+        == [(start, t.node.tolist()) for start, t in blocks]
 
 
 @pytest.mark.parametrize("name", TRIE_GROUPS)
@@ -235,6 +258,26 @@ def test_intersection_stops_at_first_common_word():
     assert report.counterexample_path == BASE_PATH
     assert report.survivors == [1] * len(reps)
     assert s.generated == 2 and not s.complete
+
+
+def test_intersection_on_a_finished_set_stops_at_level_0(monkeypatch):
+    # The same scan on a finished depth-9 set reads the level-0 trie only.
+    reps, _ = kernel_orbit(_abelian_theta())
+    s = generate_c0(9)
+    len(s)
+    built = []
+    path_trie = orbit_module._path_trie
+    monkeypatch.setattr(orbit_module, "_path_trie",
+                        lambda order, seen: built.append(len(order))
+                        or path_trie(order, seen))
+    report = intersection_avoids_c0(reps, s)
+    assert report.counterexample == commutator_base()
+    assert report.survivors == [1] * len(reps)
+    assert built == [2]
+    # A second scan builds nothing and reads the same trie.
+    first = next(s.trie_blocks())[1]
+    intersection_avoids_c0(reps, s)
+    assert built == [2] and next(s.trie_blocks())[1] is first
 
 
 def test_precompose_is_composition(heis3, orbit3):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from handlebody.groups import evaluate_in_group, heisenberg
 from handlebody.orbit import (BASE_PATH, OrbitCapExceeded, OrbitSet,
                               contains, format_path, generate_c0,
-                              replay_path, root_word)
+                              replay_path, root_word, trie_values)
 from handlebody.twists import apply, apply_bytes, commutator_base, sigma
 from handlebody.words import Word, parse_word
 
@@ -110,13 +111,11 @@ _FINISHING_CALLS = {
     "paths": lambda s: s.paths,
     "words": lambda s: s.words,
     "iter": lambda s: next(iter(s)),
-    "scan_blocks (all)": lambda s: list(s.scan_blocks()),
     "trie_blocks (all)": lambda s: list(s.trie_blocks()),
     "eq": lambda s: s == generate_c0(depth=s.depth),
     "in (miss)": lambda s: parse_word("x1^50") in s,
     "path (miss)": lambda s: s.path(parse_word("x1^50")),
     "contains (miss)": lambda s: contains(s, parse_word("x1^50")),
-    "in (other rank)": lambda s: Word.from_bytes(b"\x01\x02", 2) in s,
 }
 
 
@@ -128,50 +127,62 @@ def test_full_set_calls_finish_the_set(call):
     assert s == generate_c0(depth=4, word_cap=CUMULATIVE_COUNTS[4])
 
 
+# Lookups of what cannot be a word of the set, applied to a fresh one.
+_OFF_RANK_LOOKUPS = {
+    "path (rank 2)": lambda s: s.path(parse_word("x1 y1", ["x1", "y1"])),
+    "in (rank 2)": lambda s: Word.from_bytes(b"\x01\x02", 2) in s,
+    "contains (str)": lambda s: contains(s, "x1")[1],
+    "path (None)": lambda s: s.path(None),
+}
+
+
+@pytest.mark.parametrize("lookup", sorted(_OFF_RANK_LOOKUPS))
+def test_off_rank_lookups_grow_nothing(lookup):
+    s = generate_c0(depth=9)
+    assert _OFF_RANK_LOOKUPS[lookup](s) in (None, False)
+    assert s.generated == 2 and not s.complete
+
+
+def _read_blocks(s, finish_at):
+    """``s.trie_blocks()`` read in turn; ``finish_at`` finishes the set from
+    outside after that many blocks (0: before the first)."""
+    if finish_at == 0:
+        len(s)
+    blocks = []
+    for k, block in enumerate(s.trie_blocks()):
+        if k + 1 == finish_at:
+            len(s)
+        blocks.append(block)
+    return blocks
+
+
 @pytest.mark.parametrize("finish_at", [None, 0, 1, 3])
 def test_scan_blocks_cover_the_scan_order(finish_at):
-    # Blocks are read in turn; ``finish_at`` finishes the set from outside
-    # after that many blocks (0: before the first).
+    # The blocks cover the scan order in turn, and each one's values are
+    # those of its words, however far the set had grown.
     s = generate_c0(depth=4)
-    if finish_at == 0:
-        len(s)
-    enc, starts = b"", []
-    for k, (start, block_enc, offsets) in enumerate(s.scan_blocks()):
-        if k + 1 == finish_at:
-            len(s)
-        assert start == len(starts)
-        starts.extend(offsets[:-1].tolist())
-        enc += block_enc[offsets[0]:offsets[-1]].tobytes()
-    (_, all_enc, all_offsets), = s.scan_blocks()
-    assert s.complete and starts == all_offsets[:-1].tolist()
-    assert enc == all_enc.tobytes()
-    assert enc == b"".join(w.data for w in s)
-
-
-def _block_sizes(s, blocks, finish_at):
-    """(start, word count) of each block; ``finish_at`` as in
-    test_scan_blocks_cover_the_scan_order."""
-    if finish_at == 0:
-        len(s)
-    sizes = []
-    for k, (start, words) in enumerate(blocks):
-        if k + 1 == finish_at:
-            len(s)
-        sizes.append((start, words))
-    return sizes
+    blocks = _read_blocks(s, finish_at)
+    covered = 0
+    for start, trie in blocks:
+        assert start == covered
+        covered += len(trie.node)
+    assert s.complete and covered == len(s)
+    G = heisenberg(3)
+    images = (1, 2, 5, 7)
+    values = np.concatenate([trie_values(G, images, t) for _, t in blocks])
+    assert values.tolist() == [evaluate_in_group(G, w, images) for w in s]
 
 
 @pytest.mark.parametrize("finish_at", [None, 0, 1, 3])
 def test_trie_blocks_follow_the_scan_blocks(finish_at):
-    s, t = generate_c0(depth=4), generate_c0(depth=4)
-    scans = _block_sizes(s, ((start, len(offsets) - 1)
-                             for start, _, offsets in s.scan_blocks()),
-                         finish_at)
-    tries = _block_sizes(t, ((start, len(trie.node))
-                             for start, trie in t.trie_blocks()), finish_at)
-    assert tries == scans
-    if finish_at is None:
-        assert tries == [(0, 2), (2, 3), (5, 9), (14, 27), (41, 81)]
+    # One block per level: the seeds, then each path length.
+    s = generate_c0(depth=4)
+    sizes = [(start, len(trie.node))
+             for start, trie in _read_blocks(s, finish_at)]
+    assert sizes == [(0, 2), (2, 3), (5, 9), (14, 27), (41, 81)]
+    levels = [0 if p == BASE_PATH else len(p) for p in s.paths.values()]
+    assert [levels[start:start + n] for start, n in sizes] == [
+        [k] * n for k, (_, n) in enumerate(sizes)]
 
 
 def test_lookups_grow_only_to_the_words_level():
@@ -332,20 +343,21 @@ def _scan_sources():
 
 
 @pytest.mark.parametrize("source", ["generated", "shuffled"])
-def test_complete_set_scans_one_packed_block(source):
+def test_complete_set_scans_its_cached_level_tries(source):
     s = _scan_sources()[source]
     words = list(s)
     assert words == _scan_order(s.paths)
-    (start, enc, offsets), = s.scan_blocks()
-    assert start == 0
-    assert enc.dtype == np.uint8 and offsets.dtype == np.int64
-    assert not enc.flags.writeable
-    assert len(offsets) == len(s) + 1 and offsets[0] == 0
-    for i, w in enumerate(words):
-        assert enc[offsets[i]:offsets[i + 1]].tobytes() == w.data
-    # The pack is made once and reused by every later scan.
-    (_, again_enc, again_offsets), = s.scan_blocks()
-    assert again_enc is enc and again_offsets.base is offsets.base
+    blocks = list(s.trie_blocks())
+    assert [start for start, _ in blocks] == [0, 2, 5, 14, 41]
+    assert sum(len(t.node) for _, t in blocks) == len(words)
+    # Each level's trie is built once and reused by every later scan.
+    assert all(t is u for (_, t), (_, u) in zip(s.trie_blocks(), blocks))
+
+
+def test_base_path_marks_only_the_seeds():
+    with pytest.raises(ValueError):
+        OrbitSet({commutator_base(): BASE_PATH, parse_word("x1"): BASE_PATH},
+                 0, (1,))
 
 
 def _signed_letters(word):
