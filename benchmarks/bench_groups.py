@@ -5,8 +5,10 @@ order-243 configs, unfiltered and with the nine quick products filtered
 out, and checks the pair counts (order243_presented: 12,312 and 12,312;
 the stand-in: 5,832 and 5,725).  Then times ``drop_quick_pairs`` on
 order243_presented's unfiltered pairs (all 12,312 kept), the full
-``automorphisms(heisenberg(3))`` search (432 found), the 432 permutations
-of G those automorphisms induce (``automorphism_permutations``),
+``automorphisms`` searches of heisenberg(3) and heisenberg(5) (432 and
+12,000 found), the search of order243_presented under the default node
+cap (it must raise ``AutCapExceeded``), the 432 permutations of
+heisenberg(3) those automorphisms induce (``automorphism_permutations``),
 ``single_aut_orbit_certificate`` on order243_presented's 38,880
 noncommuting pairs (one Aut(G) orbit, so True), ``fiber_group_order`` on
 the kernel orbits of heisenberg_3 and order243_presented (|H| = 19,683
@@ -27,7 +29,7 @@ import numpy as np
 from handlebody import (automorphisms, fiber_group_order, heisenberg,
                         kernel_orbit, load_config, partner_pairs, reference,
                         semidirect_pq, single_aut_orbit_certificate)
-from handlebody.groups import automorphism_permutations
+from handlebody.groups import AutCapExceeded, automorphism_permutations
 from handlebody.homs import drop_quick_pairs
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
@@ -90,6 +92,25 @@ def main(argv=None):
         raise SystemExit("automorphisms(heisenberg(3)): %d, expected 432"
                          % len(auts))
     rows.append(("automorphisms heisenberg(3), 432", t_aut))
+    heis5 = heisenberg(5)
+    t_aut5, auts5 = best_of(args.repeats, lambda: automorphisms(heis5))
+    if len(auts5) != 12000:
+        raise SystemExit("automorphisms(heisenberg(5)): %d, expected 12000"
+                         % len(auts5))
+    rows.append(("automorphisms heisenberg(5), 12000", t_aut5))
+
+    def capped_search():
+        try:
+            automorphisms(G)
+        except AutCapExceeded:
+            return True
+        return False
+
+    t_capped, capped = best_of(args.repeats, capped_search)
+    if not capped:
+        raise SystemExit("automorphisms(order243_presented) did not raise "
+                         "AutCapExceeded under the default node cap")
+    rows.append(("automorphisms order243_presented, capped", t_capped))
     t_perms, perms = best_of(args.repeats,
                              lambda: automorphism_permutations(heis3, auts))
     perms = np.asarray(perms)

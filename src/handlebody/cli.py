@@ -177,19 +177,18 @@ def cmd_counts(args, parser):
     us, vs = np.nonzero(G.conjugation_table() != np.arange(G.order))
     pairs_all = list(zip(us.tolist(), vs.tolist()))
     try:
-        auts = automorphisms(G, cfg.group.presentation,
-                             node_cap=args.aut_cap)
-        orbits = pair_orbit_count(G, pairs_all, auts=auts) if pairs_all \
-            else 0
+        orbits = 0
+        if pairs_all:   # an abelian G has no pair, so no search to make
+            auts = automorphisms(G, node_cap=args.aut_cap)
+            orbits = pair_orbit_count(G, pairs_all, auts=auts)
         _emit("aut_orbits=%d provenance=%s"
               % (orbits, _prov_for(cfg, "aut_orbits", orbits)))
     except AutCapExceeded:
         # Enumeration is out of reach; a single orbit can still be
         # certified by the orbit algorithm's extension queries.
         try:
-            cert = single_aut_orbit_certificate(
-                G, pairs_all, pres=cfg.group.presentation,
-                node_cap=args.aut_cap)
+            cert = single_aut_orbit_certificate(G, pairs_all,
+                                                node_cap=args.aut_cap)
         except AutCapExceeded:
             cert = None
         if cert is True:

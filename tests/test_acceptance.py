@@ -313,7 +313,7 @@ def test_09_group_engine(heis3, order243, group55, scoreboard):
     o243 = order243.order
     syl = (len(group55.sylow_subgroup(11)), len(group55.sylow_subgroup(5)),
            len(heis3.sylow_subgroup(3)))
-    auts = automorphisms(heis3, heis3.presentation)
+    auts = automorphisms(heis3)
     pairs_all = [(u, v) for u in range(heis3.order)
                  for v in range(heis3.order)
                  if heis3.commutator(u, v) != 0]
@@ -346,7 +346,7 @@ def test_10_obstructed_import(orbit9, scoreboard):
     pairs_all = [(u, v) for u in range(G.order) for v in range(G.order)
                  if G.commutator(u, v) != 0]
     try:
-        auts = automorphisms(G, G.presentation, node_cap=50000000)
+        auts = automorphisms(G, node_cap=50000000)
     except AutCapExceeded as exc:
         _record(scoreboard, 10, "obstructed-import", "FAIL",
                 "automorphism enumeration capped (%s); orbit counts "

@@ -114,6 +114,18 @@ def test_counts_aut_cap_falls_back_to_unverified(capsys):
     assert "aut_orbits=unverified provenance=unverified" in out
 
 
+def test_counts_trivial_group_has_no_orbits(tmp_path, capsys):
+    # No noncommuting pair, so no automorphism search (and the trivial
+    # group has no presentation to search with).
+    p = tmp_path / "trivial.cfg"
+    p.write_text("group trivial\nkind cyclic n=1\n")
+    code, out = run(capsys, "counts", "--config", str(p), "--depth", "2")
+    assert code == 0
+    assert out.splitlines() == ["group=trivial order=1",
+                                "noncommuting=0 provenance=derived",
+                                "aut_orbits=0 provenance=derived"]
+
+
 def test_quadruple_found(capsys):
     code, out = run(capsys, "quadruple", "--config", cfg("cyclic_3.cfg"))
     assert code == 0

@@ -3,10 +3,11 @@
 ``golden/runs.json`` lists 22 runs at depth 9: ``orbit``, ``table1``, and
 ``check``/``counts``/``quadruple``/``kernel-orbit`` on each shipped config.
 ``golden/<name>.txt`` holds each run's stdout as printed by
-``python -m handlebody.cli ARGV`` from the repository root.  The two runs
-marked slow (``counts`` and ``quadruple`` on order243_presented) take
-about 4 s and 7 s on a 2-CPU machine and are collected only when
-HANDLEBODY_GOLDEN_SLOW=1.
+``python -m handlebody.cli ARGV`` from the repository root.  The one run
+marked slow (``quadruple`` on order243_presented, about 8 s on a 2-CPU
+machine) is collected only when HANDLEBODY_GOLDEN_SLOW=1; the slowest of
+the other 21 is ``counts`` on order243_presented, about 1.6-1.9 s as a
+CLI process.
 
 An intended change of output regenerates the transcripts with
 ``python tests/test_golden.py`` and says why in CHANGES.md.

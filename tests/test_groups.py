@@ -15,10 +15,10 @@ from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
                                automorphism_permutations, automorphisms,
                                coset_enumerate, cyclic, direct_product,
                                evaluate_in_group, evaluate_rows,
-                               extend_to_permutation,
                                heisenberg, heisenberg_presentation,
                                pair_orbit_count, semidirect_pq,
-                               single_aut_orbit_certificate)
+                               single_aut_orbit_certificate,
+                               _permutation_rows)
 from handlebody.reference import RECORDED_WITNESS_ROWS
 from handlebody.words import Word, parse_word
 
@@ -421,13 +421,82 @@ def test_evaluate_rows_matches_scalar_fold(order243, key, rank, data):
 
 
 def test_automorphisms_of_known_groups(heis3):
-    auts = automorphisms(heis3, heis3.presentation)
+    auts = automorphisms(heis3)
     assert len(auts) == 432
     x, y = heis3.generators
     assert (x, y) in auts
-    G = semidirect_pq(11, 5, 3)
-    assert len(automorphisms(G, G.presentation)) == 110
-    assert len(automorphisms(cyclic(12), cyclic(12).presentation)) == 4
+    assert len(automorphisms(semidirect_pq(11, 5, 3))) == 110
+    assert len(automorphisms(cyclic(12))) == 4
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# Presented groups for the automorphism and certificate oracles.
+_AUT_GROUPS = {
+    "heisenberg(3)": lambda: heisenberg(3),
+    "heisenberg(5)": lambda: heisenberg(5),
+    "semidirect_pq(11,5,3)": lambda: semidirect_pq(11, 5, 3),
+    "semidirect_pq(7,3,2)": lambda: semidirect_pq(7, 3, 2),
+    "semidirect_pq(13,3,3)": lambda: semidirect_pq(13, 3, 3),
+    "standin": lambda: load_config(os.path.join(
+        CONFIG_DIR, "order243_obstructed_standin.cfg")).group,
+    "cyclic(6)": lambda: cyclic(6),
+}
+
+
+def _backtrack_automorphisms(G, node_cap=200000, fixed=None, limit=None):
+    """Oracle for automorphisms: the depth-first backtracker it replaced.
+
+    Same candidates (elements of each generator's order, or the pin),
+    assignment order and relator pruning, one generator per recursion
+    level; each leaf that passes the relators is kept when its images
+    generate G.  Every visited node counts its candidates against
+    ``node_cap``, and the search stops after ``limit`` automorphisms."""
+    pres = G.presentation
+    k = pres.gen_count
+    orders = G.element_orders()
+    gen_orders = [int(orders[g]) for g in G.generators]
+    assign_order = sorted(range(k), key=lambda i: (-gen_orders[i], i))
+    candidates = {}
+    for i in range(k):
+        if fixed is not None and i in fixed:
+            img = int(fixed[i])
+            pool = [img] if int(orders[img]) == gen_orders[i] else []
+        else:
+            pool = np.flatnonzero(orders == gen_orders[i])
+        candidates[i] = np.array(pool, dtype=np.int32)
+    check_after = [[] for _ in range(k)]
+    for rel in pres.relators:
+        check_after[max(assign_order.index(g) for g, _ in rel.letters)
+                    ].append(rel)
+    images = [None] * k
+    found = []
+    nodes = 0
+
+    def backtrack(pos):
+        nonlocal nodes
+        if pos == k:
+            if len(G.subgroup_closure(images)) == G.order:
+                found.append(tuple(int(g) for g in images))
+            return limit is not None and len(found) >= limit
+        gi = assign_order[pos]
+        cands = candidates[gi]
+        nodes += len(cands)
+        if nodes > node_cap:
+            raise AutCapExceeded(
+                "automorphism search exceeded node cap %d" % node_cap)
+        gens = list(images)
+        for rel in check_after[pos]:
+            gens[gi] = cands
+            cands = cands[evaluate_rows(G, rel, gens) == 0]
+        for cand in cands:
+            images[gi] = int(cand)
+            if backtrack(pos + 1):
+                return True
+        images[gi] = None
+        return False
+
+    backtrack(0)
+    return found
 
 
 def _brute_automorphism_count(G):
@@ -463,18 +532,62 @@ def _brute_automorphism_count(G):
 
 
 @pytest.mark.parametrize("key", list(range(2, 31))
-                         + ["semidirect_pq(7,3,2)", "heisenberg(3)"])
+                         + ["semidirect_pq(7,3,2)", "semidirect_pq(11,5,3)",
+                            "heisenberg(3)", "heisenberg(5)", "standin"])
 def test_automorphism_count_matches_brute_force(key):
-    G = {"semidirect_pq(7,3,2)": lambda: semidirect_pq(7, 3, 2),
-         "heisenberg(3)": lambda: heisenberg(3)}.get(
-             key, lambda: cyclic(key))()
-    assert len(automorphisms(G, G.presentation)) == \
-        _brute_automorphism_count(G)
+    G = _AUT_GROUPS[key]() if isinstance(key, str) else cyclic(key)
+    auts = automorphisms(G)
+    assert auts == _backtrack_automorphisms(G)
+    if G.order <= 30:
+        assert len(auts) == _brute_automorphism_count(G)
+
+
+@pytest.mark.parametrize("key", ["heisenberg(3)", "semidirect_pq(11,5,3)",
+                                 "standin"])
+def test_pinned_automorphisms_match_backtracking(key):
+    G = _AUT_GROUPS[key]()
+    g0, g1 = G.generators[:2]
+    orders = G.element_orders()
+    wrong_order = int(np.flatnonzero(orders != orders[g0])[-1])
+    last = automorphisms(G)[-1]
+    pins = [{0: g0}, {1: last[1]}, dict(enumerate(last)),
+            {0: G.commutator(g0, g1)}, {0: 0}, {0: wrong_order}]
+    for fixed in pins:
+        assert automorphisms(G, fixed=fixed) == \
+            _backtrack_automorphisms(G, fixed=fixed)
+    assert automorphisms(G, fixed=dict(enumerate(last))) == [last]
+    assert automorphisms(G, fixed={0: 0}) == []
+    assert automorphisms(G, fixed={0: wrong_order}) == []
+
+
+@pytest.mark.parametrize("key, tree", [("heisenberg(3)", 702),
+                                       ("semidirect_pq(11,5,3)", 450),
+                                       ("standin", 11826)])
+def test_automorphism_cap_is_the_backtracking_tree(key, tree):
+    """An unpinned search raises exactly when the depth-first tree over
+    the same candidates has more than ``node_cap`` nodes."""
+    G = _AUT_GROUPS[key]()
+    for search in (automorphisms, _backtrack_automorphisms):
+        assert search(G, node_cap=tree) == search(G)
+        with pytest.raises(AutCapExceeded):
+            search(G, node_cap=tree - 1)
 
 
 def test_automorphisms_cap(heis3):
     with pytest.raises(AutCapExceeded):
-        automorphisms(heis3, heis3.presentation, node_cap=10)
+        automorphisms(heis3, node_cap=10)
+
+
+def test_searches_take_their_options_by_keyword(heis3):
+    """A presentation passed where the removed ``pres`` argument stood is
+    refused rather than read as a node cap."""
+    pairs = _noncommuting_pairs(heis3)
+    with pytest.raises(TypeError):
+        automorphisms(heis3, heis3.presentation)
+    with pytest.raises(TypeError):
+        pair_orbit_count(heis3, pairs, None, heis3.presentation)
+    with pytest.raises(TypeError):
+        single_aut_orbit_certificate(heis3, pairs, heis3.presentation)
 
 
 def _loop_permutation(G, pres_gens, images):
@@ -501,9 +614,9 @@ def _loop_permutation(G, pres_gens, images):
 
 
 def test_extend_to_permutation_is_homomorphic(heis3):
-    auts = automorphisms(heis3, heis3.presentation)
+    auts = automorphisms(heis3)
     gens = list(heis3.generators)
-    perm = extend_to_permutation(heis3, gens, list(auts[5]))
+    perm = _permutation_rows(heis3, gens, [auts[5]])[0]
     n = heis3.order
     assert sorted(perm.tolist()) == list(range(n))
     rng = np.random.default_rng(7)
@@ -514,14 +627,14 @@ def test_extend_to_permutation_is_homomorphic(heis3):
     # The walk does not depend on the images, so even images that define
     # no automorphism give the oracle's array.
     for images in rng.integers(0, n, (20, 2)):
-        assert np.array_equal(extend_to_permutation(heis3, gens, images),
+        assert np.array_equal(_permutation_rows(heis3, gens, [images])[0],
                               _loop_permutation(heis3, gens, images))
     # Generator elements that do not generate G are refused.
     for bad in ([gens[0]], [gens[0], gens[0]], [0, 0]):
         with pytest.raises(ValueError):
             _loop_permutation(heis3, bad, bad)
         with pytest.raises(ValueError):
-            extend_to_permutation(heis3, bad, bad)
+            _permutation_rows(heis3, bad, [bad])
 
 
 def test_pair_orbit_count_heisenberg(heis3):
@@ -541,13 +654,12 @@ def test_pair_orbit_count_klein_four():
 
 def test_automorphisms_fixed_and_limit(heis3):
     x, y = heis3.generators
-    pinned = automorphisms(heis3, heis3.presentation, fixed={0: x, 1: y})
+    pinned = automorphisms(heis3, fixed={0: x, 1: y})
     assert pinned == [(x, y)]
-    some = automorphisms(heis3, heis3.presentation, limit=5)
+    some = automorphisms(heis3)[:5]
     assert len(some) == 5
     # Pinning a non-generating image admits no completion.
-    assert automorphisms(heis3, heis3.presentation,
-                         fixed={0: 0}, limit=1) == []
+    assert automorphisms(heis3, fixed={0: 0})[:1] == []
 
 
 def test_single_aut_orbit_certificate(heis3, order243):
@@ -560,7 +672,7 @@ def test_single_aut_orbit_certificate(heis3, order243):
              if G.commutator(u, v) != 0]
     # 24 true orbits, so the single-orbit certificate must refuse.
     assert single_aut_orbit_certificate(G, pairs) is False
-    auts = automorphisms(G, G.presentation)
+    auts = automorphisms(G)
     assert pair_orbit_count(G, pairs, auts=auts) == 24
 
     # Abelian: no noncommuting generator pair, so no certificate.
@@ -570,17 +682,16 @@ def test_single_aut_orbit_certificate(heis3, order243):
     nc243 = [(u, v) for u in range(243) for v in range(243)
              if order243.commutator(u, v) != 0]
     assert len(nc243) == 38880
-    assert single_aut_orbit_certificate(
-        order243, nc243, pres=order243.presentation,
-        node_cap=2_000_000) is True
+    assert single_aut_orbit_certificate(order243, nc243,
+                                        node_cap=2_000_000) is True
 
 
-def _per_class_certificate(G, pairs, pres=None, node_cap=200000):
+def _per_class_certificate(G, pairs, node_cap=200000):
     """Oracle for single_aut_orbit_certificate: fuse the pairs into
-    conjugation classes, then make one pinned automorphism query per class
-    representative, from a noncommuting pair of presentation generators."""
-    pres = G.presentation if pres is None else pres
-    if pres is None or not pairs:
+    conjugation classes, then make one pinned backtracking query per class
+    representative, from a noncommuting pair of presentation generators,
+    stopping at the first automorphism."""
+    if G.presentation is None or not pairs:
         return None
     gens = G.generators
     source = next(((i, j) for i in range(len(gens)) for j in range(len(gens))
@@ -609,8 +720,8 @@ def _per_class_certificate(G, pairs, pres=None, node_cap=200000):
                         nxt.append(image)
             frontier = nxt
     gi, gj = source
-    return all(automorphisms(G, pres, node_cap=node_cap,
-                             fixed={gi: a, gj: b}, limit=1)
+    return all(_backtrack_automorphisms(G, node_cap=node_cap,
+                                        fixed={gi: a, gj: b}, limit=1)
                for a, b in reps)
 
 
@@ -619,22 +730,9 @@ def _noncommuting_pairs(G):
     return list(zip(us.tolist(), vs.tolist()))
 
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-_CERTIFICATE_GROUPS = {
-    "heisenberg(3)": lambda: heisenberg(3),
-    "heisenberg(5)": lambda: heisenberg(5),
-    "semidirect_pq(11,5,3)": lambda: semidirect_pq(11, 5, 3),
-    "semidirect_pq(7,3,2)": lambda: semidirect_pq(7, 3, 2),
-    "semidirect_pq(13,3,3)": lambda: semidirect_pq(13, 3, 3),
-    "standin": lambda: load_config(os.path.join(
-        CONFIG_DIR, "order243_obstructed_standin.cfg")).group,
-    "cyclic(6)": lambda: cyclic(6),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_CERTIFICATE_GROUPS))
+@pytest.mark.parametrize("name", sorted(_AUT_GROUPS))
 def test_single_aut_orbit_certificate_matches_per_class_oracle(name):
-    G = _CERTIFICATE_GROUPS[name]()
+    G = _AUT_GROUPS[name]()
     pairs = _noncommuting_pairs(G)
     want = _per_class_certificate(G, pairs)
     assert single_aut_orbit_certificate(G, pairs) is want
@@ -664,7 +762,7 @@ def test_automorphism_permutations_consistent(heis3, group55):
     klein4 = coset_enumerate(Presentation(["a", "b"],
                                           ["a^2", "b^2", "[a,b]"]))
     for G, count in ((heis3, 432), (group55, 110), (klein4, 6)):
-        auts = automorphisms(G, G.presentation)
+        auts = automorphisms(G)
         perms = automorphism_permutations(G, auts)
         assert perms.shape == (count, G.order)
         # Each row is a bijection fixing the identity.
