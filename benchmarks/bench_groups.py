@@ -12,9 +12,12 @@ heisenberg(3) those automorphisms induce (``automorphism_permutations``),
 ``single_aut_orbit_certificate`` on order243_presented's 38,880
 noncommuting pairs (one Aut(G) orbit, so True), ``fiber_group_order`` on
 the kernel orbits of heisenberg_3 and order243_presented (|H| = 19,683
-each), and building the 14 table-1 metacyclic groups with
-``semidirect_pq`` (all 14 in one timed run) and ``heisenberg(5)``.
-Configs, groups and kernel orbits are built outside the timed region.
+each), ``quadruple_search`` on the stand-in ((0, 1, 0, 27)), on
+heisenberg(5) ((0, 5, 0, 25)) and on order243_presented under a 200,000
+node cap (it must raise ``QuadrupleCapExceeded``), and building the 14
+table-1 metacyclic groups with ``semidirect_pq`` (all 14 in one timed run)
+and ``heisenberg(5)``.  Configs, groups and kernel orbits are built
+outside the timed region.
 
 Usage:
     python3 benchmarks/bench_groups.py [--repeats 5]
@@ -30,7 +33,8 @@ from handlebody import (automorphisms, fiber_group_order, heisenberg,
                         kernel_orbit, load_config, partner_pairs, reference,
                         semidirect_pq, single_aut_orbit_certificate)
 from handlebody.groups import AutCapExceeded, automorphism_permutations
-from handlebody.homs import drop_quick_pairs
+from handlebody.homs import (QuadrupleCapExceeded, drop_quick_pairs,
+                             quadruple_search)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "configs")
@@ -42,6 +46,13 @@ EXPECTED_PAIRS = {
 # Configs whose kernel orbit's fiber group is closed, and its order.
 FIBER_CONFIGS = ("heisenberg_3", "order243_presented")
 FIBER_ORDER = 19683
+# Config (None: heisenberg(5)) -> node cap and the quadruple it finds, or
+# "capped" when the search must raise QuadrupleCapExceeded.
+QUADRUPLE_CASES = (
+    ("order243_obstructed_standin", 2000000, (0, 1, 0, 27)),
+    (None, 2000000, (0, 5, 0, 25)),
+    ("order243_presented", 200000, "capped"),
+)
 
 
 def best_of(repeats, fn):
@@ -141,6 +152,23 @@ def main(argv=None):
                              % (name, order, FIBER_ORDER))
         rows.append(("fiber_group_order %s, %d" % (name, FIBER_ORDER),
                      t_fiber))
+
+    for name, cap, want in QUADRUPLE_CASES:
+        group = heis5 if name is None else load_config(
+            os.path.join(CONFIGS, name + ".cfg")).group
+
+        def search():
+            try:
+                return quadruple_search(group, node_cap=cap)
+            except QuadrupleCapExceeded:
+                return "capped"
+
+        t_quad, quad = best_of(args.repeats, search)
+        if quad != want:
+            raise SystemExit("quadruple_search %s: %s, expected %s"
+                             % (group.name, quad, want))
+        rows.append(("quadruple_search %s, cap %d" % (group.name, cap),
+                     t_quad))
 
     triples = [pqr for pqr, _ in reference.RECORDED_WITNESS_ROWS]
     t_pq, _ = best_of(args.repeats,

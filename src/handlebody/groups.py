@@ -205,10 +205,6 @@ class FiniteGroup:
         mask = (self.table == self.table.T).all(axis=1)
         return [int(g) for g in np.nonzero(mask)[0]]
 
-    def centralizer(self, g):
-        mask = self.table[:, g] == self.table[g, :]
-        return [int(h) for h in np.nonzero(mask)[0]]
-
     def is_abelian(self):
         return bool((self.table == self.table.T).all())
 
@@ -247,39 +243,27 @@ class FiniteGroup:
         return self.normal_closure(np.unique(comms))
 
     def sylow_subgroup(self, p):
-        """A Sylow p-subgroup, by greedy normalizer extension."""
+        """A Sylow p-subgroup, by greedy normalizer extension: each step
+        joins the least p-element outside the subgroup that normalizes it."""
         n = self.order
         target = 1
         while n % p == 0:
             target *= p
             n //= p
+        # An element order divides |G|, so it is a power of p exactly when
+        # it divides the p-part of |G|.
+        p_elements = target % self.element_orders() == 0
         sub = [0]
-        orders = self.element_orders()
         while len(sub) < target:
-            sub_set = set(sub)
-            candidate = None
-            for g in self._normalizer(sub):
-                if g in sub_set:
-                    continue
-                o = orders[g]
-                while o % p == 0:
-                    o //= p
-                if o == 1:
-                    candidate = g
-                    break
-            if candidate is None:  # cannot happen for correct tables
+            inside = np.zeros(self.order, dtype=bool)
+            inside[sub] = True
+            conjugates = self.table[self.table[:, sub], self.inv[:, None]]
+            normalizes = inside[conjugates].all(axis=1)
+            candidates = np.flatnonzero(normalizes & p_elements & ~inside)
+            if not candidates.size:  # cannot happen for correct tables
                 raise AssertionError("Sylow extension stuck at order %d" % len(sub))
-            sub = self.subgroup_closure(sub + [candidate])
+            sub = self.subgroup_closure(sub + [int(candidates[0])])
         return sub
-
-    def _normalizer(self, sub):
-        sub_set = set(sub)
-        out = []
-        for g in range(self.order):
-            ig = self.inv[g]
-            if all(int(self.table[self.table[g, s], ig]) in sub_set for s in sub):
-                out.append(g)
-        return out
 
     def subgroup_as_group(self, elements, name=""):
         """Reindex a closed element subset as its own FiniteGroup."""

@@ -195,6 +195,53 @@ def noncommuting_pair_count(G):
     return G.order ** 2 - G.order * G.conjugacy_class_count()
 
 
+class _Joins:
+    """Subgroups <H, g> of G, closed once per right coset H g.
+
+    <H, g> = <H, h g> for every h in H, so the join depends on g only
+    through its right coset (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005), named here by its least element.
+    A subgroup is a sorted element tuple, closed from the generators it
+    was first reached by.  ``coset(H)`` gives the least element of H g for
+    each g, so it is 0 exactly on H."""
+
+    def __init__(self, G):
+        self.G = G
+        self.gens, self.cosets, self.joins = {}, {}, {}
+
+    def subgroup(self, gens):
+        H = tuple(self.G.subgroup_closure(gens))
+        self.gens.setdefault(H, list(gens))
+        return H
+
+    def coset(self, H):
+        if H not in self.cosets:
+            self.cosets[H] = self.G.table[list(H)].min(axis=0)
+        return self.cosets[H]
+
+    def join(self, H, g):
+        c = int(self.coset(H)[g])
+        if (H, c) not in self.joins:
+            self.joins[H, c] = self.subgroup(self.gens[H] + [c])
+        return self.joins[H, c]
+
+    def span(self, H, gs):
+        """<H, gs>, joining one element of ``gs`` outside it at a time."""
+        outside = gs[self.coset(H)[gs] != 0]
+        while outside.size:
+            H = self.join(H, outside[0])
+            outside = outside[self.coset(H)[outside] != 0]
+        return H
+
+    def generates(self, H, gs):
+        """Whether <H, g> = G, for each g of ``gs``."""
+        if len(H) == self.G.order:
+            return np.ones(len(gs), dtype=bool)
+        cosets, back = np.unique(self.coset(H)[gs], return_inverse=True)
+        return np.array([len(self.join(H, c)) == self.G.order
+                         for c in cosets.tolist()], dtype=bool)[back]
+
+
 def partner_pairs(G, a, b, filter_quick=False):
     """Ordered pairs (r, t) with [a,b][r,t] = 1 and <a,b,r,t> = G.
 
@@ -203,47 +250,20 @@ def partner_pairs(G, a, b, filter_quick=False):
     """
     target = G.inverse(G.commutator(a, b))
     rs, ts = np.nonzero(G.conjugation_table() == G.table[target])
-    K = G.subgroup_closure([a, b])
+    joins = _Joins(G)
+    K = joins.subgroup([a, b])
     if len(K) < G.order:
-        keep = _generating_mask(G, K, a, b, rs, ts)
+        # <a,b,r,t> = <<K, r>, t>: one join per coset K r, then per coset of t
+        keep = np.empty(rs.size, dtype=bool)
+        r_cosets = joins.coset(K)[rs]
+        for r in np.unique(r_cosets).tolist():
+            sel = r_cosets == r
+            keep[sel] = joins.generates(joins.join(K, r), ts[sel])
         rs, ts = rs[keep], ts[keep]
     if filter_quick:
         keep = ~_quick_mask(G, a, b, rs, ts)
         rs, ts = rs[keep], ts[keep]
     return list(zip(rs.tolist(), ts.tolist()))
-
-
-def _least_in_cosets(G, H):
-    """For every element g, the least element of its right coset H g."""
-    return G.table[H].min(axis=0)
-
-
-def _generating_mask(G, K, a, b, rs, ts):
-    """Whether <a,b,r,t> = G for each pair of rs, ts; K = <a,b>.
-
-    <X, g> = <X, x g> for every x in the subgroup <X>, so <a,b,r> = H
-    depends only on the right coset K r, and <a,b,r,t> = <H, t> only on H
-    and the right coset H t.  Each coset is named by its least element, and
-    one closure is made per distinct (H, coset of t)."""
-    n = G.order
-    keep = np.ones(rs.size, dtype=bool)
-    decided = {}
-    r_cosets = _least_in_cosets(G, K)[rs]
-    for r in np.unique(r_cosets).tolist():     # r stands for its coset K r
-        H = G.subgroup_closure([a, b, r])
-        if len(H) == n:
-            continue
-        sel = r_cosets == r
-        t_cosets, back = np.unique(_least_in_cosets(G, H)[ts[sel]],
-                                   return_inverse=True)
-        key = tuple(H)
-        generates = []
-        for t in t_cosets.tolist():
-            if (key, t) not in decided:
-                decided[key, t] = len(G.subgroup_closure([a, b, r, t])) == n
-            generates.append(decided[key, t])
-        keep[sel] = np.array(generates)[back]
-    return keep
 
 
 def _quick_mask(G, a, b, rs, ts):
@@ -276,47 +296,42 @@ def quadruple_search(G, node_cap=2000000):
     in deterministic ascending order; None if the search space is exhausted.
 
     Raises QuadrupleCapExceeded past ``node_cap`` candidate visits (a capped
-    run says nothing about existence).
+    run says nothing about existence).  The s3 loop depends on (s1, s2)
+    only through H = <s1, s2>, so it runs once per H.
     """
     n = G.order
+    commute = G.table == G.table.T
+    joins = _Joins(G)
+    visits = {}         # H = <s1, s2> -> the visits its s3 loop makes
+
+    def s3_loop(H):
+        nodes = 0
+        for s3 in range(n):
+            centralizer = np.flatnonzero(commute[s3])
+            # No s4 can help if even the whole centralizer of s3 cannot
+            # complete the generation; that s3 counts as one visit.
+            if len(joins.span(H, centralizer)) < n:
+                nodes += 1
+                continue
+            hits = joins.generates(joins.join(H, s3), centralizer)
+            if hits.any():
+                k = int(hits.argmax())
+                return nodes + k + 1, (s3, int(centralizer[k]))
+            nodes += centralizer.size
+        return nodes, None
+
     nodes = 0
-    closure_memo = {}
-
-    def closure_of(elements):
-        key = elements
-        result = closure_memo.get(key)
-        if result is None:
-            result = tuple(G.subgroup_closure(list(elements)))
-            closure_memo[key] = result
-        return result
-
-    centralizers = {}
-
-    def centralizer_of(g):
-        if g not in centralizers:
-            centralizers[g] = G.centralizer(g)
-        return centralizers[g]
-
     for s1 in range(n):
-        for s2 in centralizer_of(s1):
-            h12 = closure_of((s1, s2))
-            for s3 in range(n):
-                h123 = closure_of(tuple(sorted(set(h12) | {s3})))
-                # The s4 loop cannot help if even the whole centralizer of
-                # s3 cannot complete the generation.
-                best = closure_of(tuple(sorted(set(h123)
-                                               | set(centralizer_of(s3)))))
-                if len(best) < n:
-                    nodes += 1
-                    if nodes > node_cap:
-                        raise QuadrupleCapExceeded(
-                            "quadruple search exceeded node cap %d" % node_cap)
-                    continue
-                for s4 in centralizer_of(s3):
-                    nodes += 1
-                    if nodes > node_cap:
-                        raise QuadrupleCapExceeded(
-                            "quadruple search exceeded node cap %d" % node_cap)
-                    if len(closure_of(tuple(sorted(set(h123) | {s4})))) == n:
-                        return (s1, s2, s3, int(s4))
+        powers = joins.subgroup([s1])
+        for s2 in np.flatnonzero(commute[s1]).tolist():
+            H = joins.join(powers, s2)
+            hit = None
+            if H not in visits:
+                visits[H], hit = s3_loop(H)
+            nodes += visits[H]
+            if nodes > node_cap:
+                raise QuadrupleCapExceeded(
+                    "quadruple search exceeded node cap %d" % node_cap)
+            if hit is not None:
+                return (s1, s2) + hit
     return None

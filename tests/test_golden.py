@@ -3,11 +3,9 @@
 ``golden/runs.json`` lists 22 runs at depth 9: ``orbit``, ``table1``, and
 ``check``/``counts``/``quadruple``/``kernel-orbit`` on each shipped config.
 ``golden/<name>.txt`` holds each run's stdout as printed by
-``python -m handlebody.cli ARGV`` from the repository root.  The one run
-marked slow (``quadruple`` on order243_presented, about 8 s on a 2-CPU
-machine) is collected only when HANDLEBODY_GOLDEN_SLOW=1; the slowest of
-the other 21 is ``counts`` on order243_presented, about 1.6-1.9 s as a
-CLI process.
+``python -m handlebody.cli ARGV`` from the repository root.  Every run is
+collected; the slowest is ``kernel-orbit`` on order243_obstructed_standin,
+about 2.3 s as a CLI process on a 2-CPU machine.
 
 An intended change of output regenerates the transcripts with
 ``python tests/test_golden.py`` and says why in CHANGES.md.
@@ -30,16 +28,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 with open(os.path.join(GOLDEN, "runs.json"), encoding="utf-8") as _fh:
     RUNS = json.load(_fh)
 
-SLOW = os.environ.get("HANDLEBODY_GOLDEN_SLOW") == "1"
-
-
 def _transcript(name):
     with open(os.path.join(GOLDEN, name + ".txt"), "rb") as fh:
         return fh.read()
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in sorted(RUNS) if SLOW or not RUNS[n]["slow"]])
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_transcript_matches_golden(name):
     run = RUNS[name]
     argv = [os.path.join(ROOT, a) if a.startswith("configs/") else a

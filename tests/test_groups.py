@@ -342,6 +342,53 @@ def test_derived_subgroup_and_reindexing_match_brute_force(key):
             assert derived[sub.mult(i, j)] == G.mult(g, h)
 
 
+def _reference_sylow(G, p):
+    """Greedy normalizer extension one element at a time: list the
+    normalizer of the subgroup so far by conjugating it with every g, then
+    join its least p-element outside the subgroup."""
+    n, target = G.order, 1
+    while n % p == 0:
+        target *= p
+        n //= p
+    sub = [0]
+    orders = G.element_orders()
+    while len(sub) < target:
+        sub_set = set(sub)
+        normalizer = [g for g in range(G.order)
+                      if all(G.conjugate(s, g) in sub_set
+                             for s in sub)]
+        candidate = None
+        for g in normalizer:
+            if g in sub_set:
+                continue
+            o = orders[g]
+            while o % p == 0:
+                o //= p
+            if o == 1:
+                candidate = g
+                break
+        assert candidate is not None
+        sub = G.subgroup_closure(sub + [candidate])
+    return sub
+
+
+@pytest.mark.parametrize("key, p", [
+    ("semidirect_pq(11,5,3)", 11), ("semidirect_pq(11,5,3)", 5),
+    ("heisenberg(3)", 3), ("heisenberg(3)", 2),
+    ("heisenberg(3) x cyclic(2)", 2), ("heisenberg(3) x cyclic(2)", 3),
+    ("alternating(4)", 2), ("alternating(4)", 3),
+    ("cyclic(3) x semidirect_pq(7,3,2)", 3),
+    ("cyclic(3) x semidirect_pq(7,3,2)", 7),
+    (12, 2), (12, 3), (30, 2), (30, 3), (30, 5)])
+def test_sylow_subgroup_matches_elementwise_search(key, p):
+    G = _oracle_group(key)
+    assert G.sylow_subgroup(p) == _reference_sylow(G, p)
+
+
+def test_sylow_subgroup_of_order243_matches_elementwise_search(order243):
+    assert order243.sylow_subgroup(3) == _reference_sylow(order243, 3)
+
+
 def test_subgroup_as_group_rejects_non_subgroups():
     G = semidirect_pq(11, 5, 3)
     a, b = G.generators

@@ -25,6 +25,8 @@ from handlebody.homs import (EXTENDS, Epimorphism, NO_WITNESS,
 from handlebody.orbit import generate_c0
 from handlebody.words import Word, parse_word
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
 
 def test_epimorphism_validation(group55, heis3):
     a, b = group55.generators
@@ -284,12 +286,82 @@ def test_quadruple_search_known_values(group55):
 
 
 def test_quadruple_search_exhaustion_and_cap(heis3):
-    Z2 = cyclic(2)
-    G = direct_product(direct_product(direct_product(direct_product(Z2, Z2),
-                                                     Z2), Z2), Z2)
-    assert quadruple_search(G) is None
+    assert quadruple_search(_elementary_abelian_2(5)) is None
     with pytest.raises(QuadrupleCapExceeded):
         quadruple_search(heis3, node_cap=3)
+
+
+def _reference_quadruple(G):
+    """The quadruple search one candidate at a time, every closure made from
+    an element set and memoized on it, with no node cap.  Returns the
+    quadruple (None when the search is exhausted) and the visits counted up
+    to it."""
+    n = G.order
+    nodes = 0
+    closures = {}
+
+    def closure_of(elements):
+        key = tuple(sorted(set(elements)))
+        if key not in closures:
+            closures[key] = tuple(G.subgroup_closure(list(key)))
+        return closures[key]
+
+    def centralizer(g):
+        return np.flatnonzero(G.table[:, g] == G.table[g]).tolist()
+
+    for s1 in range(n):
+        for s2 in centralizer(s1):
+            h12 = closure_of((s1, s2))
+            for s3 in range(n):
+                h123 = closure_of(h12 + (s3,))
+                # The s4 loop cannot help if even the whole centralizer of
+                # s3 cannot complete the generation.
+                if len(closure_of(h123 + tuple(centralizer(s3)))) < n:
+                    nodes += 1
+                    continue
+                for s4 in centralizer(s3):
+                    nodes += 1
+                    if len(closure_of(h123 + (s4,))) == n:
+                        return (s1, s2, s3, s4), nodes
+    return None, nodes
+
+
+def _elementary_abelian_2(rank):
+    G = cyclic(2)
+    for _ in range(rank - 1):
+        G = direct_product(G, cyclic(2))
+    return G
+
+
+# group -> the visits its search counts, the node cap it passes at
+_QUADRUPLE_VISITS = {
+    "cyclic(3)": (lambda: cyclic(3), 2),
+    "cyclic(6)": (lambda: cyclic(6), 2),
+    "heisenberg(3)": (lambda: heisenberg(3), 325),
+    "heisenberg(5)": (lambda: heisenberg(5), 3751),
+    "semidirect_pq(11,5,3)": (lambda: semidirect_pq(11, 5, 3), 115),
+    "semidirect_pq(7,3,2)": (lambda: semidirect_pq(7, 3, 2), 45),
+    "semidirect_pq(23,11,3)": (lambda: semidirect_pq(23, 11, 3), 517),
+    "order243_obstructed_standin": (lambda: load_config(os.path.join(
+        CONFIG_DIR, "order243_obstructed_standin.cfg")).group, 997),
+    "Z2^4": (lambda: _elementary_abelian_2(4), 4681),
+    # Abelian and of rank 5, so the search is exhausted after visiting
+    # every (s1, s2, s3, s4) once.
+    "Z2^5": (lambda: _elementary_abelian_2(5), 32 ** 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUADRUPLE_VISITS))
+def test_quadruple_search_matches_reference_at_its_cap(name):
+    """Same quadruple as the one-candidate-at-a-time search, and the same
+    visit count: the search passes at that cap and raises one below it."""
+    build, visits = _QUADRUPLE_VISITS[name]
+    G = build()
+    found, counted = _reference_quadruple(G)
+    assert counted == visits
+    assert quadruple_search(G, node_cap=visits) == found
+    with pytest.raises(QuadrupleCapExceeded):
+        quadruple_search(G, node_cap=visits - 1)
 
 
 def test_standard_metacyclic_images_family():
@@ -301,7 +373,6 @@ def test_standard_metacyclic_images_family():
 
 # --- partial (fresh) orbit sets against finished ones -------------------
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 _GROUPS = {
     "cyclic_3": lambda: cyclic(3),
     "heisenberg_3": lambda: heisenberg(3),
