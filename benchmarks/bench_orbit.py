@@ -1,18 +1,20 @@
 """Time orbit generation, provenance replay, full-set evaluation and the
 early-exit scans at depth 9.
 
-Prints the best-of-N seconds of these stages: ``generate_c0(9)`` finished
-to all 29,922 words, with the number of twist applications it makes
-(counted in a separate, untimed run by wrapping ``handlebody.orbit``'s
-``apply_bytes``), ``replay_path`` over a seeded sample of 3,000 stored
+Prints the best-of-N seconds of these stages: ``generate_c0(9)``
+finished to all 29,922 words, with the number of twist applications it
+makes (words substituted) and the number of ``apply_bytes`` calls that
+make them, one per move and group of parents in a block (both counted in
+a separate, untimed run by wrapping ``handlebody.orbit``'s
+``apply_bytes``); ``replay_path`` over a seeded sample of 3,000 stored
 paths, every ``trie_blocks()`` level trie of a fresh copy of that set,
 and one map (the standard epimorphism onto the metacyclic group of order
 55) evaluated on every word by precomposing along those tries
-(``trie_values``); then the first witness of each shipped config's theta,
-on a fresh (partial) set, with the number of words that scan generated,
-and on the finished set, whose level tries are kept between scans; and
-``intersection_avoids_c0`` of the kernel orbits of cyclic_3 and
-heisenberg_3 on a fresh set, with the words it generated.  Copies,
+(``trie_values``); then the first witness of each shipped config's
+theta, on a fresh (partial) set, with the number of words that scan
+generated, and on the finished set, whose level tries are kept between
+scans; and ``intersection_avoids_c0`` of the kernel orbits of cyclic_3
+and heisenberg_3 on a fresh set, with the words it generated.  Copies,
 fresh sets and kernel orbits are made outside the timed region; the
 replayed words, a seeded sample of the trie values (against
 ``evaluate_in_group``), each witness and each intersection report
@@ -58,12 +60,16 @@ def best_of(repeats, fn, prepare=lambda: ()):
 
 
 def count_twists(depth):
-    """Twist applications made by one finished ``generate_c0(depth)``."""
-    calls = 0
+    """Twist applications made by one finished ``generate_c0(depth)``: the
+    words substituted, and the ``apply_bytes`` calls that substituted
+    them (each call takes the words of a group of parents joined by zero
+    bytes)."""
+    words = calls = 0
     inner = orbit.apply_bytes
 
     def counted(plan, data):
-        nonlocal calls
+        nonlocal words, calls
+        words += data.count(b"\0") + 1
         calls += 1
         return inner(plan, data)
 
@@ -72,7 +78,7 @@ def count_twists(depth):
         len(generate_c0(depth))
     finally:
         orbit.apply_bytes = inner
-    return calls
+    return words, calls
 
 
 def answer(verdict):
@@ -98,7 +104,7 @@ def main(argv=None):
         return s
 
     t_gen, s = best_of(args.repeats, full_set)
-    twists = count_twists(DEPTH)
+    twists, calls = count_twists(DEPTH)
     sample = random.Random(0).sample(
         [(w, p) for w, p in s.paths.items() if p != BASE_PATH], REPLAYS)
     t_replay, replayed = best_of(
@@ -154,8 +160,9 @@ def main(argv=None):
         intersections.append((name, fresh[-1].generated, t_int))
 
     print("%-44s %10s" % ("stage", "best s"))
-    print("%-44s %10.3f   %d twist applications"
-          % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists))
+    print("%-44s %10.3f   %d twist applications in %d apply_bytes calls"
+          % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists,
+             calls))
     print("%-44s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
     print("%-44s %10.3f" % ("trie_blocks(), %d nodes"
                             % sum(t.size for t in tries), t_trie))

@@ -29,10 +29,10 @@ from .bogomolov import (B0Status, ExtendVerdict, b0_status,
                         recognize_direct_product, all_sylows_abelian)
 from .homs import (Epimorphism, RelationViolated, NotGenerating,
                    QuadrupleCapExceeded, Verdict, WitnessReport, evaluate,
-                   quick_witness, handlebody_witness,
-                   standard_metacyclic_images, r3_criterion_word,
-                   r_cubed_criterion, noncommuting_pair_count,
-                   partner_pairs, batch_pair_witnesses, quadruple_search)
+                   handlebody_witness, standard_metacyclic_images,
+                   r3_criterion_word, r_cubed_criterion,
+                   noncommuting_pair_count, partner_pairs,
+                   batch_pair_witnesses, quadruple_search)
 from .kernel_orbit import (KernelClassCapExceeded, kernel_keys, kernel_orbit,
                            intersection_avoids_c0, fiber_group_order,
                            IntersectionReport)

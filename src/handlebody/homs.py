@@ -110,15 +110,6 @@ _QUICK_PRODUCTS = tuple((kind, parse_word(text)) for kind, text in (
 ))
 
 
-def quick_witness(theta):
-    """Name of the first trivial product in the nine-element quick set, or
-    None when all nine are nontrivial."""
-    for kind, word in _QUICK_PRODUCTS:
-        if evaluate_rows(theta.group, word, theta.images) == 0:
-            return kind
-    return None
-
-
 class WitnessReport:
     __slots__ = ("witness", "sigma_path", "verification")
 

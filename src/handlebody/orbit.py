@@ -331,6 +331,11 @@ def _commuting_below(m):
                      == compose(sigma(m), sigma(j)))
 
 
+# Parents per joined twist application in _levels; it bounds the size of
+# the joined words and their children.
+_BLOCK = 1024
+
+
 def _levels(plans, seen, depth, word_cap):
     """Yield the words of each new level in lex path order, after adding
     them with their paths to ``seen``.
@@ -346,25 +351,43 @@ def _levels(plans, seen, depth, word_cap):
     skipped).  A seed u is the root, which is expanded, or [x1,y1], which is
     not; so m skips nothing unless s_m([x1,y1]) is a seed (true for every
     built-in move but s8).
+
+    A level is made from blocks of ``_BLOCK`` parents, grouped by the moves
+    they take (all of them, or those the prune leaves after their last
+    move).  Each move a group takes is applied once, to the group's words
+    joined by zero bytes (see apply_bytes), and the children are read back
+    in (parent, move) order, so ``level`` is filled exactly as one
+    application per child would fill it.
     """
-    # The moves to apply after a path's last move; () for the root.
-    after = {(): tuple(plans.items())}
+    # The moves to apply after a path's last move; all of them after ().
+    after = {(): tuple(plans)}
     for m in plans:
-        after[(m,)] = tuple((j, plan) for j, plan in plans.items()
-                            if j not in _commuting_below(m))
+        after[(m,)] = tuple(j for j in plans if j not in _commuting_below(m))
     # The frontier maps word bytes to path tuples; the root's path is ().
     frontier = {root_word().data: ()}
     for _ in range(depth):
         level = {}
-        # Parents in lex path order, moves ascending: first assignment to a
-        # child is its lexicographically least shortest derivation, and
-        # ``level`` is filled in lex path order, so the next frontier needs
-        # no sort.
-        for data, path in frontier.items():
-            for j, plan in after[path[-1:]]:
-                child = apply_bytes(plan, data)
-                if child not in seen and child not in level:
-                    level[child] = path + (j,)
+        parents = list(frontier.items())
+        for lo in range(0, len(parents), _BLOCK):
+            block = parents[lo:lo + _BLOCK]
+            groups = {}
+            for data, path in block:
+                groups.setdefault(after[path[-1:]], []).append(data)
+            children = {}
+            for moves, words in groups.items():
+                joined = b"\0".join(words)
+                children[moves] = [
+                    (j, iter(apply_bytes(plans[j], joined).split(b"\0")))
+                    for j in moves]
+            # Parents in lex path order, moves ascending: first assignment
+            # to a child is its lexicographically least shortest
+            # derivation, and ``level`` is filled in lex path order, so the
+            # next frontier needs no sort.
+            for data, path in block:
+                for j, kids in children[after[path[-1:]]]:
+                    child = next(kids)
+                    if child not in seen and child not in level:
+                        level[child] = path + (j,)
         if not level:
             return
         if word_cap is not None and len(seen) + len(level) > word_cap:

@@ -60,34 +60,53 @@ class TwistAuto:
 
 def _cancelling_pairs(moved):
     """The inverse pairs apply_bytes deletes after substituting ``moved``
-    (letter byte -> image bytes); see apply_bytes."""
-    if all([c for c in image if c in moved] == [b]
-           for b, image in moved.items()):
-        letters = set(b"".join(moved.values()))
-        return tuple(p for p in _INVERSE_PAIRS if p[0] in letters)
-    return _INVERSE_PAIRS
+    (letter byte -> image bytes), seam-adjacent first; see apply_bytes."""
+    if not all([c for c in image if c in moved] == [b]
+               for b, image in moved.items()):
+        return _INVERSE_PAIRS
+    # Each image is u b v: each generator of u and v, keyed by the fewest
+    # steps from one of its letters to the image end it sits towards.
+    seam = {}
+    for b, image in moved.items():
+        core = image.index(b)
+        for i, c in enumerate(image):
+            if i != core:
+                g = (c - 1) % RANK
+                d = i if i < core else len(image) - 1 - i
+                seam[g] = min(seam.get(g, d), d)
+    return tuple(pair for g in sorted(seam, key=lambda g: (seam[g], g))
+                 for pair in _INVERSE_PAIRS[2 * g:2 * g + 2])
 
 
 def apply_bytes(plan, data):
-    """Substitute the letter bytes of the freely reduced word ``data``
-    through ``plan`` and freely reduce.
+    """Substitute the letter bytes of ``data``, freely reduced words joined
+    by zero bytes, through ``plan`` and freely reduce each.
 
-    Shared hot path for apply() and the orbit generator.  A TwistAuto's
-    ``plan`` is (translate table, ((placeholder, image), ...), pairs): the
-    table sends each moved letter b to the byte 16 + b, never a letter, and
-    one replace per moved letter writes its image.  Free reduction deletes
-    the inverse pairs ``pairs`` until the length stops changing; it is
-    confluent, so the order of cancellation does not matter.
+    Shared hot path for apply() and the orbit generator, which joins the
+    words of many parents and splits the result on b"\\0": a zero byte is
+    no letter, no placeholder and in no pair, so no word's letters meet
+    another's.  A TwistAuto's ``plan`` is (translate table, ((placeholder,
+    image), ...), pairs): the table sends each moved letter b to the byte
+    16 + b, never a letter, and one replace per moved letter writes its
+    image.  Free reduction deletes the inverse pairs ``pairs`` until the
+    length stops changing; it is confluent, so the order of cancellation
+    does not matter for the result.
 
     ``pairs`` is all eight inverse pairs unless every moved letter b has an
     image u b v with u and v over unmoved letters.  Such a map is an
     automorphism (its inverse sends b to u^-1 b v^-1), and then two letters
-    that cancel cannot both be unmoved letters of ``data``: the segment
-    between them would be the image of the segment of ``data`` between
-    them, which would map to 1, so it would be empty and ``data`` would not
-    be reduced.  So every pair that can meet holds a letter c of a moved
-    image, and ``pairs`` is the pairs (c, c^-1) for those c: four for s1,
-    s2, s4, s5 and their inverses, all eight for s3 and s8.
+    that cancel cannot both stand for letters of ``data`` (an unmoved
+    letter, or the b of a moved letter's image): the segment between them
+    would be the image of the segment of ``data`` between them, which would
+    map to 1, so it would be empty and ``data`` would not be reduced.  So
+    every pair that can meet holds a letter c of some u or v, and ``pairs``
+    is (c, c^-1) and (c^-1, c) for those c: two for s1, s2, s4, s5 and
+    their inverses, four for s3 and s8.  Letters cancel outwards from the
+    seam between two images, so the pairs come nearest the image ends
+    first (x2, then y1 for s3).  On the built-in twists the first pass
+    then finishes the reduction of every reduced word of length <= 5 and
+    of every word ``generate_c0(9)`` makes; the loop keeps the result
+    right for any order.
     """
     table, subs, pairs = plan
     data = data.translate(table)

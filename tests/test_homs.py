@@ -19,7 +19,7 @@ from handlebody.homs import (EXTENDS, Epimorphism, NO_WITNESS,
                              drop_quick_pairs, evaluate,
                              handlebody_witness,
                              noncommuting_pair_count, partner_pairs,
-                             _quick_mask, quadruple_search, quick_witness,
+                             _QUICK_PRODUCTS, _quick_mask, quadruple_search,
                              r3_criterion_word, r_cubed_criterion,
                              standard_metacyclic_images)
 from handlebody.orbit import generate_c0
@@ -82,6 +82,16 @@ def test_evaluate_matches_scalar_reference(heis3, orbit3):
         evaluate_in_group(heis3, parse_word("y2"), theta.images[:3])
     with pytest.raises(ValueError):
         evaluate(theta, Word([(0, 1)], rank=3))
+
+
+def quick_witness(theta):
+    """Name of the first trivial product in the nine-element quick set, or
+    None when all nine are nontrivial: the one-map oracle of the batched
+    ``_quick_mask``."""
+    for kind, word in _QUICK_PRODUCTS:
+        if evaluate_in_group(theta.group, word, theta.images) == 0:
+            return kind
+    return None
 
 
 def test_quick_witness_kinds(heis3):

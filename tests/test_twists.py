@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from handlebody.twists import (TwistAuto, apply, commutator_base, compose,
-                               compose_path, identity_auto, sigma)
+from handlebody.twists import (TwistAuto, apply, apply_bytes,
+                               commutator_base, compose, compose_path,
+                               identity_auto, sigma)
 from handlebody.words import (Word, commutator, generator, identity,
                               parse_word)
 
@@ -73,23 +74,60 @@ def _pair_letters(f):
 
 def test_cancelling_pairs_of_each_map():
     # Each built-in twist sends every moved letter b to u b v with u and v
-    # unmoved, so it deletes only the pairs of its images' letters; s3 and
-    # s8 have all four generators in their images.
-    first, second, every = [1, 2, 5, 6], [3, 4, 7, 8], list(range(1, 9))
-    expected = {1: first, 2: first, 6: first, 7: first, 3: every, 8: every,
-                4: second, 5: second, 9: second, 10: second}
-    for j, letters in expected.items():
-        pairs = sigma(j)._plan[2]
-        assert all(len(p) == 2 and p[1] == (p[0] + 4 if p[0] <= 4
-                                            else p[0] - 4) for p in pairs)
-        assert _pair_letters(sigma(j)) == letters
+    # unmoved, so it deletes only the pairs of the letters of u and v,
+    # those nearest the image ends first: x2, then y1 for s3.
+    x1, y1, x2, y2 = ((1, 5), (5, 1)), ((2, 6), (6, 2)), \
+        ((3, 7), (7, 3)), ((4, 8), (8, 4))
+    expected = {1: y1, 2: x1, 3: x2 + y1, 4: y2, 5: x2,
+                6: y1, 7: x1, 8: y1 + x2, 9: y2, 10: x2}
+    for j, pairs in expected.items():
+        assert sigma(j)._plan[2] == tuple(bytes(p) for p in pairs), j
     # Maps where some moved image holds another moved letter, or none: all
     # eight pairs.
+    every = list(range(1, 9))
     for path in [(1, 2), (2, 1), (4, 5), (5, 4), (1, 2, 4), (3, 2)]:
         assert _pair_letters(compose_path(path)) == every
     for j in range(1, 11):
         for i in range(4):
             assert _pair_letters(_one_image_killed(j, i)) == every
+
+
+def _reduced_words_up_to(length):
+    """Every freely reduced rank-4 word of at most ``length`` letters, as
+    bytes."""
+    words, last = [b""], [b""]
+    for _ in range(length):
+        last = [w + bytes((b,)) for w in last for b in range(1, 9)
+                if not w or abs(w[-1] - b) != 4]
+        words += last
+    return words
+
+
+def test_one_pass_of_the_pairs_reduces_short_words():
+    # Seam-adjacent pairs first: apply_bytes's first pass over the pairs
+    # finishes the reduction, so its second pass deletes nothing.
+    inverse_pairs = [bytes((a, a + 4)) for a in range(1, 5)] + \
+        [bytes((a + 4, a)) for a in range(1, 5)]
+    words = _reduced_words_up_to(5)
+    assert len(words) == 1 + 8 * (7 ** 5 - 1) // 6
+    for j in range(1, 11):
+        table, subs, pairs = sigma(j)._plan
+        for w in words:
+            data = w.translate(table)
+            for holder, image in subs:
+                data = data.replace(holder, image)
+            for pair in pairs:
+                data = data.replace(pair, b"")
+            assert not any(p in data for p in inverse_pairs), (j, w)
+            assert data == apply_bytes(sigma(j)._plan, w)
+
+
+@given(maps_st, st.lists(reduced_words_st, min_size=1, max_size=8))
+def test_joined_words_apply_one_by_one(f, ws):
+    # The orbit generator applies a move to many words joined by b"\0".
+    data = [w.data for w in ws]
+    assert apply_bytes(f._plan, b"\0".join(data)).split(b"\0") == \
+        [apply_bytes(f._plan, d) for d in data]
 
 
 def test_base_is_commutator_of_first_handles():
