@@ -14,11 +14,14 @@ and one map (the standard epimorphism onto the metacyclic group of order
 theta, on a fresh (partial) set, with the number of words that scan
 generated, and on the finished set, whose level tries are kept between
 scans; and ``intersection_avoids_c0`` of the kernel orbits of cyclic_3
-and heisenberg_3 on a fresh set, with the words it generated.  Copies,
-fresh sets and kernel orbits are made outside the timed region; the
-replayed words, a seeded sample of the trie values (against
-``evaluate_in_group``), each witness and each intersection report
-(against the finished set) are checked after timing.
+and heisenberg_3 on a fresh set, with the words it generated, and on the
+two seeds alone (a depth-0 set), the decision ``kernel-orbit`` makes: a
+complete kernel orbit's intersection is twist-invariant, so the seeds
+decide it.  Copies, fresh sets and kernel orbits are made outside the
+timed region; the replayed words, a seeded sample of the trie values
+(against ``evaluate_in_group``), each witness and each intersection
+report (against the finished set; the seeds-only answer, counterexample
+and path) are checked after timing.
 
 Usage:
     python3 benchmarks/bench_orbit.py [--repeats 7]
@@ -87,9 +90,12 @@ def answer(verdict):
             report and report.sigma_path)
 
 
+def decision(report):
+    return (report.avoids, report.counterexample, report.counterexample_path)
+
+
 def intersection(report):
-    return (report.avoids, report.counterexample, report.counterexample_path,
-            report.survivors)
+    return decision(report) + (report.survivors,)
 
 
 def main(argv=None):
@@ -155,9 +161,14 @@ def main(argv=None):
             return (reps, fresh[-1])
 
         t_int, got = best_of(args.repeats, intersection_avoids_c0, fresh_set)
-        if intersection(got) != intersection(intersection_avoids_c0(reps, s)):
+        want = intersection_avoids_c0(reps, s)
+        if intersection(got) != intersection(want):
             raise SystemExit("%s: the fresh-set intersection differs" % name)
-        intersections.append((name, fresh[-1].generated, t_int))
+        t_seeds, got = best_of(args.repeats, intersection_avoids_c0,
+                               lambda: (reps, generate_c0(0)))
+        if decision(got) != decision(want):
+            raise SystemExit("%s: the seeds-only decision differs" % name)
+        intersections.append((name, fresh[-1].generated, t_int, t_seeds))
 
     print("%-44s %10s" % ("stage", "best s"))
     print("%-44s %10.3f   %d twist applications in %d apply_bytes calls"
@@ -171,9 +182,10 @@ def main(argv=None):
         print("%-44s %10.4f" % ("witness %s, %d words" % (name, generated),
                                 t_wit))
         print("%-44s %10.4f" % ("witness %s, finished" % name, t_done))
-    for name, generated, t_int in intersections:
+    for name, generated, t_int, t_seeds in intersections:
         print("%-44s %10.4f" % ("intersect %s, %d words" % (name, generated),
                                 t_int))
+        print("%-44s %10.4f" % ("intersect %s, seeds only" % name, t_seeds))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,15 @@ can extend over a handlebody is probed by intersecting N with the
 commutator orbit set.  That scan reads the set one level trie at a time
 (``OrbitSet.trie_blocks``) and stops at the first level holding a word in
 every kernel, so it generates or reads the whole set only when N avoids it.
+
+On a complete kernel orbit the two seeds decide the scan.  The orbit holds
+ker(theta_k o s_j) = s_j^-1(ker theta_k) for every class k and all ten
+twists, and s_{j+5} = s_j^-1, so each twist permutes its kernels and fixes
+N.  Every other word of the set is s_p(s3([x1,y1])) for a product s_p of
+twists, so it lies in N exactly when [x1,y1] does, at every depth.  The
+precondition is the closure: for a list of maps that is not a whole twist
+orbit (one class alone, say) N need not be twist-invariant, and only the
+level-by-level scan answers.
 """
 
 from __future__ import annotations
@@ -62,6 +71,8 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
 
     Returns (representatives, keys): one epimorphism per distinct kernel
     in (map, twist) discovery order, seed first, and their keys as bytes.
+    The classes are closed under the ten twists: every representative
+    precomposed with any of s1..s10 has one of the returned keys.
     ``pres`` is accepted and unused.
     """
     G = theta.group
@@ -119,6 +130,10 @@ def intersection_avoids_c0(reps, s):
     path of ``s`` must replay to its word.  ``generate_c0`` guarantees
     this, and the paths are read-only, so the cached tries cannot go
     stale.  A counterexample is re-verified on the scalar path.
+
+    When ``reps`` is a complete ``kernel_orbit``, level 0 decides: the
+    intersection is twist-invariant (see the module docstring), so a set
+    of depth 0 gives the answer of every depth.
     """
     # died[d]: words counted so far whose first class with a nonzero value
     # is d (len(reps) for a word in every kernel).

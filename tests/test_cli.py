@@ -167,6 +167,29 @@ def test_kernel_orbit_abelian_counterexample(capsys):
     assert "fiber-action" not in out  # no certificate when a word intersects
 
 
+def test_kernel_orbit_generates_no_level_past_the_seeds(capsys,
+                                                       monkeypatch):
+    # The kernel orbit is closed under the twists, so the two seeds decide
+    # the depth-9 answer and the transcript is unchanged.
+    from handlebody import orbit
+    grown = []
+    levels = orbit._levels
+
+    def counted(*args):
+        for level in levels(*args):
+            grown.append(len(level))
+            yield level
+
+    monkeypatch.setattr(orbit, "_levels", counted)
+    code, out = run(capsys, "kernel-orbit", "--config",
+                    cfg("heisenberg_3.cfg"), "--depth", "9")
+    assert code == 0 and grown == []
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "kernel_orbit_heisenberg_3.txt")
+    with open(golden, encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_kernel_orbit_takes_no_aut_cap():
     # Kernels are keyed without Aut(G), so the option is gone.
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from handlebody.config import load_config
 from handlebody.groups import (automorphism_permutations, automorphisms,
-                               cyclic, heisenberg, semidirect_pq)
+                               cyclic, evaluate_rows, heisenberg,
+                               semidirect_pq)
 from handlebody.homs import (Epimorphism, NotGenerating, evaluate,
                              standard_metacyclic_images)
 from handlebody.kernel_orbit import (KernelClassCapExceeded,
@@ -278,6 +279,97 @@ def test_intersection_on_a_finished_set_stops_at_level_0(monkeypatch):
     first = next(s.trie_blocks())[1]
     intersection_avoids_c0(reps, s)
     assert built == [2] and next(s.trie_blocks())[1] is first
+
+
+# Complete kernel orbits: the shipped configs' thetas, seeded random
+# epimorphisms onto small groups, and theta = (x, 1, y, 1) onto
+# heisenberg(3), whose own [theta(x1), theta(y1)] is trivial although the
+# orbit's intersection avoids [x1,y1].
+RANDOM_ORBIT_GROUPS = {
+    "random-heisenberg3": lambda: heisenberg(3),
+    "random-semidirect_7_3_2": lambda: semidirect_pq(7, 3, 2),
+    "random-semidirect_13_3_3": lambda: semidirect_pq(13, 3, 3),
+    "random-cyclic3": lambda: cyclic(3),
+    "random-cyclic6": lambda: cyclic(6),
+}
+CONFIG_ORBITS = ("cyclic_3", "heisenberg_3", "order243_presented",
+                 "semidirect_11_5_3")
+COMPLETE_ORBITS = (CONFIG_ORBITS + tuple(RANDOM_ORBIT_GROUPS)
+                   + ("x1-y1-trivial",))
+_COMPLETE_ORBIT_CACHE = {}
+
+
+def _x1_y1_trivial_theta():
+    G = heisenberg(3)
+    x, y = G.generators
+    return Epimorphism(G, (x, 0, y, 0))
+
+
+def _complete_orbit(name):
+    """(reps, keys) of the named orbit, built once per test run."""
+    if name not in _COMPLETE_ORBIT_CACHE:
+        if name in CONFIG_ORBITS:
+            path = os.path.join(CONFIG_DIR, name + ".cfg")
+            theta = load_config(path).theta()
+        elif name in RANDOM_ORBIT_GROUPS:
+            seed = list(RANDOM_ORBIT_GROUPS).index(name)
+            theta = _random_epimorphism(RANDOM_ORBIT_GROUPS[name](),
+                                        np.random.default_rng(seed))
+        else:
+            theta = _x1_y1_trivial_theta()
+        _COMPLETE_ORBIT_CACHE[name] = kernel_orbit(theta)
+    return _COMPLETE_ORBIT_CACHE[name]
+
+
+def _decision(report):
+    return (report.avoids, report.counterexample, report.counterexample_path)
+
+
+@pytest.mark.parametrize("name", COMPLETE_ORBITS)
+def test_seeds_decide_a_complete_kernel_orbit(name, orbit9):
+    # The intersection of a closed twist orbit is twist-invariant, so the
+    # two seeds give the depth-9 scan's answer.
+    reps, _ = _complete_orbit(name)
+    seeds = intersection_avoids_c0(reps, generate_c0(depth=0))
+    assert _decision(seeds) == _decision(intersection_avoids_c0(reps, orbit9))
+
+
+@pytest.mark.parametrize("name", COMPLETE_ORBITS)
+def test_kernel_orbit_is_closed_under_the_ten_twists(name):
+    # The precondition of the seeds-only decision: every class precomposed
+    # with any twist, all four images folded afresh, has a returned key.
+    reps, keys = _complete_orbit(name)
+    G = reps[0].group
+    rows = np.array([th.images for th in reps], dtype=G.table.dtype).T
+    known = set(keys)
+    for j in range(1, 11):
+        moved = np.stack([evaluate_rows(G, w, rows)
+                          for w in sigma(j).images], axis=1)
+        assert {k.tobytes() for k in kernel_keys(G, moved)} <= known
+
+
+def test_seed_class_alone_does_not_decide_its_orbit():
+    # [theta(x1), theta(y1)] = 1, so theta alone has [x1,y1] in its kernel,
+    # yet the orbit's intersection avoids it: class 6 is the first that
+    # sends [x1,y1] off the identity.
+    theta = _x1_y1_trivial_theta()
+    seeds = generate_c0(depth=0)
+    assert intersection_avoids_c0([theta], seeds).avoids is False
+    reps, _ = _complete_orbit("x1-y1-trivial")
+    assert len(reps) == 40
+    report = intersection_avoids_c0(reps, seeds)
+    assert report.avoids is True
+    assert report.survivors == [2, 1, 1, 1, 1, 1, 0]
+
+
+def test_seeds_do_not_decide_a_list_that_is_no_orbit(orbit9):
+    # One class alone is not closed under the twists: the seeds miss its
+    # kernel, but a level-1 word lies in it.
+    theta = load_config(os.path.join(CONFIG_DIR, "heisenberg_3.cfg")).theta()
+    assert intersection_avoids_c0([theta], generate_c0(depth=0)).avoids
+    report = intersection_avoids_c0([theta], orbit9)
+    assert report.avoids is False
+    assert report.counterexample_path == (2,)
 
 
 def test_precompose_is_composition(heis3, orbit3):
