@@ -7,18 +7,18 @@ makes (words substituted) and the number of ``apply_bytes`` calls that
 make them, one per move and group of parents in a block (both counted in
 a separate, untimed run by wrapping ``handlebody.orbit``'s
 ``apply_bytes``); ``replay_path`` over a seeded sample of 3,000 stored
-paths, every ``trie_blocks()`` level trie of a fresh copy of that set,
-and one map (the standard epimorphism onto the metacyclic group of order
-55) evaluated on every word by precomposing along those tries
-(``trie_values``); then the first witness of each shipped config's
+paths, every ``trie_blocks()`` level trie of a second finished set
+whose tries are not yet built, and one map (the standard epimorphism
+onto the metacyclic group of order 55) evaluated on every word by
+precomposing along those tries (``trie_values``); then the first witness of each shipped config's
 theta, on a fresh (partial) set, with the number of words that scan
 generated, and on the finished set, whose level tries are kept between
 scans; and ``intersection_avoids_c0`` of the kernel orbits of cyclic_3
 and heisenberg_3 on a fresh set, with the words it generated, and on the
 two seeds alone (a depth-0 set), the decision ``kernel-orbit`` makes: a
 complete kernel orbit's intersection is twist-invariant, so the seeds
-decide it.  Copies, fresh sets and kernel orbits are made outside the
-timed region; the replayed words, a seeded sample of the trie values
+decide it.  Finished and fresh sets and kernel orbits are made outside
+the timed region; the replayed words, a seeded sample of the trie values
 (against ``evaluate_in_group``), each witness and each intersection
 report (against the finished set; the seeds-only answer, counterexample
 and path) are checked after timing.
@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from handlebody import (Epimorphism, OrbitSet, evaluate_in_group,
+from handlebody import (Epimorphism, evaluate_in_group,
                         generate_c0, handlebody_witness,
                         intersection_avoids_c0, kernel_orbit, load_config,
                         replay_path, semidirect_pq,
@@ -120,7 +120,7 @@ def main(argv=None):
 
     t_trie, tries = best_of(
         args.repeats, lambda copy: [t for _, t in copy.trie_blocks()],
-        lambda: (OrbitSet(s.paths, s.depth, s.sigmas),))
+        lambda: (full_set(),))
     G = semidirect_pq(11, 5, 3)
     theta = Epimorphism(G, standard_metacyclic_images(G))
     t_values, values = best_of(args.repeats, lambda: np.concatenate(

@@ -19,6 +19,8 @@ import warnings
 
 import numpy as np
 
+from .groups import _factorization
+
 ZERO = "Zero"
 NONZERO = "NonZero"
 UNKNOWN = "Unknown"
@@ -87,32 +89,8 @@ class ExtendVerdict:
 
 def _prime_power(n):
     """(p, k) if n = p**k with k >= 1, else None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else None
-        p += 1
-    return (n, 1)
-
-
-def _prime_factors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    factors = _factorization(n)
+    return factors[0] if len(factors) == 1 else None
 
 
 def is_extraspecial(G):
@@ -237,7 +215,7 @@ def _apply_rules(G):
     if pk is None:  # for a p-group this rule would just recurse into G itself
         reasons = []
         all_zero = True
-        for p in _prime_factors(G.order):
+        for p, _ in _factorization(G.order):
             syl = G.subgroup_as_group(G.sylow_subgroup(p),
                                       name="sylow_%d(%s)" % (p, G.name))
             sub_status = _apply_rules(syl)
@@ -289,7 +267,7 @@ def all_sylows_abelian(G):
     power of a Sylow subgroup of G, so this condition propagates Zero
     status to all of those groups at once.
     """
-    for p in _prime_factors(G.order):
+    for p, _ in _factorization(G.order):
         sub = np.asarray(G.sylow_subgroup(p))
         block = G.table[np.ix_(sub, sub)]
         if not np.array_equal(block, block.T):

@@ -290,7 +290,7 @@ def build_parser():
     p_table = sub.add_parser("table1",
                              help="verify the recorded metacyclic witness "
                                   "rows")
-    add_common(p_table, orbit=True, caps=("coset",))
+    add_common(p_table, orbit=True)
     p_table.set_defaults(func=cmd_table1)
 
     p_counts = sub.add_parser("counts", help="pair-counting report")

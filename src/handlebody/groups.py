@@ -509,15 +509,26 @@ def evaluate_rows(G, word, gens):
 # --- built-in constructors ----------------------------------------------
 
 
+def _factorization(n):
+    """The prime factorization of n by trial division: [(p, k), ...] with
+    n = prod p**k, primes ascending; [] for n < 2."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _factorization(n) == [(n, 1)]
 
 
 def cyclic(n):
@@ -699,15 +710,14 @@ def automorphism_permutations(G, auts):
     return _permutation_rows(G, G.generators, auts)
 
 
-def pair_orbit_count(G, pairs, auts=None, *, node_cap=200000):
+def pair_orbit_count(G, pairs, auts):
     """Orbits of the diagonal Aut(G) action on an explicit pair list.
 
-    The automorphism list is a whole group, so the orbit of a pair is its
-    image set under every listed map; the minimum image code is a
-    canonical orbit label, computed vectorized over all pairs at once.
+    ``auts`` is the whole automorphism group (``automorphisms(G)``), so
+    the orbit of a pair is its image set under every listed map; the
+    minimum image code is a canonical orbit label, computed vectorized
+    over all pairs at once.
     """
-    if auts is None:
-        auts = automorphisms(G, node_cap=node_cap)
     perms = automorphism_permutations(G, auts)
     n = G.order
     first = np.array([g for g, _ in pairs], dtype=np.int64)

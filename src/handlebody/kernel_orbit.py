@@ -126,10 +126,10 @@ def intersection_avoids_c0(reps, s):
     that far) and a finished one alike: only a set that the intersection
     avoids is read in full.  Within a level each kernel class in turn
     keeps only the words trivial so far (``trie_values``), until none is
-    left.  The values are read off provenance paths, not letters: every
-    path of ``s`` must replay to its word.  ``generate_c0`` guarantees
-    this, and the paths are read-only, so the cached tries cannot go
-    stale.  A counterexample is re-verified on the scalar path.
+    left.  The values are read off provenance paths, not letters; every
+    path of ``s`` replays to its word by construction (see OrbitSet), and
+    the paths are read-only, so the cached tries cannot go stale.  A
+    counterexample is re-verified on the scalar path.
 
     When ``reps`` is a complete ``kernel_orbit``, level 0 decides: the
     intersection is twist-invariant (see the module docstring), so a set

@@ -58,52 +58,56 @@ node of the level's word i (0 for the root), or -1 for the base word
 
 
 class OrbitSet:
-    """A deduplicated orbit fragment with provenance paths.
+    """A deduplicated orbit fragment with provenance paths, built by
+    ``generate_c0``.
 
     ``paths`` maps each word to either the marker string "base" (for the two
     seed words) or a tuple of move indices in application order: path
     (1, 4) stores s4(s1(root)).  It is read-only, so the cached level
     tries always match it.
 
-    The set is held once, in scan order (seeds first, then by path length,
-    path and word): word bytes -> path, and the same bytes as a list.  A
-    level is the run of words with one path length, the seeds being level
-    0; its path trie is built the first time the level is scanned and then
-    kept.  A set from ``generate_c0`` starts as the two seeds and grows one
-    level at a time, on demand.  Calls that need the whole set finish it:
-    ``len``, ``paths``, ``words``, iteration, ``==``, and a membership
-    lookup of a rank-4 word (``in``, ``path``, ``contains``) that misses.
-    A lookup grows the set only until the word appears, ``word_at`` only
-    until its index is generated, and ``trie_blocks`` one level per block
-    asked for.  Generation order is scan order, and a word is generated
-    only at its first level, so none of these calls sees a different
-    answer on a partial set.  A set built from ``paths`` is complete from
-    the start; its paths are put in scan order once, when it is built.
+    The set is held once, in scan order (the seeds [x1,y1] and the root,
+    then by path length and path): word bytes -> path, and the same bytes
+    as a list.  A level is the run of words with one path length, the
+    seeds being level 0; its path trie is built the first time the level
+    is scanned and then kept.  The set starts as the two seeds, and its
+    own level generator (``_levels``) adds one level at a time, on demand.
+    Calls that need the whole set finish it: ``len``, ``paths``,
+    ``words``, iteration, ``==``, and a membership lookup of a rank-4 word
+    (``in``, ``path``, ``contains``) that misses.  A lookup grows the set
+    only until the word appears, ``word_at`` only until its index is
+    generated, and ``trie_blocks`` one level per block asked for.
+    Generation order is scan order, and a word is generated only at its
+    first level, so none of these calls sees a different answer on a
+    partial set.
 
     Trie evaluation (``trie_values``) reads the paths, not the words'
-    letters: every path must replay to its word (``replay_path``), and the
-    base path may mark only the two seeds.  ``generate_c0`` guarantees
-    this; a set built from other paths must too.
+    letters, so every path must replay to its word (``replay_path``).
+    That holds by construction: the set holds only the seeds and the words
+    its generator derives, each stored under the path it was derived by.
     """
 
-    def __init__(self, paths, depth, sigmas):
+    def __init__(self, depth, sigmas, word_cap):
+        if depth < 0:
+            raise ValueError("depth must be >= 0, got %r" % (depth,))
+        sigmas = tuple(sigmas)
+        for j in sigmas:
+            if not 1 <= j <= 10:
+                raise ValueError("move index must be in 1..10, got %r"
+                                 % (j,))
         self.depth = int(depth)
         self.sigmas = tuple(int(j) for j in sigmas)
-        self._seen = dict(sorted(((w.data, p) for w, p in
-                                  dict(paths).items()), key=_scan_key))
-        self._order = list(self._seen)
         seeds = (commutator_base().data, root_word().data)
-        if any(p == BASE_PATH and d not in seeds
-               for d, p in self._seen.items()):
-            raise ValueError("the base path marks a word that is not a seed")
+        self._seen = dict.fromkeys(seeds, BASE_PATH)
+        self._order = list(seeds)
         # _bounds[k]:_bounds[k + 1] is level k of _order, _tries[k] its
-        # trie once scanned.  The level generator while the set grows (see
-        # generate_c0) and the Word-keyed paths are made on demand.
-        levels = [_level(p) for p in self._seen.values()]
-        self._bounds = [i for i, n in enumerate(levels)
-                        if i == 0 or n != levels[i - 1]] + [len(levels)]
+        # trie once scanned.  _levels yields the levels not yet generated;
+        # the Word-keyed paths are made on demand.
+        self._bounds = [0, len(seeds)]
         self._tries = []
-        self._levels = self._paths = None
+        self._paths = None
+        plans = {j: sigma(j)._plan for j in sorted(self.sigmas)}
+        self._levels = _levels(plans, self._seen, self.depth, word_cap)
 
     @property
     def complete(self):
@@ -167,9 +171,9 @@ class OrbitSet:
         index ``start + k``.
 
         Each trie is built on the first scan of its level and kept, so
-        partial, finished and explicit sets all give the same blocks.  A
-        partial set generates a level only when the caller asks for its
-        block; a caller that exhausts the blocks has read the whole set.
+        partial and finished sets give the same blocks.  A partial set
+        generates a level only when the caller asks for its block; a
+        caller that exhausts the blocks has read the whole set.
         """
         k = 0
         while k + 1 < len(self._bounds) or self._grow():
@@ -200,23 +204,11 @@ class OrbitSet:
             ",".join(map(str, self.sigmas)))
 
 
-def _scan_key(item):
-    data, p = item
-    if p == BASE_PATH:
-        return (0, (), len(data), data)
-    return (1, (len(p),) + p, len(data), data)
-
-
-def _level(p):
-    """The level of a word with path ``p``: its length, 0 for a seed."""
-    return 0 if p == BASE_PATH else len(p)
-
-
 def _path_trie(order, seen):
     """The PathTrie of one level's words ``order``, word bytes in scan
     order, with their paths in ``seen``."""
     paths = [seen[d] for d in order]
-    if _level(paths[0]) == 0:
+    if paths[0] == BASE_PATH:
         base = commutator_base().data
         return PathTrie(1, (), np.array([-1 if d == base else 0
                                          for d in order], dtype=np.intp))
@@ -257,9 +249,10 @@ def trie_values(G, images, trie):
 
     Each node's map is its parent's precomposed with one twist, and a
     word's value is the root under its node's map, so the cost follows the
-    trie's size, not the words' letters.  Every path must therefore replay
-    to its word (see OrbitSet).  The base word [x1,y1] is off the trie:
-    its value is the commutator of the first two images.
+    trie's size, not the words' letters.  This relies on every path
+    replaying to its word, which holds by construction (see OrbitSet).
+    The base word [x1,y1] is off the trie: its value is the commutator of
+    the first two images.
     """
     maps = np.empty((trie.size, 4), dtype=G.table.dtype)
     maps[0] = images
@@ -305,16 +298,7 @@ def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
     would exceed ``word_cap`` words (a partial set must never be used to
     report a negative search verdict).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0, got %r" % (depth,))
-    sigmas = tuple(sigmas)
-    for j in sigmas:
-        if not 1 <= j <= 10:
-            raise ValueError("move index must be in 1..10, got %r" % (j,))
-    plans = {j: sigma(j)._plan for j in sorted(sigmas)}
-    s = OrbitSet({commutator_base(): BASE_PATH, root_word(): BASE_PATH},
-                 depth, sigmas)
-    s._levels = _levels(plans, s._seen, depth, word_cap)
+    s = OrbitSet(depth, sigmas, word_cap)
     if word_cap is not None:
         s._finish()
     return s

@@ -6,8 +6,9 @@ the corresponding image (or its inverse) and freely reduces; composition is
 substitution of substitutions.  The built-ins come in inverse pairs:
 ``sigma(j)`` and ``sigma(j + 5)`` undo each other for j in 1..5.
 
-Labels follow the rightmost-applied-first convention used in reports:
-``"s1*s3"`` is the map sending w to s1(s3(w)).
+Labels, shown by ``repr``, follow the rightmost-applied-first convention:
+``"s1*s3"`` is the map sending w to s1(s3(w)).  Reports print provenance
+paths instead (``orbit.format_path``).
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def sigma(j):
 def compose_path(indices):
     """The substitution for a path of σ indices in application order.
 
-    ``compose_path([3, 1, 5])`` is s5∘s1∘s3 (3 applied first), matching the
-    report label "s5*s1*s3".
+    ``compose_path([3, 1, 5])`` is s5∘s1∘s3 (3 applied first), matching its
+    label "s5*s1*s3".
     """
     auto = identity_auto()
     for j in indices:

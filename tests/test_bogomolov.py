@@ -13,12 +13,30 @@ from handlebody.bogomolov import (ALL_EXTEND, B0Status, EXISTS_NON_EXTENDABLE,
                                   is_extraspecial, recognize_direct_product,
                                   samperton_verdict)
 from handlebody.config import load_config
-from handlebody.groups import (FiniteGroup, Presentation, coset_enumerate,
-                               cyclic, direct_product, heisenberg,
-                               semidirect_pq)
+from handlebody.groups import (FiniteGroup, Presentation, _factorization,
+                               _is_prime, coset_enumerate, cyclic,
+                               direct_product, heisenberg, semidirect_pq)
 from handlebody.reference import RECORDED_WITNESS_ROWS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def test_factorization_answers_match_brute_force():
+    # Primality, the prime-power test and the prime factors (the Sylow
+    # primes) all come from one trial division, groups._factorization.
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, p))]
+    powers = {p ** k: (p, k) for p in primes for k in range(1, 11)}
+    for n in range(2001):
+        factors = []
+        for p in primes if n > 0 else ():
+            k = 0
+            while n % p ** (k + 1) == 0:
+                k += 1
+            if k:
+                factors.append((p, k))
+        assert _factorization(n) == factors
+        assert _is_prime(n) == (n in primes)
+        assert _prime_power(n) == powers.get(n)
 
 
 def _standin_243():

@@ -198,6 +198,13 @@ def test_kernel_orbit_takes_no_aut_cap():
     assert exc.value.code == 2
 
 
+def test_table1_takes_no_coset_cap():
+    # table1 builds its groups with semidirect_pq and enumerates no cosets.
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--coset-cap", "5"])
+    assert exc.value.code == 2
+
+
 def test_kernel_orbit_class_cap(capsys, monkeypatch):
     # The CLI has no class-cap flag; wrapping the BFS with a small cap
     # reaches the same exit path as a wide orbit would.

@@ -634,6 +634,8 @@ def test_searches_take_their_options_by_keyword(heis3):
     with pytest.raises(TypeError):
         pair_orbit_count(heis3, pairs, None, heis3.presentation)
     with pytest.raises(TypeError):
+        pair_orbit_count(heis3, pairs)  # the automorphisms are required
+    with pytest.raises(TypeError):
         single_aut_orbit_certificate(heis3, pairs, heis3.presentation)
 
 
@@ -688,7 +690,7 @@ def test_pair_orbit_count_heisenberg(heis3):
     pairs = [(u, v) for u in range(27) for v in range(27)
              if heis3.commutator(u, v) != 0]
     assert len(pairs) == 432
-    assert pair_orbit_count(heis3, pairs) == 1
+    assert pair_orbit_count(heis3, pairs, automorphisms(heis3)) == 1
 
 
 def test_pair_orbit_count_klein_four():
@@ -696,7 +698,7 @@ def test_pair_orbit_count_klein_four():
     # Orbits of ordered pairs under Aut = GL(2,2): (0,0), (0,u), (u,0),
     # (u,u), (u,v) independent -- five orbits of the sixteen pairs.
     pairs = [(u, v) for u in range(4) for v in range(4)]
-    assert pair_orbit_count(G, pairs) == 5
+    assert pair_orbit_count(G, pairs, automorphisms(G)) == 5
 
 
 def test_automorphisms_fixed_and_limit(heis3):

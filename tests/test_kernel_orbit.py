@@ -18,8 +18,8 @@ from handlebody.kernel_orbit import (KernelClassCapExceeded,
                                      fiber_group_order,
                                      intersection_avoids_c0,
                                      kernel_keys, kernel_orbit)
-from handlebody.orbit import (BASE_PATH, DEFAULT_SIGMAS, OrbitSet,
-                              generate_c0, trie_values)
+from handlebody.orbit import (BASE_PATH, DEFAULT_SIGMAS, generate_c0,
+                              trie_values)
 from handlebody.twists import apply, commutator_base, sigma
 
 ko = importlib.import_module("handlebody.kernel_orbit")
@@ -215,8 +215,8 @@ def test_path_trie_is_cached_with_one_node_per_suffix(orbit3):
         suffixes = {p[::-1][:d] for p in paths for d in range(n + 1)}
         assert trie.size == len(suffixes)
         assert len(set(trie.node.tolist())) == len(paths)
-    explicit = OrbitSet(orbit3.paths, orbit3.depth, orbit3.sigmas)
-    assert [(start, t.node.tolist()) for start, t in explicit.trie_blocks()] \
+    fresh = generate_c0(depth=3)
+    assert [(start, t.node.tolist()) for start, t in fresh.trie_blocks()] \
         == [(start, t.node.tolist()) for start, t in blocks]
 
 

@@ -1,12 +1,12 @@
 """Orbit-set enumeration, provenance replay and the scan view."""
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlebody.groups import evaluate_in_group, heisenberg
+from handlebody.groups import evaluate_in_group, heisenberg, semidirect_pq
+from handlebody.homs import (EXTENDS, Epimorphism, evaluate,
+                             handlebody_witness, standard_metacyclic_images)
 from handlebody.orbit import (BASE_PATH, OrbitCapExceeded, OrbitSet,
                               contains, format_path, generate_c0,
                               replay_path, root_word, trie_values)
@@ -319,9 +319,11 @@ def test_generation_order_is_scan_order(orbit9, depth, sigmas):
 
 
 def test_orbit_set_equality_includes_metadata(orbit3):
-    other = OrbitSet(orbit3.paths, orbit3.depth, (1, 2, 3, 4, 5))
-    assert other == orbit3
-    assert OrbitSet(orbit3.paths, 4, orbit3.sigmas) != orbit3
+    assert generate_c0(depth=3, sigmas=(1, 2, 3, 4, 5)) == orbit3
+    # With s8 alone both sets are the two seeds, but their depths differ.
+    shallow, deep = generate_c0(3, sigmas=(8,)), generate_c0(9, sigmas=(8,))
+    assert shallow.paths == deep.paths
+    assert shallow != deep
 
 
 def test_paths_are_read_only(orbit3):
@@ -331,20 +333,31 @@ def test_paths_are_read_only(orbit3):
     with pytest.raises(TypeError):
         del orbit3.paths[w]
     assert contains(orbit3, w) == (True, BASE_PATH)
-    assert OrbitSet(dict(orbit3.paths), orbit3.depth, orbit3.sigmas) == orbit3
+    assert orbit3 == generate_c0(depth=3)
 
 
-def _scan_sources():
+def test_orbit_set_takes_no_path_mapping():
+    # The trie scans evaluate a word through its path, so a mapping that
+    # stored the depth-3 witness under another path would hide it: the
+    # witness scan would answer NoWitnessInSearchedSet.
+    G = semidirect_pq(11, 5, 4)
+    theta = Epimorphism(G, standard_metacyclic_images(G))
+    w = replay_path((4, 3, 5))
+    assert evaluate(theta, w) == 0
+    mislabeled = {commutator_base(): BASE_PATH, root_word(): BASE_PATH,
+                  w: (1,)}
+    with pytest.raises(TypeError):
+        OrbitSet(mislabeled, 3, (1, 2, 3, 4, 5))
+    s = generate_c0(depth=3)
+    verdict = handlebody_witness(theta, s)
+    assert verdict.value == EXTENDS
+    assert verdict.report.witness == w
+    assert verdict.report.sigma_path == (4, 3, 5)
+    assert contains(s, w) == (True, (4, 3, 5))
+
+
+def test_complete_set_scans_its_cached_level_tries():
     s = generate_c0(depth=4)
-    items = list(s.paths.items())
-    random.Random(4).shuffle(items)
-    return {"generated": s,
-            "shuffled": OrbitSet(dict(items), s.depth, s.sigmas)}
-
-
-@pytest.mark.parametrize("source", ["generated", "shuffled"])
-def test_complete_set_scans_its_cached_level_tries(source):
-    s = _scan_sources()[source]
     words = list(s)
     assert words == _scan_order(s.paths)
     blocks = list(s.trie_blocks())
@@ -352,12 +365,6 @@ def test_complete_set_scans_its_cached_level_tries(source):
     assert sum(len(t.node) for _, t in blocks) == len(words)
     # Each level's trie is built once and reused by every later scan.
     assert all(t is u for (_, t), (_, u) in zip(s.trie_blocks(), blocks))
-
-
-def test_base_path_marks_only_the_seeds():
-    with pytest.raises(ValueError):
-        OrbitSet({commutator_base(): BASE_PATH, parse_word("x1"): BASE_PATH},
-                 0, (1,))
 
 
 def _signed_letters(word):

@@ -3,7 +3,6 @@ identity, read one level trie at a time (``orbit.first_zero``), against a
 scalar fold over the scan order."""
 
 import importlib
-import random
 
 import numpy as np
 import pytest
@@ -12,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 from handlebody.groups import cyclic, evaluate_in_group
 from handlebody.homs import (batch_pair_witnesses,
                              standard_metacyclic_images)
-from handlebody.orbit import OrbitSet, first_zero, generate_c0
+from handlebody.orbit import first_zero, generate_c0
 
 orbit_module = importlib.import_module("handlebody.orbit")
 
 # Words generated by the end of each level of the default set.
 LEVEL_ENDS = (2, 5, 14, 41, 122, 366)
-KINDS = ("fresh", "grown", "finished", "shuffled")
+KINDS = ("fresh", "grown", "finished")
 _REFERENCE = {}
 
 
@@ -38,16 +37,12 @@ def _scalar_first_zero(G, images, words):
 
 def _orbit_set(kind, depth, k):
     """A depth-``depth`` set: fresh, grown to scan index ``k`` by
-    ``word_at``, finished, or built from its paths in shuffled order."""
+    ``word_at``, or finished."""
     s = generate_c0(depth=depth)
     if kind == "grown":
         s.word_at(k % LEVEL_ENDS[depth])
     elif kind == "finished":
         len(s)
-    elif kind == "shuffled":
-        items = list(s.paths.items())
-        random.Random(k).shuffle(items)
-        s = OrbitSet(dict(items), depth, s.sigmas)
     return s
 
 
