@@ -112,7 +112,7 @@ def main(argv=None):
     t_gen, s = best_of(args.repeats, full_set)
     twists, calls = count_twists(DEPTH)
     sample = random.Random(0).sample(
-        [(w, p) for w, p in s.paths.items() if p != BASE_PATH], REPLAYS)
+        [(w, p) for w in s if (p := s.path(w)) != BASE_PATH], REPLAYS)
     t_replay, replayed = best_of(
         args.repeats, lambda: [replay_path(p) for _, p in sample])
     if replayed != [w for w, _ in sample]:

@@ -12,17 +12,16 @@ many groups.
 
 __version__ = "0.1.0"
 
-from .words import (Word, WordSyntaxError, UnknownGeneratorError, reduce,
-                    multiply, invert, power, commutator, parse_word,
-                    print_word, identity, generator, default_names)
+from .words import (Word, WordSyntaxError, UnknownGeneratorError, multiply,
+                    invert, power, commutator, parse_word, print_word,
+                    identity, generator, default_names)
 from .twists import (TwistAuto, sigma, apply, compose, compose_path,
                      identity_auto, commutator_base)
-from .orbit import (OrbitSet, OrbitCapExceeded, generate_c0, contains,
-                    root_word, replay_path)
+from .orbit import OrbitSet, generate_c0, contains, root_word, replay_path
 from .groups import (FiniteGroup, Presentation, PresentationError,
                      CosetCapExceeded, AutCapExceeded, coset_enumerate,
                      evaluate_in_group, cyclic, semidirect_pq, heisenberg,
-                     direct_product, automorphisms, pair_orbit_count,
+                     automorphisms, pair_orbit_count,
                      single_aut_orbit_certificate)
 from .bogomolov import (B0Status, ExtendVerdict, b0_status,
                         samperton_verdict, is_extraspecial,

@@ -16,8 +16,7 @@ import numpy as np
 
 from .words import parse_word, print_word
 from .twists import commutator_base
-from .orbit import (generate_c0, contains, format_path, OrbitCapExceeded,
-                    DEFAULT_DEPTH)
+from .orbit import generate_c0, contains, format_path, DEFAULT_DEPTH
 from .groups import (semidirect_pq, automorphisms, pair_orbit_count,
                      single_aut_orbit_certificate,
                      CosetCapExceeded, AutCapExceeded)
@@ -42,8 +41,9 @@ EXIT_NEGATIVE = 3
 EXIT_INVALID = 4
 EXIT_CAP = 5
 
-_CAP_ERRORS = (OrbitCapExceeded, CosetCapExceeded, AutCapExceeded,
-               QuadrupleCapExceeded, KernelClassCapExceeded)
+# The caps that can end a command.  counts catches AutCapExceeded itself.
+_CAP_ERRORS = (CosetCapExceeded, QuadrupleCapExceeded,
+               KernelClassCapExceeded)
 
 
 def _emit(line):

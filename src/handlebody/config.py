@@ -37,17 +37,13 @@ class RunConfig:
     """Parsed configuration: the group is built eagerly, theta lazily
     validated (its errors are the caller's domain errors, not syntax)."""
 
-    def __init__(self, name, group, theta_words, known_b0, kind, params,
-                 kind_line, gens_line, rel_lines):
+    def __init__(self, name, group, theta_words, known_b0, kind, params):
         self.name = name
         self.group = group
         self.theta_words = theta_words
         self.known_b0 = known_b0
         self.kind = kind
         self.params = params
-        self._kind_line = kind_line
-        self._gens_line = gens_line
-        self._rel_lines = rel_lines
 
     def theta(self):
         """Build the epimorphism, or None when no theta was declared.
@@ -60,23 +56,6 @@ class RunConfig:
             w = parse_word(self.theta_words[key], names=G.gen_names)
             images.append(evaluate_in_group(G, w, G.generators))
         return Epimorphism(G, tuple(images))
-
-    def normalized(self):
-        """Canonical text form; parsing it again yields an equal config."""
-        lines = ["group %s" % self.name, self._kind_line]
-        if self._gens_line:
-            lines.append(self._gens_line)
-        lines.extend(self._rel_lines)
-        if self.known_b0 is not None:
-            lines.append("known_b0 %s" % self.known_b0)
-        if self.theta_words is not None:
-            lines.append("theta " + " ".join(
-                "%s=%s" % (k, self.theta_words[k]) for k in SURFACE_KEYS))
-        return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        return (isinstance(other, RunConfig)
-                and self.normalized() == other.normalized())
 
 
 def _parse_params(tokens, line_no):
@@ -113,8 +92,6 @@ def parse_config(text, coset_cap=50000):
     rels = []
     known_b0 = None
     theta_words = None
-    kind_line = gens_line = None
-    rel_lines = []
     first = {}  # each directive but rel -> the line it is on
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -138,19 +115,15 @@ def parse_config(text, coset_cap=50000):
                                   % (line_no, ", ".join(KINDS)))
             kind = rest[0]
             params = _parse_params(rest[1:], line_no)
-            kind_line = "kind " + " ".join([kind] + sorted(
-                "%s=%d" % kv for kv in params.items()))
         elif directive == "gens":
             if not rest:
                 raise ConfigError("line %d: gens needs at least one name"
                                   % line_no)
             gens = rest
-            gens_line = "gens " + " ".join(gens)
         elif directive == "rel":
             if not rest:
                 raise ConfigError("line %d: rel needs a word" % line_no)
             rels.append((line_no, " ".join(rest)))
-            rel_lines.append("rel " + " ".join(rest))
         elif directive == "known_b0":
             if rest not in (["zero"], ["nonzero"]):
                 raise ConfigError("line %d: known_b0 must be zero or nonzero"
@@ -227,8 +200,7 @@ def parse_config(text, coset_cap=50000):
             except ValueError as exc:
                 raise ConfigError("theta %s: %s" % (key, exc)) from None
 
-    return RunConfig(name, group, theta_words, known_b0, kind, params,
-                     kind_line, gens_line, rel_lines)
+    return RunConfig(name, group, theta_words, known_b0, kind, params)
 
 
 def load_config(path, coset_cap=50000):

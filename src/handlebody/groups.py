@@ -4,8 +4,8 @@ Groups are realized by their regular representation: elements are integers
 0..n-1 with 0 the identity, and a dense n x n multiplication table drives
 every query (center, conjugacy classes, Sylow subgroups, automorphisms).
 Groups come from built-in constructors (cyclic, the order-pq metacyclic
-family, Heisenberg mod p, direct products) or from a finite presentation via
-Todd-Coxeter coset enumeration over the trivial subgroup.
+family, Heisenberg mod p) or from a finite presentation via Todd-Coxeter
+coset enumeration over the trivial subgroup.
 
 Scale: everything here is desk scale (orders up to a few thousand); the
 dense-table representation is chosen for uniformity and determinism, not
@@ -101,10 +101,6 @@ class FiniteGroup:
 
     # -- element arithmetic -------------------------------------------
 
-    @property
-    def identity(self):
-        return 0
-
     def mult(self, g, h):
         return int(self.table[g, h])
 
@@ -118,25 +114,10 @@ class FiniteGroup:
         it finds every pair with a given commutator."""
         return self.table[self.table, self.inv[:, None]]
 
-    def conjugate(self, g, h):
-        """h g h^-1."""
-        return int(self.table[self.table[h, g], self.inv[h]])
-
     def commutator(self, g, h):
         """g h g^-1 h^-1."""
         gh = self.table[g, h]
         return int(self.table[self.table[gh, self.inv[g]], self.inv[h]])
-
-    def power(self, g, k):
-        if k < 0:
-            g, k = self.inverse(g), -k
-        out, acc = 0, g
-        while k:
-            if k & 1:
-                out = int(self.table[out, acc])
-            acc = int(self.table[acc, acc])
-            k >>= 1
-        return out
 
     def element_order(self, g):
         k, acc = 1, g
@@ -594,21 +575,6 @@ def heisenberg(p):
     return FiniteGroup(table, [x, y], gen_names=("x", "y"),
                        name="heisenberg(%d)" % p,
                        presentation=heisenberg_presentation(p))
-
-
-def direct_product(G1, G2, name=""):
-    """External direct product; element (g1, g2) at index g1*|G2| + g2."""
-    n1, n2 = G1.order, G2.order
-    t1 = G1.table.astype(np.int64)
-    t2 = G2.table.astype(np.int64)
-    # table[(a1,a2),(b1,b2)] = (t1[a1,b1], t2[a2,b2])
-    block = (t1[:, None, :, None] * n2 + t2[None, :, None, :])
-    table = block.reshape(n1 * n2, n1 * n2)
-    gens = [g * n2 for g in G1.generators] + list(G2.generators)
-    names = tuple("l_%s" % s for s in G1.gen_names) + \
-        tuple("r_%s" % s for s in G2.gen_names)
-    return FiniteGroup(table, gens, gen_names=names,
-                       name=name or "%s x %s" % (G1.name, G2.name))
 
 
 # --- automorphisms -------------------------------------------------------

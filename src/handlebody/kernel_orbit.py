@@ -128,7 +128,7 @@ def intersection_avoids_c0(reps, s):
     keeps only the words trivial so far (``trie_values``), until none is
     left.  The values are read off provenance paths, not letters; every
     path of ``s`` replays to its word by construction (see OrbitSet), and
-    the paths are read-only, so the cached tries cannot go stale.  A
+    no call changes a stored path, so the cached tries cannot go stale.  A
     counterexample is re-verified on the scalar path.
 
     When ``reps`` is a complete ``kernel_orbit``, level 0 decides: the

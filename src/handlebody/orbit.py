@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -32,10 +31,6 @@ from .twists import apply, apply_bytes, commutator_base, compose, sigma
 BASE_PATH = "base"
 DEFAULT_DEPTH = 9
 DEFAULT_SIGMAS = (1, 2, 3, 4, 5)
-
-
-class OrbitCapExceeded(RuntimeError):
-    """Word-count cap hit during generation; partial sets are never returned."""
 
 
 @lru_cache(maxsize=None)
@@ -61,10 +56,9 @@ class OrbitSet:
     """A deduplicated orbit fragment with provenance paths, built by
     ``generate_c0``.
 
-    ``paths`` maps each word to either the marker string "base" (for the two
-    seed words) or a tuple of move indices in application order: path
-    (1, 4) stores s4(s1(root)).  It is read-only, so the cached level
-    tries always match it.
+    ``path(w)`` gives each word's provenance: the marker string "base"
+    (for the two seed words) or a tuple of move indices in application
+    order: path (1, 4) stores s4(s1(root)).
 
     The set is held once, in scan order (the seeds [x1,y1] and the root,
     then by path length and path): word bytes -> path, and the same bytes
@@ -72,11 +66,11 @@ class OrbitSet:
     seeds being level 0; its path trie is built the first time the level
     is scanned and then kept.  The set starts as the two seeds, and its
     own level generator (``_levels``) adds one level at a time, on demand.
-    Calls that need the whole set finish it: ``len``, ``paths``,
-    ``words``, iteration, ``==``, and a membership lookup of a rank-4 word
-    (``in``, ``path``, ``contains``) that misses.  A lookup grows the set
-    only until the word appears, ``word_at`` only until its index is
-    generated, and ``trie_blocks`` one level per block asked for.
+    Calls that need the whole set finish it: ``len``, iteration, ``==``,
+    and a membership lookup of a rank-4 word (``in``, ``path``,
+    ``contains``) that misses.  A lookup grows the set only until the word
+    appears, ``word_at`` only until its index is generated, and
+    ``trie_blocks`` one level per block asked for.
     Generation order is scan order, and a word is generated only at its
     first level, so none of these calls sees a different answer on a
     partial set.
@@ -87,7 +81,7 @@ class OrbitSet:
     its generator derives, each stored under the path it was derived by.
     """
 
-    def __init__(self, depth, sigmas, word_cap):
+    def __init__(self, depth, sigmas):
         if depth < 0:
             raise ValueError("depth must be >= 0, got %r" % (depth,))
         sigmas = tuple(sigmas)
@@ -101,13 +95,11 @@ class OrbitSet:
         self._seen = dict.fromkeys(seeds, BASE_PATH)
         self._order = list(seeds)
         # _bounds[k]:_bounds[k + 1] is level k of _order, _tries[k] its
-        # trie once scanned.  _levels yields the levels not yet generated;
-        # the Word-keyed paths are made on demand.
+        # trie once scanned.  _levels yields the levels not yet generated.
         self._bounds = [0, len(seeds)]
         self._tries = []
-        self._paths = None
         plans = {j: sigma(j)._plan for j in sorted(self.sigmas)}
-        self._levels = _levels(plans, self._seen, self.depth, word_cap)
+        self._levels = _levels(plans, self._seen, self.depth)
 
     @property
     def complete(self):
@@ -132,18 +124,6 @@ class OrbitSet:
     def _finish(self):
         while self._grow():
             pass
-
-    @property
-    def paths(self):
-        if self._paths is None:
-            self._finish()
-            self._paths = MappingProxyType({
-                Word.from_bytes(d, 4): p for d, p in self._seen.items()})
-        return self._paths
-
-    @property
-    def words(self):
-        return self.paths.keys()
 
     def __len__(self):
         self._finish()
@@ -286,22 +266,16 @@ def replay_path(path):
     return w
 
 
-def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS, word_cap=None):
+def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS):
     """The orbit set to the given composition depth.
 
     Breadth-first with global dedup on reduced words; provenance is the
     shortest derivation with lexicographically least move sequence.  The
     arguments are checked at once, but the set is returned with only its
     two seeds generated: it grows level by level as callers need it (see
-    OrbitSet for the calls that finish it).  With ``word_cap`` the set is
-    finished before it is returned, and OrbitCapExceeded is raised if it
-    would exceed ``word_cap`` words (a partial set must never be used to
-    report a negative search verdict).
+    OrbitSet for the calls that finish it).
     """
-    s = OrbitSet(depth, sigmas, word_cap)
-    if word_cap is not None:
-        s._finish()
-    return s
+    return OrbitSet(depth, sigmas)
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +294,7 @@ def _commuting_below(m):
 _BLOCK = 1024
 
 
-def _levels(plans, seen, depth, word_cap):
+def _levels(plans, seen, depth):
     """Yield the words of each new level in lex path order, after adding
     them with their paths to ``seen``.
 
@@ -374,10 +348,6 @@ def _levels(plans, seen, depth, word_cap):
                         level[child] = path + (j,)
         if not level:
             return
-        if word_cap is not None and len(seen) + len(level) > word_cap:
-            raise OrbitCapExceeded(
-                "orbit would exceed word cap %d (have %d, next level adds %d)"
-                % (word_cap, len(seen), len(level)))
         seen.update(level)
         frontier = level
         yield level

@@ -134,11 +134,6 @@ def generator(i, rank=4, sign=1):
     return Word(((i, sign),), rank)
 
 
-def reduce(letters, rank):
-    """Freely reduce a sequence of (generator_index, sign) letters."""
-    return Word(letters, rank)
-
-
 def multiply(u, v):
     if u.rank != v.rank:
         raise ValueError("rank mismatch: %d vs %d" % (u.rank, v.rank))

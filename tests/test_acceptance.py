@@ -38,7 +38,7 @@ from handlebody.kernel_orbit import (fiber_group_order,
                                      intersection_avoids_c0, kernel_orbit)
 from handlebody.orbit import contains
 from handlebody.twists import apply, commutator_base, sigma
-from handlebody.words import reduce as reduce_word
+from handlebody.words import Word
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -100,7 +100,7 @@ def test_02_twist_algebra(scoreboard):
     for _ in range(1000):
         letters = [(rng.randrange(4), rng.choice((1, -1)))
                    for _ in range(rng.randrange(1, 25))]
-        words.append(reduce_word(letters, 4))
+        words.append(Word(letters, 4))
     cancel_ok = True
     for w in words:
         for j in range(1, 6):

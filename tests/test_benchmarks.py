@@ -1,17 +1,23 @@
 """Smoke test of the timing scripts under ``benchmarks/``: each ``main()``
 runs once with ``--repeats 1``, so a script that no longer matches the
 package fails here, not when it is next timed.  The scripts check their
-own answers and exit on a mismatch.
+own answers and exit on a mismatch.  The names ``perfbench/`` reads from
+the package are checked on its source text, without running it.
 """
 
 import glob
 import importlib.util
+import inspect
 import os
+import re
 
 import pytest
 
+import handlebody
+
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 SCRIPTS = sorted(glob.glob(os.path.join(BENCHMARKS, "bench_*.py")))
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def _load(path):
@@ -32,3 +38,18 @@ def test_script_runs_once(path, capsys):
     _, module = _load(path)
     module.main(["--repeats", "1"])
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "record.py"])
+def test_perfbench_names_exist(name):
+    # perfbench reads the package as ``hb.<name>``; read as text, so a
+    # trimmed name fails here rather than in the next benchmark run.
+    with open(os.path.join(PERFBENCH, name), encoding="utf-8") as fh:
+        used = set(re.findall(r"\bhb\.([A-Za-z_]\w*)", fh.read()))
+    assert used
+    assert sorted(n for n in used if not hasattr(handlebody, n)) == []
+
+
+def test_kernel_orbit_takes_pres():
+    # perfbench's kernel census passes the presentation by keyword.
+    assert "pres" in inspect.signature(handlebody.kernel_orbit).parameters

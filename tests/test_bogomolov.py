@@ -15,8 +15,10 @@ from handlebody.bogomolov import (ALL_EXTEND, B0Status, EXISTS_NON_EXTENDABLE,
 from handlebody.config import load_config
 from handlebody.groups import (FiniteGroup, Presentation, _factorization,
                                _is_prime, coset_enumerate, cyclic,
-                               direct_product, heisenberg, semidirect_pq)
+                               heisenberg, semidirect_pq)
 from handlebody.reference import RECORDED_WITNESS_ROWS
+
+from group_helpers import direct_product, power
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -279,7 +281,7 @@ def _brute_extraspecial(G):
     pk = _prime_power(len(center))
     if pk is None or pk[1] != 1 or len(center) == G.order:
         return False
-    return all(G.power(g, pk[0]) in center and G.commutator(g, h) in center
+    return all(power(G, g, pk[0]) in center and G.commutator(g, h) in center
                for g in range(G.order) for h in range(G.order))
 
 

@@ -156,6 +156,17 @@ def test_quadruple_cap_exceeded(capsys):
     assert "error=cap-exceeded" in out
 
 
+@pytest.mark.parametrize("command",
+                         ["check", "counts", "quadruple", "kernel-orbit"])
+def test_coset_cap_exceeded(capsys, command):
+    code, out = run(capsys, command, "--config",
+                    cfg("order243_presented.cfg"), "--coset-cap", "10")
+    assert code == 5
+    assert out == ('error=cap-exceeded detail="coset cap 10 exceeded '
+                   '(presentation may define a larger or infinite '
+                   'group)"\n')
+
+
 def test_kernel_orbit_abelian_counterexample(capsys):
     code, out = run(capsys, "kernel-orbit", "--config", cfg("cyclic_3.cfg"),
                     "--depth", "2")

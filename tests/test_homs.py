@@ -10,9 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from handlebody.config import load_config
 
-from handlebody.groups import (coset_enumerate, cyclic, direct_product,
-                               evaluate_in_group, heisenberg, Presentation,
-                               semidirect_pq)
+from handlebody.groups import (coset_enumerate, cyclic, evaluate_in_group,
+                               heisenberg, Presentation, semidirect_pq)
 from handlebody.homs import (EXTENDS, Epimorphism, NO_WITNESS,
                              NotGenerating, QuadrupleCapExceeded,
                              RelationViolated, batch_pair_witnesses,
@@ -24,6 +23,8 @@ from handlebody.homs import (EXTENDS, Epimorphism, NO_WITNESS,
                              standard_metacyclic_images)
 from handlebody.orbit import generate_c0
 from handlebody.words import Word, parse_word
+
+from group_helpers import direct_product
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 

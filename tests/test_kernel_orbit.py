@@ -209,7 +209,7 @@ def test_path_trie_is_cached_with_one_node_per_suffix(orbit3):
     assert trie.node.tolist() == [-1, 0]
     words = list(orbit3)
     for n, (start, trie) in enumerate(levels, start=1):
-        paths = [orbit3.paths[w] for w in words[start:start + len(trie.node)]]
+        paths = [orbit3.path(w) for w in words[start:start + len(trie.node)]]
         assert {len(p) for p in paths} == {n}
         # One node per distinct reversed path suffix, root suffix included.
         suffixes = {p[::-1][:d] for p in paths for d in range(n + 1)}
@@ -239,7 +239,7 @@ def test_intersection_matches_fold_oracle(name, seed, maps, case, grown,
         assert report.survivors == survivors
         assert report.counterexample == counterexample
         assert report.counterexample_path == (
-            None if counterexample is None else full.paths[counterexample])
+            None if counterexample is None else full.path(counterexample))
 
 
 def test_intersection_matches_fold_oracle_on_kernel_orbit(orbit9):
@@ -467,7 +467,7 @@ def test_kernel_equal_same_kernel_under_target_automorphism(group55):
                                 group55.mult(b, group55.inverse(a))))
     assert _kernel_equal(th1, th1)
     # Post-composing with a target automorphism preserves the kernel.
-    a2 = group55.power(a, 2)
+    a2 = group55.mult(a, a)
     th2 = Epimorphism(group55, (a2, b, group55.inverse(b),
                                 group55.mult(b, group55.inverse(a2))))
     assert _kernel_equal(th1, th2)

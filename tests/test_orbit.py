@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from handlebody.groups import evaluate_in_group, heisenberg, semidirect_pq
 from handlebody.homs import (EXTENDS, Epimorphism, evaluate,
                              handlebody_witness, standard_metacyclic_images)
-from handlebody.orbit import (BASE_PATH, OrbitCapExceeded, OrbitSet,
-                              contains, format_path, generate_c0,
-                              replay_path, root_word, trie_values)
+from handlebody.orbit import (BASE_PATH, OrbitSet, contains, format_path,
+                              generate_c0, replay_path, root_word,
+                              trie_values)
 from handlebody.twists import apply, apply_bytes, commutator_base, sigma
 from handlebody.words import Word, parse_word
 
@@ -18,13 +18,18 @@ from handlebody.words import Word, parse_word
 CUMULATIVE_COUNTS = {0: 2, 1: 5, 2: 14, 3: 41, 4: 122, 5: 366}
 
 
+def _items(s):
+    """The (word, path) pairs of ``s`` in scan order."""
+    return [(w, s.path(w)) for w in s]
+
+
 def test_depth_zero_is_the_two_seeds():
     s = generate_c0(depth=0)
     assert len(s) == 2
     assert commutator_base() in s
     assert root_word() in s
-    assert s.paths[commutator_base()] == BASE_PATH
-    assert s.paths[root_word()] == BASE_PATH
+    assert s.path(commutator_base()) == BASE_PATH
+    assert s.path(root_word()) == BASE_PATH
 
 
 @pytest.mark.parametrize("depth,count", sorted(CUMULATIVE_COUNTS.items()))
@@ -46,7 +51,7 @@ def test_seeds_are_not_expanded():
     # s8(s8(root)) is never generated.  Each of s1..s5 sends [x1,y1] to a
     # seed, so the default moves lose nothing this way.
     s = generate_c0(depth=3, sigmas=(8,))
-    assert list(s.paths.values()) == [BASE_PATH, BASE_PATH]
+    assert [p for _, p in _items(s)] == [BASE_PATH, BASE_PATH]
     lost = apply(sigma(8), apply(sigma(8), root_word()))
     assert lost == parse_word("y1^-1 x2 x1 y1 x1^-1 x2^-1")
     assert lost not in s
@@ -77,26 +82,14 @@ def _unpruned_paths(depth, sigmas):
     ((1, 2, 3, 4, 5), 9), (tuple(range(1, 11)), 5), ((3, 8), 14),
     ((5, 2, 4), 8), ((8,), 6), ((3, 8, 9), 8)])
 def test_commuting_prune_keeps_paths_and_order(sigmas, depth):
-    assert list(generate_c0(depth, sigmas).paths.items()) \
-        == _unpruned_paths(depth, sigmas)
+    assert _items(generate_c0(depth, sigmas)) == _unpruned_paths(depth, sigmas)
 
 
 @settings(max_examples=40, deadline=None)
 @given(sigmas=st.lists(st.integers(1, 10), unique=True, max_size=10),
        depth=st.integers(0, 6))
 def test_commuting_prune_keeps_paths_on_any_moves(sigmas, depth):
-    assert list(generate_c0(depth, sigmas).paths.items()) \
-        == _unpruned_paths(depth, sigmas)
-
-
-def test_word_cap_raises_before_truncation():
-    with pytest.raises(OrbitCapExceeded):
-        generate_c0(depth=3, word_cap=20)
-    # A cap at least as large as the result is harmless, and the capped set
-    # is finished before it is returned.
-    s = generate_c0(depth=2, word_cap=14)
-    assert s.complete and s.generated == 14
-    assert len(s) == 14
+    assert _items(generate_c0(depth, sigmas)) == _unpruned_paths(depth, sigmas)
 
 
 def test_fresh_set_holds_only_the_seeds():
@@ -108,8 +101,6 @@ def test_fresh_set_holds_only_the_seeds():
 # Each call that needs the whole set, applied to a fresh one.
 _FINISHING_CALLS = {
     "len": len,
-    "paths": lambda s: s.paths,
-    "words": lambda s: s.words,
     "iter": lambda s: next(iter(s)),
     "trie_blocks (all)": lambda s: list(s.trie_blocks()),
     "eq": lambda s: s == generate_c0(depth=s.depth),
@@ -124,7 +115,7 @@ def test_full_set_calls_finish_the_set(call):
     s = generate_c0(depth=4)
     _FINISHING_CALLS[call](s)
     assert s.complete and s.generated == CUMULATIVE_COUNTS[4]
-    assert s == generate_c0(depth=4, word_cap=CUMULATIVE_COUNTS[4])
+    assert s == generate_c0(depth=4)
 
 
 # Lookups of what cannot be a word of the set, applied to a fresh one.
@@ -180,15 +171,14 @@ def test_trie_blocks_follow_the_scan_blocks(finish_at):
     sizes = [(start, len(trie.node))
              for start, trie in _read_blocks(s, finish_at)]
     assert sizes == [(0, 2), (2, 3), (5, 9), (14, 27), (41, 81)]
-    levels = [0 if p == BASE_PATH else len(p) for p in s.paths.values()]
+    levels = [0 if p == BASE_PATH else len(p) for _, p in _items(s)]
     assert [levels[start:start + n] for start, n in sizes] == [
         [k] * n for k, (_, n) in enumerate(sizes)]
 
 
 def test_lookups_grow_only_to_the_words_level():
-    finished = generate_c0(depth=5, word_cap=CUMULATIVE_COUNTS[5])
-    for i, w in enumerate(finished):
-        p = finished.paths[w]
+    finished = generate_c0(depth=5)
+    for i, (w, p) in enumerate(_items(finished)):
         level = 0 if p == BASE_PATH else len(p)
         for lookup in (contains, lambda s, w: s.path(w),
                        lambda s, w: w in s):
@@ -214,8 +204,7 @@ def test_word_at_rejects_negative_indices():
 
 
 def test_paths_replay_to_their_words(orbit3):
-    for w in orbit3:
-        p = orbit3.paths[w]
+    for w, p in _items(orbit3):
         if p == BASE_PATH:
             assert w in (commutator_base(), root_word())
         else:
@@ -226,25 +215,24 @@ def test_paths_are_shortest_and_lex_least(orbit3):
     # Any one-step extension of a stored word stays in deeper sets with a
     # path no longer than (parent path + 1).
     s4 = generate_c0(depth=4)
-    for w in orbit3:
-        p = orbit3.paths[w]
+    for w, p in _items(orbit3):
         steps = 0 if p == BASE_PATH else len(p)
         for j in (1, 2, 3, 4, 5):
             child = apply(sigma(j), w)
-            cp = s4.paths[child]
+            cp = s4.path(child)
             child_steps = 0 if cp == BASE_PATH else len(cp)
             assert child_steps <= steps + 1
 
 
-def _scan_order(paths):
-    """The words of ``paths`` sorted into scan order: seeds first, then by
+def _scan_order(s):
+    """The words of ``s`` sorted into scan order: seeds first, then by
     (path length, path, word length, word)."""
     def key(w):
-        p = paths[w]
+        p = s.path(w)
         if p == BASE_PATH:
             return (0, (), len(w), w.data)
         return (1, (len(p),) + p, len(w), w.data)
-    return sorted(paths, key=key)
+    return sorted(s, key=key)
 
 
 def test_iteration_deterministic_and_seeds_first(orbit3):
@@ -252,7 +240,7 @@ def test_iteration_deterministic_and_seeds_first(orbit3):
     assert order[0] == commutator_base()
     assert order[1] == root_word()
     assert order == list(orbit3)
-    assert order == _scan_order(orbit3.paths)
+    assert order == _scan_order(orbit3)
 
 
 _FINISHED = {}
@@ -261,8 +249,9 @@ _FINISHED = {}
 def _finished(depth, sigmas):
     key = (depth, sigmas)
     if key not in _FINISHED:
-        _FINISHED[key] = generate_c0(depth=depth, sigmas=sigmas,
-                                     word_cap=10 ** 6)
+        s = generate_c0(depth=depth, sigmas=sigmas)
+        len(s)  # finish it
+        _FINISHED[key] = s
     return _FINISHED[key]
 
 
@@ -298,8 +287,7 @@ def test_format_path():
 def test_restricted_move_set():
     s = generate_c0(depth=2, sigmas=(1, 2))
     assert s.sigmas == (1, 2)
-    for w in s:
-        p = s.paths[w]
+    for w, p in _items(s):
         if p != BASE_PATH:
             assert set(p) <= {1, 2}
 
@@ -314,26 +302,15 @@ def test_generation_order_is_scan_order(orbit9, depth, sigmas):
         s = orbit9
     else:
         s = generate_c0(depth=depth, sigmas=sigmas)
-    assert list(s.paths) == _scan_order(s.paths)
-    assert list(s.paths) == list(s)
+    assert list(s) == _scan_order(s)
 
 
 def test_orbit_set_equality_includes_metadata(orbit3):
     assert generate_c0(depth=3, sigmas=(1, 2, 3, 4, 5)) == orbit3
     # With s8 alone both sets are the two seeds, but their depths differ.
     shallow, deep = generate_c0(3, sigmas=(8,)), generate_c0(9, sigmas=(8,))
-    assert shallow.paths == deep.paths
+    assert _items(shallow) == _items(deep)
     assert shallow != deep
-
-
-def test_paths_are_read_only(orbit3):
-    w = root_word()
-    with pytest.raises(TypeError):
-        orbit3.paths[w] = (1,)
-    with pytest.raises(TypeError):
-        del orbit3.paths[w]
-    assert contains(orbit3, w) == (True, BASE_PATH)
-    assert orbit3 == generate_c0(depth=3)
 
 
 def test_orbit_set_takes_no_path_mapping():
@@ -359,7 +336,7 @@ def test_orbit_set_takes_no_path_mapping():
 def test_complete_set_scans_its_cached_level_tries():
     s = generate_c0(depth=4)
     words = list(s)
-    assert words == _scan_order(s.paths)
+    assert words == _scan_order(s)
     blocks = list(s.trie_blocks())
     assert [start for start, _ in blocks] == [0, 2, 5, 14, 41]
     assert sum(len(t.node) for _, t in blocks) == len(words)
