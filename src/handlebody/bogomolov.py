@@ -187,31 +187,31 @@ def recognize_direct_product(G, candidate_cap=128):
     return None
 
 
-def _apply_rules(G):
-    attempted = []
+# Every rule, in order.  An Unknown status has tried them all, and lists
+# them all: R5 too, although it passes over p-groups.
+_RULES = ("R1:abelian", "R2:p-group order<=p^4", "R3:extraspecial",
+          "R4:derived-abelian-with-cyclic-quotient", "R5:all-Sylow-Zero",
+          "R6:direct-product")
 
-    attempted.append("R1:abelian")
+
+def _apply_rules(G):
     if G.is_abelian():
         return B0Status(ZERO, "R1: abelian")
 
-    attempted.append("R2:p-group order<=p^4")
     pk = _prime_power(G.order)
     if pk is not None and pk[1] <= 4:
         return B0Status(ZERO, "R2: group of order %d^%d (<= %d^4)"
                         % (pk[0], pk[1], pk[0]))
 
-    attempted.append("R3:extraspecial")
     if is_extraspecial(G):
         return B0Status(ZERO, "R3: extraspecial (center of prime order, "
                               "central commutators and p-th powers)")
 
-    attempted.append("R4:derived-abelian-with-cyclic-quotient")
     derived = G.derived_subgroup()
     block = G.table[np.ix_(derived, derived)]
     if np.array_equal(block, block.T) and _quotient_is_cyclic(G, derived):
         return B0Status(ZERO, "R4: derived subgroup abelian and G/[G,G] cyclic")
 
-    attempted.append("R5:all-Sylow-Zero")
     if pk is None:  # for a p-group this rule would just recurse into G itself
         reasons = []
         all_zero = True
@@ -227,7 +227,6 @@ def _apply_rules(G):
             return B0Status(ZERO, "R5: every Sylow subgroup has Zero status "
                                   "(%s)" % "; ".join(reasons))
 
-    attempted.append("R6:direct-product")
     decomposition = recognize_direct_product(G)
     if decomposition is not None:
         n1, n2 = decomposition
@@ -238,7 +237,7 @@ def _apply_rules(G):
                                   "both factors Zero (%s | %s)"
                             % (len(n1), len(n2), s1.reason, s2.reason))
 
-    return B0Status(UNKNOWN, "no rule applied", attempted=attempted)
+    return B0Status(UNKNOWN, "no rule applied", attempted=_RULES)
 
 
 def b0_status(G, override=None):

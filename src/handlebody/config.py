@@ -154,6 +154,12 @@ def parse_config(text, coset_cap=50000):
         raise ConfigError("missing 'kind' line")
 
     kind_no = first["kind"]
+    stray = [no for no, _ in rels]  # gens and rel lines
+    if "gens" in first:
+        stray.append(first["gens"])
+    if kind != "presentation" and stray:
+        raise ConfigError("line %d: kind %s takes no gens or rel lines"
+                          % (min(stray), kind))
     if kind == "cyclic":
         _require(params, ("n",), kind, kind_no)
         group = cyclic(params["n"])

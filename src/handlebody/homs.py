@@ -18,7 +18,7 @@ import operator
 import numpy as np
 
 from .words import parse_word, print_word
-from .twists import apply, compose_path, commutator_base
+from .twists import apply, commutator_base, sigma
 from .groups import evaluate_in_group, evaluate_rows
 from .orbit import first_zero
 
@@ -168,10 +168,12 @@ def standard_metacyclic_images(G):
 def r3_criterion_word():
     """The orbit word whose kernel membership, for the metacyclic family
     semidirect_pq(p, q, r), is equivalent to r^3 = 1 mod p."""
-    w = apply(compose_path([3, 4, 5]), commutator_base())
+    w = commutator_base()
+    for j in (3, 4, 5):
+        w = apply(sigma(j), w)
     display = parse_word("y2 x2^-2 y1 x1 y1 x1^-1 y1^-1 x2^2 y2^-1 y1^-1")
     if w != display:
-        raise AssertionError("composed witness word differs from its "
+        raise AssertionError("witness word differs from its "
                              "recorded reduced form")
     return w
 

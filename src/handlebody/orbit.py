@@ -26,7 +26,7 @@ import numpy as np
 
 from .groups import evaluate_rows
 from .words import Word
-from .twists import apply, apply_bytes, commutator_base, compose, sigma
+from .twists import apply, apply_bytes, commutator_base, sigma
 
 BASE_PATH = "base"
 DEFAULT_DEPTH = 9
@@ -285,8 +285,9 @@ def _commuting_below(m):
     base = commutator_base()
     if apply(sigma(m), base) not in (base, root_word()):
         return frozenset()
-    return frozenset(j for j in range(1, m) if compose(sigma(j), sigma(m))
-                     == compose(sigma(m), sigma(j)))
+    return frozenset(j for j in range(1, m)
+                     if [apply(sigma(j), w) for w in sigma(m).images]
+                     == [apply(sigma(m), w) for w in sigma(j).images])
 
 
 # Parents per joined twist application in _levels; it bounds the size of

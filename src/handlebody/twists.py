@@ -2,13 +2,10 @@
 
 Each automorphism is stored extensionally as the 4-tuple of images of the
 generators x1, y1, x2, y2.  Applying one to a word substitutes each letter by
-the corresponding image (or its inverse) and freely reduces; composition is
-substitution of substitutions.  The built-ins come in inverse pairs:
-``sigma(j)`` and ``sigma(j + 5)`` undo each other for j in 1..5.
-
-Labels, shown by ``repr``, follow the rightmost-applied-first convention:
-``"s1*s3"`` is the map sending w to s1(s3(w)).  Reports print provenance
-paths instead (``orbit.format_path``).
+the corresponding image (or its inverse) and freely reduces.  The built-ins
+come in inverse pairs: ``sigma(j)`` and ``sigma(j + 5)`` undo each other for
+j in 1..5.  Reports name a word by the moves that reach it
+(``orbit.format_path``).
 """
 
 from __future__ import annotations
@@ -24,9 +21,9 @@ _INVERSE_PAIRS = tuple(bytes(p) for a in range(1, RANK + 1)
 class TwistAuto:
     """A free-group endomorphism given by generator images (rank 4)."""
 
-    __slots__ = ("images", "label", "_plan")
+    __slots__ = ("images", "_plan")
 
-    def __init__(self, images, label=None):
+    def __init__(self, images):
         images = tuple(images)
         if len(images) != RANK:
             raise ValueError("need %d image words, got %d" % (RANK, len(images)))
@@ -34,7 +31,6 @@ class TwistAuto:
             if not isinstance(img, Word) or img.rank != RANK:
                 raise ValueError("images must be rank-%d words" % RANK)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "label", label)
         # apply_bytes's plan, over the letters whose image is not themselves.
         data = [w.data for w in images] + [(~w).data for w in images]
         moved = {b: d for b, d in enumerate(data, 1) if d != bytes((b,))}
@@ -53,10 +49,7 @@ class TwistAuto:
         return hash(self.images)
 
     def __repr__(self):
-        imgs = ", ".join(print_word(w) for w in self.images)
-        if self.label:
-            return "TwistAuto(%s; label=%r)" % (imgs, self.label)
-        return "TwistAuto(%s)" % imgs
+        return "TwistAuto(%s)" % ", ".join(print_word(w) for w in self.images)
 
 
 def _cancelling_pairs(moved):
@@ -128,28 +121,6 @@ def apply(f, w):
     return Word.from_bytes(apply_bytes(f._plan, w.data), RANK)
 
 
-def _join_labels(a, b):
-    if a is None or b is None:
-        return None
-    if a == "id":
-        return b
-    if b == "id":
-        return a
-    return "%s*%s" % (a, b)
-
-
-def compose(f, g):
-    """f after g: apply(compose(f, g), w) = apply(f, apply(g, w))."""
-    return TwistAuto(tuple(apply(f, img) for img in g.images),
-                     _join_labels(f.label, g.label))
-
-
-def identity_auto():
-    """The identity substitution (neutral for compose)."""
-    return TwistAuto(tuple(parse_word(n) for n in ("x1", "y1", "x2", "y2")),
-                     label="id")
-
-
 # Images of (x1, y1, x2, y2) for the five positive twists and their inverses.
 _SIGMA_IMAGES = {
     1: ("x1 y1", "y1", "x2", "y2"),
@@ -176,21 +147,8 @@ def sigma(j):
         raise ValueError("sigma index must be in 1..10, got %r" % (j,))
     auto = _SIGMA_CACHE.get(j)
     if auto is None:
-        auto = TwistAuto(tuple(parse_word(t) for t in _SIGMA_IMAGES[j]),
-                         label="s%d" % j)
+        auto = TwistAuto(tuple(parse_word(t) for t in _SIGMA_IMAGES[j]))
         _SIGMA_CACHE[j] = auto
-    return auto
-
-
-def compose_path(indices):
-    """The substitution for a path of σ indices in application order.
-
-    ``compose_path([3, 1, 5])`` is s5∘s1∘s3 (3 applied first), matching its
-    label "s5*s1*s3".
-    """
-    auto = identity_auto()
-    for j in indices:
-        auto = compose(sigma(j), auto)
     return auto
 
 

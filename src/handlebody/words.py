@@ -109,12 +109,6 @@ class Word:
     def __hash__(self):
         return hash((self.rank, self.data))
 
-    def __lt__(self, other):
-        # Deterministic ordering: by length, then by letter bytes.
-        if self.rank != other.rank:
-            raise ValueError("cannot order words of different ranks")
-        return (len(self.data), self.data) < (len(other.data), other.data)
-
     def __mul__(self, other):
         return multiply(self, other)
 
@@ -148,10 +142,8 @@ def invert(u):
 def power(u, n):
     """u**n for any integer n (negative powers invert)."""
     base = u if n >= 0 else invert(u)
-    out = b""
-    for _ in range(abs(n)):
-        out = _reduce_bytes(out + base.data, u.rank)
-    return Word.from_bytes(out, u.rank)
+    # One reduction of the whole product: free reduction is confluent.
+    return Word.from_bytes(_reduce_bytes(base.data * abs(n), u.rank), u.rank)
 
 
 def commutator(u, v):

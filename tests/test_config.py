@@ -89,6 +89,12 @@ def test_known_b0_values():
      "line 3: duplicate generator names"),
     ("group g\nkind presentation\ngens a\nrel a^2\nrel a a^-1\n",
      "line 5: bad relator: a a^-1 reduces to the identity"),
+    ("group g\nkind heisenberg p=3\ngens a b\nrel a^5\n",
+     "line 3: kind heisenberg takes no gens or rel lines"),
+    ("group g\nrel a^2\nkind cyclic n=3\ngens a\n",
+     "line 2: kind cyclic takes no gens or rel lines"),
+    ("group g\nkind semidirect_pq p=7 q=3 r=2\n\nrel a^7\n",
+     "line 4: kind semidirect_pq takes no gens or rel lines"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:

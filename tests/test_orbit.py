@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from handlebody.groups import evaluate_in_group, heisenberg, semidirect_pq
 from handlebody.homs import (EXTENDS, Epimorphism, evaluate,
                              handlebody_witness, standard_metacyclic_images)
-from handlebody.orbit import (BASE_PATH, OrbitSet, contains, format_path,
-                              generate_c0, replay_path, root_word,
-                              trie_values)
+from handlebody.orbit import (BASE_PATH, OrbitSet, _commuting_below,
+                              contains, format_path, generate_c0,
+                              replay_path, root_word, trie_values)
 from handlebody.twists import apply, apply_bytes, commutator_base, sigma
 from handlebody.words import Word, parse_word
 
@@ -90,6 +90,14 @@ def test_commuting_prune_keeps_paths_and_order(sigmas, depth):
        depth=st.integers(0, 6))
 def test_commuting_prune_keeps_paths_on_any_moves(sigmas, depth):
     assert _items(generate_c0(depth, sigmas)) == _unpruned_paths(depth, sigmas)
+
+
+def test_commuting_moves_below_each_move():
+    # The moves the prune may skip: s_j s_m = s_m s_j with j < m, for each
+    # m that sends [x1,y1] to a seed (s8 sends it off them: none).
+    assert [sorted(_commuting_below(m)) for m in range(1, 11)] == [
+        [], [], [1], [1, 2], [1, 2, 3], [1, 3, 4, 5], [2, 4, 5], [],
+        [1, 2, 4, 6, 7], [1, 2, 3, 5, 6, 7, 8]]
 
 
 def test_fresh_set_holds_only_the_seeds():

@@ -1,11 +1,11 @@
-"""The ten substitution automorphisms and their composition algebra."""
+"""The ten substitution automorphisms: applying them, their cancelling
+pairs, and the identities between them."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from handlebody.twists import (TwistAuto, apply, apply_bytes,
-                               commutator_base, compose, compose_path,
-                               identity_auto, sigma)
+                               commutator_base, sigma)
 from handlebody.words import (Word, commutator, generator, identity,
                               parse_word)
 
@@ -38,10 +38,19 @@ def _one_image_killed(j, i):
     return TwistAuto(images)
 
 
+def _composed(path):
+    """The map applying the twists of ``path`` in turn, first one first;
+    the empty path gives the identity map."""
+    images = [generator(i) for i in range(4)]
+    for j in path:
+        images = [apply(sigma(j), w) for w in images]
+    return TwistAuto(images)
+
+
 maps_st = st.one_of(
     st.integers(1, 10).map(sigma),
-    st.lists(st.integers(1, 10), max_size=6).map(compose_path),
-    st.just(identity_auto()),
+    st.lists(st.integers(1, 10), max_size=6).map(_composed),
+    st.just(_composed(())),
     st.builds(_one_image_killed, st.integers(1, 10), st.integers(0, 3)))
 
 
@@ -86,7 +95,7 @@ def test_cancelling_pairs_of_each_map():
     # eight pairs.
     every = list(range(1, 9))
     for path in [(1, 2), (2, 1), (4, 5), (5, 4), (1, 2, 4), (3, 2)]:
-        assert _pair_letters(compose_path(path)) == every
+        assert _pair_letters(_composed(path)) == every
     for j in range(1, 11):
         for i in range(4):
             assert _pair_letters(_one_image_killed(j, i)) == every
@@ -140,22 +149,10 @@ def test_sigma_index_range():
             sigma(j)
 
 
-def test_identity_auto_fixes_generators():
-    e = identity_auto()
-    for i in range(4):
-        assert apply(e, generator(i)) == generator(i)
-
-
 @given(st.integers(1, 5), words_st)
 def test_inverse_pairs_cancel(j, w):
     assert apply(sigma(j), apply(sigma(j + 5), w)) == w
     assert apply(sigma(j + 5), apply(sigma(j), w)) == w
-
-
-@given(st.integers(1, 10), st.integers(1, 10), words_st)
-def test_apply_respects_composition(i, j, w):
-    f, g = sigma(i), sigma(j)
-    assert apply(compose(f, g), w) == apply(f, apply(g, w))
 
 
 @given(st.integers(1, 10), words_st, words_st)
@@ -176,20 +173,6 @@ def test_sigma3_moves_base_to_second_seed():
     # The orbit generation uses exactly this image as its second seed.
     moved = apply(sigma(3), commutator_base())
     assert moved == parse_word("x2^-1 y1 x1 y1 x1^-1 y1^-1 x2 y1^-1")
-
-
-def test_compose_path_label_is_rightmost_first():
-    f = compose_path((3, 1, 5))
-    assert f.label == "s5*s1*s3"
-    assert compose_path(()).label == "id"
-
-
-@given(st.lists(st.integers(1, 10), max_size=5), words_st)
-def test_compose_path_matches_sequential_application(path, w):
-    out = w
-    for j in path:
-        out = apply(sigma(j), out)
-    assert apply(compose_path(path), w) == out
 
 
 def test_twist_images_generate_rank_four():

@@ -75,13 +75,23 @@ def test_multiplication_associative(u, v, w):
     assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
 
 
-@given(words_st, st.integers(-5, 5))
+# Conjugates u v u^-1 cancel wherever two copies meet.
+conjugates_st = st.builds(lambda u, v: u * v * ~u, words_st, words_st)
+
+
+@given(st.one_of(words_st, conjugates_st), st.integers(-6, 6))
 def test_power_matches_repeated_multiplication(w, n):
     out = identity(4)
     step = w if n >= 0 else invert(w)
     for _ in range(abs(n)):
         out = multiply(out, step)
     assert power(w, n) == out
+
+
+def test_long_powers_parse():
+    assert len(parse_word("x1^100000")) == 100000
+    w = parse_word("(x1 y1 x1^-1)^-32000")
+    assert w.data == b"\x01" + b"\x06" * 32000 + b"\x05"
 
 
 @given(words_st, words_st)
@@ -96,16 +106,6 @@ def test_operator_sugar():
     assert ~u == invert(u)
     with pytest.raises(ValueError):
         multiply(u, generator(0, rank=5))
-
-
-def test_ordering_by_length_then_bytes():
-    ws = sorted([generator(1), identity(4), generator(0) * generator(1),
-                 generator(0)])
-    assert ws[0].is_identity()
-    assert ws[1] == generator(0)
-    assert ws[2] == generator(1)
-    with pytest.raises(ValueError):
-        generator(0) < generator(0, rank=3)
 
 
 def test_default_names():
