@@ -35,7 +35,8 @@ class ConfigError(ValueError):
 
 class RunConfig:
     """Parsed configuration: the group is built eagerly, theta lazily
-    validated (its errors are the caller's domain errors, not syntax)."""
+    validated (its errors are the caller's domain errors, not syntax);
+    ``theta_words`` is None or the parsed Words in ``SURFACE_KEYS`` order."""
 
     def __init__(self, name, group, theta_words, known_b0, kind, params):
         self.name = name
@@ -51,11 +52,8 @@ class RunConfig:
         if self.theta_words is None:
             return None
         G = self.group
-        images = []
-        for key in SURFACE_KEYS:
-            w = parse_word(self.theta_words[key], names=G.gen_names)
-            images.append(evaluate_in_group(G, w, G.generators))
-        return Epimorphism(G, tuple(images))
+        return Epimorphism(G, tuple(evaluate_in_group(G, w, G.generators)
+                                    for w in self.theta_words))
 
 
 def _parse_params(tokens, line_no):
@@ -198,13 +196,16 @@ def parse_config(text, coset_cap=50000):
     group.name = name
 
     if theta_words is not None:
+        # Surface syntax/unknown-generator errors now; group-level
+        # validation stays in theta().
+        parsed = []
         for key in SURFACE_KEYS:
-            # Surface early on syntax/unknown-generator errors; group-level
-            # validation stays in theta().
             try:
-                parse_word(theta_words[key], names=group.gen_names)
+                parsed.append(parse_word(theta_words[key],
+                                         names=group.gen_names))
             except ValueError as exc:
                 raise ConfigError("theta %s: %s" % (key, exc)) from None
+        theta_words = tuple(parsed)
 
     return RunConfig(name, group, theta_words, known_b0, kind, params)
 

@@ -65,12 +65,21 @@ class Presentation:
             ", ".join(print_word(r, self.gen_names) for r in self.relators))
 
 
+def _is_latin_square(table):
+    """True when each row and each column of the square ``table``, sorted,
+    reads 0..n-1 (a sort per axis: on fresh tables it beats a scatter)."""
+    perm = np.arange(len(table), dtype=table.dtype)
+    return bool((np.sort(table, axis=1) == perm).all()
+                and (np.sort(table, axis=0) == perm[:, None]).all())
+
+
 class FiniteGroup:
     """A finite group as a dense multiplication table over 0..n-1.
 
     ``table[g, h]`` is the product g*h; element 0 is the identity.
     ``generators`` are the distinguished generator elements (matching the
-    source presentation or constructor).
+    source presentation or constructor).  Every row and column of the table
+    must be a permutation of 0..n-1; associativity is not checked.
     """
 
     def __init__(self, table, generators, gen_names=None, name="",
@@ -79,6 +88,9 @@ class FiniteGroup:
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValueError("multiplication table must be square")
+        if not _is_latin_square(table):
+            raise ValueError("multiplication table rows and columns must be "
+                             "permutations of 0..n-1")
         if not (np.array_equal(table[0], np.arange(n)) and
                 np.array_equal(table[:, 0], np.arange(n))):
             raise ValueError("element 0 must be the identity")
@@ -89,10 +101,8 @@ class FiniteGroup:
             "g%d" % (i + 1) for i in range(len(self.generators)))
         self.name = name or "group(order=%d)" % n
         self.presentation = presentation
-        inv = np.empty(n, dtype=np.int32)
-        rows, cols = np.nonzero(table == 0)
-        inv[rows] = cols
-        self.inv = inv
+        # Each row holds 0 once, at the inverse's column.
+        self.inv = table.argmin(axis=1).astype(np.int32)
         if self.generators:
             if len(self.subgroup_closure(self.generators)) != n:
                 raise ValueError("declared generators do not generate")

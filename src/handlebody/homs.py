@@ -111,12 +111,11 @@ _QUICK_PRODUCTS = tuple((kind, parse_word(text)) for kind, text in (
 
 
 class WitnessReport:
-    __slots__ = ("witness", "sigma_path", "verification")
+    __slots__ = ("witness", "sigma_path")
 
-    def __init__(self, witness, sigma_path, verification):
+    def __init__(self, witness, sigma_path):
         self.witness = witness
         self.sigma_path = sigma_path
-        self.verification = verification
 
     def __repr__(self):
         return "WitnessReport(%s, path=%s)" % (print_word(self.witness),
@@ -150,11 +149,10 @@ def handlebody_witness(theta, s):
     if idx < 0:
         return Verdict(NO_WITNESS, searched_depth=s.depth)
     w = s.word_at(idx)
-    image = evaluate(theta, w)
     path = s.path(w)
-    if image != 0 or path is None:
+    if evaluate(theta, w) != 0 or path is None:
         raise AssertionError("witness failed re-verification")
-    return Verdict(EXTENDS, report=WitnessReport(w, path, image),
+    return Verdict(EXTENDS, report=WitnessReport(w, path),
                    searched_depth=s.depth)
 
 

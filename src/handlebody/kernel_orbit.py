@@ -111,13 +111,11 @@ class IntersectionReport:
                   prefix of the set, the words the scan has read.
     """
 
-    def __init__(self, avoids, counterexample, counterexample_path, survivors,
-                 depth):
+    def __init__(self, avoids, counterexample, counterexample_path, survivors):
         self.avoids = avoids
         self.counterexample = counterexample
         self.counterexample_path = counterexample_path
         self.survivors = survivors
-        self.depth = depth
 
 
 def intersection_avoids_c0(reps, s):
@@ -160,11 +158,11 @@ def intersection_avoids_c0(reps, s):
     if 0 in survivors:
         survivors = survivors[:survivors.index(0) + 1]
     if w is None:
-        return IntersectionReport(True, None, None, survivors, s.depth)
+        return IntersectionReport(True, None, None, survivors)
     for th in reps:
         if evaluate(th, w) != 0:
             raise AssertionError("counterexample failed re-verification")
-    return IntersectionReport(False, w, s.path(w), survivors, s.depth)
+    return IntersectionReport(False, w, s.path(w), survivors)
 
 
 # Coordinate budget for the fiber closure: elements are length-r vectors,

@@ -2,15 +2,12 @@
 
 The orbit set is seeded with [x1,y1] and s3([x1,y1]) and grown breadth-first
 from the root s3([x1,y1]): level n holds the new images of level n - 1 under
-the configured moves (default s1..s5), deduplicated on freely reduced words.
-The seeds are never expanded, so a derivation that reaches a seed stops
-there: with the move s8 alone the set is the two seeds at every depth, since
-s8(root) = [x1,y1], although s8(s8(root)) is neither seed.  Each of s1..s5
-sends [x1,y1] to a seed, so with those moves the set to depth n is [x1,y1]
-and every image of the root under at most n moves.  Every stored
-word carries one replayable provenance path — the shortest derivation, ties
-broken by lexicographically least index sequence — so reports can show how a
-witness was produced.
+the moves s1..s5 (``MOVES``), deduplicated on freely reduced words.  The
+seeds are never expanded, but each move sends [x1,y1] to a seed, so the set
+to depth n is [x1,y1] and every image of the root under at most n moves:
+the depth alone determines it.  Every stored word carries one replayable
+provenance path — the shortest derivation, ties broken by lexicographically
+least index sequence — so reports can show how a witness was produced.
 
 Every scan of a set (``first_zero`` for the witness scans, and the
 kernel-orbit intersection) reads it one level at a time, through one
@@ -30,7 +27,7 @@ from .twists import apply, apply_bytes, commutator_base, sigma
 
 BASE_PATH = "base"
 DEFAULT_DEPTH = 9
-DEFAULT_SIGMAS = (1, 2, 3, 4, 5)
+MOVES = (1, 2, 3, 4, 5)
 
 
 @lru_cache(maxsize=None)
@@ -66,8 +63,8 @@ class OrbitSet:
     seeds being level 0; its path trie is built the first time the level
     is scanned and then kept.  The set starts as the two seeds, and its
     own level generator (``_levels``) adds one level at a time, on demand.
-    Calls that need the whole set finish it: ``len``, iteration, ``==``,
-    and a membership lookup of a rank-4 word (``in``, ``path``,
+    Calls that need the whole set finish it: ``len``, iteration, and a
+    membership lookup of a rank-4 word (``in``, ``path``,
     ``contains``) that misses.  A lookup grows the set only until the word
     appears, ``word_at`` only until its index is generated, and
     ``trie_blocks`` one level per block asked for.
@@ -81,16 +78,10 @@ class OrbitSet:
     its generator derives, each stored under the path it was derived by.
     """
 
-    def __init__(self, depth, sigmas):
+    def __init__(self, depth):
         if depth < 0:
             raise ValueError("depth must be >= 0, got %r" % (depth,))
-        sigmas = tuple(sigmas)
-        for j in sigmas:
-            if not 1 <= j <= 10:
-                raise ValueError("move index must be in 1..10, got %r"
-                                 % (j,))
         self.depth = int(depth)
-        self.sigmas = tuple(int(j) for j in sigmas)
         seeds = (commutator_base().data, root_word().data)
         self._seen = dict.fromkeys(seeds, BASE_PATH)
         self._order = list(seeds)
@@ -98,8 +89,7 @@ class OrbitSet:
         # trie once scanned.  _levels yields the levels not yet generated.
         self._bounds = [0, len(seeds)]
         self._tries = []
-        plans = {j: sigma(j)._plan for j in sorted(self.sigmas)}
-        self._levels = _levels(plans, self._seen, self.depth)
+        self._levels = _levels(self._seen, self.depth)
 
     @property
     def complete(self):
@@ -174,14 +164,12 @@ class OrbitSet:
         return p
 
     def __eq__(self, other):
-        return (isinstance(other, OrbitSet) and len(self) == len(other)
-                and self._seen == other._seen
-                and self.depth == other.depth and self.sigmas == other.sigmas)
+        # The depth determines the set, so neither set is grown.
+        return isinstance(other, OrbitSet) and self.depth == other.depth
 
     def __repr__(self):
-        return "OrbitSet(%d words%s, depth=%d, sigmas=%s)" % (
-            self.generated, "" if self.complete else " so far", self.depth,
-            ",".join(map(str, self.sigmas)))
+        return "OrbitSet(%d words%s, depth=%d)" % (
+            self.generated, "" if self.complete else " so far", self.depth)
 
 
 def _path_trie(order, seen):
@@ -266,25 +254,21 @@ def replay_path(path):
     return w
 
 
-def generate_c0(depth=DEFAULT_DEPTH, sigmas=DEFAULT_SIGMAS):
+def generate_c0(depth=DEFAULT_DEPTH):
     """The orbit set to the given composition depth.
 
     Breadth-first with global dedup on reduced words; provenance is the
     shortest derivation with lexicographically least move sequence.  The
-    arguments are checked at once, but the set is returned with only its
-    two seeds generated: it grows level by level as callers need it (see
+    depth is checked at once, but the set is returned with only its two
+    seeds generated: it grows level by level as callers need it (see
     OrbitSet for the calls that finish it).
     """
-    return OrbitSet(depth, sigmas)
+    return OrbitSet(depth)
 
 
 @lru_cache(maxsize=None)
 def _commuting_below(m):
-    """The moves j < m with s_j s_m = s_m s_j, or none when s_m sends
-    [x1,y1] off the seeds (see _levels)."""
-    base = commutator_base()
-    if apply(sigma(m), base) not in (base, root_word()):
-        return frozenset()
+    """The moves j < m with s_j s_m = s_m s_j."""
     return frozenset(j for j in range(1, m)
                      if [apply(sigma(j), w) for w in sigma(m).images]
                      == [apply(sigma(m), w) for w in sigma(j).images])
@@ -295,7 +279,7 @@ def _commuting_below(m):
 _BLOCK = 1024
 
 
-def _levels(plans, seen, depth):
+def _levels(seen, depth):
     """Yield the words of each new level in lex path order, after adding
     them with their paths to ``seen``.
 
@@ -307,9 +291,8 @@ def _levels(plans, seen, depth):
     path no longer than the parent's and, at equal length, lexicographically
     smaller, since it ends in j < m.  So u was expanded before the parent,
     and s_m(u) is in the set already (by induction when that step was itself
-    skipped).  A seed u is the root, which is expanded, or [x1,y1], which is
-    not; so m skips nothing unless s_m([x1,y1]) is a seed (true for every
-    built-in move but s8).
+    skipped).  A seed u is the root, which is expanded, or [x1,y1], which
+    is not; then s_m(u) is a seed, since each move sends [x1,y1] to one.
 
     A level is made from blocks of ``_BLOCK`` parents, grouped by the moves
     they take (all of them, or those the prune leaves after their last
@@ -318,10 +301,11 @@ def _levels(plans, seen, depth):
     in (parent, move) order, so ``level`` is filled exactly as one
     application per child would fill it.
     """
+    plans = {j: sigma(j)._plan for j in MOVES}
     # The moves to apply after a path's last move; all of them after ().
-    after = {(): tuple(plans)}
-    for m in plans:
-        after[(m,)] = tuple(j for j in plans if j not in _commuting_below(m))
+    after = {(): MOVES}
+    for m in MOVES:
+        after[(m,)] = tuple(j for j in MOVES if j not in _commuting_below(m))
     # The frontier maps word bytes to path tuples; the root's path is ().
     frontier = {root_word().data: ()}
     for _ in range(depth):

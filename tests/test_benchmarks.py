@@ -2,9 +2,11 @@
 runs once with ``--repeats 1``, so a script that no longer matches the
 package fails here, not when it is next timed.  The scripts check their
 own answers and exit on a mismatch.  The names ``perfbench/`` reads from
-the package are checked on its source text, without running it.
+the package, and the arguments it passes them, are checked on its source
+text, without running it.
 """
 
+import ast
 import glob
 import importlib.util
 import inspect
@@ -50,6 +52,36 @@ def test_perfbench_names_exist(name):
     assert sorted(n for n in used if not hasattr(handlebody, n)) == []
 
 
-def test_kernel_orbit_takes_pres():
-    # perfbench's kernel census passes the presentation by keyword.
-    assert "pres" in inspect.signature(handlebody.kernel_orbit).parameters
+def _hb_calls(path):
+    """(line, name, positional count, keyword names, starred) of each
+    ``hb.<name>(...)`` call in the file."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "hb"):
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+            yield (node.lineno, func.attr, len(plain),
+                   [k.arg for k in node.keywords if k.arg is not None],
+                   starred)
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "record.py"])
+def test_perfbench_calls_bind(name):
+    # Each hb.<name>(...) call perfbench makes must bind to the package's
+    # signature, so a trimmed parameter fails here rather than in the next
+    # benchmark run.  A call with a *args argument binds what it names.
+    calls = list(_hb_calls(os.path.join(PERFBENCH, name)))
+    assert calls
+    failures = []
+    for line, attr, npos, keywords, starred in calls:
+        signature = inspect.signature(getattr(handlebody, attr))
+        bind = signature.bind_partial if starred else signature.bind
+        try:
+            bind(*[None] * npos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            failures.append("%s:%d hb.%s: %s" % (name, line, attr, exc))
+    assert failures == []

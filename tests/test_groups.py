@@ -47,6 +47,14 @@ def test_finite_group_validation():
         FiniteGroup(np.array([[1, 0], [0, 1]]), generators=(1,))
     with pytest.raises(ValueError):
         FiniteGroup(table, generators=(0,))  # {0} does not generate Z2
+    # Rows or columns that are not permutations of 0..n-1: row 1 has no
+    # identity; row 1 repeats 1; entries out of range; every row is a
+    # permutation but column 1 repeats 1.
+    for bad in ([[0, 1], [1, 1]], [[0, 1, 2], [1, 1, 0], [2, 0, 1]],
+                [[0, 1], [1, 2]], [[0, 1], [1, -1]],
+                [[0, 1, 2], [1, 2, 0], [2, 1, 0]]):
+        with pytest.raises(ValueError, match="permutations"):
+            FiniteGroup(bad, [])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 31])

@@ -18,8 +18,7 @@ from handlebody.kernel_orbit import (KernelClassCapExceeded,
                                      fiber_group_order,
                                      intersection_avoids_c0,
                                      kernel_keys, kernel_orbit)
-from handlebody.orbit import (BASE_PATH, DEFAULT_SIGMAS, generate_c0,
-                              trie_values)
+from handlebody.orbit import BASE_PATH, MOVES, generate_c0, trie_values
 from handlebody.twists import apply, commutator_base, sigma
 
 ko = importlib.import_module("handlebody.kernel_orbit")
@@ -152,29 +151,22 @@ def _block_values(theta, s):
                            for _, trie in s.trie_blocks()])
 
 
-# (depth, moves) of the orbit sets evaluated through their level tries;
-# the (3, 8) chain at depth 25 has paths of 25 moves.
-TRIE_SETS = ((0, DEFAULT_SIGMAS), (1, DEFAULT_SIGMAS), (3, DEFAULT_SIGMAS),
-             (9, DEFAULT_SIGMAS), (9, (3, 8)), (25, (3, 8)),
-             (5, tuple(range(1, 11))), (5, (5, 2, 4)))
+# Depths of the orbit sets evaluated through their level tries.
+TRIE_DEPTHS = tuple(range(10))
 TRIE_GROUPS = ("cyclic3", "heisenberg3", "semidirect_11_5_3", "order243")
 _TRIE_SET_CACHE = {}
 
 
-def _set_id(case):
-    return "depth%d-s%s" % (case[0], ",".join(map(str, case[1])))
+def _set_id(depth):
+    return "depth%d-s%s" % (depth, ",".join(map(str, MOVES)))
 
 
-def _trie_set(case, orbit9):
-    if case == (orbit9.depth, orbit9.sigmas):
+def _trie_set(depth, orbit9):
+    if depth == orbit9.depth:
         return orbit9
-    if case not in _TRIE_SET_CACHE:
-        _TRIE_SET_CACHE[case] = generate_c0(depth=case[0], sigmas=case[1])
-    return _TRIE_SET_CACHE[case]
-
-
-def _fresh_set(case):
-    return generate_c0(depth=case[0], sigmas=case[1])
+    if depth not in _TRIE_SET_CACHE:
+        _TRIE_SET_CACHE[depth] = generate_c0(depth=depth)
+    return _TRIE_SET_CACHE[depth]
 
 
 def _trie_group(name, heis3, group55, order243):
@@ -182,19 +174,19 @@ def _trie_group(name, heis3, group55, order243):
             "semidirect_11_5_3": group55, "order243": order243}[name]
 
 
-@pytest.mark.parametrize("case", TRIE_SETS, ids=_set_id)
+@pytest.mark.parametrize("depth", TRIE_DEPTHS, ids=_set_id)
 @pytest.mark.parametrize("name", TRIE_GROUPS)
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_orbit_values_match_letter_fold(name, case, seed, orbit9, heis3,
+def test_orbit_values_match_letter_fold(name, depth, seed, orbit9, heis3,
                                         group55, order243):
     G = _trie_group(name, heis3, group55, order243)
     theta = _random_epimorphism(G, np.random.default_rng(seed))
-    full = _trie_set(case, orbit9)
+    full = _trie_set(depth, orbit9)
     want = _fold_values(theta, full)
     # A fresh set builds each level's trie as it grows; the complete set
     # keeps the tries of its earlier scans.
-    for s in (_fresh_set(case), full):
+    for s in (generate_c0(depth=depth), full):
         assert np.array_equal(_block_values(theta, s), want)
 
 
@@ -223,17 +215,17 @@ def test_path_trie_is_cached_with_one_node_per_suffix(orbit3):
 @pytest.mark.parametrize("name", TRIE_GROUPS)
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), maps=st.integers(1, 6),
-       case=st.sampled_from(TRIE_SETS), grown=st.integers(0, 2 ** 16))
-def test_intersection_matches_fold_oracle(name, seed, maps, case, grown,
+       depth=st.sampled_from(TRIE_DEPTHS), grown=st.integers(0, 2 ** 16))
+def test_intersection_matches_fold_oracle(name, seed, maps, depth, grown,
                                           orbit9, heis3, group55, order243):
     G = _trie_group(name, heis3, group55, order243)
     rng = np.random.default_rng(seed)
     reps = [_random_epimorphism(G, rng) for _ in range(maps)]
-    full = _trie_set(case, orbit9)
+    full = _trie_set(depth, orbit9)
     avoids, counterexample, survivors = _fold_intersection(reps, full)
-    partial = _fresh_set(case)
+    partial = generate_c0(depth=depth)
     partial.word_at(grown % len(full))
-    for s in (_fresh_set(case), partial, full):
+    for s in (generate_c0(depth=depth), partial, full):
         report = intersection_avoids_c0(reps, s)
         assert report.avoids is avoids
         assert report.survivors == survivors
@@ -497,7 +489,6 @@ def test_intersection_counterexample_for_abelian(orbit3):
     reps, _ = kernel_orbit(_abelian_theta())
     report = intersection_avoids_c0(reps, orbit3)
     assert report.avoids is False
-    assert report.depth == 3
     # The base commutator lies in every abelian kernel.
     assert report.counterexample == commutator_base()
     assert report.counterexample_path == BASE_PATH

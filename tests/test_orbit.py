@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from handlebody.groups import evaluate_in_group, heisenberg, semidirect_pq
 from handlebody.homs import (EXTENDS, Epimorphism, evaluate,
                              handlebody_witness, standard_metacyclic_images)
-from handlebody.orbit import (BASE_PATH, OrbitSet, _commuting_below,
+from handlebody.orbit import (BASE_PATH, MOVES, OrbitSet, _commuting_below,
                               contains, format_path, generate_c0,
                               replay_path, root_word, trie_values)
 from handlebody.twists import apply, apply_bytes, commutator_base, sigma
@@ -40,30 +40,25 @@ def test_cumulative_counts_small_depths(depth, count):
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         generate_c0(depth=-1)
-    with pytest.raises(ValueError):
-        generate_c0(depth=1, sigmas=(0,))
-    with pytest.raises(ValueError):
-        generate_c0(depth=1, sigmas=(11,))
+    # The depth alone determines the set: there is no move set to pass.
+    with pytest.raises(TypeError):
+        generate_c0(9, (1, 2))
 
 
 def test_seeds_are_not_expanded():
-    # s8 sends the root back to [x1,y1], where the derivation stops, so
-    # s8(s8(root)) is never generated.  Each of s1..s5 sends [x1,y1] to a
-    # seed, so the default moves lose nothing this way.
-    s = generate_c0(depth=3, sigmas=(8,))
-    assert [p for _, p in _items(s)] == [BASE_PATH, BASE_PATH]
-    lost = apply(sigma(8), apply(sigma(8), root_word()))
-    assert lost == parse_word("y1^-1 x2 x1 y1 x1^-1 x2^-1")
-    assert lost not in s
+    # A derivation that reaches a seed stops there.  That loses nothing:
+    # the root is expanded, and each move sends [x1,y1] to a seed (the
+    # fact the level generator's commuting prune relies on).
+    assert MOVES == (1, 2, 3, 4, 5)
     seeds = generate_c0(depth=0)
-    for j in (1, 2, 3, 4, 5):
+    for j in MOVES:
         assert apply(sigma(j), commutator_base()) in seeds
 
 
-def _unpruned_paths(depth, sigmas):
+def _unpruned_paths(depth):
     """The orbit's (word, path) items in generation order, from the level
     loop with every move applied to every parent (no commuting prune)."""
-    plans = {j: sigma(j)._plan for j in sorted(sigmas)}
+    plans = {j: sigma(j)._plan for j in MOVES}
     seen = {commutator_base().data: BASE_PATH, root_word().data: BASE_PATH}
     frontier = {root_word().data: ()}
     for _ in range(depth):
@@ -78,32 +73,21 @@ def _unpruned_paths(depth, sigmas):
     return [(Word.from_bytes(data, 4), p) for data, p in seen.items()]
 
 
-@pytest.mark.parametrize("sigmas,depth", [
-    ((1, 2, 3, 4, 5), 9), (tuple(range(1, 11)), 5), ((3, 8), 14),
-    ((5, 2, 4), 8), ((8,), 6), ((3, 8, 9), 8)])
-def test_commuting_prune_keeps_paths_and_order(sigmas, depth):
-    assert _items(generate_c0(depth, sigmas)) == _unpruned_paths(depth, sigmas)
-
-
-@settings(max_examples=40, deadline=None)
-@given(sigmas=st.lists(st.integers(1, 10), unique=True, max_size=10),
-       depth=st.integers(0, 6))
-def test_commuting_prune_keeps_paths_on_any_moves(sigmas, depth):
-    assert _items(generate_c0(depth, sigmas)) == _unpruned_paths(depth, sigmas)
+@pytest.mark.parametrize("depth", range(10))
+def test_commuting_prune_keeps_paths_and_order(depth):
+    assert _items(generate_c0(depth)) == _unpruned_paths(depth)
 
 
 def test_commuting_moves_below_each_move():
-    # The moves the prune may skip: s_j s_m = s_m s_j with j < m, for each
-    # m that sends [x1,y1] to a seed (s8 sends it off them: none).
-    assert [sorted(_commuting_below(m)) for m in range(1, 11)] == [
-        [], [], [1], [1, 2], [1, 2, 3], [1, 3, 4, 5], [2, 4, 5], [],
-        [1, 2, 4, 6, 7], [1, 2, 3, 5, 6, 7, 8]]
+    # The moves the prune may skip: s_j s_m = s_m s_j with j < m.
+    assert [sorted(_commuting_below(m)) for m in MOVES] == [
+        [], [], [1], [1, 2], [1, 2, 3]]
 
 
 def test_fresh_set_holds_only_the_seeds():
     s = generate_c0(depth=9)
     assert not s.complete and s.generated == 2
-    assert repr(s) == "OrbitSet(2 words so far, depth=9, sigmas=1,2,3,4,5)"
+    assert repr(s) == "OrbitSet(2 words so far, depth=9)"
 
 
 # Each call that needs the whole set, applied to a fresh one.
@@ -111,7 +95,6 @@ _FINISHING_CALLS = {
     "len": len,
     "iter": lambda s: next(iter(s)),
     "trie_blocks (all)": lambda s: list(s.trie_blocks()),
-    "eq": lambda s: s == generate_c0(depth=s.depth),
     "in (miss)": lambda s: parse_word("x1^50") in s,
     "path (miss)": lambda s: s.path(parse_word("x1^50")),
     "contains (miss)": lambda s: contains(s, parse_word("x1^50")),
@@ -123,7 +106,7 @@ def test_full_set_calls_finish_the_set(call):
     s = generate_c0(depth=4)
     _FINISHING_CALLS[call](s)
     assert s.complete and s.generated == CUMULATIVE_COUNTS[4]
-    assert s == generate_c0(depth=4)
+    assert _items(s) == _items(generate_c0(depth=4))
 
 
 # Lookups of what cannot be a word of the set, applied to a fresh one.
@@ -254,27 +237,25 @@ def test_iteration_deterministic_and_seeds_first(orbit3):
 _FINISHED = {}
 
 
-def _finished(depth, sigmas):
-    key = (depth, sigmas)
-    if key not in _FINISHED:
-        s = generate_c0(depth=depth, sigmas=sigmas)
+def _finished(depth):
+    if depth not in _FINISHED:
+        s = generate_c0(depth=depth)
         len(s)  # finish it
-        _FINISHED[key] = s
-    return _FINISHED[key]
+        _FINISHED[depth] = s
+    return _FINISHED[depth]
 
 
 _LETTER = st.sampled_from([(g, e) for g in range(4) for e in (1, -1)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from([(0, (1, 2, 3, 4, 5)), (3, (1, 2, 3, 4, 5)),
-                             (9, (3, 8)), (5, (5, 2, 4))]),
+@given(depth=st.sampled_from([0, 1, 3, 5, 9]),
        pick=st.integers(0, 10 ** 9), letters=st.lists(_LETTER, max_size=12))
-def test_contains_agrees_on_fresh_and_finished_sets(case, pick, letters):
+def test_contains_agrees_on_fresh_and_finished_sets(depth, pick, letters):
     # A word of the set, and an arbitrary word (mostly outside it).
-    finished = _finished(*case)
+    finished = _finished(depth)
     for w in (finished.word_at(pick % len(finished)), Word(letters)):
-        fresh = generate_c0(depth=case[0], sigmas=case[1])
+        fresh = generate_c0(depth=depth)
         assert contains(fresh, w) == contains(finished, w)
         assert (w in fresh) == (w in finished)
 
@@ -292,33 +273,21 @@ def test_format_path():
     assert format_path(()) == ""
 
 
-def test_restricted_move_set():
-    s = generate_c0(depth=2, sigmas=(1, 2))
-    assert s.sigmas == (1, 2)
-    for w, p in _items(s):
-        if p != BASE_PATH:
-            assert set(p) <= {1, 2}
-
-
-@pytest.mark.parametrize("depth,sigmas", [
-    (9, (1, 2, 3, 4, 5)), (9, (3, 8)), (5, tuple(range(1, 11))),
-    (5, (5, 2, 4))])
-def test_generation_order_is_scan_order(orbit9, depth, sigmas):
+@pytest.mark.parametrize("depth", [0, 1, 5, 9])
+def test_generation_order_is_scan_order(orbit9, depth):
     # generate_c0 does not sort: it relies on insertion order being lex
-    # path order, whatever order the moves are given in.
-    if (depth, sigmas) == (orbit9.depth, orbit9.sigmas):
-        s = orbit9
-    else:
-        s = generate_c0(depth=depth, sigmas=sigmas)
+    # path order.
+    s = orbit9 if depth == orbit9.depth else generate_c0(depth=depth)
     assert list(s) == _scan_order(s)
 
 
 def test_orbit_set_equality_includes_metadata(orbit3):
-    assert generate_c0(depth=3, sigmas=(1, 2, 3, 4, 5)) == orbit3
-    # With s8 alone both sets are the two seeds, but their depths differ.
-    shallow, deep = generate_c0(3, sigmas=(8,)), generate_c0(9, sigmas=(8,))
-    assert _items(shallow) == _items(deep)
-    assert shallow != deep
+    # The depth determines the set, so == compares depths and grows
+    # neither set.
+    fresh, deep = generate_c0(depth=3), generate_c0(depth=9)
+    assert fresh == orbit3 and fresh != deep
+    assert fresh != list(orbit3)
+    assert fresh.generated == deep.generated == 2
 
 
 def test_orbit_set_takes_no_path_mapping():
@@ -332,7 +301,7 @@ def test_orbit_set_takes_no_path_mapping():
     mislabeled = {commutator_base(): BASE_PATH, root_word(): BASE_PATH,
                   w: (1,)}
     with pytest.raises(TypeError):
-        OrbitSet(mislabeled, 3, (1, 2, 3, 4, 5))
+        OrbitSet(mislabeled, 3)
     s = generate_c0(depth=3)
     verdict = handlebody_witness(theta, s)
     assert verdict.value == EXTENDS
