@@ -28,8 +28,7 @@ from .bogomolov import (B0Status, ExtendVerdict, b0_status,
 from .homs import (Epimorphism, RelationViolated, NotGenerating,
                    QuadrupleCapExceeded, Verdict, WitnessReport, evaluate,
                    handlebody_witness, standard_metacyclic_images,
-                   r3_criterion_word, r_cubed_criterion,
-                   noncommuting_pair_count, partner_pairs,
+                   r3_criterion_word, r_cubed_criterion, partner_pairs,
                    batch_pair_witnesses, quadruple_search)
 from .kernel_orbit import (KernelClassCapExceeded, kernel_keys, kernel_orbit,
                            intersection_avoids_c0, fiber_group_order,

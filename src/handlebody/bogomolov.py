@@ -29,22 +29,20 @@ ALL_EXTEND = "AllFreeActionsExtend"
 EXISTS_NON_EXTENDABLE = "ExistsNonExtendableFreeAction"
 VERDICT_UNKNOWN = "Unknown"
 
+# recognize_direct_product stops saturating at this many candidates.
+_CANDIDATE_CAP = 128
+
 
 class B0Status:
-    """Outcome of the rule chain: value Zero/NonZero/Unknown plus a reason.
+    """Outcome of the rule chain: value Zero/NonZero/Unknown, a reason,
+    and the rules ``attempted`` when the value is Unknown."""
 
-    ``attempted`` lists the rules tried when the value is Unknown;
-    ``warning`` carries a conflict message when an override disagrees with a
-    rule-derived value (the derived value wins).
-    """
+    __slots__ = ("value", "reason", "attempted")
 
-    __slots__ = ("value", "reason", "attempted", "warning")
-
-    def __init__(self, value, reason, attempted=(), warning=None):
+    def __init__(self, value, reason, attempted=()):
         self.value = value
         self.reason = reason
         self.attempted = tuple(attempted)
-        self.warning = warning
 
     def __eq__(self, other):
         return (isinstance(other, B0Status) and self.value == other.value
@@ -131,7 +129,7 @@ def _quotient_is_cyclic(G, normal_elements):
     return True
 
 
-def recognize_direct_product(G, candidate_cap=128):
+def recognize_direct_product(G):
     """An internal direct decomposition (N1, N2) as element tuples, or None.
 
     Candidate normal subgroups: normal closures of single elements, the
@@ -163,12 +161,12 @@ def recognize_direct_product(G, candidate_cap=128):
     # Saturate under joins until fixpoint or cap.  The join of two normal
     # subgroups is their product set N1 N2, read off the table in one gather.
     grew = True
-    while grew and len(candidates) < candidate_cap:
+    while grew and len(candidates) < _CANDIDATE_CAP:
         grew = False
         ordered = sorted(candidates.items(), key=lambda kv: (len(kv[0]), kv[0]))
         for i, (_, (e1, m1)) in enumerate(ordered):
             for _, (e2, _) in ordered[i + 1:]:
-                if len(candidates) >= candidate_cap:
+                if len(candidates) >= _CANDIDATE_CAP:
                     break
                 if m1[e2].all():
                     continue
@@ -216,8 +214,7 @@ def _apply_rules(G):
         reasons = []
         all_zero = True
         for p, _ in _factorization(G.order):
-            syl = G.subgroup_as_group(G.sylow_subgroup(p),
-                                      name="sylow_%d(%s)" % (p, G.name))
+            syl = G.subgroup_as_group(G.sylow_subgroup(p))
             sub_status = _apply_rules(syl)
             if sub_status.value != ZERO:
                 all_zero = False
@@ -251,11 +248,9 @@ def b0_status(G, override=None):
     if status.value == UNKNOWN:
         return B0Status(override, "asserted", attempted=status.attempted)
     if status.value != override:
-        message = ("override %s conflicts with derived %s (%s); "
-                   "keeping the derived value" % (override, status.value,
-                                                  status.reason))
-        warnings.warn(message)
-        return B0Status(status.value, status.reason, warning=message)
+        warnings.warn("override %s conflicts with derived %s (%s); "
+                      "keeping the derived value"
+                      % (override, status.value, status.reason))
     return status
 
 

@@ -22,10 +22,9 @@ from .groups import (semidirect_pq, automorphisms, pair_orbit_count,
                      CosetCapExceeded, AutCapExceeded)
 from . import homs
 from .homs import (Epimorphism, evaluate, handlebody_witness,
-                   standard_metacyclic_images, noncommuting_pair_count,
-                   partner_pairs, drop_quick_pairs, batch_pair_witnesses,
-                   quadruple_search, QuadrupleCapExceeded, RelationViolated,
-                   NotGenerating)
+                   standard_metacyclic_images, partner_pairs,
+                   drop_quick_pairs, batch_pair_witnesses, quadruple_search,
+                   QuadrupleCapExceeded, RelationViolated, NotGenerating)
 from .kernel_orbit import (KernelClassCapExceeded,
                            kernel_orbit as compute_kernel_orbit,
                            intersection_avoids_c0, fiber_group_order)
@@ -171,11 +170,10 @@ def cmd_counts(args, parser):
     cfg = _load(args)
     G = cfg.group
     _emit("group=%s order=%d" % (cfg.name, G.order))
-    noncomm = noncommuting_pair_count(G)
-    _emit("noncommuting=%d provenance=%s"
-          % (noncomm, _prov_for(cfg, "noncommuting", noncomm)))
     us, vs = np.nonzero(G.conjugation_table() != np.arange(G.order))
     pairs_all = list(zip(us.tolist(), vs.tolist()))
+    _emit("noncommuting=%d provenance=%s"
+          % (len(us), _prov_for(cfg, "noncommuting", len(us))))
     try:
         orbits = 0
         if pairs_all:   # an abelian G has no pair, so no search to make

@@ -14,6 +14,8 @@ asymptotics.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .words import Word, parse_word, print_word
@@ -65,6 +67,22 @@ class Presentation:
             ", ".join(print_word(r, self.gen_names) for r in self.relators))
 
 
+def _as_elements(values, order, what):
+    """``values`` as a tuple of elements 0..order-1, refusing (ValueError
+    naming ``what``) any value out of range or not an integer: a float or
+    a string names no element, even one that truncates to an element."""
+    try:
+        values = tuple(map(operator.index, values))
+    except TypeError:
+        values, in_range = tuple(values), False
+    else:
+        in_range = all(0 <= g < order for g in values)
+    if not in_range:
+        raise ValueError("%s must be elements 0..%d, got %s"
+                         % (what, order - 1, values))
+    return values
+
+
 def _is_latin_square(table):
     """True when each row and each column of the square ``table``, sorted,
     reads 0..n-1 (a sort per axis: on fresh tables it beats a scatter)."""
@@ -96,7 +114,7 @@ class FiniteGroup:
             raise ValueError("element 0 must be the identity")
         self.table = table
         self.order = n
-        self.generators = tuple(int(g) for g in generators)
+        self.generators = _as_elements(generators, n, "generators")
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             "g%d" % (i + 1) for i in range(len(self.generators)))
         self.name = name or "group(order=%d)" % n
@@ -167,19 +185,6 @@ class FiniteGroup:
                                  % (elements.size, self.order))
         return elements.tolist()
 
-    def greedy_generators(self, elements):
-        """A generating subset of ``elements``, walked in the order given:
-        an element is kept when the ones kept before it do not generate it.
-        """
-        chosen = []
-        reached = np.zeros(self.order, dtype=bool)
-        reached[0] = True
-        for g in elements:
-            if not reached[g]:
-                chosen.append(int(g))
-                reached[self.subgroup_closure(chosen)] = True
-        return chosen
-
     def normal_closure(self, gens):
         """Smallest normal subgroup containing ``gens``.
 
@@ -214,9 +219,6 @@ class FiniteGroup:
                 classes.append([int(x) for x in orbit])
             self._classes = classes
         return self._classes
-
-    def conjugacy_class_count(self):
-        return len(self.conjugacy_classes())
 
     def count_involutions(self):
         diag = self.table[np.arange(self.order), np.arange(self.order)]
@@ -256,8 +258,9 @@ class FiniteGroup:
             sub = self.subgroup_closure(sub + [int(candidates[0])])
         return sub
 
-    def subgroup_as_group(self, elements, name=""):
-        """Reindex a closed element subset as its own FiniteGroup."""
+    def subgroup_as_group(self, elements):
+        """Reindex a closed element subset as its own FiniteGroup, with no
+        generators: the rules that read it use its table alone."""
         elements = np.sort(np.asarray(elements, dtype=np.intp))
         if not elements.size or elements[0] != 0:
             raise ValueError("subgroup must contain the identity")
@@ -266,10 +269,8 @@ class FiniteGroup:
         table = position[self.table[elements[:, None], elements]]
         if (table == SENTINEL).any():
             raise ValueError("element set is not closed under product")
-        gens = position[self.greedy_generators(elements)]
-        return FiniteGroup(table, gens, name=name or ("subgroup(order=%d) of %s"
-                                                      % (elements.size,
-                                                         self.name)))
+        return FiniteGroup(table, (), name="subgroup(order=%d) of %s"
+                           % (elements.size, self.name))
 
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
@@ -644,19 +645,19 @@ def automorphisms(G, *, node_cap=200000, fixed=None):
     keep = np.ones(len(rows), dtype=bool)
     block = max(1, (1 << 20) // G.order)
     for i in range(0, len(rows), block):
-        perms = _permutation_rows(G, G.generators, rows[i:i + block])
+        perms = automorphism_permutations(G, rows[i:i + block])
         keep[i:i + block] = (perms[:, 1:] != 0).all(axis=1)
     return [tuple(row) for row in rows[keep].tolist()]
 
 
-def _permutation_rows(G, pres_gens, images):
-    """One permutation of G per row of ``images``: the map sending
-    generator elements ``pres_gens`` to that row, extended along the
-    breadth-first tree of G from the identity under right multiplication
-    by ``pres_gens`` and then their inverses.  The tree does not depend on
-    the images, so each level is filled for every row in one gather."""
-    gens = np.asarray(pres_gens, dtype=np.int64)
-    images = np.asarray(images, dtype=np.int64).reshape(-1, len(gens))
+def automorphism_permutations(G, auts):
+    """The permutations of G induced by the automorphisms ``auts`` (image
+    tuples of ``G.generators``), one row each: each map is extended along
+    the breadth-first tree of G from the identity under right
+    multiplication by the generators and then their inverses.  The tree
+    does not depend on the images, so each level is one gather."""
+    gens = np.asarray(G.generators, dtype=np.int64)
+    images = np.asarray(auts, dtype=np.int64).reshape(len(auts), len(gens))
     moves = np.concatenate([gens, G.inv[gens]])
     targets = np.concatenate([images, G.inv[images]], axis=1)
     perms = np.empty((len(images), G.order), dtype=np.int32)
@@ -676,14 +677,8 @@ def _permutation_rows(G, pres_gens, images):
         seen[level] = True
         frontier = level
     if not seen.all():
-        raise ValueError("generator elements do not generate the group")
+        raise ValueError("%s has no generators to extend along" % G.name)
     return perms
-
-
-def automorphism_permutations(G, auts):
-    """The permutations of G induced by the automorphisms ``auts`` (image
-    tuples of ``G.generators``), one row each, built in one pass."""
-    return _permutation_rows(G, G.generators, auts)
 
 
 def pair_orbit_count(G, pairs, auts):

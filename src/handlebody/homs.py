@@ -13,13 +13,11 @@ the full orbit is infinite, so callers must treat it as inconclusive.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .words import parse_word, print_word
 from .twists import apply, commutator_base, sigma
-from .groups import evaluate_in_group, evaluate_rows
+from .groups import _as_elements, evaluate_in_group, evaluate_rows
 from .orbit import first_zero
 
 EXTENDS = "ExtendsToHandlebody"
@@ -53,18 +51,9 @@ class Epimorphism:
     """A validated surjection of the genus-2 surface group onto ``group``."""
 
     def __init__(self, group, images):
-        try:
-            images = tuple(map(operator.index, images))
-        except TypeError:   # a float or string names no element
-            images = tuple(images)
-            in_range = False
-        else:
-            in_range = all(0 <= g < group.order for g in images)
+        images = _as_elements(images, group.order, "generator images")
         if len(images) != 4:
             raise ValueError("need 4 generator images")
-        if not in_range:
-            raise ValueError("generator images must be elements 0..%d, got %s"
-                             % (group.order - 1, images))
         a, b, c, d = images
         rel = group.mult(group.commutator(a, b), group.commutator(c, d))
         if rel != 0:
@@ -179,11 +168,6 @@ def r3_criterion_word():
 def r_cubed_criterion(p, r):
     """Kernel test for r3_criterion_word under the metacyclic epimorphism."""
     return pow(r, 3, p) == 1
-
-
-def noncommuting_pair_count(G):
-    """|{(u,v): [u,v] != 1}| via the class-count identity."""
-    return G.order ** 2 - G.order * G.conjugacy_class_count()
 
 
 class _Joins:

@@ -16,6 +16,7 @@ cached path trie per level (``OrbitSet.trie_blocks``, ``trie_values``).
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -81,7 +82,7 @@ class OrbitSet:
     def __init__(self, depth):
         if depth < 0:
             raise ValueError("depth must be >= 0, got %r" % (depth,))
-        self.depth = int(depth)
+        self.depth = operator.index(depth)   # a float is refused, not cut
         seeds = (commutator_base().data, root_word().data)
         self._seen = dict.fromkeys(seeds, BASE_PATH)
         self._order = list(seeds)

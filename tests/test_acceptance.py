@@ -24,8 +24,7 @@ import pytest
 
 from handlebody import (Epimorphism, Presentation, automorphisms,
                         batch_pair_witnesses, coset_enumerate, cyclic,
-                        evaluate, generate_c0, heisenberg,
-                        noncommuting_pair_count, pair_orbit_count,
+                        evaluate, generate_c0, heisenberg, pair_orbit_count,
                         parse_word, partner_pairs, semidirect_pq,
                         standard_metacyclic_images)
 from handlebody import homs, reference
@@ -186,8 +185,10 @@ def test_05_heisenberg_counts(orbit9, heis3, scoreboard):
     for the partner pairs, witnesses; the recorded pair count is reported
     beside them."""
     t0 = time.perf_counter()
-    noncomm = noncommuting_pair_count(heis3)
-    classes = heis3.conjugacy_class_count()
+    # The count ``counts`` reports: the pairs (u, v) with u v u^-1 != v.
+    noncomm = int(np.count_nonzero(heis3.conjugation_table()
+                                   != np.arange(heis3.order)))
+    classes = len(heis3.conjugacy_classes())
     burnside_ok = (noncomm == 432 and classes == 11
                    and noncomm == 27 ** 2 - 27 * classes)
     a, b = heis3.generators[0], heis3.generators[1]
@@ -225,7 +226,8 @@ def test_05_heisenberg_counts(orbit9, heis3, scoreboard):
 def test_06_order243_counts(orbit9, order243, scoreboard):
     """Order-243 presented group: order, filtered pair count, witnesses."""
     t0 = time.perf_counter()
-    order_ok = order243.order == 243
+    recorded_order = reference.RECORDED_COUNTS["order243_presented_order"]
+    order_ok = order243.order == recorded_order
     a, c = order243.generators[0], order243.generators[2]
     filtered = partner_pairs(order243, a, c, filter_quick=True)
     recorded = reference.RECORDED_COUNTS["order243_partner_pairs_filtered"]
@@ -236,10 +238,13 @@ def test_06_order243_counts(orbit9, order243, scoreboard):
     ok = (order_ok and len(filtered) == recorded
           and witnessed == len(filtered))
     _record(scoreboard, 6, "order243-counts", "PASS" if ok else "FAIL",
-            "order=%d partner_pairs_filtered=%d recorded=%d witnessed=%d/%d "
+            "order=%d recorded_order=%d provenance=%s "
+            "partner_pairs_filtered=%d recorded=%d witnessed=%d/%d "
             "max_scan_index=%d (%.1fs)"
-            % (order243.order, len(filtered), recorded, witnessed,
-               len(filtered), max_scan, elapsed))
+            % (order243.order, recorded_order,
+               reference.provenance(order243.order, recorded_order),
+               len(filtered), recorded, witnessed, len(filtered), max_scan,
+               elapsed))
     assert ok
 
 
@@ -318,14 +323,18 @@ def test_09_group_engine(heis3, order243, group55, scoreboard):
                  for v in range(heis3.order)
                  if heis3.commutator(u, v) != 0]
     orbits = pair_orbit_count(heis3, pairs_all, auts=auts)
+    recorded_aut = reference.RECORDED_COUNTS["heisenberg3_aut_order"]
     elapsed = time.perf_counter() - t0
     ok = ((o5, o27, o243) == (5, 27, 243) and syl == (11, 5, 27)
-          and len(auts) == 432 and len(pairs_all) == 432 and orbits == 1)
+          and len(auts) == recorded_aut and len(pairs_all) == 432
+          and orbits == 1)
     _record(scoreboard, 9, "group-engine", "PASS" if ok else "FAIL",
             "coset_orders=(%d,%d,%d) sylow_orders=(11:%d,5:%d,3:%d) "
-            "aut_order=%d pair_orbits=%d on %d pairs (%.1fs)"
-            % (o5, o27, o243, syl[0], syl[1], syl[2], len(auts), orbits,
-               len(pairs_all), elapsed))
+            "aut_order=%d recorded=%d provenance=%s pair_orbits=%d on %d "
+            "pairs (%.1fs)"
+            % (o5, o27, o243, syl[0], syl[1], syl[2], len(auts),
+               recorded_aut, reference.provenance(len(auts), recorded_aut),
+               orbits, len(pairs_all), elapsed))
     assert ok
 
 
@@ -342,9 +351,9 @@ def test_10_obstructed_import(orbit9, scoreboard):
     t0 = time.perf_counter()
     cfg = load_config(user_cfg)
     G = cfg.group
-    noncomm = noncommuting_pair_count(G)
     pairs_all = [(u, v) for u in range(G.order) for v in range(G.order)
                  if G.commutator(u, v) != 0]
+    noncomm = len(pairs_all)
     try:
         auts = automorphisms(G, node_cap=50000000)
     except AutCapExceeded as exc:

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from handlebody import bogomolov
 from handlebody.bogomolov import (ALL_EXTEND, B0Status, EXISTS_NON_EXTENDABLE,
                                   NONZERO, UNKNOWN, VERDICT_UNKNOWN, ZERO,
                                   _prime_power, _quotient_is_cyclic,
@@ -363,9 +364,10 @@ def test_quotient_is_cyclic_matches_element_orders(name):
 
 @pytest.mark.parametrize("cap", [2, 3, 5, 128])
 @pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
-def test_direct_product_matches_normal_closure_joins(name, cap):
+def test_direct_product_matches_normal_closure_joins(name, cap,
+                                                    monkeypatch):
     # Small caps stop the saturation part-way, so the candidate order and
     # the cap accounting are compared too, not only the fixpoint.
     G = _oracle_group(name)
-    assert recognize_direct_product(G, candidate_cap=cap) == \
-        _reference_direct_product(G, cap)
+    monkeypatch.setattr(bogomolov, "_CANDIDATE_CAP", cap)
+    assert recognize_direct_product(G) == _reference_direct_product(G, cap)

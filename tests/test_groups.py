@@ -17,8 +17,7 @@ from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
                                evaluate_in_group, evaluate_rows,
                                heisenberg, heisenberg_presentation,
                                pair_orbit_count, semidirect_pq,
-                               single_aut_orbit_certificate,
-                               _permutation_rows)
+                               single_aut_orbit_certificate)
 from handlebody.reference import RECORDED_WITNESS_ROWS
 from handlebody.words import Word, parse_word
 
@@ -55,6 +54,11 @@ def test_finite_group_validation():
                 [[0, 1, 2], [1, 2, 0], [2, 1, 0]]):
         with pytest.raises(ValueError, match="permutations"):
             FiniteGroup(bad, [])
+    # Generators are elements 0..n-1 given as integers: no wrap-around
+    # from a negative index, no truncated float, no IndexError.
+    for bad in ([-1], [1.7], [7]):
+        with pytest.raises(ValueError, match="elements 0..4"):
+            FiniteGroup(cyclic(5).table, bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 31])
@@ -78,7 +82,7 @@ def test_semidirect_structure():
     # b a b^-1 = a^3 is the defining twist.
     assert conjugate(G, a, b) == power(G, a, 3)
     assert not G.is_abelian()
-    assert G.conjugacy_class_count() == 7
+    assert len(G.conjugacy_classes()) == 7
 
 
 def test_semidirect_rejects_bad_parameters():
@@ -158,7 +162,7 @@ def test_heisenberg_structure():
     G = heisenberg(3)
     assert G.order == 27
     assert len(G.center()) == 3
-    assert G.conjugacy_class_count() == 11
+    assert len(G.conjugacy_classes()) == 11
     x, y = G.generators
     z = G.commutator(x, y)
     assert z != 0 and G.element_order(z) == 3
@@ -326,15 +330,6 @@ def test_subgroup_closure_matches_brute_force(key, data):
     conjugates = {conjugate(G, g, h) for g in gens for h in range(G.order)}
     assert G.normal_closure(gens) == _brute_closure(G, conjugates)
 
-    # The greedy subset regenerates the subgroup, in any walking order, and
-    # keeps exactly the elements its predecessors do not generate.
-    walk = data.draw(st.permutations(closure))
-    chosen = G.greedy_generators(walk)
-    assert G.subgroup_closure(chosen) == closure
-    for i, g in enumerate(chosen):
-        assert g not in G.subgroup_closure(chosen[:i])
-    assert chosen == [g for g in walk if g in chosen]
-
 
 @pytest.mark.parametrize("key", [1, 2, 12, 30] + sorted(_NAMED_GROUPS))
 def test_derived_subgroup_and_reindexing_match_brute_force(key):
@@ -344,12 +339,18 @@ def test_derived_subgroup_and_reindexing_match_brute_force(key):
     derived = G.derived_subgroup()
     assert derived == _brute_closure(G, commutators)
 
-    # Element i of the reindexed subgroup is derived[i].
+    # Element i of the reindexed subgroup is derived[i].  It carries no
+    # generators, so its own derived subgroup is closed from every
+    # commutator, as the brute force closes it.
     sub = G.subgroup_as_group(derived)
     assert sub.order == len(derived)
+    assert sub.generators == ()
     for i, g in enumerate(derived):
         for j, h in enumerate(derived):
             assert derived[sub.mult(i, j)] == G.mult(g, h)
+    assert sub.derived_subgroup() == _brute_closure(
+        sub, {sub.commutator(g, h)
+              for g in range(sub.order) for h in range(sub.order)})
 
 
 def _reference_sylow(G, p):
@@ -414,28 +415,7 @@ def test_closure_of_nothing_is_trivial():
     G = heisenberg(3)
     assert G.subgroup_closure([]) == [0]
     assert G.subgroup_closure([0, 0]) == [0]
-    assert G.greedy_generators([]) == []
-    assert G.greedy_generators([0]) == []
     assert G.normal_closure([0]) == [0]
-
-
-def test_subgroup_as_group_generators_are_pinned(order243):
-    # Generators (indices into the reindexed subgroup) as the greedy walk
-    # over the sorted elements has always chosen them.
-    h3c2 = direct_product(heisenberg(3), cyclic(2))
-    c4h3 = direct_product(cyclic(4), heisenberg(3))
-    cases = [
-        (h3c2, h3c2.center(), (1, 2)),
-        (h3c2, h3c2.sylow_subgroup(3), (1, 3, 9)),
-        (h3c2, h3c2.derived_subgroup(), (1,)),
-        (c4h3, c4h3.center(), (1, 3)),
-        (c4h3, c4h3.sylow_subgroup(3), (1, 3, 9)),
-        (order243, order243.sylow_subgroup(3), (1, 3, 5, 7)),
-        (order243, order243.derived_subgroup(), (1,)),
-        (semidirect_pq(23, 11, 2), [0], ()),
-    ]
-    for G, elements, gens in cases:
-        assert G.subgroup_as_group(elements).generators == gens
 
 
 @settings(max_examples=20, deadline=None)
@@ -675,7 +655,7 @@ def _loop_permutation(G, pres_gens, images):
 def test_extend_to_permutation_is_homomorphic(heis3):
     auts = automorphisms(heis3)
     gens = list(heis3.generators)
-    perm = _permutation_rows(heis3, gens, [auts[5]])[0]
+    perm = automorphism_permutations(heis3, [auts[5]])[0]
     n = heis3.order
     assert sorted(perm.tolist()) == list(range(n))
     rng = np.random.default_rng(7)
@@ -686,14 +666,11 @@ def test_extend_to_permutation_is_homomorphic(heis3):
     # The walk does not depend on the images, so even images that define
     # no automorphism give the oracle's array.
     for images in rng.integers(0, n, (20, 2)):
-        assert np.array_equal(_permutation_rows(heis3, gens, [images])[0],
+        assert np.array_equal(automorphism_permutations(heis3, [images])[0],
                               _loop_permutation(heis3, gens, images))
-    # Generator elements that do not generate G are refused.
-    for bad in ([gens[0]], [gens[0], gens[0]], [0, 0]):
-        with pytest.raises(ValueError):
-            _loop_permutation(heis3, bad, bad)
-        with pytest.raises(ValueError):
-            _permutation_rows(heis3, bad, [bad])
+    # A group built with no generators has no tree to extend along.
+    with pytest.raises(ValueError, match="no generators"):
+        automorphism_permutations(FiniteGroup(heis3.table, ()), [()])
 
 
 def test_pair_orbit_count_heisenberg(heis3):

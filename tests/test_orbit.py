@@ -40,6 +40,9 @@ def test_cumulative_counts_small_depths(depth, count):
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         generate_c0(depth=-1)
+    # A depth that is not an integer is refused, not truncated.
+    with pytest.raises(TypeError):
+        generate_c0(2.5)
     # The depth alone determines the set: there is no move set to pass.
     with pytest.raises(TypeError):
         generate_c0(9, (1, 2))
