@@ -10,14 +10,16 @@ order243_presented's unfiltered pairs (all 12,312 kept), the full
 cap (it must raise ``AutCapExceeded``), the 432 permutations of
 heisenberg(3) those automorphisms induce (``automorphism_permutations``),
 ``single_aut_orbit_certificate`` on order243_presented's 38,880
-noncommuting pairs (one Aut(G) orbit, so True), ``fiber_group_order`` on
-the kernel orbits of heisenberg_3 and order243_presented (|H| = 19,683
-each), ``quadruple_search`` on the stand-in ((0, 1, 0, 27)), on
-heisenberg(5) ((0, 5, 0, 25)) and on order243_presented under a 200,000
-node cap (it must raise ``QuadrupleCapExceeded``), and building the 14
-table-1 metacyclic groups with ``semidirect_pq`` (all 14 in one timed run)
-and ``heisenberg(5)``.  Configs, groups and kernel orbits are built
-outside the timed region.
+noncommuting pairs (one Aut(G) orbit, so True), the ``kernel_orbit`` BFS
+of semidirect_11_5_3 and heisenberg_3 (r = 7,488 and 40 classes),
+``fiber_group_order`` on the kernel orbits of heisenberg_3 and
+order243_presented (|H| = 19,683 each), ``quadruple_search`` on the
+stand-in ((0, 1, 0, 27)), on heisenberg(5) ((0, 5, 0, 25)) and on
+order243_presented under a 200,000 node cap (it must raise
+``QuadrupleCapExceeded``), and building the 14 table-1 metacyclic groups
+with ``semidirect_pq`` (all 14 in one timed run) and ``heisenberg(5)``.
+Configs and groups, and the kernel orbits the fiber closure reads, are
+built outside the timed region.
 
 Usage:
     python3 benchmarks/bench_groups.py [--repeats 5]
@@ -43,6 +45,8 @@ EXPECTED_PAIRS = {
     "order243_presented": (12312, 12312),
     "order243_obstructed_standin": (5832, 5725),
 }
+# Configs whose kernel-orbit BFS is timed, and the classes r it finds.
+KERNEL_ORBIT_CONFIGS = (("semidirect_11_5_3", 7488), ("heisenberg_3", 40))
 # Configs whose kernel orbit's fiber group is closed, and its order.
 FIBER_CONFIGS = ("heisenberg_3", "order243_presented")
 FIBER_ORDER = 19683
@@ -141,6 +145,14 @@ def main(argv=None):
                          % (cert, len(noncommuting)))
     rows.append(("single_aut_orbit_certificate order243_presented, 38880",
                  t_cert))
+
+    for name, want in KERNEL_ORBIT_CONFIGS:
+        theta = load_config(os.path.join(CONFIGS, name + ".cfg")).theta()
+        t_bfs, (reps, _) = best_of(args.repeats, lambda: kernel_orbit(theta))
+        if len(reps) != want:
+            raise SystemExit("kernel_orbit %s: r = %d, expected %d"
+                             % (name, len(reps), want))
+        rows.append(("kernel_orbit %s, r = %d" % (name, want), t_bfs))
 
     for name in FIBER_CONFIGS:
         reps, _ = kernel_orbit(

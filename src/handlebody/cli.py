@@ -169,6 +169,7 @@ def _prov_for(cfg, key, value):
 def cmd_counts(args, parser):
     cfg = _load(args)
     G = cfg.group
+    theta = cfg.theta()  # first, so a bad theta prints only the error line
     _emit("group=%s order=%d" % (cfg.name, G.order))
     us, vs = np.nonzero(G.conjugation_table() != np.arange(G.order))
     pairs_all = list(zip(us.tolist(), vs.tolist()))
@@ -194,9 +195,8 @@ def cmd_counts(args, parser):
                   % _prov_for(cfg, "aut_orbits", 1))
         else:
             _emit("aut_orbits=unverified provenance=unverified")
-    if cfg.theta_words is None:
+    if theta is None:
         return EXIT_OK
-    theta = cfg.theta()
     a, b = theta.images[0], theta.images[1]
     pp = partner_pairs(G, a, b)
     ppf = drop_quick_pairs(G, a, b, pp)
@@ -230,8 +230,8 @@ def cmd_kernel_orbit(args, parser):
     _emit("group=%s order=%d" % (cfg.name, G.order))
     reps, _ = compute_kernel_orbit(theta)
     _emit("r=%d provenance=derived" % len(reps))
-    # The classes are closed under the ten twists, so the seeds decide the
-    # scan at every depth (see kernel_orbit's module docstring).
+    # The classes are closed under the ten twists, not only the BFS's five
+    # moves, so the seeds decide the scan (kernel_orbit's module docstring).
     report = intersection_avoids_c0(reps, generate_c0(depth=0))
     _emit("intersection-avoids-c0=%s depth=%d"
           % (str(report.avoids).lower(), args.depth))

@@ -115,8 +115,10 @@ class FiniteGroup:
         self.table = table
         self.order = n
         self.generators = _as_elements(generators, n, "generators")
-        self.gen_names = tuple(gen_names) if gen_names else tuple(
-            "g%d" % (i + 1) for i in range(len(self.generators)))
+        self.gen_names = tuple(gen_names if gen_names is not None else (
+            "g%d" % i for i in range(1, len(self.generators) + 1)))
+        if len(self.gen_names) != len(self.generators):
+            raise ValueError("one name per generator: %r" % (self.gen_names,))
         self.name = name or "group(order=%d)" % n
         self.presentation = presentation
         # Each row holds 0 once, at the inverse's column.

@@ -13,21 +13,25 @@ commutator orbit set.  That scan reads the set one level trie at a time
 (``OrbitSet.trie_blocks``) and stops at the first level holding a word in
 every kernel, so it generates or reads the whole set only when N avoids it.
 
-On a complete kernel orbit the two seeds decide the scan.  The orbit holds
-ker(theta_k o s_j) = s_j^-1(ker theta_k) for every class k and all ten
-twists, and s_{j+5} = s_j^-1, so each twist permutes its kernels and fixes
-N.  Every other word of the set is s_p(s3([x1,y1])) for a product s_p of
-twists, so it lies in N exactly when [x1,y1] does, at every depth.  The
-precondition is the closure: for a list of maps that is not a whole twist
-orbit (one class alone, say) N need not be twist-invariant, and only the
-level-by-level scan answers.
+On a complete kernel orbit the two seeds decide the scan.  The BFS uses
+s1..s5 only: each theta o s_j is an epimorphism onto G with kernel
+s_j^-1(ker theta), and s_j is injective on subgroups, so each move
+permutes the finite set of such kernels.  An orbit of a finite set under
+permutations is closed under their inverses (Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, 2005, 4.1), and s_{j+5} is
+s_j^-1, so the orbit holds ker(theta_k o s_j) for every class k and all
+ten twists: each twist permutes its kernels and fixes N.  Every other
+word is s_p(s3([x1,y1])) for a product s_p of twists, so it lies in N
+exactly when [x1,y1] does, at every depth.  The precondition is the
+closure: for a list of maps that is not a whole twist orbit (one class
+alone, say) N need not be twist-invariant; only the level scan answers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .orbit import _precompose_rows, trie_values
+from .orbit import MOVES, _precompose_rows, trie_values
 from .homs import Epimorphism, NotGenerating, evaluate
 
 
@@ -35,9 +39,9 @@ class KernelClassCapExceeded(RuntimeError):
     """Kernel-orbit BFS found more classes than its cap; orbit unknown."""
 
 
-# Maps precomposed per block: 2,560 candidates.  At |G| = 243 kernel_keys
-# then holds 2.5 MB of uint8 keys [972, 2,560] and 5.0 MB each of intp
-# label and order [243, 2,560]: about 12.5 MB of work arrays.
+# Maps precomposed per block: 1,280 candidates.  At |G| = 243 kernel_keys
+# then holds 1.2 MB of uint8 keys [972, 1,280] and 2.5 MB each of intp
+# label and order [243, 1,280]: about 6.2 MB of work arrays.
 _BLOCK = 256
 
 
@@ -69,13 +73,13 @@ def kernel_keys(G, images):
 
 
 def kernel_orbit(theta, pres=None, class_cap=10000):
-    """BFS of ker(theta) under the ten twist substitutions.
+    """BFS of ker(theta) under the moves s1..s5 (``orbit.MOVES``).
 
     Returns (representatives, keys): one epimorphism per distinct kernel
-    in (map, twist) discovery order, seed first, and their keys as bytes.
-    The classes are closed under the ten twists: every representative
-    precomposed with any of s1..s10 has one of the returned keys.
-    ``pres`` is accepted and unused.
+    in (map, move) discovery order, seed first, and their keys as bytes.
+    The classes are closed under the ten twists (see the module
+    docstring): every representative precomposed with any of s1..s10 has
+    one of the returned keys.  ``pres`` is accepted and unused.
     """
     G = theta.group
     reps = [theta]
@@ -86,7 +90,7 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
         done += len(block)
         rows = np.array([th.images for th in block], dtype=G.table.dtype)
         cands = np.stack([_precompose_rows(G, rows, j)
-                          for j in range(1, 11)], axis=1).reshape(-1, 4)
+                          for j in MOVES], axis=1).reshape(-1, 4)
         for images, key in zip(cands, kernel_keys(G, cands)):
             key = key.tobytes()
             if key in seen:

@@ -275,11 +275,6 @@ def _commuting_below(m):
                      == [apply(sigma(m), w) for w in sigma(j).images])
 
 
-# Parents per joined twist application in _levels; it bounds the size of
-# the joined words and their children.
-_BLOCK = 1024
-
-
 def _levels(seen, depth):
     """Yield the words of each new level in lex path order, after adding
     them with their paths to ``seen``.
@@ -295,12 +290,10 @@ def _levels(seen, depth):
     skipped).  A seed u is the root, which is expanded, or [x1,y1], which
     is not; then s_m(u) is a seed, since each move sends [x1,y1] to one.
 
-    A level is made from blocks of ``_BLOCK`` parents, grouped by the moves
-    they take (all of them, or those the prune leaves after their last
-    move).  Each move a group takes is applied once, to the group's words
-    joined by zero bytes (see apply_bytes), and the children are read back
-    in (parent, move) order, so ``level`` is filled exactly as one
-    application per child would fill it.
+    Each move is applied once per level, to the words of the parents that
+    take it joined by zero bytes (see apply_bytes), and the children are
+    read back in (parent, move) order, so ``level`` is filled exactly as
+    one application per child would fill it.
     """
     plans = {j: sigma(j)._plan for j in MOVES}
     # The moves to apply after a path's last move; all of them after ().
@@ -310,28 +303,21 @@ def _levels(seen, depth):
     # The frontier maps word bytes to path tuples; the root's path is ().
     frontier = {root_word().data: ()}
     for _ in range(depth):
+        children = {}
+        for j in MOVES:
+            words = [d for d, p in frontier.items() if j in after[p[-1:]]]
+            joined = apply_bytes(plans[j], b"\0".join(words))
+            children[j] = iter(joined.split(b"\0"))
+        # Parents in lex path order, moves ascending: first assignment to
+        # a child is its lexicographically least shortest derivation, and
+        # ``level`` is filled in lex path order, so the next frontier needs
+        # no sort.
         level = {}
-        parents = list(frontier.items())
-        for lo in range(0, len(parents), _BLOCK):
-            block = parents[lo:lo + _BLOCK]
-            groups = {}
-            for data, path in block:
-                groups.setdefault(after[path[-1:]], []).append(data)
-            children = {}
-            for moves, words in groups.items():
-                joined = b"\0".join(words)
-                children[moves] = [
-                    (j, iter(apply_bytes(plans[j], joined).split(b"\0")))
-                    for j in moves]
-            # Parents in lex path order, moves ascending: first assignment
-            # to a child is its lexicographically least shortest
-            # derivation, and ``level`` is filled in lex path order, so the
-            # next frontier needs no sort.
-            for data, path in block:
-                for j, kids in children[after[path[-1:]]]:
-                    child = next(kids)
-                    if child not in seen and child not in level:
-                        level[child] = path + (j,)
+        for data, path in frontier.items():
+            for j in after[path[-1:]]:
+                child = next(children[j])
+                if child not in seen and child not in level:
+                    level[child] = path + (j,)
         if not level:
             return
         seen.update(level)

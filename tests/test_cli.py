@@ -96,6 +96,20 @@ def test_check_invalid_group_parameters(tmp_path, capsys):
     assert "r^q" in out.replace("error=invalid-input detail=", "")
 
 
+@pytest.mark.parametrize("command", ["counts", "check", "kernel-orbit"])
+def test_invalid_theta_prints_only_the_error(tmp_path, capsys, command):
+    # theta breaks the surface relation: no report line comes before the
+    # error, counts included.
+    p = tmp_path / "bad_theta.cfg"
+    p.write_text("group heisenberg_3\nkind heisenberg p=3\n"
+                 "theta x1=x y1=y x2=x y2=x\n")
+    code, out = run(capsys, command, "--config", str(p))
+    assert code == 4
+    assert out.splitlines() == [
+        'error=invalid-input detail="surface relation violated: '
+        '[a,b][c,d] evaluates to element 1"']
+
+
 def test_counts_heisenberg(capsys):
     code, out = run(capsys, "counts", "--config", cfg("heisenberg_3.cfg"),
                     "--depth", "9")

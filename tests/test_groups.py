@@ -59,6 +59,11 @@ def test_finite_group_validation():
     for bad in ([-1], [1.7], [7]):
         with pytest.raises(ValueError, match="elements 0..4"):
             FiniteGroup(cyclic(5).table, bad)
+    # One name per generator: two names for one generator, or one for none.
+    for gens, names in (([1], ("a", "b")), ([], ("a",)), ([1], ())):
+        with pytest.raises(ValueError, match="one name per generator"):
+            FiniteGroup(cyclic(5).table, gens, gen_names=names)
+    assert FiniteGroup(cyclic(5).table, [1]).gen_names == ("g1",)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 31])

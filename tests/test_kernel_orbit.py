@@ -342,7 +342,7 @@ def test_kernel_orbit_is_closed_under_the_ten_twists(name):
 
 def test_seed_class_alone_does_not_decide_its_orbit():
     # [theta(x1), theta(y1)] = 1, so theta alone has [x1,y1] in its kernel,
-    # yet the orbit's intersection avoids it: class 6 is the first that
+    # yet the orbit's intersection avoids it: class 5 is the first that
     # sends [x1,y1] off the identity.
     theta = _x1_y1_trivial_theta()
     seeds = generate_c0(depth=0)
@@ -351,7 +351,7 @@ def test_seed_class_alone_does_not_decide_its_orbit():
     assert len(reps) == 40
     report = intersection_avoids_c0(reps, seeds)
     assert report.avoids is True
-    assert report.survivors == [2, 1, 1, 1, 1, 1, 0]
+    assert report.survivors == [2, 1, 1, 1, 1, 0]
 
 
 def test_seeds_do_not_decide_a_list_that_is_no_orbit(orbit9):
@@ -424,14 +424,15 @@ def test_batched_candidates_are_precompositions(name, monkeypatch):
     assert chunked == reps and chunked_keys == keys
     cands = np.concatenate(calls[1:])
     want = [precompose(th, sigma(j)).images
-            for th in reps for j in range(1, 11)]
+            for th in reps for j in MOVES]
     assert cands.tolist() == [list(w) for w in want]
 
 
 @pytest.mark.parametrize("name", ("cyclic3", "heisenberg3",
                                   "semidirect_7_3_2"))
 def test_kernel_orbit_matches_scalar_bfs(name):
-    """The orbit against a BFS on precompose and the Aut(G) oracle."""
+    """The orbit, in discovery order, against a BFS over s1..s5 on
+    precompose and the Aut(G) oracle."""
     theta = _seed(name)
     G = theta.group
     perms = _aut_perms(G)
@@ -440,7 +441,7 @@ def test_kernel_orbit_matches_scalar_bfs(name):
     frontier = [theta]
     while frontier:
         cands = [precompose(th, sigma(j))
-                 for th in frontier for j in range(1, 11)]
+                 for th in frontier for j in MOVES]
         canon = _aut_canonical(perms, [c.images for c in cands])
         frontier = []
         for cand, code in zip(cands, canon.tolist()):
@@ -451,6 +452,49 @@ def test_kernel_orbit_matches_scalar_bfs(name):
     reps, keys = kernel_orbit(theta)
     assert reps == want
     assert len(set(keys)) == len(keys) == len(reps)
+
+
+def _ten_twist_codes(theta, perms):
+    """Oracle: the Aut(G)-canonical codes of every kernel a BFS over all
+    ten twists reaches from ``theta``, all four images folded afresh."""
+    G = theta.group
+    seen = set(_aut_canonical(perms, [theta.images]).tolist())
+    frontier = np.array([theta.images], dtype=np.int64)
+    while len(frontier):
+        cands = np.concatenate([
+            np.stack([evaluate_rows(G, w, frontier.T)
+                      for w in sigma(j).images], axis=1)
+            for j in range(1, 11)])
+        # Blocks of rows bound the [|Aut(G)|, rows, 4] translates.
+        codes = np.concatenate([_aut_canonical(perms, cands[lo:lo + 2048])
+                                for lo in range(0, len(cands), 2048)])
+        _, first = np.unique(codes, return_index=True)
+        new = [i for i in first.tolist() if codes[i] not in seen]
+        seen.update(codes[new].tolist())
+        frontier = cands[new]
+    return seen
+
+
+_FIVE_MOVE_CASES = ORACLE_GROUPS + tuple(
+    "%s-seed%d" % (name, seed)
+    for name in RANDOM_ORBIT_GROUPS for seed in (11, 12))
+
+
+@pytest.mark.parametrize("case", _FIVE_MOVE_CASES)
+def test_five_move_orbit_is_the_ten_twist_orbit(case):
+    # Each move permutes the finitely many kernels onto G, so the BFS over
+    # s1..s5 also reaches every kernel s6..s10 reach: the same class set.
+    if case in ORACLE_GROUPS:
+        theta = _seed(case)
+    else:
+        name, seed = case.rsplit("-seed", 1)
+        theta = _random_epimorphism(RANDOM_ORBIT_GROUPS[name](),
+                                    np.random.default_rng(int(seed)))
+    perms = _aut_perms(theta.group)
+    reps, _ = kernel_orbit(theta)
+    codes = _aut_canonical(perms, [th.images for th in reps]).tolist()
+    assert len(set(codes)) == len(codes)
+    assert set(codes) == _ten_twist_codes(theta, perms)
 
 
 def test_kernel_equal_same_kernel_under_target_automorphism(group55):
