@@ -160,15 +160,22 @@ def recognize_direct_product(G):
 
     # Saturate under joins until fixpoint or cap.  The join of two normal
     # subgroups is their product set N1 N2, read off the table in one gather.
+    # A pair is joined only in the first round that holds both members, and
+    # a pair with N1 inside N2 is skipped (its join is N2): either way the
+    # join is already a candidate.
+    joined = set()  # candidates whose pairs with each other are all joined
     grew = True
     while grew and len(candidates) < _CANDIDATE_CAP:
         grew = False
         ordered = sorted(candidates.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        for i, (_, (e1, m1)) in enumerate(ordered):
-            for _, (e2, _) in ordered[i + 1:]:
+        old = [key in joined for key, _ in ordered]
+        joined.update(candidates)
+        for i, (_, (e1, _)) in enumerate(ordered):
+            for j in range(i + 1, len(ordered)):
                 if len(candidates) >= _CANDIDATE_CAP:
                     break
-                if m1[e2].all():
+                e2, m2 = ordered[j][1]
+                if (old[i] and old[j]) or m2[e1].all():
                     continue
                 join = np.zeros(G.order, dtype=bool)
                 join[G.table[e1[:, None], e2]] = True

@@ -471,11 +471,11 @@ def evaluate_in_group(G, word, images):
     The scalar fold: letter byte b maps to ``letters[b]`` (the images, then
     their inverses), folded left to right through ``G.table``.
     """
-    images = [int(g) for g in images[:word.rank]]
+    images = _as_elements(images[:word.rank], G.order, "generator images")
     if len(images) < word.rank:
         raise ValueError("need %d generator images, got %d"
                          % (word.rank, len(images)))
-    letters = [0] + images + [int(G.inv[g]) for g in images]
+    letters = [0, *images] + [int(G.inv[g]) for g in images]
     table = G.table
     out = 0
     for byte in word.data:
@@ -605,10 +605,11 @@ def automorphisms(G, *, node_cap=200000, fixed=None):
     injective.  The rows stay in lexicographic order of the assignment.
 
     ``fixed`` optionally pins the images of some generators (a dict mapping
-    generator index to element).  Raises AutCapExceeded when the rows
-    tried, summed over the levels, exceed ``node_cap``: the node count of
-    a depth-first search over the same candidates, so an unpinned search
-    raises exactly when that tree exceeds the cap.  A pinned search counts
+    generator index to element; ValueError for either out of range).
+    Raises AutCapExceeded when the rows tried, summed over the levels,
+    exceed ``node_cap``: the node count of a depth-first search over the
+    same candidates, so an unpinned search raises exactly when that tree
+    exceeds the cap.  A pinned search counts
     its levels whole, even when only one automorphism is wanted: 6,778
     rows for each of order243_presented's certificate queries, against
     486-1,212 nodes for a depth-first search stopping at the first
@@ -620,6 +621,12 @@ def automorphisms(G, *, node_cap=200000, fixed=None):
     k = pres.gen_count
     if len(G.generators) != k:
         raise ValueError("group generators do not match the presentation")
+    fixed = dict(fixed or {})
+    if not set(fixed) <= set(range(k)):
+        raise ValueError("fixed generator indices must be in 0..%d, got %s"
+                         % (k - 1, tuple(fixed)))
+    fixed = dict(zip(fixed, _as_elements(fixed.values(), G.order,
+                                         "fixed images")))
     orders = G.element_orders()
     gen_orders = [int(orders[g]) for g in G.generators]
     assign_order = sorted(range(k), key=lambda i: (-gen_orders[i], i))
@@ -632,8 +639,8 @@ def automorphisms(G, *, node_cap=200000, fixed=None):
     nodes = 0
     for pos, gi in enumerate(assign_order):
         cands = np.flatnonzero(orders == gen_orders[gi])
-        if fixed is not None and gi in fixed:
-            cands = cands[cands == int(fixed[gi])]
+        if gi in fixed:
+            cands = cands[cands == fixed[gi]]
         nodes += len(rows) * len(cands)
         if nodes > node_cap:
             raise AutCapExceeded(

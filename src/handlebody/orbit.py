@@ -80,9 +80,10 @@ class OrbitSet:
     """
 
     def __init__(self, depth):
+        depth = operator.index(depth)   # a float is refused, not cut
         if depth < 0:
             raise ValueError("depth must be >= 0, got %r" % (depth,))
-        self.depth = operator.index(depth)   # a float is refused, not cut
+        self.depth = depth
         seeds = (commutator_base().data, root_word().data)
         self._seen = dict.fromkeys(seeds, BASE_PATH)
         self._order = list(seeds)

@@ -109,9 +109,6 @@ class Word:
     def __hash__(self):
         return hash((self.rank, self.data))
 
-    def __mul__(self, other):
-        return multiply(self, other)
-
     def __invert__(self):
         return invert(self)
 
@@ -119,39 +116,12 @@ class Word:
         return "Word(%r, rank=%d)" % (print_word(self), self.rank)
 
 
-def identity(rank=4):
-    return Word.from_bytes(b"", rank)
-
-
-def generator(i, rank=4, sign=1):
-    """The one-letter word for generator ``i`` (0-based)."""
-    return Word(((i, sign),), rank)
-
-
-def multiply(u, v):
-    if u.rank != v.rank:
-        raise ValueError("rank mismatch: %d vs %d" % (u.rank, v.rank))
-    return Word.from_bytes(_reduce_bytes(u.data + v.data, u.rank), u.rank)
+def _invert_bytes(data, rank):
+    return bytes(_inv_byte(b, rank) for b in reversed(data))
 
 
 def invert(u):
-    r = u.rank
-    return Word.from_bytes(bytes(_inv_byte(b, r) for b in reversed(u.data)), r)
-
-
-def power(u, n):
-    """u**n for any integer n (negative powers invert)."""
-    base = u if n >= 0 else invert(u)
-    # One reduction of the whole product: free reduction is confluent.
-    return Word.from_bytes(_reduce_bytes(base.data * abs(n), u.rank), u.rank)
-
-
-def commutator(u, v):
-    """[u, v] = u v u^-1 v^-1."""
-    if u.rank != v.rank:
-        raise ValueError("rank mismatch: %d vs %d" % (u.rank, v.rank))
-    seq = u.data + v.data + invert(u).data + invert(v).data
-    return Word.from_bytes(_reduce_bytes(seq, u.rank), u.rank)
+    return Word.from_bytes(_invert_bytes(u.data, u.rank), u.rank)
 
 
 # --- text form ----------------------------------------------------------
@@ -161,7 +131,10 @@ def commutator(u, v):
 # atom   := name | "(" word ")" | "[" word "," word "]" | "1"
 #
 # Whitespace is insignificant, "*" is optional, "[u,v]" is the commutator,
-# "1" is the empty word.
+# "1" is the empty word.  The parser emits unreduced letter bytes: a product
+# concatenates its factors, a power or commutator reduces its operands once,
+# and the whole text is reduced once at the end.  Free reduction is
+# confluent, so the result equals reducing after every step, in linear time.
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                        r"|(?P<int>-?\d+)"
@@ -212,27 +185,29 @@ class _Parser:
             raise WordSyntaxError("expected %r" % sym, pos)
 
     def parse_word(self):
-        w = self.parse_factor()
+        parts = [self.parse_factor()]
         while True:
             kind, value, pos = self.peek()
             if kind == "sym" and value == "*":
                 self.take()
-                w = multiply(w, self.parse_factor())
-            elif kind in ("name", "int") or (kind == "sym" and value in "(["):
-                w = multiply(w, self.parse_factor())
-            else:
-                return w
+            elif not (kind in ("name", "int")
+                      or (kind == "sym" and value in "([")):
+                return b"".join(parts)
+            parts.append(self.parse_factor())
 
     def parse_factor(self):
-        w = self.parse_atom()
+        data = self.parse_atom()
         kind, value, _ = self.peek()
         if kind == "sym" and value == "^":
             self.take()
             kind, value, pos = self.take()
             if kind != "int":
                 raise WordSyntaxError("expected integer exponent", pos)
-            w = power(w, value)
-        return w
+            data = _reduce_bytes(data, self.rank)
+            if value < 0:
+                data = _invert_bytes(data, self.rank)
+            data *= abs(value)
+        return data
 
     def parse_atom(self):
         kind, value, pos = self.take()
@@ -242,21 +217,24 @@ class _Parser:
                 raise UnknownGeneratorError(
                     "unknown generator %r (declared: %s)"
                     % (value, " ".join(sorted(self.names))), pos)
-            return generator(idx, self.rank)
+            if self.rank > 120:  # Word's bound: letters must fit a byte
+                raise ValueError("rank must be in 1..120, got %r" % (self.rank,))
+            return bytes((idx + 1,))
         if kind == "int":
             if value == 1:
-                return identity(self.rank)
+                return b""
             raise WordSyntaxError("unexpected integer %r" % value, pos)
         if kind == "sym" and value == "(":
-            w = self.parse_word()
+            data = self.parse_word()
             self.expect_sym(")")
-            return w
+            return data
         if kind == "sym" and value == "[":
-            u = self.parse_word()
+            u = _reduce_bytes(self.parse_word(), self.rank)
             self.expect_sym(",")
-            v = self.parse_word()
+            v = _reduce_bytes(self.parse_word(), self.rank)
             self.expect_sym("]")
-            return commutator(u, v)
+            return (u + v + _invert_bytes(u, self.rank)
+                    + _invert_bytes(v, self.rank))
         raise WordSyntaxError("expected a generator, '1', '(' or '['", pos)
 
 
@@ -265,11 +243,11 @@ def parse_word(text, names=None):
     if names is None:
         names = default_names(4)
     parser = _Parser(text, tuple(names))
-    w = parser.parse_word()
+    data = parser.parse_word()
     kind, value, pos = parser.peek()
     if kind != "end":
         raise WordSyntaxError("trailing input %r" % (value,), pos)
-    return w
+    return Word.from_bytes(_reduce_bytes(data, parser.rank), parser.rank)
 
 
 def print_word(w, names=None):

@@ -253,6 +253,20 @@ def test_coset_enumeration_respects_cap():
     assert coset_enumerate(pres, coset_cap=5000).order == 63
 
 
+def test_coset_lookahead_rescues_a_capped_run():
+    # Unhindered, the stand-in's enumeration holds up to 4,094 live cosets.
+    # At a cap of 244 it hits the cap eight times, and each lookahead pass
+    # merges enough cosets to go on; the result is the same group, table
+    # for table.  One coset less and a lookahead pass frees nothing.
+    pres = Presentation(["a", "b"], ["a^27", "b^9", "b a b^-1 a^-4"])
+    free = coset_enumerate(pres)
+    capped = coset_enumerate(pres, coset_cap=244)
+    assert np.array_equal(capped.table, free.table)
+    assert capped.generators == free.generators
+    with pytest.raises(CosetCapExceeded):
+        coset_enumerate(pres, coset_cap=243)
+
+
 def test_direct_product():
     G = direct_product(cyclic(3), cyclic(5))
     assert G.order == 15
@@ -435,6 +449,15 @@ def test_cyclic_word_evaluation_matches_exponent_sum(n, data):
         for i, s in ls) or "1")
     total = sum(s for _, s in ls)
     assert evaluate_in_group(G, w, (g, g, g, g)) == power(G, g, total)
+
+
+@pytest.mark.parametrize("images", [(-1, 0, 0, 0), (1.7, 0, 0, 0),
+                                    (27, 0, 0, 0), (0, 0, 0, "1")])
+def test_evaluate_in_group_refuses_non_elements(heis3, images):
+    # Images are elements 0..26: a negative image may not index from the
+    # end, nor a float be truncated to an element.
+    with pytest.raises(ValueError, match="generator images"):
+        evaluate_in_group(heis3, parse_word("x1 y1"), images)
 
 
 @settings(max_examples=80, deadline=None)
@@ -701,6 +724,15 @@ def test_automorphisms_fixed_and_limit(heis3):
     assert len(some) == 5
     # Pinning a non-generating image admits no completion.
     assert automorphisms(heis3, fixed={0: 0})[:1] == []
+
+
+@pytest.mark.parametrize("fixed", [{5: 1}, {-1: 1}, {0: 999}, {0: -1},
+                                   {0: 1.0}])
+def test_automorphisms_refuse_pins_out_of_range(heis3, fixed):
+    # A key names a generator and a value an element of the group; a
+    # float is no element, even one that equals an element.
+    with pytest.raises(ValueError):
+        automorphisms(heis3, fixed=fixed)
 
 
 def test_single_aut_orbit_certificate(heis3, order243):

@@ -43,6 +43,8 @@ def test_invalid_arguments():
     # A depth that is not an integer is refused, not truncated.
     with pytest.raises(TypeError):
         generate_c0(2.5)
+    with pytest.raises(TypeError):
+        generate_c0(-1.5)
     # The depth alone determines the set: there is no move set to pass.
     with pytest.raises(TypeError):
         generate_c0(9, (1, 2))
