@@ -4,10 +4,9 @@ early-exit scans at depth 9.
 Prints the best-of-N seconds of these stages: ``generate_c0(9)``
 finished to all 29,922 words, with the number of twist applications it
 makes (words substituted) and the number of ``apply_bytes`` calls that
-make them, one per move and group of parents in a block (both counted in
-a separate, untimed run by wrapping ``handlebody.orbit``'s
-``apply_bytes``); ``replay_path`` over a seeded sample of 3,000 stored
-paths, every ``trie_blocks()`` level trie of a second finished set
+make them, one per move and level (both counted in a separate, untimed
+run by wrapping ``handlebody.orbit``'s ``apply_bytes``); ``replay_path``
+over a seeded sample of 3,000 stored paths, every ``trie_blocks()`` level trie of a second finished set
 whose tries are not yet built, and one map (the standard epimorphism
 onto the metacyclic group of order 55) evaluated on every word by
 precomposing along those tries (``trie_values``); then the first witness of each shipped config's
@@ -65,16 +64,16 @@ def best_of(repeats, fn, prepare=lambda: ()):
 def count_twists(depth):
     """Twist applications made by one finished ``generate_c0(depth)``: the
     words substituted, and the ``apply_bytes`` calls that substituted
-    them (each call takes the words of a group of parents joined by zero
-    bytes)."""
+    them (each call applies one move to the words of a level's parents,
+    joined by zero bytes)."""
     words = calls = 0
     inner = orbit.apply_bytes
 
-    def counted(plan, data):
+    def counted(j, data):
         nonlocal words, calls
         words += data.count(b"\0") + 1
         calls += 1
-        return inner(plan, data)
+        return inner(j, data)
 
     orbit.apply_bytes = counted
     try:

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .words import (Word, WordSyntaxError, UnknownGeneratorError, invert,
                     parse_word, print_word, default_names)
-from .twists import TwistAuto, sigma, apply, commutator_base
+from .twists import sigma, apply, commutator_base
 from .orbit import OrbitSet, generate_c0, contains, root_word, replay_path
 from .groups import (FiniteGroup, Presentation, PresentationError,
                      CosetCapExceeded, AutCapExceeded, coset_enumerate,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .words import parse_word, print_word
-from .twists import apply, commutator_base, sigma
+from .twists import apply, commutator_base
 from .groups import _as_elements, evaluate_in_group, evaluate_rows
 from .orbit import first_zero
 
@@ -63,6 +63,19 @@ class Epimorphism:
             raise NotGenerating(len(closure), group.order)
         self.group = group
         self.images = images
+
+    @classmethod
+    def _unchecked(cls, group, images):
+        """theta o s_j for an epimorphism theta, from its images (Python
+        ints); the kernel-orbit BFS's fast path.  Neither check of
+        ``__init__`` can fail: the twist s_j is an automorphism of the
+        surface group, so theta o s_j satisfies the surface relation and is
+        onto G, and ``kernel_keys`` has raised NotGenerating for any row
+        that does not generate G."""
+        theta = cls.__new__(cls)
+        theta.group = group
+        theta.images = tuple(images)
+        return theta
 
     def __eq__(self, other):
         return (isinstance(other, Epimorphism) and self.group is other.group
@@ -157,7 +170,7 @@ def r3_criterion_word():
     semidirect_pq(p, q, r), is equivalent to r^3 = 1 mod p."""
     w = commutator_base()
     for j in (3, 4, 5):
-        w = apply(sigma(j), w)
+        w = apply(j, w)
     display = parse_word("y2 x2^-2 y1 x1 y1 x1^-1 y1^-1 x2^2 y2^-1 y1^-1")
     if w != display:
         raise AssertionError("witness word differs from its "

@@ -91,7 +91,7 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
         rows = np.array([th.images for th in block], dtype=G.table.dtype)
         cands = np.stack([_precompose_rows(G, rows, j)
                           for j in MOVES], axis=1).reshape(-1, 4)
-        for images, key in zip(cands, kernel_keys(G, cands)):
+        for images, key in zip(cands.tolist(), kernel_keys(G, cands)):
             key = key.tobytes()
             if key in seen:
                 continue
@@ -99,7 +99,7 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
                 raise KernelClassCapExceeded(
                     "kernel orbit exceeded class cap %d" % class_cap)
             seen[key] = len(reps)
-            reps.append(Epimorphism(G, images))
+            reps.append(Epimorphism._unchecked(G, images))
     return reps, list(seen)
 
 

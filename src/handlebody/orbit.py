@@ -34,7 +34,7 @@ MOVES = (1, 2, 3, 4, 5)
 @lru_cache(maxsize=None)
 def root_word():
     """s3([x1,y1]), the expansion seed."""
-    return apply(sigma(3), commutator_base())
+    return apply(3, commutator_base())
 
 
 PathTrie = namedtuple("PathTrie", "size blocks node")
@@ -200,7 +200,7 @@ def _path_trie(order, seen):
 @lru_cache(maxsize=None)
 def _moved_columns(j):
     """(column, image word) of each generator the move s_j moves."""
-    return tuple((c, w) for c, w in enumerate(sigma(j).images)
+    return tuple((c, w) for c, w in enumerate(sigma(j))
                  if w.data != bytes((c + 1,)))
 
 
@@ -252,7 +252,7 @@ def replay_path(path):
     first.  The empty path returns the root itself."""
     w = root_word()
     for j in path:
-        w = apply(sigma(j), w)
+        w = apply(j, w)
     return w
 
 
@@ -272,8 +272,8 @@ def generate_c0(depth=DEFAULT_DEPTH):
 def _commuting_below(m):
     """The moves j < m with s_j s_m = s_m s_j."""
     return frozenset(j for j in range(1, m)
-                     if [apply(sigma(j), w) for w in sigma(m).images]
-                     == [apply(sigma(m), w) for w in sigma(j).images])
+                     if [apply(j, w) for w in sigma(m)]
+                     == [apply(m, w) for w in sigma(j)])
 
 
 def _levels(seen, depth):
@@ -296,7 +296,6 @@ def _levels(seen, depth):
     read back in (parent, move) order, so ``level`` is filled exactly as
     one application per child would fill it.
     """
-    plans = {j: sigma(j)._plan for j in MOVES}
     # The moves to apply after a path's last move; all of them after ().
     after = {(): MOVES}
     for m in MOVES:
@@ -307,7 +306,7 @@ def _levels(seen, depth):
         children = {}
         for j in MOVES:
             words = [d for d, p in frontier.items() if j in after[p[-1:]]]
-            joined = apply_bytes(plans[j], b"\0".join(words))
+            joined = apply_bytes(j, b"\0".join(words))
             children[j] = iter(joined.split(b"\0"))
         # Parents in lex path order, moves ascending: first assignment to
         # a child is its lexicographically least shortest derivation, and

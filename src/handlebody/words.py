@@ -168,6 +168,8 @@ class _Parser:
         self.text = text
         self.names = {name: i for i, name in enumerate(names)}
         self.rank = len(names)
+        if not 1 <= self.rank <= 120:  # Word's bound: letters fit a byte
+            raise ValueError("rank must be in 1..120, got %r" % (self.rank,))
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -217,8 +219,6 @@ class _Parser:
                 raise UnknownGeneratorError(
                     "unknown generator %r (declared: %s)"
                     % (value, " ".join(sorted(self.names))), pos)
-            if self.rank > 120:  # Word's bound: letters must fit a byte
-                raise ValueError("rank must be in 1..120, got %r" % (self.rank,))
             return bytes((idx + 1,))
         if kind == "int":
             if value == 1:

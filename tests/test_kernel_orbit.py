@@ -26,11 +26,11 @@ orbit_module = importlib.import_module("handlebody.orbit")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def precompose(theta, f):
-    """Oracle: theta o f for a rank-4 substitution automorphism f, one
-    image word at a time on the scalar path."""
+def precompose(theta, j):
+    """Oracle: theta o s_j for the twist s_j, one image word at a time on
+    the scalar path."""
     return Epimorphism(theta.group, tuple(evaluate(theta, w)
-                                          for w in f.images))
+                                          for w in sigma(j)))
 
 
 def _kernel_equal(th1, th2):
@@ -326,6 +326,17 @@ def test_seeds_decide_a_complete_kernel_orbit(name, orbit9):
     assert _decision(seeds) == _decision(intersection_avoids_c0(reps, orbit9))
 
 
+@pytest.mark.parametrize("name", CONFIG_ORBITS)
+def test_unchecked_classes_pass_validation(name):
+    # kernel_orbit builds its classes without Epimorphism's checks, which
+    # cannot fail there; each class is still a valid epimorphism.
+    reps, _ = _complete_orbit(name)
+    G = reps[0].group
+    for th in reps:
+        assert all(type(g) is int for g in th.images)
+        assert th == Epimorphism(G, th.images)
+
+
 @pytest.mark.parametrize("name", COMPLETE_ORBITS)
 def test_kernel_orbit_is_closed_under_the_ten_twists(name):
     # The precondition of the seeds-only decision: every class precomposed
@@ -336,7 +347,7 @@ def test_kernel_orbit_is_closed_under_the_ten_twists(name):
     known = set(keys)
     for j in range(1, 11):
         moved = np.stack([evaluate_rows(G, w, rows)
-                          for w in sigma(j).images], axis=1)
+                          for w in sigma(j)], axis=1)
         assert {k.tobytes() for k in kernel_keys(G, moved)} <= known
 
 
@@ -368,10 +379,9 @@ def test_precompose_is_composition(heis3, orbit3):
     x, y = heis3.generators
     theta = Epimorphism(heis3, (x, y, y, x))
     for j in (1, 3, 8):
-        f = sigma(j)
-        composed = precompose(theta, f)
+        composed = precompose(theta, j)
         for w in list(orbit3)[:12]:
-            assert evaluate(composed, w) == evaluate(theta, apply(f, w))
+            assert evaluate(composed, w) == evaluate(theta, apply(j, w))
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
@@ -380,8 +390,8 @@ def test_kernel_keys_match_aut_oracle(name):
     G = theta.group
     rng = np.random.default_rng(7)
     # The first candidates of the orbit BFS: repeated kernels and new ones.
-    maps = [theta] + [precompose(theta, sigma(j)) for j in (1, 2, 3)]
-    rows = [precompose(th, sigma(j)).images
+    maps = [theta] + [precompose(theta, j) for j in (1, 2, 3)]
+    rows = [precompose(th, j).images
             for th in maps for j in range(1, 11)]
     perms = _aut_perms(G)
     for _ in range(12):
@@ -423,7 +433,7 @@ def test_batched_candidates_are_precompositions(name, monkeypatch):
     chunked, chunked_keys = kernel_orbit(theta)
     assert chunked == reps and chunked_keys == keys
     cands = np.concatenate(calls[1:])
-    want = [precompose(th, sigma(j)).images
+    want = [precompose(th, j).images
             for th in reps for j in MOVES]
     assert cands.tolist() == [list(w) for w in want]
 
@@ -440,7 +450,7 @@ def test_kernel_orbit_matches_scalar_bfs(name):
     want = [theta]
     frontier = [theta]
     while frontier:
-        cands = [precompose(th, sigma(j))
+        cands = [precompose(th, j)
                  for th in frontier for j in MOVES]
         canon = _aut_canonical(perms, [c.images for c in cands])
         frontier = []
@@ -463,7 +473,7 @@ def _ten_twist_codes(theta, perms):
     while len(frontier):
         cands = np.concatenate([
             np.stack([evaluate_rows(G, w, frontier.T)
-                      for w in sigma(j).images], axis=1)
+                      for w in sigma(j)], axis=1)
             for j in range(1, 11)])
         # Blocks of rows bound the [|Aut(G)|, rows, 4] translates.
         codes = np.concatenate([_aut_canonical(perms, cands[lo:lo + 2048])
@@ -507,7 +517,7 @@ def test_kernel_equal_same_kernel_under_target_automorphism(group55):
     th2 = Epimorphism(group55, (a2, b, group55.inverse(b),
                                 group55.mult(b, group55.inverse(a2))))
     assert _kernel_equal(th1, th2)
-    th3 = precompose(th1, sigma(1))
+    th3 = precompose(th1, 1)
     canon = _aut_canonical(_aut_perms(group55), [th1.images, th3.images])
     assert canon[0] != canon[1]
     assert not _kernel_equal(th1, th3)

@@ -57,20 +57,19 @@ def test_seeds_are_not_expanded():
     assert MOVES == (1, 2, 3, 4, 5)
     seeds = generate_c0(depth=0)
     for j in MOVES:
-        assert apply(sigma(j), commutator_base()) in seeds
+        assert apply(j, commutator_base()) in seeds
 
 
 def _unpruned_paths(depth):
     """The orbit's (word, path) items in generation order, from the level
     loop with every move applied to every parent (no commuting prune)."""
-    plans = {j: sigma(j)._plan for j in MOVES}
     seen = {commutator_base().data: BASE_PATH, root_word().data: BASE_PATH}
     frontier = {root_word().data: ()}
     for _ in range(depth):
         level = {}
         for data, path in frontier.items():
-            for j, plan in plans.items():
-                child = apply_bytes(plan, data)
+            for j in MOVES:
+                child = apply_bytes(j, data)
                 if child not in seen and child not in level:
                     level[child] = path + (j,)
         seen.update(level)
@@ -214,7 +213,7 @@ def test_paths_are_shortest_and_lex_least(orbit3):
     for w, p in _items(orbit3):
         steps = 0 if p == BASE_PATH else len(p)
         for j in (1, 2, 3, 4, 5):
-            child = apply(sigma(j), w)
+            child = apply(j, w)
             cp = s4.path(child)
             child_steps = 0 if cp == BASE_PATH else len(cp)
             assert child_steps <= steps + 1
@@ -332,11 +331,12 @@ def _signed_letters(word):
     return tuple(b if b <= 4 else 4 - b for b in word.data)
 
 
-def _substitution_table(twist):
-    """Image of each signed letter under ``twist``: a generator's image, and
-    for an inverse letter that image reversed and negated."""
+def _substitution_table(images):
+    """Image of each signed letter under the generator images ``images``: a
+    generator's image, and for an inverse letter that image reversed and
+    negated."""
     table = {}
-    for i, image in enumerate(twist.images, start=1):
+    for i, image in enumerate(images, start=1):
         table[i] = _signed_letters(image)
         table[-i] = tuple(-c for c in reversed(table[i]))
     return table

@@ -38,6 +38,13 @@ def test_rank_and_index_validation():
         Word([(4, 1)], rank=4)
     with pytest.raises(ValueError):
         Word([(0, 2)], rank=4)
+    # parse_word takes the rank from the names, whatever the text names:
+    # "1" names no generator, yet ranks 0 and 121 are refused as above.
+    names = ["g%d" % i for i in range(121)]
+    for text, ns in (("1", ()), ("1", names), ("g0", names)):
+        with pytest.raises(ValueError, match=r"rank must be in 1\.\.120"):
+            parse_word(text, ns)
+    assert parse_word("1", names[:120]).rank == 120
 
 
 def test_word_is_immutable():
