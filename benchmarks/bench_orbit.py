@@ -5,7 +5,9 @@ Prints the best-of-N seconds of these stages: ``generate_c0(9)``
 finished to all 29,922 words, with the number of twist applications it
 makes (words substituted) and the number of ``apply_bytes`` calls that
 make them, one per move and level (both counted in a separate, untimed
-run by wrapping ``handlebody.orbit``'s ``apply_bytes``); ``replay_path``
+run by wrapping ``handlebody.orbit``'s ``apply_bytes``), and the memory
+the finished set holds (tracemalloc's traced size after one more
+finished set is built, caches warm, no level trie built); ``replay_path``
 over a seeded sample of 3,000 stored paths, every ``trie_blocks()`` level trie of a second finished set
 whose tries are not yet built, and one map (the standard epimorphism
 onto the metacyclic group of order 55) evaluated on every word by
@@ -16,28 +18,34 @@ scans; and ``intersection_avoids_c0`` of the kernel orbits of cyclic_3
 and heisenberg_3 on a fresh set, with the words it generated, and on the
 two seeds alone (a depth-0 set), the decision ``kernel-orbit`` makes: a
 complete kernel orbit's intersection is twist-invariant, so the seeds
-decide it.  Finished and fresh sets and kernel orbits are made outside
-the timed region; the replayed words, a seeded sample of the trie values
-(against ``evaluate_in_group``), each witness and each intersection
-report (against the finished set; the seeds-only answer, counterexample
-and path) are checked after timing.
+decide it; last, ``batch_pair_witnesses`` on a seeded sample of 640 of
+order243_presented's quick-filtered partner pairs on the finished set
+(ten of perfbench's ``pair_census`` 64-pair blocks), one witness scan
+per pair.  Finished and fresh sets, kernel orbits and partner pairs are
+made outside the timed region; the replayed words, a seeded sample of
+the trie values (against ``evaluate_in_group``), each witness and each
+intersection report (against the finished set; the seeds-only answer,
+counterexample and path) and each pair's witness word (it must map to
+the identity) are checked after timing.
 
 Usage:
     python3 benchmarks/bench_orbit.py [--repeats 7]
 """
 
 import argparse
+import gc
 import glob
 import os
 import random
 import time
+import tracemalloc
 
 import numpy as np
 
-from handlebody import (Epimorphism, evaluate_in_group,
-                        generate_c0, handlebody_witness,
+from handlebody import (Epimorphism, batch_pair_witnesses,
+                        evaluate_in_group, generate_c0, handlebody_witness,
                         intersection_avoids_c0, kernel_orbit, load_config,
-                        replay_path, semidirect_pq,
+                        partner_pairs, replay_path, semidirect_pq,
                         standard_metacyclic_images)
 from handlebody import orbit
 from handlebody.orbit import BASE_PATH, trie_values
@@ -45,6 +53,7 @@ from handlebody.orbit import BASE_PATH, trie_values
 DEPTH = 9
 REPLAYS = 3000
 SAMPLE = 500
+PAIRS = 640
 KERNEL_CONFIGS = ("cyclic_3", "heisenberg_3")
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "configs")
@@ -110,6 +119,12 @@ def main(argv=None):
 
     t_gen, s = best_of(args.repeats, full_set)
     twists, calls = count_twists(DEPTH)
+    gc.collect()
+    tracemalloc.start()
+    traced = full_set()
+    set_bytes = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    del traced
     sample = random.Random(0).sample(
         [(w, p) for w in s if (p := s.path(w)) != BASE_PATH], REPLAYS)
     t_replay, replayed = best_of(
@@ -169,10 +184,23 @@ def main(argv=None):
             raise SystemExit("%s: the seeds-only decision differs" % name)
         intersections.append((name, fresh[-1].generated, t_int, t_seeds))
 
+    theta = load_config(os.path.join(CONFIG_DIR,
+                                     "order243_presented.cfg")).theta()
+    G, (a, b) = theta.group, theta.images[:2]
+    pairs = random.Random(2).sample(
+        partner_pairs(G, a, b, filter_quick=True), PAIRS)
+    t_pairs, found = best_of(
+        args.repeats, lambda: batch_pair_witnesses(G, a, b, pairs, s))
+    for (r, t), i in zip(pairs, found.tolist()):
+        if i >= 0 and evaluate_in_group(G, s.word_at(i), (a, b, r, t)):
+            raise SystemExit("pair (%d, %d): word %d is no witness"
+                             % (r, t, i))
+
     print("%-44s %10s" % ("stage", "best s"))
     print("%-44s %10.3f   %d twist applications in %d apply_bytes calls"
           % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists,
              calls))
+    print("%-44s %10.2f   MB traced" % ("finished set, held", set_bytes / 1e6))
     print("%-44s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))
     print("%-44s %10.3f" % ("trie_blocks(), %d nodes"
                             % sum(t.size for t in tries), t_trie))
@@ -185,6 +213,9 @@ def main(argv=None):
         print("%-44s %10.4f" % ("intersect %s, %d words" % (name, generated),
                                 t_int))
         print("%-44s %10.4f" % ("intersect %s, seeds only" % name, t_seeds))
+    print("%-44s %10.4f   %d of %d pairs witnessed"
+          % ("batch_pair_witnesses order243, %d pairs" % PAIRS, t_pairs,
+             int((found >= 0).sum()), PAIRS))
 
 
 if __name__ == "__main__":

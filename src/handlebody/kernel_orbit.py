@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .orbit import MOVES, _precompose_rows, trie_values
+from .orbit import MOVES, _letter_rows, _precompose, trie_values
 from .homs import Epimorphism, NotGenerating, evaluate
 
 
@@ -88,9 +88,10 @@ def kernel_orbit(theta, pres=None, class_cap=10000):
     while done < len(reps):
         block = reps[done:done + _BLOCK]
         done += len(block)
-        rows = np.array([th.images for th in block], dtype=G.table.dtype)
-        cands = np.stack([_precompose_rows(G, rows, j)
-                          for j in MOVES], axis=1).reshape(-1, 4)
+        # Candidates in (map, move) order: each row once per move.
+        cands = _precompose(G, _letter_rows(G, [th.images for th in block]),
+                            np.arange(len(block)).repeat(len(MOVES)),
+                            np.tile(MOVES, len(block)))
         for images, key in zip(cands.tolist(), kernel_keys(G, cands)):
             key = key.tobytes()
             if key in seen:

@@ -17,12 +17,12 @@ cached path trie per level (``OrbitSet.trie_blocks``, ``trie_values``).
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from .groups import evaluate_rows
 from .words import Word
 from .twists import apply, apply_bytes, commutator_base, sigma
 
@@ -40,14 +40,70 @@ def root_word():
 PathTrie = namedtuple("PathTrie", "size blocks node")
 PathTrie.__doc__ = """One level of an orbit set's provenance paths, reversed
 and merged into a trie, for evaluating a map on the level's words without
-reading their letters.  Node 0 is the empty suffix.  Each block
-``(j, lo, parents)`` numbers ``lo, lo + 1, ...`` the nodes that extend the
-nodes ``parents`` by the move j, and every parent is numbered before its
-block.  The word with path (i1, ..., ik) is s_ik o ... o s_i1 (root), so it
-is the root under the map theta o s_ik o ... o s_i1 of node (ik, ..., i1):
-a child's map is its parent's map precomposed with s_j.  ``node[i]`` is the
-node of the level's word i (0 for the root), or -1 for the base word
-[x1,y1]; see ``trie_values``."""
+reading their letters.  Node 0 is the empty suffix.  There is one block
+``(lo, parents, moves)`` per trie depth: it numbers ``lo, lo + 1, ...`` the
+nodes that extend the node ``parents[i]`` by the move ``moves[i]``, and
+every parent is numbered before its block.  The word with path
+(i1, ..., ik) is s_ik o ... o s_i1 (root), so it is the root under the map
+theta o s_ik o ... o s_i1 of node (ik, ..., i1): a child's map is its
+parent's map precomposed with its move.  ``node[i]`` is the node of the
+level's word i (0 for the root), or -1 for the base word [x1,y1]; see
+``trie_values``."""
+
+# Letter codes: 0 is the identity, 1..4 the generators x1, y1, x2, y2 and
+# 5..8 their inverses (a Word's letter bytes).  A map's letter row holds its
+# value on each code: [1, images, inverses].
+_WIDTH = 3          # letters of the longest twist image
+
+
+def _image_table(images):
+    """Letter codes [len(images), 4, _WIDTH] of the image words
+    ``images[i]`` (four words per move), each padded with the identity
+    code 0.  ValueError for an image longer than _WIDTH letters."""
+    table = np.zeros((len(images), 4, _WIDTH), dtype=np.intp)
+    for i, words in enumerate(images):
+        for c, w in enumerate(words):
+            if len(w.data) > _WIDTH:
+                raise ValueError("twist image %r is longer than %d letters"
+                                 % (w, _WIDTH))
+            table[i, c, :len(w.data)] = tuple(w.data)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _twist_codes():
+    """Row j - 1 is the twist s_j's image table, letter-major: entry
+    4k + c is letter k of generator c's image word."""
+    table = _image_table([sigma(j) for j in range(1, 11)])
+    return table.transpose(0, 2, 1).reshape(len(table), 4 * _WIDTH)
+
+
+def _letter_rows(G, rows, out=None):
+    """Letter rows [K, 9] of the maps with generator image rows [K, 4],
+    written to ``out`` when it is given."""
+    rows = np.asarray(rows, dtype=G.table.dtype).reshape(-1, 4)
+    if out is None:
+        out = np.empty((len(rows), 9), dtype=rows.dtype)
+    out[:, 0] = 0
+    out[:, 1:5] = rows
+    out[:, 5:] = G.inv[rows]
+    return out
+
+
+def _precompose(G, letters, parents, moves):
+    """Image rows [K, 4] of theta_p o s_j for each parent p = ``parents[i]``
+    and move j = ``moves[i]``, theta_p having the letter row ``letters[p]``.
+
+    Each generator's new image is its twist image word v0 v1 v2 read
+    through the parent's row: one gather of the twelve letters for all
+    rows, then ``table[table[v0, v1], v2]`` for all rows and generators at
+    once (``take`` on the flat table, faster than 2-d indexing on large
+    levels)."""
+    n, table = G.order, G.table.ravel()
+    codes = _twist_codes()[moves - 1]
+    codes += parents[:, None] * letters.shape[1]
+    v = letters.ravel().take(codes)
+    return table.take(table.take(v[:, :4] * n + v[:, 4:8]) * n + v[:, 8:])
 
 
 class OrbitSet:
@@ -59,11 +115,13 @@ class OrbitSet:
     order: path (1, 4) stores s4(s1(root)).
 
     The set is held once, in scan order (the seeds [x1,y1] and the root,
-    then by path length and path): word bytes -> path, and the same bytes
-    as a list.  A level is the run of words with one path length, the
-    seeds being level 0; its path trie is built the first time the level
-    is scanned and then kept.  The set starts as the two seeds, and its
-    own level generator (``_levels``) adds one level at a time, on demand.
+    then by path length and path): word bytes -> scan index, and the same
+    bytes as a list.  A level is the run of words with one path length,
+    the seeds being level 0; level k keeps its paths as one uint8 array
+    [words, k] of moves, and its path trie is built from that array the
+    first time the level is scanned and then kept.  The set starts as the
+    two seeds, and its own level generator (``_levels``) adds one level at
+    a time, on demand.
     Calls that need the whole set finish it: ``len``, iteration, and a
     membership lookup of a rank-4 word (``in``, ``path``,
     ``contains``) that misses.  A lookup grows the set only until the word
@@ -85,11 +143,13 @@ class OrbitSet:
             raise ValueError("depth must be >= 0, got %r" % (depth,))
         self.depth = depth
         seeds = (commutator_base().data, root_word().data)
-        self._seen = dict.fromkeys(seeds, BASE_PATH)
+        self._seen = {d: i for i, d in enumerate(seeds)}
         self._order = list(seeds)
-        # _bounds[k]:_bounds[k + 1] is level k of _order, _tries[k] its
-        # trie once scanned.  _levels yields the levels not yet generated.
+        # _bounds[k]:_bounds[k + 1] is level k of _order, _moves[k] its
+        # paths and _tries[k] its trie once scanned.  _levels yields the
+        # levels not yet generated.
         self._bounds = [0, len(seeds)]
+        self._moves = [np.zeros((len(seeds), 0), dtype=np.uint8)]
         self._tries = []
         self._levels = _levels(self._seen, self.depth)
 
@@ -109,7 +169,9 @@ class OrbitSet:
         if level is None:
             self._levels = None
             return False
-        self._order.extend(level)
+        words, moves = level
+        self._order.extend(words)
+        self._moves.append(moves)
         self._bounds.append(len(self._order))
         return True
 
@@ -149,10 +211,9 @@ class OrbitSet:
         """
         k = 0
         while k + 1 < len(self._bounds) or self._grow():
-            lo, hi = self._bounds[k:k + 2]
             if k == len(self._tries):
-                self._tries.append(_path_trie(self._order[lo:hi], self._seen))
-            yield lo, self._tries[k]
+                self._tries.append(_path_trie(self._moves[k]))
+            yield self._bounds[k], self._tries[k]
             k += 1
 
     def path(self, w):
@@ -160,10 +221,15 @@ class OrbitSet:
         (at once if ``w`` is not a rank-4 Word)."""
         if not (isinstance(w, Word) and w.rank == 4):
             return None
-        p = self._seen.get(w.data)
-        while p is None and self._grow():
-            p = self._seen.get(w.data)
-        return p
+        i = self._seen.get(w.data)
+        while i is None and self._grow():
+            i = self._seen.get(w.data)
+        if i is None:
+            return None
+        k = bisect_right(self._bounds, i) - 1
+        if k == 0:
+            return BASE_PATH
+        return tuple(self._moves[k][i - self._bounds[k]].tolist())
 
     def __eq__(self, other):
         # The depth determines the set, so neither set is grown.
@@ -174,61 +240,44 @@ class OrbitSet:
             self.generated, "" if self.complete else " so far", self.depth)
 
 
-def _path_trie(order, seen):
-    """The PathTrie of one level's words ``order``, word bytes in scan
-    order, with their paths in ``seen``."""
-    paths = [seen[d] for d in order]
-    if paths[0] == BASE_PATH:
-        base = commutator_base().data
-        return PathTrie(1, (), np.array([-1 if d == base else 0
-                                         for d in order], dtype=np.intp))
-    cur = np.zeros(len(paths), dtype=np.intp)  # node of each suffix so far
+def _path_trie(moves):
+    """The PathTrie of one level's paths ``moves`` [words, k], in scan
+    order.  Level 0 (k = 0) is the seeds, [x1,y1] and then the root."""
+    if moves.shape[1] == 0:
+        return PathTrie(1, (), np.array([-1, 0], dtype=np.intp))
+    cur = np.zeros(len(moves), dtype=np.intp)  # node of each suffix so far
     size, blocks = 1, []
-    for moves in np.array(paths, dtype=np.intp)[:, ::-1].T:
-        # One key per (parent node, move); parents are below ``size``, so
-        # the key is unique and sorts the new nodes by move, then parent.
-        keys, child = np.unique(moves * size + cur, return_inverse=True)
+    for col in moves[:, ::-1].T:
+        # One key per (parent node, move), moves being below 8: unique,
+        # and sorting the new nodes by parent, then move.
+        keys, child = np.unique(cur * 8 + col, return_inverse=True)
+        blocks.append((size, keys >> 3, keys & 7))
         cur = size + child
-        level_moves, parents = np.divmod(keys, size)
-        for j in np.unique(level_moves).tolist():
-            lo, hi = np.searchsorted(level_moves, [j, j + 1])
-            blocks.append((j, size + int(lo), parents[lo:hi]))
         size += len(keys)
     return PathTrie(size, tuple(blocks), cur)
-
-
-@lru_cache(maxsize=None)
-def _moved_columns(j):
-    """(column, image word) of each generator the move s_j moves."""
-    return tuple((c, w) for c, w in enumerate(sigma(j))
-                 if w.data != bytes((c + 1,)))
-
-
-def _precompose_rows(G, rows, j):
-    """Image rows [K, 4] of theta o s_j for the image rows [K, 4] of
-    theta.  Only the columns of generators that s_j moves are evaluated."""
-    out = rows.copy()
-    for c, w in _moved_columns(j):
-        out[:, c] = evaluate_rows(G, w, rows.T)
-    return out
 
 
 def trie_values(G, images, trie):
     """The map sending the generators to ``images`` on the words of one
     ``trie_blocks()`` level, in scan order.
 
-    Each node's map is its parent's precomposed with one twist, and a
-    word's value is the root under its node's map, so the cost follows the
-    trie's size, not the words' letters.  This relies on every path
-    replaying to its word, which holds by construction (see OrbitSet).
-    The base word [x1,y1] is off the trie: its value is the commutator of
-    the first two images.
+    Each node's map is its parent's precomposed with one twist, one
+    ``_precompose`` call per trie depth, and a word's value is the root
+    under its node's map, so the cost follows the trie's size, not the
+    words' letters.  This relies on every path replaying to its word,
+    which holds by construction (see OrbitSet).  The base word [x1,y1] is
+    off the trie: its value is the commutator of the first two images.
     """
-    maps = np.empty((trie.size, 4), dtype=G.table.dtype)
-    maps[0] = images
-    for j, lo, parents in trie.blocks:
-        maps[lo:lo + len(parents)] = _precompose_rows(G, maps[parents], j)
-    values = evaluate_rows(G, root_word(), maps[trie.node].T)
+    maps = np.empty((trie.size, 9), dtype=G.table.dtype)
+    maps[0] = _letter_rows(G, images)
+    for lo, parents, moves in trie.blocks:
+        _letter_rows(G, _precompose(G, maps, parents, moves),
+                     out=maps[lo:lo + len(parents)])
+    leaves = maps[trie.node]
+    root = root_word().data
+    values = leaves[:, root[0]]
+    for b in root[1:]:
+        values = G.table[values, leaves[:, b]]
     values[trie.node < 0] = G.commutator(images[0], images[1])
     return values
 
@@ -241,9 +290,9 @@ def first_zero(s, G, images):
     to the first zero's level, and a scan that finds none has finished it.
     """
     for start, trie in s.trie_blocks():
-        hits = np.flatnonzero(trie_values(G, images, trie) == 0)
-        if hits.size:
-            return start + int(hits[0])
+        hits = trie_values(G, images, trie) == 0
+        if hits.any():
+            return start + int(hits.argmax())
     return -1
 
 
@@ -276,9 +325,20 @@ def _commuting_below(m):
                      == [apply(m, w) for w in sigma(j)])
 
 
+@lru_cache(maxsize=None)
+def _takes():
+    """takes[m, j]: a parent whose path ends with the move m applies j
+    (m = 0 for the root, whose path is empty: it applies every move)."""
+    takes = np.zeros((max(MOVES) + 1, 8), dtype=bool)
+    for m in (0,) + MOVES:
+        takes[m, [j for j in MOVES if j not in _commuting_below(m)]] = True
+    return takes
+
+
 def _levels(seen, depth):
-    """Yield the words of each new level in lex path order, after adding
-    them with their paths to ``seen``.
+    """Yield ``(words, moves)`` for each new level: its word bytes in lex
+    path order and their paths as a uint8 array [words, k], after adding
+    the words with their scan indices to ``seen``.
 
     A parent whose path ends with the move m skips each move j < m that
     commutes with s_m; its child would already be in ``seen`` or the
@@ -292,37 +352,46 @@ def _levels(seen, depth):
     is not; then s_m(u) is a seed, since each move sends [x1,y1] to one.
 
     Each move is applied once per level, to the words of the parents that
-    take it joined by zero bytes (see apply_bytes), and the children are
-    read back in (parent, move) order, so ``level`` is filled exactly as
-    one application per child would fill it.
+    take it joined by zero bytes (see apply_bytes).  The children are put
+    in (parent, move) order by a stable argsort of parent * 8 + move, and
+    the level keeps each new child's first position there, so it is
+    filled exactly as one application per child in that order would fill
+    it.
     """
-    # The moves to apply after a path's last move; all of them after ().
-    after = {(): MOVES}
-    for m in MOVES:
-        after[(m,)] = tuple(j for j in MOVES if j not in _commuting_below(m))
-    # The frontier maps word bytes to path tuples; the root's path is ().
-    frontier = {root_word().data: ()}
+    takes = _takes()
+    # The frontier's word bytes in lex path order, and their paths.
+    words = np.array([root_word().data], dtype=object)
+    paths = np.zeros((1, 0), dtype=np.uint8)
     for _ in range(depth):
-        children = {}
+        last = paths[:, -1] if paths.shape[1] else np.zeros(1, np.uint8)
+        # (move, parent) of each child, by move: the order it is made in.
+        movers, parents = takes[last].T.nonzero()
+        children = []
         for j in MOVES:
-            words = [d for d, p in frontier.items() if j in after[p[-1:]]]
-            joined = apply_bytes(j, b"\0".join(words))
-            children[j] = iter(joined.split(b"\0"))
-        # Parents in lex path order, moves ascending: first assignment to
-        # a child is its lexicographically least shortest derivation, and
-        # ``level`` is filled in lex path order, so the next frontier needs
-        # no sort.
-        level = {}
-        for data, path in frontier.items():
-            for j in after[path[-1:]]:
-                child = next(children[j])
-                if child not in seen and child not in level:
-                    level[child] = path + (j,)
-        if not level:
+            mine = words[parents[movers == j]]
+            if len(mine):
+                children += apply_bytes(j, b"\0".join(mine)).split(b"\0")
+        # Parents in lex path order, moves ascending: a child's first
+        # position is its lexicographically least shortest derivation, and
+        # the first positions ascend in lex path order, so the next
+        # frontier needs no sort.
+        keys = parents * 8 + movers
+        order = np.argsort(keys, kind="stable")
+        children = np.array(children, dtype=object)[order]
+        n = len(children)
+        first = dict(zip(children[::-1].tolist(), range(n - 1, -1, -1)))
+        for child in seen.keys() & first.keys():
+            del first[child]
+        if not first:
             return
-        seen.update(level)
-        frontier = level
-        yield level
+        keep = np.sort(np.fromiter(first.values(), np.intp, len(first)))
+        keys = keys[order[keep]]
+        paths = np.concatenate([paths[keys >> 3], (keys & 7)[:, None]],
+                               axis=1).astype(np.uint8)
+        words = children[keep]
+        level = words.tolist()
+        seen.update(zip(level, range(len(seen), len(seen) + len(level))))
+        yield level, paths
 
 
 def contains(s, w):

@@ -201,9 +201,9 @@ def test_kernel_orbit_generates_no_level_past_the_seeds(capsys,
     levels = orbit._levels
 
     def counted(*args):
-        for level in levels(*args):
-            grown.append(len(level))
-            yield level
+        for words, moves in levels(*args):
+            grown.append(len(words))
+            yield words, moves
 
     monkeypatch.setattr(orbit, "_levels", counted)
     code, out = run(capsys, "kernel-orbit", "--config",

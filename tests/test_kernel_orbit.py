@@ -261,8 +261,8 @@ def test_intersection_on_a_finished_set_stops_at_level_0(monkeypatch):
     built = []
     path_trie = orbit_module._path_trie
     monkeypatch.setattr(orbit_module, "_path_trie",
-                        lambda order, seen: built.append(len(order))
-                        or path_trie(order, seen))
+                        lambda moves: built.append(len(moves))
+                        or path_trie(moves))
     report = intersection_avoids_c0(reps, s)
     assert report.counterexample == commutator_base()
     assert report.survivors == [1] * len(reps)

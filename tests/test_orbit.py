@@ -1,13 +1,18 @@
 """Orbit-set enumeration, provenance replay and the scan view."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlebody.groups import evaluate_in_group, heisenberg, semidirect_pq
+from handlebody.groups import (cyclic, evaluate_in_group, heisenberg,
+                               semidirect_pq)
 from handlebody.homs import (EXTENDS, Epimorphism, evaluate,
                              handlebody_witness, standard_metacyclic_images)
 from handlebody.orbit import (BASE_PATH, MOVES, OrbitSet, _commuting_below,
+                              _image_table, _letter_rows, _precompose,
                               contains, format_path, generate_c0,
                               replay_path, root_word, trie_values)
 from handlebody.twists import apply, apply_bytes, commutator_base, sigma
@@ -80,6 +85,76 @@ def _unpruned_paths(depth):
 @pytest.mark.parametrize("depth", range(10))
 def test_commuting_prune_keeps_paths_and_order(depth):
     assert _items(generate_c0(depth)) == _unpruned_paths(depth)
+
+
+# sha256 over "word bytes:format_path(path)\n" in scan order, one per
+# depth, as the store that kept a dict of path tuples gave them.
+STORE_DIGESTS = (
+    "3c38c8cf5a9ab7154812ae722bb611de3d8d4abb9c135d7289eefadb9a5031fa",
+    "4fc500a0f29cd3deed2c226369800146d6491dc0d05a4e1465bcfcbee64658f6",
+    "e977308809d72f352986bf8174e519ff477712896039e2c46675c633a1176066",
+    "106acd080abbf7e7c0ed08ab04225b514ab04fdf8757c46e214c78bb4ab0688f",
+    "7b3f56502e9d1de0824e1a9028631fac6817acdaf58cdadf5578bb1f5177696c",
+    "cdc6a058570fa260f36338562b23e421141669128a82b058fbf38c649faea90c",
+    "69cae8693e63290e59b9e6984ee47c6956ea0a7f89e73fe2ed35f609dce4ae9a",
+    "ac487c7719f7b89a8e00821c560528a5f97aca02dcfb3870da97f8de5ce879a2",
+    "62b8fe4ea84e2f35c2e3277ac603d909be284554e7c1d29ffe33a9f9b25a2421",
+    "4018785a130bf860fe663a72a48cd9ae31f32b8541892436746d74bb1535fe43",
+)
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_store_keeps_scan_order_and_paths(depth, orbit9):
+    s = orbit9 if depth == orbit9.depth else generate_c0(depth)
+    digest = hashlib.sha256()
+    for w, p in _items(s):
+        digest.update(w.data + b":" + format_path(p).encode() + b"\n")
+        if p != BASE_PATH:
+            # Plain ints, so reports and JSON records print them as before.
+            assert type(p) is tuple and all(type(j) is int for j in p)
+            assert json.loads(json.dumps(list(p))) == list(p)
+    assert digest.hexdigest() == STORE_DIGESTS[depth]
+
+
+def test_depth_9_lookups_grow_only_to_the_words_level(orbit9):
+    bounds = [start for start, _ in orbit9.trie_blocks()] + [len(orbit9)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        for i in (lo, (lo + hi) // 2, hi - 1):
+            w = orbit9.word_at(i)
+            s = generate_c0(9)
+            assert s.path(w) == orbit9.path(w)
+            assert s.generated == hi
+
+
+def _precompose_group(name, heis3, group55, order243):
+    return {"cyclic3": cyclic(3), "heisenberg3": heis3,
+            "semidirect_11_5_3": group55, "order243": order243}[name]
+
+
+@pytest.mark.parametrize("name", ("cyclic3", "heisenberg3",
+                                  "semidirect_11_5_3", "order243"))
+@pytest.mark.parametrize("seed", range(3))
+def test_precompose_matches_scalar_fold(name, seed, heis3, group55,
+                                        order243):
+    G = _precompose_group(name, heis3, group55, order243)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, G.order, size=(16, 4))
+    # Every twist four times, each on a random parent row.
+    moves = np.tile(np.arange(1, 11), 4)
+    parents = rng.integers(0, len(rows), size=len(moves))
+    out = _precompose(G, _letter_rows(G, rows), parents, moves)
+    for got, p, j in zip(out.tolist(), parents.tolist(), moves.tolist()):
+        assert got == [evaluate_in_group(G, sigma(j)[c], rows[p])
+                       for c in range(4)]
+
+
+def test_image_table_refuses_images_past_its_width():
+    # Three letters fit (s3 moves x1 to x2^-1 y1 x1); a fourth is refused.
+    table = _image_table([sigma(j) for j in range(1, 11)])
+    assert table[2, 0].tolist() == list(sigma(3)[0].data)
+    long = tuple(sigma(1)[:3]) + (parse_word("y2 x2 y2 x2"),)
+    with pytest.raises(ValueError):
+        _image_table([sigma(2), long])
 
 
 def test_commuting_moves_below_each_move():

@@ -117,8 +117,8 @@ def test_second_scan_reuses_the_level_tries(group55, monkeypatch):
     built = []
     path_trie = orbit_module._path_trie
     monkeypatch.setattr(orbit_module, "_path_trie",
-                        lambda order, seen: built.append(len(order))
-                        or path_trie(order, seen))
+                        lambda moves: built.append(len(moves))
+                        or path_trie(moves))
     s = generate_c0(depth=2)
     zero = (0, 0, 0, 0)         # every word dies: stops at level 0
     # Its first witness has path (3, 4, 4), on level 3.
