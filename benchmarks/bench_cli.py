@@ -1,0 +1,74 @@
+"""Time every golden CLI run in process and check it against its transcript.
+
+Runs each entry of ``tests/golden/runs.json`` (``orbit``, ``table1`` and
+``check``/``counts``/``quadruple``/``kernel-orbit`` on each shipped config,
+at depth 9) through ``handlebody.cli.main`` in this process, stdout
+captured, and prints the best-of-N seconds of each and their sum.  Every
+run's stdout and exit code must match ``tests/golden/<name>.txt`` and
+``runs.json``.  In process, the parser and the package's caches (the
+twist plans, the root word) are warm after the first run, as in any
+process that calls ``main`` more than once; a one-command process also
+pays for the import and the first parser build.
+
+Usage:
+    python3 benchmarks/bench_cli.py [--repeats 5]
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import time
+
+from handlebody.cli import main as cli_main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+
+
+def run_once(argv):
+    """(seconds, exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        seconds = time.perf_counter() - t0
+    return seconds, code, out.getvalue()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timing repeats; best run is reported")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(GOLDEN, "runs.json"), encoding="utf-8") as fh:
+        runs = json.load(fh)
+    rows = []
+    for name in sorted(runs):
+        run = runs[name]
+        cli_argv = [os.path.join(ROOT, a) if a.startswith("configs/") else a
+                    for a in run["argv"].split()]
+        with open(os.path.join(GOLDEN, name + ".txt"),
+                  encoding="utf-8") as fh:
+            want = fh.read()
+        best = float("inf")
+        for _ in range(args.repeats):
+            seconds, code, out = run_once(cli_argv)
+            if out != want or code != run["exit"]:
+                raise SystemExit("%s: exit %d and stdout differ from the "
+                                 "golden transcript (exit %d)"
+                                 % (name, code, run["exit"]))
+            best = min(best, seconds)
+        rows.append((run["argv"], best))
+
+    print("%-72s %10s" % ("command", "best s"))
+    for label, t in rows:
+        print("%-72s %10.4f" % (label, t))
+    print("%-72s %10.4f" % ("sum of %d runs" % len(rows),
+                            sum(t for _, t in rows)))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,7 +1,9 @@
-"""Time partner-pair enumeration and the built-in Cayley-table constructors.
+"""Time coset enumeration, partner-pair enumeration and the built-in
+Cayley-table constructors.
 
-Prints the best-of-N seconds of ``partner_pairs`` on the theta of the two
-order-243 configs, unfiltered and with the nine quick products filtered
+Prints the best-of-N seconds of ``coset_enumerate`` on the presentations of
+the two order-243 configs (each must give a group of order 243), then of
+``partner_pairs`` on the theta of the same configs, unfiltered and with the nine quick products filtered
 out, and checks the pair counts (order243_presented: 12,312 and 12,312;
 the stand-in: 5,832 and 5,725).  Then times ``drop_quick_pairs`` on
 order243_presented's unfiltered pairs (all 12,312 kept), the full
@@ -31,9 +33,10 @@ import time
 
 import numpy as np
 
-from handlebody import (automorphisms, fiber_group_order, heisenberg,
-                        kernel_orbit, load_config, partner_pairs, reference,
-                        semidirect_pq, single_aut_orbit_certificate)
+from handlebody import (automorphisms, coset_enumerate, fiber_group_order,
+                        heisenberg, kernel_orbit, load_config, partner_pairs,
+                        reference, semidirect_pq,
+                        single_aut_orbit_certificate)
 from handlebody.groups import AutCapExceeded, automorphism_permutations
 from handlebody.homs import (QuadrupleCapExceeded, drop_quick_pairs,
                              quadruple_search)
@@ -80,6 +83,12 @@ def main(argv=None):
     for name, expected in EXPECTED_PAIRS.items():
         cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
         G = cfg.group
+        t_coset, H = best_of(args.repeats,
+                             lambda: coset_enumerate(G.presentation))
+        if H.order != 243:
+            raise SystemExit("coset_enumerate %s: order %d, expected 243"
+                             % (name, H.order))
+        rows.append(("coset_enumerate %s, 243" % name, t_coset))
         a, b = cfg.theta().images[:2]
         for filtered, want in zip((False, True), expected):
             t, pairs = best_of(args.repeats, lambda: partner_pairs(

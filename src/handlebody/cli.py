@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -279,40 +280,49 @@ def build_parser():
 
     p_orbit = sub.add_parser("orbit", help="enumerate the orbit set")
     add_common(p_orbit, orbit=True)
-    p_orbit.set_defaults(func=cmd_orbit)
+    p_orbit.set_defaults(func="cmd_orbit")
 
     p_check = sub.add_parser("check", help="witness verdict for one theta")
     add_common(p_check, config=True, orbit=True, caps=("coset",))
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func="cmd_check")
 
     p_table = sub.add_parser("table1",
                              help="verify the recorded metacyclic witness "
                                   "rows")
     add_common(p_table, orbit=True)
-    p_table.set_defaults(func=cmd_table1)
+    p_table.set_defaults(func="cmd_table1")
 
     p_counts = sub.add_parser("counts", help="pair-counting report")
     add_common(p_counts, config=True, orbit=True, caps=("coset", "aut"))
-    p_counts.set_defaults(func=cmd_counts)
+    p_counts.set_defaults(func="cmd_counts")
 
     p_quad = sub.add_parser("quadruple",
                             help="search a commuting generating quadruple")
     add_common(p_quad, config=True, caps=("coset", "closure"))
-    p_quad.set_defaults(func=cmd_quadruple)
+    p_quad.set_defaults(func="cmd_quadruple")
 
     p_ko = sub.add_parser("kernel-orbit",
                           help="kernel orbit and intersection report")
     add_common(p_ko, config=True, orbit=True,
                caps=("coset", "closure"))
-    p_ko.set_defaults(func=cmd_kernel_orbit)
+    p_ko.set_defaults(func="cmd_kernel_orbit")
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """build_parser(), built once per process: parsing leaves a parser as
+    it was, so a process that calls main many times pays for it once."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        # The parser names each command's function; it is looked up at
+        # call time, so the kept parser runs the module's current one.
+        return globals()[args.func](args, parser)
     except _CAP_ERRORS as exc:
         _emit("error=cap-exceeded detail=\"%s\"" % exc)
         return EXIT_CAP

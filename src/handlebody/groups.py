@@ -282,115 +282,24 @@ class FiniteGroup:
 
 
 def _relator_letters(rel):
-    out = []
-    for gen, sign in rel.letters:
-        out.append(2 * gen if sign > 0 else 2 * gen + 1)
-    return out
-
-
-class _CosetTable:
-    def __init__(self, nletters, cap):
-        self.nletters = nletters
-        self.cap = cap
-        self.rows = [[SENTINEL] * nletters]
-        self.parent = [(SENTINEL, SENTINEL)]  # (parent coset, letter)
-        self.labels = [0]  # union-find
-        self.dead = 0
-
-    def rep(self, c):
-        labels = self.labels
-        root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
-        return root
-
-    def entry(self, c, x):
-        t = self.rows[c][x]
-        return SENTINEL if t == SENTINEL else self.rep(t)
-
-    def define(self, c, x):
-        if len(self.rows) - self.dead >= self.cap:
-            raise CosetCapExceeded(
-                "coset cap %d exceeded (presentation may define a larger or "
-                "infinite group)" % self.cap)
-        new = len(self.rows)
-        self.rows.append([SENTINEL] * self.nletters)
-        self.parent.append((c, x))
-        self.labels.append(new)
-        self.rows[c][x] = new
-        self.rows[new][x ^ 1] = c
-        return new
-
-    def merge(self, a, b, queue):
-        a, b = self.rep(a), self.rep(b)
-        if a == b:
-            return
-        keep, drop = (a, b) if a < b else (b, a)
-        self.labels[drop] = keep
-        self.dead += 1
-        queue.append(drop)
-
-    def process_coincidences(self, queue):
-        while queue:
-            dead_coset = queue.pop()
-            row = self.rows[dead_coset]
-            for x in range(self.nletters):
-                t = row[x]
-                if t == SENTINEL:
-                    continue
-                row[x] = SENTINEL
-                # transfer the fact dead*x = t to the surviving labels
-                a, b = self.rep(dead_coset), self.rep(t)
-                ax = self.rows[a][x]
-                if ax != SENTINEL:
-                    self.merge(self.rep(ax), b, queue)
-                else:
-                    bx = self.rows[b][x ^ 1]
-                    if bx != SENTINEL:
-                        self.merge(self.rep(bx), a, queue)
-                    else:
-                        self.rows[a][x] = b
-                        self.rows[b][x ^ 1] = a
-
-    def scan(self, c, rel, fill):
-        """Scan relator ``rel`` from coset ``c``; fill gaps if ``fill``."""
-        queue = []
-        f, i = c, 0
-        b, j = c, len(rel) - 1
-        while True:
-            while i <= j:
-                t = self.entry(f, rel[i])
-                if t == SENTINEL:
-                    break
-                f, i = t, i + 1
-            if i > j:
-                if f != b:
-                    self.merge(f, b, queue)
-                    self.process_coincidences(queue)
-                return
-            while j >= i:
-                t = self.entry(b, rel[j] ^ 1)
-                if t == SENTINEL:
-                    break
-                b, j = t, j - 1
-            if j < i:
-                self.merge(f, b, queue)
-                self.process_coincidences(queue)
-                return
-            if j == i:
-                self.rows[f][rel[i]] = b
-                self.rows[b][rel[i] ^ 1] = f
-                return
-            if not fill:
-                return
-            self.define(f, rel[i])
+    """Letter codes of ``rel``: 2 g for generator g, 2 g + 1 for its
+    inverse, so code x ^ 1 is the inverse of code x."""
+    return [2 * gen if sign > 0 else 2 * gen + 1 for gen, sign in rel.letters]
 
 
 def coset_enumerate(pres, coset_cap=50000):
     """Enumerate the cosets of the trivial subgroup (HLT with lookahead) and
     return the group in its regular representation.
+
+    HLT (Sims 1994, *Computation with Finitely Presented Groups*): each
+    live coset in turn scans every relator, defining cosets to fill the
+    gaps, then defines its missing neighbours.  A scan closed by a
+    deduction writes it; a scan that meets itself merges the two cosets,
+    and the coincidences that follow are merged in turn (the higher coset
+    number dies, the last queued first).  The table is one flat list,
+    ``table[c * L + x]`` the coset c times letter code x (L = two codes per
+    generator), entries possibly naming a dead coset, read through the
+    union-find ``labels``.
 
     ``coset_cap`` bounds the live cosets at any one time.  When a
     definition would pass it, a lookahead pass deduces and merges without
@@ -400,66 +309,159 @@ def coset_enumerate(pres, coset_cap=50000):
     364 raise, 244, 486 and 4,093 succeed, and the uncapped run peaks at
     4,094 live cosets.
     """
-    nletters = 2 * pres.gen_count
-    rels = [_relator_letters(r) for r in pres.relators]
-    ct = _CosetTable(nletters, coset_cap)
+    L = 2 * pres.gen_count
+    blank = [SENTINEL] * L
+    # Each relator's codes, and the inverse code of each for the scan from
+    # the relator's end.
+    relators = [(rel, [x ^ 1 for x in rel])
+                for rel in map(_relator_letters, pres.relators)]
+    table = list(blank)
+    parent = [(SENTINEL, SENTINEL)]     # (coset, code) it was defined from
+    labels = [0]                        # union-find: labels[c] == c if live
+    live = 1
 
-    def live_cosets():
-        return [c for c in range(len(ct.rows)) if ct.rep(c) == c]
+    def rep(c):
+        root = c
+        while labels[root] != root:
+            root = labels[root]
+        while labels[c] != root:
+            labels[c], c = root, labels[c]
+        return root
+
+    def define(c, x):
+        nonlocal live
+        if live >= coset_cap:
+            raise CosetCapExceeded(
+                "coset cap %d exceeded (presentation may define a larger or "
+                "infinite group)" % coset_cap)
+        new = len(labels)
+        table.extend(blank)
+        table[c * L + x] = new
+        table[new * L + (x ^ 1)] = c
+        parent.append((c, x))
+        labels.append(new)
+        live += 1
+
+    def coincidence(a, b):
+        """Merge cosets a and b, then every coincidence that follows: each
+        dead coset's entries move to its survivor, merging again where the
+        survivor already has one."""
+        nonlocal live
+        a, b = rep(a), rep(b)
+        if a == b:
+            return
+        keep, drop = (a, b) if a < b else (b, a)
+        labels[drop] = keep
+        live -= 1
+        queue = [drop]
+        while queue:
+            dead = queue.pop()
+            base = dead * L
+            for x in range(L):
+                t = table[base + x]
+                if t == SENTINEL:
+                    continue
+                # transfer the fact dead*x = t to the surviving labels
+                table[base + x] = SENTINEL
+                a = rep(dead)
+                b = t if labels[t] == t else rep(t)
+                ax = table[a * L + x]
+                if ax != SENTINEL:
+                    a = ax if labels[ax] == ax else rep(ax)
+                else:
+                    bx = table[b * L + (x ^ 1)]
+                    if bx == SENTINEL:
+                        table[a * L + x] = b
+                        table[b * L + (x ^ 1)] = a
+                        continue
+                    a, b = bx if labels[bx] == bx else rep(bx), a
+                if a != b:
+                    keep, drop = (a, b) if a < b else (b, a)
+                    labels[drop] = keep
+                    live -= 1
+                    queue.append(drop)
+
+    def scan(c, rel, inv, fill):
+        """Scan ``rel`` from coset ``c``; fill gaps if ``fill``."""
+        f, i = c, 0
+        b, j = c, len(rel) - 1
+        while True:
+            while i <= j:
+                t = table[f * L + rel[i]]
+                if t == SENTINEL:
+                    break
+                f = t if labels[t] == t else rep(t)
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i:
+                t = table[b * L + inv[j]]
+                if t == SENTINEL:
+                    break
+                b = t if labels[t] == t else rep(t)
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f * L + rel[i]] = b
+                table[b * L + inv[i]] = f
+                return
+            if not fill:
+                return
+            define(f, rel[i])
 
     c = 0
-    while c < len(ct.rows):
-        if ct.rep(c) != c:
+    while c < len(labels):
+        if labels[c] != c:
             c += 1
             continue
         try:
-            for rel in rels:
-                if ct.rep(c) != c:
+            for rel, inv in relators:
+                if labels[c] != c:
                     break
-                ct.scan(c, rel, fill=True)
-            if ct.rep(c) == c:
-                for x in range(nletters):
-                    if ct.entry(c, x) == SENTINEL:
-                        ct.define(c, x)
+                scan(c, rel, inv, True)
+            if labels[c] == c:
+                for x in range(L):
+                    if table[c * L + x] == SENTINEL:
+                        define(c, x)
         except CosetCapExceeded:
             # Lookahead: deduce and merge without defining, then retry once.
-            before = len(ct.rows) - ct.dead
-            for d in live_cosets():
-                if ct.rep(d) != d:
+            before = live
+            for d in [d for d in range(len(labels)) if labels[d] == d]:
+                if labels[d] != d:
                     continue
-                for rel in rels:
-                    ct.scan(d, rel, fill=False)
-            if len(ct.rows) - ct.dead >= before:
+                for rel, inv in relators:
+                    scan(d, rel, inv, False)
+            if live >= before:
                 raise
             continue  # retry the same coset index
         c += 1
 
-    live = live_cosets()
-    index = {old: i for i, old in enumerate(live)}
-    n = len(live)
-    # Letter action on compacted cosets.
-    action = np.empty((nletters, n), dtype=np.int32)
-    for i, old in enumerate(live):
-        for x in range(nletters):
-            t = ct.entry(old, x)
-            if t == SENTINEL:
-                raise AssertionError("incomplete coset table after enumeration")
-            action[x, i] = index[t]
+    # Letter action on the live cosets, renumbered 0..n-1 in coset order.
+    reps = np.fromiter(map(rep, range(len(labels))), np.intp, len(labels))
+    cosets = np.flatnonzero(reps == np.arange(len(labels)))
+    n = len(cosets)
+    entries = np.asarray(table, dtype=np.intp).reshape(-1, L)[cosets]
+    if (entries == SENTINEL).any():
+        raise AssertionError("incomplete coset table after enumeration")
+    index = np.empty(len(labels), dtype=np.intp)
+    index[cosets] = np.arange(n)
+    action = index[reps[entries]].T
 
-    # Multiplication table column-by-column along the definition tree:
-    # coset 0 is the identity; a coset defined as parent*letter has
-    # column = letter action applied to the parent's column.
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n)
-    order_of_def = sorted(live[1:])  # definition order = coset numbers
-    for old in order_of_def:
-        p, x = ct.parent[old]
-        # The parent may itself have been merged; its representative's
-        # column is already filled iff rep(parent) was defined earlier.
-        p = ct.rep(p)
-        table[:, index[old]] = action[x, table[:, index[p]]]
+    # Multiplication table column by column along the definition tree:
+    # coset 0 is the identity, and a coset defined as parent * letter has
+    # the column of the letter's action on its parent's column (the
+    # parent's survivor, numbered lower, so its column is filled).
+    columns = np.empty((n, n), dtype=np.intp)
+    columns[0] = np.arange(n)
+    for k, old in enumerate(cosets[1:].tolist(), 1):
+        p, x = parent[old]
+        columns[k] = action[x][columns[index[rep(p)]]]
     generators = [int(action[2 * i, 0]) for i in range(pres.gen_count)]
-    g = FiniteGroup(table, generators, gen_names=pres.gen_names,
+    g = FiniteGroup(columns.T, generators, gen_names=pres.gen_names,
                     name="presented(%s)" % ",".join(pres.gen_names),
                     presentation=pres)
     # Safety: all relators must evaluate to the identity.

@@ -352,11 +352,11 @@ def _levels(seen, depth):
     is not; then s_m(u) is a seed, since each move sends [x1,y1] to one.
 
     Each move is applied once per level, to the words of the parents that
-    take it joined by zero bytes (see apply_bytes).  The children are put
-    in (parent, move) order by a stable argsort of parent * 8 + move, and
-    the level keeps each new child's first position there, so it is
-    filled exactly as one application per child in that order would fill
-    it.
+    take it joined by zero bytes (see apply_bytes).  One loop then reads
+    the children in (parent, move) order, a stable argsort of
+    parent * 8 + move, and adds each child not yet in ``seen`` under the
+    next scan index, so the level is filled exactly as one application
+    per child in that order would fill it.
     """
     takes = _takes()
     # The frontier's word bytes in lex path order, and their paths.
@@ -376,21 +376,19 @@ def _levels(seen, depth):
         # the first positions ascend in lex path order, so the next
         # frontier needs no sort.
         keys = parents * 8 + movers
-        order = np.argsort(keys, kind="stable")
-        children = np.array(children, dtype=object)[order]
-        n = len(children)
-        first = dict(zip(children[::-1].tolist(), range(n - 1, -1, -1)))
-        for child in seen.keys() & first.keys():
-            del first[child]
-        if not first:
+        level, keep = [], []
+        for i in np.argsort(keys, kind="stable").tolist():
+            child = children[i]
+            if child not in seen:
+                seen[child] = len(seen)
+                level.append(child)
+                keep.append(i)
+        if not level:
             return
-        keep = np.sort(np.fromiter(first.values(), np.intp, len(first)))
-        keys = keys[order[keep]]
+        keys = keys[keep]
         paths = np.concatenate([paths[keys >> 3], (keys & 7)[:, None]],
                                axis=1).astype(np.uint8)
-        words = children[keep]
-        level = words.tolist()
-        seen.update(zip(level, range(len(seen), len(seen) + len(level))))
+        words = np.array(level, dtype=object)
         yield level, paths
 
 

@@ -15,9 +15,6 @@ from functools import lru_cache
 from .words import Word, parse_word
 
 RANK = 4
-# Letter b cancels against b + RANK: x x^-1 and x^-1 x for each generator.
-_INVERSE_PAIRS = tuple(bytes(p) for a in range(1, RANK + 1)
-                       for p in ((a, a + RANK), (a + RANK, a)))
 
 # Images of (x1, y1, x2, y2) for the five positive twists and their inverses.
 _SIGMA_IMAGES = {
@@ -47,31 +44,38 @@ def sigma(j):
 
 @lru_cache(maxsize=None)
 def _plan(j):
-    """apply_bytes's plan for s_j, over the letters whose image is not
-    themselves: (translate table, ((placeholder, image), ...), pairs)."""
+    """apply_bytes's plan for s_j: (((letter, image), ...), pairs) over the
+    letters whose image is not themselves."""
     images = sigma(j)
     data = [w.data for w in images] + [(~w).data for w in images]
-    moved = {b: d for b, d in enumerate(data, 1) if d != bytes((b,))}
-    table = bytes.maketrans(bytes(moved), bytes(16 + b for b in moved))
-    subs = tuple((bytes((16 + b,)), d) for b, d in moved.items())
-    return table, subs, _cancelling_pairs(moved)
+    subs = tuple((bytes((b,)), d) for b, d in enumerate(data, 1)
+                 if d != bytes((b,)))
+    return subs, _cancelling_pairs(subs)
 
 
-def _cancelling_pairs(moved):
-    """The inverse pairs apply_bytes deletes after substituting ``moved``
-    (letter byte -> image bytes u b v), seam-adjacent first: the pairs of
-    each generator of u and v, keyed by the fewest steps from one of its
-    letters to the image end it sits towards."""
+def _cancelling_pairs(subs):
+    """The inverse pairs apply_bytes deletes after substituting ``subs``
+    ((letter, image u b v), ...), seam-adjacent first: (c, c^-1) for each
+    letter c of some v and (d^-1, d) for each letter d of some u, keyed by
+    the fewest steps from one such letter to the image end it sits
+    towards."""
     seam = {}
-    for b, image in moved.items():
+    for (b,), image in subs:
         core = image.index(b)
         for i, c in enumerate(image):
-            if i != core:
-                g = (c - 1) % RANK
-                d = i if i < core else len(image) - 1 - i
-                seam[g] = min(seam.get(g, d), d)
-    return tuple(pair for g in sorted(seam, key=lambda g: (seam[g], g))
-                 for pair in _INVERSE_PAIRS[2 * g:2 * g + 2])
+            if i < core:
+                pair, d = bytes((_inverse(c), c)), i
+            elif i > core:
+                pair, d = bytes((c, _inverse(c))), len(image) - 1 - i
+            else:
+                continue
+            seam[pair] = min(seam.get(pair, d), d)
+    return tuple(sorted(seam, key=lambda pair: (seam[pair], pair)))
+
+
+def _inverse(b):
+    """The letter byte of b^-1."""
+    return b + RANK if b <= RANK else b - RANK
 
 
 def apply_bytes(j, data):
@@ -80,37 +84,37 @@ def apply_bytes(j, data):
 
     Shared hot path for apply() and the orbit generator, which joins the
     words of many parents and splits the result on b"\\0": a zero byte is
-    no letter, no placeholder and in no pair, so no word's letters meet
-    another's.  The plan's translate table sends each moved letter b to the
-    byte 16 + b, never a letter, and one replace per moved letter writes
-    its image.  Free reduction deletes the plan's inverse pairs until the
-    length stops changing; it is confluent, so the order of cancellation
-    does not matter for the result.
+    no letter and in no pair, so no word's letters meet another's.
 
     Every twist sends each moved letter b to u b v with u and v over
-    unmoved letters (the tests check this of ``_SIGMA_IMAGES``).  So two
-    letters that cancel cannot both stand for letters of ``data`` (an
-    unmoved letter, or the b of a moved letter's image): the segment
-    between them would be the image of the segment of ``data`` between
-    them, which would map to 1, so it would be empty and ``data`` would not
-    be reduced.  So every pair that can meet holds a letter c of some u or
-    v, and the pairs are (c, c^-1) and (c^-1, c) for those c: two for s1,
-    s2, s4, s5 and their inverses, four for s3 and s8.  Letters cancel
-    outwards from the seam between two images, so the pairs come nearest
-    the image ends first (x2, then y1 for s3).  The first pass then
-    finishes the reduction of every reduced word of length <= 5 and of
-    every word ``generate_c0(9)`` makes; the loop keeps the result right
-    for any order.
+    unmoved letters (the tests check this of ``_SIGMA_IMAGES``), so one
+    replace per moved letter writes its image: no image holds another
+    moved letter for a later replace to rewrite.  Then one pass deletes
+    each of the plan's inverse pairs once, and the word is reduced:
+
+    Two letters of ``data`` (an unmoved letter, or the core b of an
+    image) never cancel: the segment between them would be the image of
+    the segment of ``data`` between them, which would map to 1, so it
+    would be empty and ``data`` would not be reduced.  A core is moved and
+    the letters of u and v are not, so no core cancels at all.  So a
+    letter c of v cancels only to its right, and its pair is (c, c^-1); a
+    letter d of u cancels only to its left, and its pair is (d^-1, d).
+    These are the plan's pairs, one orientation per letter: one pair for
+    s1, s2, s4, s5 and their inverses, two for s3 and s8.  Letters cancel
+    outwards from the seam where a v meets unmoved letters or a u, so the
+    letters at the image ends go first (x2, then y1 for s3).
+    The cores split the word into stretches that reduce apart: a v, then
+    unmoved letters of ``data``, then a u.  Each cancellation uses up a
+    letter of u or v, which hold at most two each, so at most four letters
+    of ``data`` between two cores take part, and every stretch is met in
+    some reduced ``data`` of at most six letters.  The tests check the one
+    pass on all of those.
     """
-    table, subs, pairs = _plan(j)
-    data = data.translate(table)
-    for holder, image in subs:
-        data = data.replace(holder, image)
-    n = -1
-    while n != len(data):
-        n = len(data)
-        for pair in pairs:
-            data = data.replace(pair, b"")
+    subs, pairs = _plan(j)
+    for letter, image in subs:
+        data = data.replace(letter, image)
+    for pair in pairs:
+        data = data.replace(pair, b"")
     return data
 
 
@@ -122,6 +126,8 @@ def apply(j, w):
     return Word.from_bytes(apply_bytes(j, w.data), RANK)
 
 
+@lru_cache(maxsize=None)
 def commutator_base():
-    """The seed word [x1, y1]."""
+    """The seed word [x1, y1], parsed once: a Word is immutable, so the
+    one object is shared."""
     return parse_word("[x1,y1]")

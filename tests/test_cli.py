@@ -299,3 +299,41 @@ def test_orbit_command_finishes_the_set(capsys, monkeypatch):
     code, out = run(capsys, "orbit", "--depth", "3")
     assert code == 0 and "count=41 " in out
     assert made[0].complete
+
+
+def _golden(name):
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           name + ".txt"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_kept_parser_takes_each_calls_depth(capsys):
+    # main keeps one parser for the process; an earlier call's --depth
+    # must not carry over into a plain call, which runs at depth 9.
+    semidirect = cfg("semidirect_11_5_3.cfg")
+    assert run(capsys, "check", "--config", semidirect, "--depth", "3")[0] == 0
+    code, out = run(capsys, "check", "--config", semidirect, "--depth", "0")
+    assert code == 3 and "no-witness depth=0" in out
+    assert run(capsys, "check", "--config", semidirect) == \
+        (0, _golden("check_semidirect_11_5_3"))
+    # kernel-orbit prints its depth.
+    heis = cfg("heisenberg_3.cfg")
+    code, out = run(capsys, "kernel-orbit", "--config", heis, "--depth", "3")
+    assert code == 0 and "intersection-avoids-c0=true depth=3" in out
+    assert run(capsys, "kernel-orbit", "--config", heis) == \
+        (0, _golden("kernel_orbit_heisenberg_3"))
+
+
+@pytest.mark.parametrize("bad", [
+    ("check", "--config", cfg("cyclic_3.cfg"), "--depth", "-1"),
+    ("check", "--config", cfg("cyclic_3.cfg"), "--aut-cap", "5"),
+    ("check",),
+    ("no-such-command",),
+], ids=["bad-value", "foreign-option", "missing-option", "bad-command"])
+def test_usage_error_leaves_the_next_call_unchanged(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(list(bad))
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "check", "--config", cfg("cyclic_3.cfg")) == \
+        (0, _golden("check_cyclic_3"))

@@ -21,7 +21,8 @@ from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
 from handlebody.reference import RECORDED_WITNESS_ROWS
 from handlebody.words import Word, parse_word
 
-from group_helpers import conjugate, direct_product, power
+from group_helpers import (_reference_coset_enumerate, conjugate,
+                           direct_product, power)
 
 
 def test_presentation_validation():
@@ -265,6 +266,70 @@ def test_coset_lookahead_rescues_a_capped_run():
     assert capped.generators == free.generators
     with pytest.raises(CosetCapExceeded):
         coset_enumerate(pres, coset_cap=243)
+
+
+_STANDIN = ("a^27", "b^9", "b a b^-1 a^-4")
+# Every presentation the suite enumerates, by name: (generators, relators).
+_PRESENTATIONS = {
+    "S3": ("ab", ("a^3", "b^2", "(a b)^2")),
+    "Klein": ("ab", ("a^2", "b^2", "[a,b]")),
+    "Q8": ("ij", ("i^4", "i^2 (j^2)^-1", "j^-1 i j i")),
+    "A4": ("ab", ("a^3", "b^2", "(a b)^3")),
+    "C63": ("ab", ("a^7", "b^9", "[a,b]")),
+    "C7:C9": ("ab", ("a^7", "b^9", "b a b^-1 a^-2")),
+    "C3 wr C3": ("at", ("a^3", "t^3", "[a, t a t^-1]", "[a, t^-1 a t]")),
+    "order243_obstructed_standin": ("ab", _STANDIN),
+}
+
+
+def _presentation(name):
+    if name in ("H(3)", "H(5)"):
+        return heisenberg_presentation(int(name[2]))
+    if name == "order243_presented":
+        return load_config(os.path.join(
+            os.path.dirname(__file__), os.pardir, "configs",
+            "order243_presented.cfg")).group.presentation
+    gens, rels = _PRESENTATIONS[name]
+    return Presentation(list(gens), rels)
+
+
+def _enumerations_agree(pres, cap):
+    """coset_enumerate and the reference enumerator give the same table and
+    generators under ``cap``, or both raise CosetCapExceeded; True when
+    they succeed."""
+    try:
+        want = _reference_coset_enumerate(pres, coset_cap=cap)
+    except CosetCapExceeded:
+        with pytest.raises(CosetCapExceeded):
+            coset_enumerate(pres, coset_cap=cap)
+        return False
+    G = coset_enumerate(pres, coset_cap=cap)
+    assert np.array_equal(G.table, want[0])
+    assert list(G.generators) == want[1]
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(_PRESENTATIONS) + [
+    "H(3)", "H(5)", "order243_presented"])
+def test_coset_enumeration_matches_reference(name):
+    # The flat table keeps the reference's strategy step for step, so the
+    # element numbering of every presented group is the same.
+    assert _enumerations_agree(_presentation(name), 50000)
+
+
+def test_coset_cap_sweep_matches_reference():
+    # Success is not monotone in the cap (see coset_enumerate); every cap
+    # gives the reference's outcome, and the documented caps theirs.
+    pres = Presentation(["a", "b"], _STANDIN)
+    documented = {243: False, 244: True, 291: False, 364: False,
+                  486: True, 4093: True}
+    for cap, ok in documented.items():
+        assert _enumerations_agree(pres, cap) is ok, cap
+    for cap in (1, 2, 10, 100, 242, 4094, 4095) + tuple(range(245, 300, 3)):
+        _enumerations_agree(pres, cap)
+    small = _presentation("C3 wr C3")
+    for cap in range(1, 60, 2):
+        _enumerations_agree(small, cap)
 
 
 def test_direct_product():

@@ -87,14 +87,15 @@ def test_each_moved_image_is_u_b_v_over_unmoved_letters():
 
 def test_cancelling_pairs_of_each_map():
     # Each twist sends every moved letter b to u b v with u and v unmoved,
-    # so it deletes only the pairs of the letters of u and v, those
+    # so it deletes only the pairs of the letters of u and v, one
+    # orientation each: (c, c^-1) for c in v, (d^-1, d) for d in u, those
     # nearest the image ends first: x2, then y1 for s3.
-    x1, y1, x2, y2 = ((1, 5), (5, 1)), ((2, 6), (6, 2)), \
-        ((3, 7), (7, 3)), ((4, 8), (8, 4))
-    expected = {1: y1, 2: x1, 3: x2 + y1, 4: y2, 5: x2,
-                6: y1, 7: x1, 8: y1 + x2, 9: y2, 10: x2}
+    x1, y1, x2, y2 = (1, 5), (2, 6), (3, 7), (4, 8)
+    X1, Y1, X2, Y2 = (5, 1), (6, 2), (7, 3), (8, 4)
+    expected = {1: (y1,), 2: (X1,), 3: (x2, Y1), 4: (Y2,), 5: (X2,),
+                6: (Y1,), 7: (x1,), 8: (y1, X2), 9: (y2,), 10: (x2,)}
     for j, pairs in expected.items():
-        assert _plan(j)[2] == tuple(bytes(p) for p in pairs), j
+        assert _plan(j)[1] == tuple(bytes(p) for p in pairs), j
 
 
 def _reduced_words_up_to(length):
@@ -108,23 +109,46 @@ def _reduced_words_up_to(length):
     return words
 
 
+_ALL_INVERSE_PAIRS = [bytes((a, a + 4)) for a in range(1, 5)] + \
+    [bytes((a + 4, a)) for a in range(1, 5)]
+
+
+def _fixpoint_reduce(data):
+    """Free reduction by deleting all eight inverse pairs until none is
+    left."""
+    n = -1
+    while n != len(data):
+        n = len(data)
+        for pair in _ALL_INVERSE_PAIRS:
+            data = data.replace(pair, b"")
+    return data
+
+
 def test_one_pass_of_the_pairs_reduces_short_words():
-    # Seam-adjacent pairs first: apply_bytes's first pass over the pairs
-    # finishes the reduction, so its second pass deletes nothing.
-    inverse_pairs = [bytes((a, a + 4)) for a in range(1, 5)] + \
-        [bytes((a + 4, a)) for a in range(1, 5)]
-    words = _reduced_words_up_to(5)
-    assert len(words) == 1 + 8 * (7 ** 5 - 1) // 6
+    # apply_bytes deletes each of the plan's pairs once, seam-adjacent
+    # first.  Between two cores at most four letters of the word take part
+    # in cancelling (see apply_bytes), so the reduced words of length <= 6
+    # hold every case.  On each, that pass must leave no inverse pair and
+    # agree with a separate reduction: the letter-by-letter substitution
+    # reduced to a fixpoint over all eight pairs, and the stack fold up to
+    # length 5.  The words are joined by zero bytes, as the orbit
+    # generator joins them.
+    words = _reduced_words_up_to(6)
+    assert len(words) == 1 + 8 * (7 ** 6 - 1) // 6 == 156865
+    joined = b"\0".join(words)
     for j in range(1, 11):
-        table, subs, pairs = _plan(j)
-        for w in words:
-            data = w.translate(table)
-            for holder, image in subs:
-                data = data.replace(holder, image)
-            for pair in pairs:
-                data = data.replace(pair, b"")
-            assert not any(p in data for p in inverse_pairs), (j, w)
-            assert data == apply_bytes(j, w)
+        images = sigma(j)
+        table = [b"\0"] + [w.data for w in images] + \
+            [(~w).data for w in images]
+        out = apply_bytes(j, joined)
+        assert not any(p in out for p in _ALL_INVERSE_PAIRS), j
+        substituted = b"".join([table[b] for b in joined])
+        assert out == _fixpoint_reduce(substituted), j
+        out = out.split(b"\0")
+        for w, image in zip(words, out):
+            if len(w) <= 5:
+                assert image == _stack_fold(images, Word.from_bytes(w, 4)), \
+                    (j, w)
 
 
 @given(st.integers(1, 10), st.lists(reduced_words_st, min_size=1, max_size=8))
