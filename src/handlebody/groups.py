@@ -15,6 +15,7 @@ asymptotics.
 from __future__ import annotations
 
 import operator
+from collections import OrderedDict
 
 import numpy as np
 
@@ -98,6 +99,9 @@ class FiniteGroup:
     ``generators`` are the distinguished generator elements (matching the
     source presentation or constructor).  Every row and column of the table
     must be a permutation of 0..n-1; associativity is not checked.
+    ``table`` and ``inv`` are read-only views: ``coset_enumerate`` shares
+    a table between groups, and the cached element orders and classes
+    are read from it.
     """
 
     def __init__(self, table, generators, gen_names=None, name="",
@@ -112,7 +116,8 @@ class FiniteGroup:
         if not (np.array_equal(table[0], np.arange(n)) and
                 np.array_equal(table[:, 0], np.arange(n))):
             raise ValueError("element 0 must be the identity")
-        self.table = table
+        self.table = table.view()
+        self.table.flags.writeable = False
         self.order = n
         self.generators = _as_elements(generators, n, "generators")
         self.gen_names = tuple(gen_names if gen_names is not None else (
@@ -123,6 +128,7 @@ class FiniteGroup:
         self.presentation = presentation
         # Each row holds 0 once, at the inverse's column.
         self.inv = table.argmin(axis=1).astype(np.int32)
+        self.inv.flags.writeable = False
         if self.generators:
             if len(self.subgroup_closure(self.generators)) != n:
                 raise ValueError("declared generators do not generate")
@@ -287,9 +293,46 @@ def _relator_letters(rel):
     return [2 * gen if sign > 0 else 2 * gen + 1 for gen, sign in rel.letters]
 
 
+# Enumerations kept per process by coset_enumerate, least recently used
+# first: content key -> (read-only table, generators).
+_COSET_CACHE_SIZE = 8
+_coset_cache = OrderedDict()
+
+
 def coset_enumerate(pres, coset_cap=50000):
+    """The group ``pres`` presents, in its regular representation, by
+    coset enumeration over the trivial subgroup (``_coset_enumerate``).
+
+    Each process keeps its last eight enumerations (least recently used
+    evicted), keyed by the generator names, each relator's letter bytes in
+    order and ``coset_cap``, since success is not monotone in the cap.  An
+    entry holds the read-only table and the generators, its relators
+    checked once; a run that raises CosetCapExceeded is not kept.  Each
+    call returns its own FiniteGroup over the shared table, validated
+    again and carrying the caller's ``pres``.  The first call for a key
+    does exactly the uncached work.
+    """
+    key = (pres.gen_names, tuple(rel.data for rel in pres.relators),
+           coset_cap)
+    if key not in _coset_cache:
+        G = _coset_enumerate(pres, coset_cap)
+        _coset_cache[key] = G.table, G.generators
+        if len(_coset_cache) > _COSET_CACHE_SIZE:
+            _coset_cache.popitem(last=False)
+        return G
+    _coset_cache.move_to_end(key)
+    return _presented_group(pres, *_coset_cache[key])
+
+
+def _presented_group(pres, table, generators):
+    return FiniteGroup(table, generators, gen_names=pres.gen_names,
+                       name="presented(%s)" % ",".join(pres.gen_names),
+                       presentation=pres)
+
+
+def _coset_enumerate(pres, coset_cap):
     """Enumerate the cosets of the trivial subgroup (HLT with lookahead) and
-    return the group in its regular representation.
+    return the group in its regular representation, uncached.
 
     HLT (Sims 1994, *Computation with Finitely Presented Groups*): each
     live coset in turn scans every relator, defining cosets to fill the
@@ -461,9 +504,7 @@ def coset_enumerate(pres, coset_cap=50000):
         p, x = parent[old]
         columns[k] = action[x][columns[index[rep(p)]]]
     generators = [int(action[2 * i, 0]) for i in range(pres.gen_count)]
-    g = FiniteGroup(columns.T, generators, gen_names=pres.gen_names,
-                    name="presented(%s)" % ",".join(pres.gen_names),
-                    presentation=pres)
+    g = _presented_group(pres, columns.T, generators)
     # Safety: all relators must evaluate to the identity.
     for rel in pres.relators:
         if evaluate_in_group(g, rel, g.generators) != 0:

@@ -5,7 +5,9 @@
 ``golden/<name>.txt`` holds each run's stdout as printed by
 ``python -m handlebody.cli ARGV`` from the repository root.  Every run is
 collected; the slowest is ``kernel-orbit`` on order243_obstructed_standin,
-about 2.3 s as a CLI process on a 2-CPU machine.
+about 2.3 s as a CLI process on a 2-CPU machine.  Three runs on the
+presented configs also run twice in one process, the second time over
+``coset_enumerate``'s cached tables.
 
 An intended change of output regenerates the transcripts with
 ``python tests/test_golden.py`` and says why in CHANGES.md.
@@ -20,6 +22,7 @@ import sys
 
 import pytest
 
+from handlebody import groups
 from handlebody.cli import main
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -33,8 +36,7 @@ def _transcript(name):
         return fh.read()
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_cli_transcript_matches_golden(name):
+def _assert_run_matches_golden(name):
     run = RUNS[name]
     argv = [os.path.join(ROOT, a) if a.startswith("configs/") else a
             for a in run["argv"].split()]
@@ -43,6 +45,23 @@ def test_cli_transcript_matches_golden(name):
         code = main(argv)
     assert out.getvalue().encode("utf-8") == _transcript(name)
     assert code == run["exit"]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_transcript_matches_golden(name):
+    _assert_run_matches_golden(name)
+
+
+def test_presented_configs_repeat_in_one_process():
+    # The first pass enumerates each presentation, the second reads
+    # coset_enumerate's cache: both print the transcript.
+    groups._coset_cache.clear()
+    for _ in range(2):
+        for name in ("check_order243_obstructed_standin",
+                     "check_order243_presented",
+                     "quadruple_order243_obstructed_standin"):
+            _assert_run_matches_golden(name)
+    assert len(groups._coset_cache) == 2
 
 
 def capture():

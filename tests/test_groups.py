@@ -67,6 +67,33 @@ def test_finite_group_validation():
     assert FiniteGroup(cyclic(5).table, [1]).gen_names == ("g1",)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cyclic(5), lambda: semidirect_pq(11, 5, 3),
+    lambda: heisenberg(3), lambda: heisenberg(3).subgroup_as_group([0, 1, 2]),
+    lambda: _enumerate_uncached(Presentation(["a", "b"], _STANDIN)),
+    lambda: (_enumerate_uncached(Presentation(["a", "b"], _STANDIN)),
+             coset_enumerate(Presentation(["a", "b"], _STANDIN)))[1]],
+    ids=["cyclic", "semidirect", "heisenberg", "subgroup", "presented",
+         "presented-cached"])
+def test_group_arrays_are_read_only(make):
+    # A presented group's table is shared with coset_enumerate's cache, and
+    # every group's element orders and classes are read from its table.
+    G = make()
+    with pytest.raises(ValueError):
+        G.table[0, 0] = 1
+    with pytest.raises(ValueError):
+        G.inv[0] = 1
+    assert G.table[0, 0] == 0 and G.inv[0] == 0
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_a_table_passed_in_stays_writable_for_its_owner(dtype):
+    table = np.array([[0, 1], [1, 0]], dtype=dtype)
+    G = FiniteGroup(table, [1])
+    assert table.flags.writeable and not G.table.flags.writeable
+    table[0, 0] = 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 31])
 def test_cyclic_groups(n):
     G = cyclic(n)
@@ -177,23 +204,30 @@ def test_heisenberg_structure():
     assert sorted(set(int(o) for o in orders)) == [1, 3]
 
 
+def _enumerate_uncached(pres, coset_cap=50000):
+    """coset_enumerate on an emptied cache: the run under test is HLT's
+    own, and no entry an earlier call left can stand in for it."""
+    groups._coset_cache.clear()
+    return coset_enumerate(pres, coset_cap=coset_cap)
+
+
 def test_heisenberg_matches_its_presentation():
     G = heisenberg(3)
     pres = heisenberg_presentation(3)
-    H = coset_enumerate(pres, coset_cap=1000)
+    H = _enumerate_uncached(pres, coset_cap=1000)
     assert H.order == 27
     for rel in pres.relators:
         assert evaluate_in_group(G, rel, G.generators) == 0
 
 
 def test_coset_enumeration_small_groups():
-    s3 = coset_enumerate(Presentation(["a", "b"],
-                                      ["a^3", "b^2", "(a b)^2"]))
+    s3 = _enumerate_uncached(Presentation(["a", "b"],
+                                          ["a^3", "b^2", "(a b)^2"]))
     assert s3.order == 6
-    klein = coset_enumerate(Presentation(["a", "b"],
-                                         ["a^2", "b^2", "[a,b]"]))
+    klein = _enumerate_uncached(Presentation(["a", "b"],
+                                             ["a^2", "b^2", "[a,b]"]))
     assert klein.order == 4 and klein.is_abelian()
-    q8 = coset_enumerate(Presentation(
+    q8 = _enumerate_uncached(Presentation(
         ["i", "j"], ["i^4", "i^2 (j^2)^-1", "j^-1 i j i"]))
     assert q8.order == 8
     assert q8.count_involutions() == 1
@@ -240,7 +274,7 @@ def _metacyclic_presentations(draw):
 @settings(max_examples=60, deadline=None)
 @given(_metacyclic_presentations())
 def test_coset_enumeration_matches_sympy(relators):
-    G = coset_enumerate(Presentation(["a", "b"], relators))
+    G = _enumerate_uncached(Presentation(["a", "b"], relators))
     assert G.order == _sympy_order(relators)
     if len(relators) == 3:
         m, n = len(relators[0]), len(relators[1])
@@ -250,8 +284,8 @@ def test_coset_enumeration_matches_sympy(relators):
 def test_coset_enumeration_respects_cap():
     pres = Presentation(["a", "b"], ["a^7", "b^9", "[a,b]"])
     with pytest.raises(CosetCapExceeded):
-        coset_enumerate(pres, coset_cap=10)
-    assert coset_enumerate(pres, coset_cap=5000).order == 63
+        _enumerate_uncached(pres, coset_cap=10)
+    assert _enumerate_uncached(pres, coset_cap=5000).order == 63
 
 
 def test_coset_lookahead_rescues_a_capped_run():
@@ -260,12 +294,12 @@ def test_coset_lookahead_rescues_a_capped_run():
     # merges enough cosets to go on; the result is the same group, table
     # for table.  One coset less and a lookahead pass frees nothing.
     pres = Presentation(["a", "b"], ["a^27", "b^9", "b a b^-1 a^-4"])
-    free = coset_enumerate(pres)
-    capped = coset_enumerate(pres, coset_cap=244)
+    free = _enumerate_uncached(pres)
+    capped = _enumerate_uncached(pres, coset_cap=244)
     assert np.array_equal(capped.table, free.table)
     assert capped.generators == free.generators
     with pytest.raises(CosetCapExceeded):
-        coset_enumerate(pres, coset_cap=243)
+        _enumerate_uncached(pres, coset_cap=243)
 
 
 _STANDIN = ("a^27", "b^9", "b a b^-1 a^-4")
@@ -294,16 +328,16 @@ def _presentation(name):
 
 
 def _enumerations_agree(pres, cap):
-    """coset_enumerate and the reference enumerator give the same table and
-    generators under ``cap``, or both raise CosetCapExceeded; True when
-    they succeed."""
+    """coset_enumerate, uncached, and the reference enumerator give the
+    same table and generators under ``cap``, or both raise
+    CosetCapExceeded; True when they succeed."""
     try:
         want = _reference_coset_enumerate(pres, coset_cap=cap)
     except CosetCapExceeded:
         with pytest.raises(CosetCapExceeded):
-            coset_enumerate(pres, coset_cap=cap)
+            _enumerate_uncached(pres, coset_cap=cap)
         return False
-    G = coset_enumerate(pres, coset_cap=cap)
+    G = _enumerate_uncached(pres, coset_cap=cap)
     assert np.array_equal(G.table, want[0])
     assert list(G.generators) == want[1]
     return True
@@ -330,6 +364,91 @@ def test_coset_cap_sweep_matches_reference():
     small = _presentation("C3 wr C3")
     for cap in range(1, 60, 2):
         _enumerations_agree(small, cap)
+
+
+def _count_runs(monkeypatch):
+    """Empty the cache and record each uncached enumeration after it."""
+    groups._coset_cache.clear()
+    runs = []
+    uncached = groups._coset_enumerate
+
+    def counted(pres, coset_cap):
+        runs.append(pres)
+        return uncached(pres, coset_cap)
+
+    monkeypatch.setattr(groups, "_coset_enumerate", counted)
+    return runs
+
+
+def test_repeat_enumeration_is_a_new_group_over_the_same_table():
+    groups._coset_cache.clear()
+    first, second = (Presentation(["a", "b"], _STANDIN) for _ in range(2))
+    G = coset_enumerate(first)
+    H = coset_enumerate(second)
+    assert H is not G
+    assert (G.presentation, H.presentation) == (first, second)
+    assert np.array_equal(H.table, G.table) and H.generators == G.generators
+    assert np.shares_memory(H.table, G.table)
+    # Each call's group keeps its own name and lazy caches.
+    H.name = "renamed"
+    assert G.name == "presented(a,b)"
+    assert H.element_orders() is not G.element_orders()
+
+
+def test_each_cap_keeps_its_own_outcome_when_cached():
+    # Success is not monotone in the cap, so the cap is part of the key:
+    # a success at 486 does not answer 291, nor a failure at 291 486.
+    pres = Presentation(["a", "b"], _STANDIN)
+    groups._coset_cache.clear()
+    assert coset_enumerate(pres, coset_cap=486).order == 243
+    with pytest.raises(CosetCapExceeded):
+        coset_enumerate(pres, coset_cap=291)
+    groups._coset_cache.clear()
+    with pytest.raises(CosetCapExceeded):
+        coset_enumerate(pres, coset_cap=291)
+    assert coset_enumerate(pres, coset_cap=486).order == 243
+
+
+def test_a_capped_run_leaves_no_entry(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    pres = Presentation(["a", "b"], _STANDIN)
+    for _ in range(2):
+        with pytest.raises(CosetCapExceeded):
+            coset_enumerate(pres, coset_cap=291)
+    assert len(runs) == 2 and not groups._coset_cache
+
+
+def test_relators_in_another_order_are_another_entry(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    forward = Presentation(["a", "b"], _STANDIN)
+    backward = Presentation(["a", "b"], _STANDIN[::-1])
+    for pres in (forward, backward, forward, backward):
+        G = coset_enumerate(pres)
+        assert np.array_equal(G.table,
+                              _reference_coset_enumerate(pres)[0])
+    assert len(runs) == 2 and len(groups._coset_cache) == 2
+
+
+def test_the_cache_evicts_the_least_recently_used(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    size = groups._COSET_CACHE_SIZE
+    cyclic_pres = [Presentation(["a"], ["a^%d" % n])
+                   for n in range(2, size + 3)]
+    for pres in cyclic_pres[:size]:
+        coset_enumerate(pres)
+    coset_enumerate(cyclic_pres[0])              # a hit refreshes the entry
+    assert len(runs) == size
+    coset_enumerate(cyclic_pres[size])           # evicts a^3, not a^2
+    assert len(runs) == size + 1
+    assert len(groups._coset_cache) == size
+    coset_enumerate(cyclic_pres[0])
+    assert len(runs) == size + 1
+    coset_enumerate(cyclic_pres[1])              # a^3 again: evicts a^4
+    assert len(runs) == size + 2
+    kept = cyclic_pres[3:] + cyclic_pres[:2]
+    assert [coset_enumerate(p).order for p in kept] == [
+        len(p.relators[0]) for p in kept]
+    assert len(runs) == size + 2
 
 
 def test_direct_product():
