@@ -1,13 +1,17 @@
-"""Time coset enumeration, partner-pair enumeration and the built-in
-Cayley-table constructors.
+"""Time coset enumeration, partner-pair enumeration, the first class and
+element-order queries and the built-in Cayley-table constructors.
 
 Prints the best-of-N seconds of ``coset_enumerate`` on the presentations of
 the two order-243 configs (each must give a group of order 243), its
 per-process cache emptied before each repeat so every repeat enumerates,
 and of ``load_config`` on the same configs with the cache warm, then of
-``partner_pairs`` on the theta of the same configs, unfiltered and with the nine quick products filtered
-out, and checks the pair counts (order243_presented: 12,312 and 12,312;
-the stand-in: 5,832 and 5,725).  Then times ``drop_quick_pairs`` on
+``partner_pairs`` on the theta of the same configs, unfiltered and with
+the nine quick products filtered out, and checks the pair counts
+(order243_presented: 12,312 and 12,312; the stand-in: 5,832 and 5,725).
+Then times the first ``conjugacy_classes()`` and ``element_orders()`` call
+on a fresh copy of each order-243 group and of ``semidirect_pq(23, 11,
+2)`` (83, 35 and 13 classes; exponents 3, 27 and 23), ``drop_quick_pairs``
+on
 order243_presented's unfiltered pairs (all 12,312 kept), the full
 ``automorphisms`` searches of heisenberg(3) and heisenberg(5) (432 and
 12,000 found), the search of order243_presented under the default node
@@ -39,7 +43,8 @@ from handlebody import (automorphisms, coset_enumerate, fiber_group_order,
                         groups, heisenberg, kernel_orbit, load_config,
                         partner_pairs, reference, semidirect_pq,
                         single_aut_orbit_certificate)
-from handlebody.groups import AutCapExceeded, automorphism_permutations
+from handlebody.groups import (AutCapExceeded, FiniteGroup,
+                               automorphism_permutations)
 from handlebody.homs import (QuadrupleCapExceeded, drop_quick_pairs,
                              quadruple_search)
 
@@ -62,14 +67,21 @@ QUADRUPLE_CASES = (
     (None, 2000000, (0, 5, 0, 25)),
     ("order243_presented", 200000, "capped"),
 )
+# Group (a config name, or None: semidirect_pq(23, 11, 2)) -> its classes
+# and exponent, for the first-call class and element-order rows.
+FIRST_CALL_CASES = (("order243_presented", 83, 3),
+                    ("order243_obstructed_standin", 35, 27),
+                    (None, 13, 23))
 
 
-def best_of(repeats, fn):
-    """Best seconds of ``fn()`` and the last result."""
+def best_of(repeats, fn, setup=None):
+    """Best seconds of ``fn()``, or of ``fn(setup())`` with ``setup`` run
+    outside the timed region, and the last result."""
     best = float("inf")
     for _ in range(repeats):
+        args = () if setup is None else (setup(),)
         t0 = time.perf_counter()
-        result = fn()
+        result = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -82,10 +94,11 @@ def main(argv=None):
 
     rows = []
     quick_case = None
+    presented = {}
     for name, expected in EXPECTED_PAIRS.items():
         path = os.path.join(CONFIGS, name + ".cfg")
         cfg = load_config(path)
-        G = cfg.group
+        G = presented[name] = cfg.group
 
         def cold_enumeration():
             groups._coset_cache.clear()
@@ -113,6 +126,24 @@ def main(argv=None):
                 name, "filtered" if filtered else "all", want), t))
             if name == "order243_presented" and not filtered:
                 quick_case = (G, a, b, pairs, expected[1])
+
+    for name, classes, exponent in FIRST_CALL_CASES:
+        group = presented[name] if name else semidirect_pq(23, 11, 2)
+
+        def fresh():
+            return FiniteGroup(group.table, group.generators)
+
+        t_cls, got = best_of(args.repeats, FiniteGroup.conjugacy_classes,
+                             fresh)
+        t_ord, orders = best_of(args.repeats, FiniteGroup.element_orders,
+                                fresh)
+        if (len(got), orders.max()) != (classes, exponent):
+            raise SystemExit("%s: %d classes and exponent %d, expected %d "
+                             "and %d" % (group.name, len(got), orders.max(),
+                                         classes, exponent))
+        rows.append(("first conjugacy_classes %s, %d" % (group.name, classes),
+                     t_cls))
+        rows.append(("first element_orders %s" % group.name, t_ord))
 
     G, a, b, pairs, want = quick_case
     t_quick, kept = best_of(args.repeats,
@@ -212,7 +243,7 @@ def main(argv=None):
 
     print("%-56s %10s" % ("stage", "best s"))
     for label, t in rows:
-        print("%-56s %10.4f" % (label, t))
+        print("%-56s %10.6f" % (label, t))
 
 
 if __name__ == "__main__":

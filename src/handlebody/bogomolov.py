@@ -213,8 +213,7 @@ def _apply_rules(G):
                               "central commutators and p-th powers)")
 
     derived = G.derived_subgroup()
-    block = G.table[np.ix_(derived, derived)]
-    if np.array_equal(block, block.T) and _quotient_is_cyclic(G, derived):
+    if G.is_abelian(derived) and _quotient_is_cyclic(G, derived):
         return B0Status(ZERO, "R4: derived subgroup abelian and G/[G,G] cyclic")
 
     if pk is None:  # for a p-group this rule would just recurse into G itself
@@ -268,12 +267,8 @@ def all_sylows_abelian(G):
     power of a Sylow subgroup of G, so this condition propagates Zero
     status to all of those groups at once.
     """
-    for p, _ in _factorization(G.order):
-        sub = np.asarray(G.sylow_subgroup(p))
-        block = G.table[np.ix_(sub, sub)]
-        if not np.array_equal(block, block.T):
-            return False
-    return True
+    return all(G.is_abelian(G.sylow_subgroup(p))
+               for p, _ in _factorization(G.order))
 
 
 def samperton_verdict(G, status):

@@ -23,6 +23,10 @@ from .words import Word, parse_word, print_word
 
 SENTINEL = -1
 
+# The largest group order a dense table is built for: 4,096 elements make
+# a 64 MB int32 table.  Past it a group is refused with ValueError.
+MAX_ORDER = 4096
+
 
 class PresentationError(ValueError):
     """Malformed presentation (bad names, empty or out-of-rank relators)."""
@@ -156,16 +160,17 @@ class FiniteGroup:
         return int(self.table[self.table[gh, self.inv[g]], self.inv[h]])
 
     def element_order(self, g):
-        k, acc = 1, g
-        while acc != 0:
-            acc = int(self.table[acc, g])
-            k += 1
-        return k
+        return int(self.element_orders()[g])
 
     def element_orders(self):
+        """Every element's order, the powers of all elements walked at once."""
         if self._orders is None:
-            self._orders = np.array([self.element_order(g)
-                                     for g in range(self.order)])
+            orders = np.ones(self.order, dtype=np.int64)
+            allg = powers = np.arange(self.order)
+            while powers.any():
+                orders += powers != 0
+                powers = np.where(powers != 0, self.table[powers, allg], 0)
+            self._orders = orders
         return self._orders
 
     # -- subgroup machinery -------------------------------------------
@@ -209,28 +214,24 @@ class FiniteGroup:
         mask = (self.table == self.table.T).all(axis=1)
         return [int(g) for g in np.nonzero(mask)[0]]
 
-    def is_abelian(self):
-        return bool((self.table == self.table.T).all())
+    def is_abelian(self, elements=None):
+        """Whether G, or the subgroup on ``elements``, is abelian."""
+        block = (self.table if elements is None
+                 else self.table[np.ix_(elements, elements)])
+        return bool((block == block.T).all())
 
     def conjugacy_classes(self):
+        """The classes, ordered by least element, each sorted: column h of
+        ``conjugation_table()`` is h's class, so its minimum names it."""
         if self._classes is None:
-            n = self.order
-            seen = np.zeros(n, dtype=bool)
-            classes = []
-            allg = np.arange(n)
-            inv_all = self.inv[allg]
-            for g in range(n):
-                if seen[g]:
-                    continue
-                orbit = np.unique(self.table[self.table[allg, g], inv_all])
-                seen[orbit] = True
-                classes.append([int(x) for x in orbit])
-            self._classes = classes
+            least = self.conjugation_table().min(axis=0)
+            by_class = np.argsort(least, kind="stable")
+            cuts = np.flatnonzero(np.diff(least[by_class])) + 1
+            self._classes = [c.tolist() for c in np.split(by_class, cuts)]
         return self._classes
 
     def count_involutions(self):
-        diag = self.table[np.arange(self.order), np.arange(self.order)]
-        return int(np.count_nonzero(diag == 0)) - 1  # exclude the identity
+        return int(np.count_nonzero(self.element_orders() == 2))
 
     def derived_subgroup(self):
         """[G, G] as the normal closure of the commutators [s, t] of a
@@ -350,7 +351,8 @@ def _coset_enumerate(pres, coset_cap):
     raises CosetCapExceeded.  So success is not monotone in the cap: for
     the stand-in's a^27, b^9, b a b^-1 a^-4 (order 243) caps 243, 291 and
     364 raise, 244, 486 and 4,093 succeed, and the uncapped run peaks at
-    4,094 live cosets.
+    4,094 live cosets.  A group of order past MAX_ORDER raises ValueError
+    before its multiplication table is built.
     """
     L = 2 * pres.gen_count
     blank = [SENTINEL] * L
@@ -362,6 +364,7 @@ def _coset_enumerate(pres, coset_cap):
     parent = [(SENTINEL, SENTINEL)]     # (coset, code) it was defined from
     labels = [0]                        # union-find: labels[c] == c if live
     live = 1
+    queue = []                          # dead cosets whose entries move
 
     def rep(c):
         root = c
@@ -385,18 +388,20 @@ def _coset_enumerate(pres, coset_cap):
         labels.append(new)
         live += 1
 
-    def coincidence(a, b):
-        """Merge cosets a and b, then every coincidence that follows: each
-        dead coset's entries move to its survivor, merging again where the
-        survivor already has one."""
+    def merge(a, b):
+        """Merge coset a's class with live coset b: the higher root dies."""
         nonlocal live
-        a, b = rep(a), rep(b)
-        if a == b:
-            return
-        keep, drop = (a, b) if a < b else (b, a)
-        labels[drop] = keep
-        live -= 1
-        queue = [drop]
+        a = a if labels[a] == a else rep(a)
+        if a != b:
+            keep, drop = (a, b) if a < b else (b, a)
+            labels[drop] = keep
+            live -= 1
+            queue.append(drop)
+
+    def coincidence(a, b):
+        """Merge a and b, then the coincidences that follow: each entry of a
+        dead coset (last queued first) moves to the survivors, or merges."""
+        merge(a, rep(b))
         while queue:
             dead = queue.pop()
             base = dead * L
@@ -404,25 +409,17 @@ def _coset_enumerate(pres, coset_cap):
                 t = table[base + x]
                 if t == SENTINEL:
                     continue
-                # transfer the fact dead*x = t to the surviving labels
                 table[base + x] = SENTINEL
-                a = rep(dead)
-                b = t if labels[t] == t else rep(t)
+                a, b = rep(dead), t if labels[t] == t else rep(t)
                 ax = table[a * L + x]
-                if ax != SENTINEL:
-                    a = ax if labels[ax] == ax else rep(ax)
-                else:
+                if ax == SENTINEL:
                     bx = table[b * L + (x ^ 1)]
                     if bx == SENTINEL:
                         table[a * L + x] = b
                         table[b * L + (x ^ 1)] = a
                         continue
-                    a, b = bx if labels[bx] == bx else rep(bx), a
-                if a != b:
-                    keep, drop = (a, b) if a < b else (b, a)
-                    labels[drop] = keep
-                    live -= 1
-                    queue.append(drop)
+                    ax, b = bx, a
+                merge(ax, b)
 
     def scan(c, rel, inv, fill):
         """Scan ``rel`` from coset ``c``; fill gaps if ``fill``."""
@@ -487,6 +484,7 @@ def _coset_enumerate(pres, coset_cap):
     reps = np.fromiter(map(rep, range(len(labels))), np.intp, len(labels))
     cosets = np.flatnonzero(reps == np.arange(len(labels)))
     n = len(cosets)
+    _check_order(n, "presented(%s)" % ",".join(pres.gen_names))
     entries = np.asarray(table, dtype=np.intp).reshape(-1, L)[cosets]
     if (entries == SENTINEL).any():
         raise AssertionError("incomplete coset table after enumeration")
@@ -573,10 +571,19 @@ def _is_prime(n):
     return _factorization(n) == [(n, 1)]
 
 
+def _check_order(n, what):
+    """Refuse (ValueError) an order past MAX_ORDER, before a table of that
+    order is built or a trial division runs on a number that large."""
+    if n > MAX_ORDER:
+        raise ValueError("%s: order %d exceeds the bound %d on dense tables"
+                         % (what, n, MAX_ORDER))
+
+
 def cyclic(n):
     """The cyclic group of order n, generator at index 1."""
     if n < 1:
         raise ValueError("order must be positive")
+    _check_order(n, "cyclic(%d)" % n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     pres = Presentation(("a",), ("a^%d" % n,)) if n > 1 else None
@@ -591,6 +598,8 @@ def semidirect_pq(p, q, r):
     Conditions: p, q prime with 3 <= q < p, 2 <= r < p, and r^q = 1 mod p.
     Violations raise ValueError naming the failed condition.
     """
+    # The larger of p and q, when the other is not positive, is bounded too.
+    _check_order(max(p, q, p * q), "semidirect_pq(%d,%d,%d)" % (p, q, r))
     if not (_is_prime(p) and _is_prime(q)):
         raise ValueError("p=%d and q=%d must both be prime" % (p, q))
     if not 3 <= q < p:
@@ -625,6 +634,7 @@ def heisenberg(p):
     Triples (i,j,k) with (i,j,k)*(m,n,l) = (i+m, j+n, k+l+i*n);
     generators x = (1,0,0), y = (0,1,0); [x,y] = (0,0,1) is central.
     """
+    _check_order(p ** 3, "heisenberg(%d)" % p)
     if not _is_prime(p):
         raise ValueError("p=%d must be prime" % p)
     n = p ** 3

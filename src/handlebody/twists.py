@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .words import Word, parse_word
+from .words import Word, _inv_byte, parse_word
 
 RANK = 4
 
@@ -64,18 +64,13 @@ def _cancelling_pairs(subs):
         core = image.index(b)
         for i, c in enumerate(image):
             if i < core:
-                pair, d = bytes((_inverse(c), c)), i
+                pair, d = bytes((_inv_byte(c, RANK), c)), i
             elif i > core:
-                pair, d = bytes((c, _inverse(c))), len(image) - 1 - i
+                pair, d = bytes((c, _inv_byte(c, RANK))), len(image) - 1 - i
             else:
                 continue
             seam[pair] = min(seam.get(pair, d), d)
     return tuple(sorted(seam, key=lambda pair: (seam[pair], pair)))
-
-
-def _inverse(b):
-    """The letter byte of b^-1."""
-    return b + RANK if b <= RANK else b - RANK
 
 
 def apply_bytes(j, data):

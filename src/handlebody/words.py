@@ -15,6 +15,10 @@ from __future__ import annotations
 
 import re
 
+# The most letters a product, power or commutator in word text may spell:
+# past it the parser refuses the text before building the letters.
+MAX_LETTERS = 1 << 20
+
 
 class WordSyntaxError(ValueError):
     """Malformed word text; ``pos`` is the character offset of the problem."""
@@ -42,6 +46,11 @@ def _inv_byte(b, rank):
     return b - rank if b > rank else b + rank
 
 
+def _check_rank(rank):
+    if not 1 <= rank <= 120:  # letters and their inverses fit a byte
+        raise ValueError("rank must be in 1..120, got %r" % (rank,))
+
+
 def _reduce_bytes(seq, rank):
     """Freely reduce a letter-byte sequence with a stack."""
     out = bytearray()
@@ -63,8 +72,7 @@ class Word:
     __slots__ = ("data", "rank")
 
     def __init__(self, letters=(), rank=4):
-        if rank < 1 or rank > 120:
-            raise ValueError("rank must be in 1..120, got %r" % (rank,))
+        _check_rank(rank)
         raw = bytearray()
         for gen, sign in letters:
             if not 0 <= gen < rank:
@@ -135,6 +143,8 @@ def invert(u):
 # concatenates its factors, a power or commutator reduces its operands once,
 # and the whole text is reduced once at the end.  Free reduction is
 # confluent, so the result equals reducing after every step, in linear time.
+# Each product, power and commutator is held to MAX_LETTERS letters before
+# its bytes are built (WordSyntaxError at its position).
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                        r"|(?P<int>-?\d+)"
@@ -168,8 +178,7 @@ class _Parser:
         self.text = text
         self.names = {name: i for i, name in enumerate(names)}
         self.rank = len(names)
-        if not 1 <= self.rank <= 120:  # Word's bound: letters fit a byte
-            raise ValueError("rank must be in 1..120, got %r" % (self.rank,))
+        _check_rank(self.rank)
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -186,8 +195,16 @@ class _Parser:
         if kind != "sym" or value != sym:
             raise WordSyntaxError("expected %r" % sym, pos)
 
+    def bound(self, letters, pos):
+        """Refuse (WordSyntaxError at ``pos``) a word of more than
+        MAX_LETTERS letters, before it is built."""
+        if letters > MAX_LETTERS:
+            raise WordSyntaxError("word of %d letters exceeds the bound %d"
+                                  % (letters, MAX_LETTERS), pos)
+
     def parse_word(self):
         parts = [self.parse_factor()]
+        letters = len(parts[0])
         while True:
             kind, value, pos = self.peek()
             if kind == "sym" and value == "*":
@@ -196,6 +213,8 @@ class _Parser:
                       or (kind == "sym" and value in "([")):
                 return b"".join(parts)
             parts.append(self.parse_factor())
+            letters += len(parts[-1])
+            self.bound(letters, pos)
 
     def parse_factor(self):
         data = self.parse_atom()
@@ -206,9 +225,11 @@ class _Parser:
             if kind != "int":
                 raise WordSyntaxError("expected integer exponent", pos)
             data = _reduce_bytes(data, self.rank)
-            if value < 0:
-                data = _invert_bytes(data, self.rank)
-            data *= abs(value)
+            if data:  # any power of the empty word is empty
+                self.bound(len(data) * abs(value), pos)
+                if value < 0:
+                    data = _invert_bytes(data, self.rank)
+                data *= abs(value)
         return data
 
     def parse_atom(self):
@@ -233,6 +254,7 @@ class _Parser:
             self.expect_sym(",")
             v = _reduce_bytes(self.parse_word(), self.rank)
             self.expect_sym("]")
+            self.bound(2 * (len(u) + len(v)), pos)
             return (u + v + _invert_bytes(u, self.rank)
                     + _invert_bytes(v, self.rank))
         raise WordSyntaxError("expected a generator, '1', '(' or '['", pos)

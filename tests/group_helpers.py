@@ -47,6 +47,26 @@ def conjugate(G, g, h):
     return G.mult(G.mult(h, g), G.inverse(h))
 
 
+def classes_by_definition(G):
+    """The conjugacy classes of G, each the sorted set of h g h^-1 over
+    all h, ordered by least element: one product at a time."""
+    table, inv = G.table.tolist(), G.inv.tolist()
+    classes = {}
+    for g in range(G.order):
+        cls = sorted({table[table[h][g]][inv[h]] for h in range(G.order)})
+        classes[cls[0]] = cls
+    return [classes[least] for least in sorted(classes)]
+
+
+def order_by_powers(G, g):
+    """The least k >= 1 with g^k = 1, one product at a time."""
+    k, acc = 1, g
+    while acc != 0:
+        acc = G.mult(acc, g)
+        k += 1
+    return k
+
+
 # --- reference Todd-Coxeter coset enumeration ---------------------------
 
 

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from handlebody import groups
 from handlebody.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -337,3 +338,48 @@ def test_usage_error_leaves_the_next_call_unchanged(capsys, bad):
     capsys.readouterr()
     assert run(capsys, "check", "--config", cfg("cyclic_3.cfg")) == \
         (0, _golden("check_cyclic_3"))
+
+
+_THETA = "theta x1=a y1=1 x2=1 y2=1\n"
+
+
+@pytest.mark.parametrize("body, detail", [
+    ("kind cyclic n=3\ntheta x1=a^99999999999999999999 y1=1 x2=1 y2=1\n",
+     "{path}: theta x1: word of 99999999999999999999 letters exceeds the "
+     "bound 1048576 (at position 2)"),
+    ("kind cyclic n=3\ntheta x1=a^1000000000 y1=1 x2=1 y2=1\n",
+     "{path}: theta x1: word of 1000000000 letters exceeds the bound "
+     "1048576 (at position 2)"),
+    ("kind presentation\ngens a\nrel a^-1000000000\n" + _THETA,
+     "{path}: line 4: bad relator: word of 1000000000 letters exceeds the "
+     "bound 1048576 (at position 2)"),
+    ("kind cyclic n=100000000\n" + _THETA,
+     "cyclic(100000000): order 100000000 exceeds the bound 4096 on dense "
+     "tables"),
+    ("kind semidirect_pq p=10000000000000000051 q=3 r=2\n" + _THETA,
+     "semidirect_pq(10000000000000000051,3,2): order 30000000000000000153 "
+     "exceeds the bound 4096 on dense tables"),
+    ("kind heisenberg p=17\n" + _THETA,
+     "heisenberg(17): order 4913 exceeds the bound 4096 on dense tables")],
+    ids=["power-20-digits", "power-1e9", "relator-power", "cyclic",
+         "semidirect", "heisenberg"])
+def test_size_bounds_exit_invalid(tmp_path, capsys, body, detail):
+    p = tmp_path / "big.cfg"
+    p.write_text("group g\n" + body)
+    code, out = run(capsys, "check", "--config", str(p))
+    assert code == 4
+    # A config syntax error names the file; a group's error does not.
+    assert out == 'error=invalid-input detail="%s"\n' % detail.format(path=p)
+
+
+def test_enumerated_order_bound_exits_invalid(tmp_path, capsys, monkeypatch):
+    # C11 x C11 under a bound of 120: refused before its table is built.
+    groups._coset_cache.clear()
+    monkeypatch.setattr(groups, "MAX_ORDER", 120)
+    p = tmp_path / "c11xc11.cfg"
+    p.write_text("group g\nkind presentation\ngens a b\n"
+                 "rel a^11\nrel b^11\nrel [a,b]\n" + _THETA)
+    code, out = run(capsys, "check", "--config", str(p))
+    assert code == 4
+    assert out == ('error=invalid-input detail="presented(a,b): order 121 '
+                   'exceeds the bound 120 on dense tables"\n')

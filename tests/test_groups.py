@@ -21,8 +21,8 @@ from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
 from handlebody.reference import RECORDED_WITNESS_ROWS
 from handlebody.words import Word, parse_word
 
-from group_helpers import (_reference_coset_enumerate, conjugate,
-                           direct_product, power)
+from group_helpers import (_reference_coset_enumerate, classes_by_definition,
+                           conjugate, direct_product, order_by_powers, power)
 
 
 def test_presentation_validation():
@@ -1029,3 +1029,77 @@ def test_automorphism_permutations_consistent(heis3, group55):
         for aut, perm in zip(auts, perms):
             assert np.array_equal(perm,
                                   _loop_permutation(G, G.generators, aut))
+
+
+# Every group the tests build that the class and order queries are
+# pinned on: C1..C30, the metacyclic groups (table 1's and two more), the
+# Heisenberg groups and both order-243 configs.
+_QUERY_GROUPS = (
+    [pytest.param(functools.partial(cyclic, n), id="C%d" % n)
+     for n in range(1, 31)]
+    + [pytest.param(functools.partial(semidirect_pq, *pqr),
+                    id="semidirect_pq(%d,%d,%d)" % pqr)
+       for pqr in sorted({pqr for pqr, _ in RECORDED_WITNESS_ROWS}
+                         | {(7, 3, 2), (13, 3, 3)})]
+    + [pytest.param(functools.partial(heisenberg, p), id="heisenberg(%d)" % p)
+       for p in (3, 5)]
+    + [pytest.param(lambda name=name: load_config(os.path.join(
+        CONFIG_DIR, name + ".cfg")).group, id=name)
+       for name in ("order243_presented", "order243_obstructed_standin")])
+
+
+@pytest.mark.parametrize("make", _QUERY_GROUPS)
+def test_conjugacy_classes_match_their_definition(make):
+    G = make()
+    classes = G.conjugacy_classes()
+    # A partition of G, ordered by least element, each class sorted.
+    assert sorted(g for cls in classes for g in cls) == list(range(G.order))
+    leasts = [cls[0] for cls in classes]
+    assert leasts == sorted(set(leasts))
+    assert all(cls == sorted(set(cls)) for cls in classes)
+    assert classes == classes_by_definition(G)
+
+
+@pytest.mark.parametrize("make", _QUERY_GROUPS)
+def test_element_orders_match_the_power_loop(make):
+    G = make()
+    want = [order_by_powers(G, g) for g in range(G.order)]
+    assert G.element_orders().tolist() == want
+    assert [G.element_order(g) for g in range(G.order)] == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic(10 ** 12), lambda: heisenberg(10 ** 7),
+    # Past the bound before either primality test: trial division on a
+    # 20-digit p would run for hours.
+    lambda: semidirect_pq(10 ** 19 + 1, 3, 2),
+    lambda: semidirect_pq(10 ** 19 + 1, -1, 2),
+    lambda: semidirect_pq(67, 67, 2)],
+    ids=["cyclic", "heisenberg", "semidirect", "semidirect-negative-q",
+         "semidirect-product"])
+def test_constructors_refuse_orders_past_the_bound(build):
+    with pytest.raises(ValueError, match="exceeds the bound 4096 on dense "
+                                         "tables"):
+        build()
+
+
+def test_constructors_build_up_to_the_bound(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_ORDER", 27)
+    assert cyclic(27).order == heisenberg(3).order == 27
+    assert semidirect_pq(7, 3, 2).order == 21
+    for build in (lambda: cyclic(28), lambda: semidirect_pq(11, 5, 3),
+                  lambda: heisenberg(5)):
+        with pytest.raises(ValueError, match="bound 27"):
+            build()
+
+
+def test_enumeration_refuses_a_group_past_the_bound(monkeypatch):
+    # C11 x C11 has order 121: the bound is checked once the cosets are
+    # counted, before the 121 x 121 table is built, and nothing is cached.
+    pres = Presentation(["a", "b"], ["a^11", "b^11", "[a,b]"])
+    monkeypatch.setattr(groups, "MAX_ORDER", 120)
+    with pytest.raises(ValueError, match="order 121 exceeds the bound 120"):
+        _enumerate_uncached(pres)
+    assert not groups._coset_cache
+    monkeypatch.setattr(groups, "MAX_ORDER", 121)
+    assert _enumerate_uncached(pres).order == 121

@@ -1,10 +1,12 @@
 """Free-group words: reduction, inversion, parsing and printing."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from handlebody import words
 from handlebody.words import (Word, WordSyntaxError, UnknownGeneratorError,
                               default_names, invert, parse_word, print_word)
 
@@ -270,3 +272,35 @@ def test_long_words_parse_in_linear_time():
         text = "[%s, %s]" % (text, name)
     assert parse_word(text).is_identity()
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("exponent", ["99999999999999999999", "1000000000",
+                                      "-1000000000"])
+def test_power_past_the_letter_bound_is_refused_before_it_is_built(exponent):
+    text = "x1 (y1 x2)^%s" % exponent
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordSyntaxError) as info:
+            parse_word(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.pos == text.index(exponent)
+    assert "exceeds the bound 1048576" in str(info.value)
+    assert peak < 1 << 20
+    # A power of the empty word has no letters, whatever its exponent.
+    assert parse_word("1^%s x1" % exponent) == parse_word("x1")
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("x1^9", 3), ("(x1 y1)^-5", 8), ("x1^5 y1^4", 5), ("x1^4 * y1^5", 5),
+    ("[x1^2, y1^3]", 0), ("x1 [x1 y1, x2 y2]", 3)])
+def test_each_construct_is_held_to_the_letter_bound(monkeypatch, text, pos):
+    monkeypatch.setattr(words, "MAX_LETTERS", 8)
+    with pytest.raises(WordSyntaxError) as info:
+        parse_word(text)
+    assert info.value.pos == pos
+    # Letters that cancel are not counted: operands are reduced first.
+    for fits in ("x1^8", "(x1 y1)^4", "(x1 x1^-1)^100", "x1^4 y1^4",
+                 "[x1 x1^-1, y1^4]", "[x1, y1]^2"):
+        assert len(parse_word(fits)) <= 8
