@@ -17,7 +17,8 @@ import numpy as np
 
 from .words import parse_word, print_word
 from .twists import commutator_base
-from .orbit import generate_c0, contains, format_path, DEFAULT_DEPTH
+from .orbit import (generate_c0, contains, format_path, DEFAULT_DEPTH,
+                    OrbitCapExceeded)
 from .groups import (semidirect_pq, automorphisms, pair_orbit_count,
                      single_aut_orbit_certificate,
                      CosetCapExceeded, AutCapExceeded)
@@ -43,7 +44,7 @@ EXIT_CAP = 5
 
 # The caps that can end a command.  counts catches AutCapExceeded itself.
 _CAP_ERRORS = (CosetCapExceeded, QuadrupleCapExceeded,
-               KernelClassCapExceeded)
+               KernelClassCapExceeded, OrbitCapExceeded)
 
 
 def _emit(line):

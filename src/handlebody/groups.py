@@ -27,6 +27,10 @@ SENTINEL = -1
 # a 64 MB int32 table.  Past it a group is refused with ValueError.
 MAX_ORDER = 4096
 
+# A coset enumeration defines at most this many cosets (table rows) per
+# unit of its cap on live cosets, so its memory and time follow the cap.
+COSET_ROWS_PER_CAP = 8
+
 
 class PresentationError(ValueError):
     """Malformed presentation (bad names, empty or out-of-rank relators)."""
@@ -351,8 +355,13 @@ def _coset_enumerate(pres, coset_cap):
     raises CosetCapExceeded.  So success is not monotone in the cap: for
     the stand-in's a^27, b^9, b a b^-1 a^-4 (order 243) caps 243, 291 and
     364 raise, 244, 486 and 4,093 succeed, and the uncapped run peaks at
-    4,094 live cosets.  A group of order past MAX_ORDER raises ValueError
-    before its multiplication table is built.
+    4,094 live cosets.  The table's rows (every coset defined, live or
+    dead) are bounded by COSET_ROWS_PER_CAP times ``coset_cap``; past that
+    the run raises CosetCapExceeded with no lookahead, so a run whose
+    lookahead passes keep freeing a few cosets still stops.  A successful
+    run of the stand-in holds at most 2.01 rows per unit of cap (977 at
+    cap 486).  A group of order past MAX_ORDER raises ValueError before
+    its multiplication table is built.
     """
     L = 2 * pres.gen_count
     blank = [SENTINEL] * L
@@ -364,6 +373,7 @@ def _coset_enumerate(pres, coset_cap):
     parent = [(SENTINEL, SENTINEL)]     # (coset, code) it was defined from
     labels = [0]                        # union-find: labels[c] == c if live
     live = 1
+    max_rows = COSET_ROWS_PER_CAP * coset_cap
     queue = []                          # dead cosets whose entries move
 
     def rep(c):
@@ -381,6 +391,11 @@ def _coset_enumerate(pres, coset_cap):
                 "coset cap %d exceeded (presentation may define a larger or "
                 "infinite group)" % coset_cap)
         new = len(labels)
+        if new >= max_rows:
+            raise CosetCapExceeded(
+                "coset cap %d exceeded: the table reached %d rows "
+                "(presentation may define a larger or infinite group)"
+                % (coset_cap, new))
         table.extend(blank)
         table[c * L + x] = new
         table[new * L + (x ^ 1)] = c
@@ -468,7 +483,10 @@ def _coset_enumerate(pres, coset_cap):
                     if table[c * L + x] == SENTINEL:
                         define(c, x)
         except CosetCapExceeded:
-            # Lookahead: deduce and merge without defining, then retry once.
+            # Lookahead: deduce and merge without defining, and retry the
+            # coset while a pass frees one; no pass frees a table row.
+            if len(labels) >= max_rows:
+                raise
             before = live
             for d in [d for d in range(len(labels)) if labels[d] == d]:
                 if labels[d] != d:

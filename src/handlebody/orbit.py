@@ -30,6 +30,16 @@ BASE_PATH = "base"
 DEFAULT_DEPTH = 9
 MOVES = (1, 2, 3, 4, 5)
 
+# The most words a set may hold, counted with the children of the level
+# being made before they are made.  Depth 12 needs 842,104 of them (its
+# 813,885 words peak near 480 MB); depth 13 would need about 2.5 million.
+MAX_WORDS = 1 << 20
+
+
+class OrbitCapExceeded(RuntimeError):
+    """A level would take the set past MAX_WORDS; the set keeps its last
+    whole level."""
+
 
 @lru_cache(maxsize=None)
 def root_word():
@@ -120,8 +130,8 @@ class OrbitSet:
     the seeds being level 0; level k keeps its paths as one uint8 array
     [words, k] of moves, and its path trie is built from that array the
     first time the level is scanned and then kept.  The set starts as the
-    two seeds, and its own level generator (``_levels``) adds one level at
-    a time, on demand.
+    two seeds, and ``_grow`` adds one level at a time, on demand, from the
+    set's own last level.
     Calls that need the whole set finish it: ``len``, iteration, and a
     membership lookup of a rank-4 word (``in``, ``path``,
     ``contains``) that misses.  A lookup grows the set only until the word
@@ -134,7 +144,7 @@ class OrbitSet:
     Trie evaluation (``trie_values``) reads the paths, not the words'
     letters, so every path must replay to its word (``replay_path``).
     That holds by construction: the set holds only the seeds and the words
-    its generator derives, each stored under the path it was derived by.
+    ``_grow`` derives, each stored under the path it was derived by.
     """
 
     def __init__(self, depth):
@@ -146,17 +156,12 @@ class OrbitSet:
         self._seen = {d: i for i, d in enumerate(seeds)}
         self._order = list(seeds)
         # _bounds[k]:_bounds[k + 1] is level k of _order, _moves[k] its
-        # paths and _tries[k] its trie once scanned.  _levels yields the
-        # levels not yet generated.
+        # paths and _tries[k] its trie once scanned.  Only _grow adds to
+        # them, and it sets complete once no level is left.
         self._bounds = [0, len(seeds)]
         self._moves = [np.zeros((len(seeds), 0), dtype=np.uint8)]
         self._tries = []
-        self._levels = _levels(self._seen, self.depth)
-
-    @property
-    def complete(self):
-        """True once every level is generated."""
-        return self._levels is None
+        self.complete = False
 
     @property
     def generated(self):
@@ -164,15 +169,70 @@ class OrbitSet:
         return len(self._order)
 
     def _grow(self):
-        """Generate the next level; False once none is left."""
-        level = None if self.complete else next(self._levels, None)
-        if level is None:
-            self._levels = None
+        """Generate the next level from the last one (the root alone right
+        after the seeds); False, and the set complete, once none is left.
+
+        A parent whose path ends with the move m skips each move j < m
+        that commutes with s_m; its child would already be in the set or
+        the level, so the set, its paths and their order are the same.
+        Proof: the parent is s_m(w'), w' the parent's parent, so the child
+        s_j(s_m(w')) is s_m(u) with u = s_j(w').  Then u is a seed or is in
+        the set with a path no longer than the parent's and, at equal
+        length, lexicographically smaller, since it ends in j < m.  So u
+        was expanded before the parent, and s_m(u) is in the set already
+        (by induction when that step was itself skipped).  A seed u is the
+        root, which is expanded, or [x1,y1], which is not; then s_m(u) is a
+        seed, since each move sends [x1,y1] to one.
+
+        Each move is applied once per level, to the words of the parents
+        that take it joined by zero bytes (see apply_bytes).  One loop then
+        reads the children in (parent, move) order, a stable argsort of
+        parent * 8 + move, and adds each child not yet in the set under
+        the next scan index, so the level is filled exactly as one
+        application per child in that order would fill it.
+        """
+        k = len(self._bounds) - 2           # the last level's path length
+        if self.complete or k == self.depth:
+            self.complete = True
             return False
-        words, moves = level
-        self._order.extend(words)
-        self._moves.append(moves)
-        self._bounds.append(len(self._order))
+        # The parents' word bytes in lex path order, and their paths: the
+        # last level, or the root alone after the seeds.
+        root = k == 0
+        words = self._order[self._bounds[-2] + root:]
+        paths = self._moves[-1][root:]
+        last = np.zeros(1, np.uint8) if root else paths[:, -1]
+        # (move, parent) of each child, by move: the order it is made in.
+        movers, parents = _takes()[last].T.nonzero()
+        if self.generated + len(movers) > MAX_WORDS:
+            raise OrbitCapExceeded(
+                "orbit word cap %d exceeded: level %d would make %d words "
+                "beside the %d generated"
+                % (MAX_WORDS, k + 1, len(movers), self.generated))
+        children = []
+        for j in MOVES:
+            mine = parents[movers == j].tolist()
+            if mine:
+                children += apply_bytes(
+                    j, b"\0".join([words[p] for p in mine])).split(b"\0")
+        # Parents in lex path order, moves ascending: a child's first
+        # position is its lexicographically least shortest derivation, and
+        # the first positions ascend in lex path order, so the level needs
+        # no sort.
+        keys = parents * 8 + movers
+        seen, order, keep = self._seen, self._order, []
+        for i in np.argsort(keys, kind="stable").tolist():
+            child = children[i]
+            if child not in seen:
+                seen[child] = len(order)
+                order.append(child)
+                keep.append(i)
+        if not keep:
+            self.complete = True
+            return False
+        keys = keys[keep]
+        self._moves.append(np.concatenate(
+            [paths[keys >> 3], (keys & 7)[:, None]], axis=1).astype(np.uint8))
+        self._bounds.append(len(order))
         return True
 
     def _finish(self):
@@ -333,63 +393,6 @@ def _takes():
     for m in (0,) + MOVES:
         takes[m, [j for j in MOVES if j not in _commuting_below(m)]] = True
     return takes
-
-
-def _levels(seen, depth):
-    """Yield ``(words, moves)`` for each new level: its word bytes in lex
-    path order and their paths as a uint8 array [words, k], after adding
-    the words with their scan indices to ``seen``.
-
-    A parent whose path ends with the move m skips each move j < m that
-    commutes with s_m; its child would already be in ``seen`` or the
-    level, so the set, its paths and their order are the same.  Proof:
-    the parent is s_m(w'), w' the parent's parent, so the child s_j(s_m(w'))
-    is s_m(u) with u = s_j(w').  Then u is a seed or is in the set with a
-    path no longer than the parent's and, at equal length, lexicographically
-    smaller, since it ends in j < m.  So u was expanded before the parent,
-    and s_m(u) is in the set already (by induction when that step was itself
-    skipped).  A seed u is the root, which is expanded, or [x1,y1], which
-    is not; then s_m(u) is a seed, since each move sends [x1,y1] to one.
-
-    Each move is applied once per level, to the words of the parents that
-    take it joined by zero bytes (see apply_bytes).  One loop then reads
-    the children in (parent, move) order, a stable argsort of
-    parent * 8 + move, and adds each child not yet in ``seen`` under the
-    next scan index, so the level is filled exactly as one application
-    per child in that order would fill it.
-    """
-    takes = _takes()
-    # The frontier's word bytes in lex path order, and their paths.
-    words = np.array([root_word().data], dtype=object)
-    paths = np.zeros((1, 0), dtype=np.uint8)
-    for _ in range(depth):
-        last = paths[:, -1] if paths.shape[1] else np.zeros(1, np.uint8)
-        # (move, parent) of each child, by move: the order it is made in.
-        movers, parents = takes[last].T.nonzero()
-        children = []
-        for j in MOVES:
-            mine = words[parents[movers == j]]
-            if len(mine):
-                children += apply_bytes(j, b"\0".join(mine)).split(b"\0")
-        # Parents in lex path order, moves ascending: a child's first
-        # position is its lexicographically least shortest derivation, and
-        # the first positions ascend in lex path order, so the next
-        # frontier needs no sort.
-        keys = parents * 8 + movers
-        level, keep = [], []
-        for i in np.argsort(keys, kind="stable").tolist():
-            child = children[i]
-            if child not in seen:
-                seen[child] = len(seen)
-                level.append(child)
-                keep.append(i)
-        if not level:
-            return
-        keys = keys[keep]
-        paths = np.concatenate([paths[keys >> 3], (keys & 7)[:, None]],
-                               axis=1).astype(np.uint8)
-        words = np.array(level, dtype=object)
-        yield level, paths
 
 
 def contains(s, w):

@@ -77,7 +77,7 @@ def apply_bytes(j, data):
     """Substitute the letter bytes of ``data``, freely reduced words joined
     by zero bytes, through the twist s_j and freely reduce each.
 
-    Shared hot path for apply() and the orbit generator, which joins the
+    Shared hot path for apply() and OrbitSet._grow, which joins the
     words of many parents and splits the result on b"\\0": a zero byte is
     no letter and in no pair, so no word's letters meet another's.
 

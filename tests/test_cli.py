@@ -182,6 +182,41 @@ def test_coset_cap_exceeded(capsys, command):
                    'group)"\n')
 
 
+def test_coset_row_bound_exits_5(tmp_path, capsys):
+    # The lookahead at cap 600 keeps freeing a few cosets per pass; the
+    # bound on the table's rows ends the run.
+    p = tmp_path / "refilling.cfg"
+    p.write_text("group refilling\nkind presentation\ngens a b\n"
+                 "rel a^3 a^5 a^5 b^-3 a^3 b a^-1 a^4 b^4\n"
+                 "rel b^2 b^-3 a b^4 b^-2 a^-1\n"
+                 "rel b^-2 a^2 b a^-2 b^5\n"
+                 "theta x1=a y1=b x2=a y2=b\n")
+    code, out = run(capsys, "check", "--config", str(p),
+                    "--coset-cap", "600")
+    assert code == 5
+    assert out == ('error=cap-exceeded detail="coset cap 600 exceeded: the '
+                   'table reached 4800 rows (presentation may define a '
+                   'larger or infinite group)"\n')
+
+
+def test_orbit_word_bound_exits_5(capsys, monkeypatch):
+    from handlebody import orbit
+    monkeypatch.setattr(orbit, "MAX_WORDS", 137)
+    code, out = run(capsys, "orbit", "--depth", "9")
+    assert code == 5
+    assert out == ('error=cap-exceeded detail="orbit word cap 137 exceeded: '
+                   'level 5 would make 276 words beside the 122 '
+                   'generated"\n')
+
+
+def test_check_answers_past_the_word_bound_depth(capsys):
+    # The witness lies at level 3, so a depth the word bound refuses in
+    # full still answers.
+    code, out = run(capsys, "check", "--config",
+                    cfg("semidirect_11_5_3.cfg"), "--depth", "50")
+    assert code == 0 and "path=3,4,4" in out
+
+
 def test_kernel_orbit_abelian_counterexample(capsys):
     code, out = run(capsys, "kernel-orbit", "--config", cfg("cyclic_3.cfg"),
                     "--depth", "2")
@@ -197,16 +232,17 @@ def test_kernel_orbit_generates_no_level_past_the_seeds(capsys,
                                                        monkeypatch):
     # The kernel orbit is closed under the twists, so the two seeds decide
     # the depth-9 answer and the transcript is unchanged.
-    from handlebody import orbit
+    from handlebody.orbit import OrbitSet
     grown = []
-    levels = orbit._levels
+    grow = OrbitSet._grow
 
-    def counted(*args):
-        for words, moves in levels(*args):
-            grown.append(len(words))
-            yield words, moves
+    def counted(self):
+        made = grow(self)
+        if made:
+            grown.append(self.generated)
+        return made
 
-    monkeypatch.setattr(orbit, "_levels", counted)
+    monkeypatch.setattr(OrbitSet, "_grow", counted)
     code, out = run(capsys, "kernel-orbit", "--config",
                     cfg("heisenberg_3.cfg"), "--depth", "9")
     assert code == 0 and grown == []

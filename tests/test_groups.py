@@ -3,6 +3,7 @@ automorphism machinery."""
 
 import functools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -364,6 +365,33 @@ def test_coset_cap_sweep_matches_reference():
     small = _presentation("C3 wr C3")
     for cap in range(1, 60, 2):
         _enumerations_agree(small, cap)
+
+
+# A presentation of C19 whose lookahead passes, at cap 600, keep freeing a
+# few cosets each, so only the bound on the table's rows stops the run.
+_REFILLING = ("a^3 a^5 a^5 b^-3 a^3 b a^-1 a^4 b^4",
+              "b^2 b^-3 a b^4 b^-2 a^-1", "b^-2 a^2 b a^-2 b^5")
+
+
+def test_capped_enumeration_stops_at_its_row_bound():
+    pres = Presentation(["a", "b"], _REFILLING)
+    start = time.perf_counter()
+    with pytest.raises(CosetCapExceeded,
+                       match="table reached %d rows" % (8 * 600)):
+        _enumerate_uncached(pres, coset_cap=600)
+    assert time.perf_counter() - start < 10
+    assert _enumerate_uncached(pres, coset_cap=5000).order == 19
+
+
+def test_row_bound_is_a_multiple_of_the_cap(monkeypatch):
+    # The stand-in's table reaches 977 rows at cap 486: two rows per unit
+    # of cap are too few, three enough.
+    pres = Presentation(["a", "b"], _STANDIN)
+    monkeypatch.setattr(groups, "COSET_ROWS_PER_CAP", 2)
+    with pytest.raises(CosetCapExceeded, match="table reached 972 rows"):
+        _enumerate_uncached(pres, coset_cap=486)
+    monkeypatch.setattr(groups, "COSET_ROWS_PER_CAP", 3)
+    assert _enumerate_uncached(pres, coset_cap=486).order == 243
 
 
 def _count_runs(monkeypatch):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from handlebody import orbit
 from handlebody.groups import (cyclic, evaluate_in_group, heisenberg,
                                semidirect_pq)
 from handlebody.homs import (EXTENDS, Epimorphism, evaluate,
                              handlebody_witness, standard_metacyclic_images)
-from handlebody.orbit import (BASE_PATH, MOVES, OrbitSet, _commuting_below,
+from handlebody.orbit import (BASE_PATH, MOVES, OrbitCapExceeded, OrbitSet,
+                              _commuting_below,
                               _image_table, _letter_rows, _precompose,
                               contains, format_path, generate_c0,
                               replay_path, root_word, trie_values)
@@ -58,7 +60,7 @@ def test_invalid_arguments():
 def test_seeds_are_not_expanded():
     # A derivation that reaches a seed stops there.  That loses nothing:
     # the root is expanded, and each move sends [x1,y1] to a seed (the
-    # fact the level generator's commuting prune relies on).
+    # fact OrbitSet._grow's commuting prune relies on).
     assert MOVES == (1, 2, 3, 4, 5)
     seeds = generate_c0(depth=0)
     for j in MOVES:
@@ -244,6 +246,46 @@ def test_trie_blocks_follow_the_scan_blocks(finish_at):
     levels = [0 if p == BASE_PATH else len(p) for _, p in _items(s)]
     assert [levels[start:start + n] for start, n in sizes] == [
         [k] * n for k, (_, n) in enumerate(sizes)]
+
+
+# Words per level through depth 10: the seeds, then each path length.
+LEVEL_SIZES = (2, 3, 9, 27, 81, 244, 734, 2208, 6641, 19973, 60067)
+
+
+def test_level_sizes_through_depth_10():
+    s = generate_c0(depth=10)
+    assert tuple(len(t.node) for _, t in s.trie_blocks()) == LEVEL_SIZES
+    assert len(s) == sum(LEVEL_SIZES)
+
+
+def test_complete_only_once_no_level_is_left():
+    # The set is complete after the call that finds no level past the
+    # last, not when the last level is made.
+    s = generate_c0(depth=4)
+    assert not s.complete
+    s.word_at(CUMULATIVE_COUNTS[4] - 1)
+    assert s.generated == CUMULATIVE_COUNTS[4] and not s.complete
+    len(s)
+    assert s.complete and s.generated == CUMULATIVE_COUNTS[4]
+    assert repr(s) == "OrbitSet(122 words, depth=4)"
+
+
+def test_word_bound_refuses_a_level_before_making_it(monkeypatch):
+    # Level 4 makes 96 children beside 41 words, level 5 276 beside 122.
+    monkeypatch.setattr(orbit, "MAX_WORDS", 137)
+    assert len(generate_c0(depth=4)) == CUMULATIVE_COUNTS[4]
+    s = generate_c0(depth=9)
+    with pytest.raises(OrbitCapExceeded,
+                       match="level 5 would make 276 words beside the 122"):
+        len(s)
+    # The set keeps its last whole level, and refuses the next again.
+    assert s.generated == CUMULATIVE_COUNTS[4] and not s.complete
+    assert s.word_at(121) == generate_c0(depth=4).word_at(121)
+    with pytest.raises(OrbitCapExceeded):
+        s.word_at(122)
+    monkeypatch.setattr(orbit, "MAX_WORDS", 136)
+    with pytest.raises(OrbitCapExceeded, match="level 4 would make 96"):
+        len(generate_c0(depth=4))
 
 
 def test_lookups_grow_only_to_the_words_level():
