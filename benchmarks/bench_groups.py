@@ -10,9 +10,7 @@ the nine quick products filtered out, and checks the pair counts
 (order243_presented: 12,312 and 12,312; the stand-in: 5,832 and 5,725).
 Then times the first ``conjugacy_classes()`` and ``element_orders()`` call
 on a fresh copy of each order-243 group and of ``semidirect_pq(23, 11,
-2)`` (83, 35 and 13 classes; exponents 3, 27 and 23), ``drop_quick_pairs``
-on
-order243_presented's unfiltered pairs (all 12,312 kept), the full
+2)`` (83, 35 and 13 classes; exponents 3, 27 and 23), the full
 ``automorphisms`` searches of heisenberg(3) and heisenberg(5) (432 and
 12,000 found), the search of order243_presented under the default node
 cap (it must raise ``AutCapExceeded``), the 432 permutations of
@@ -45,8 +43,7 @@ from handlebody import (automorphisms, coset_enumerate, fiber_group_order,
                         single_aut_orbit_certificate)
 from handlebody.groups import (AutCapExceeded, FiniteGroup,
                                automorphism_permutations)
-from handlebody.homs import (QuadrupleCapExceeded, drop_quick_pairs,
-                             quadruple_search)
+from handlebody.homs import QuadrupleCapExceeded, quadruple_search
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "configs")
@@ -93,7 +90,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rows = []
-    quick_case = None
     presented = {}
     for name, expected in EXPECTED_PAIRS.items():
         path = os.path.join(CONFIGS, name + ".cfg")
@@ -101,7 +97,7 @@ def main(argv=None):
         G = presented[name] = cfg.group
 
         def cold_enumeration():
-            groups._coset_cache.clear()
+            groups._enumeration.cache_clear()
             return coset_enumerate(G.presentation)
 
         t_coset, H = best_of(args.repeats, cold_enumeration)
@@ -124,8 +120,6 @@ def main(argv=None):
                                                   want))
             rows.append(("partner_pairs %s %s, %d" % (
                 name, "filtered" if filtered else "all", want), t))
-            if name == "order243_presented" and not filtered:
-                quick_case = (G, a, b, pairs, expected[1])
 
     for name, classes, exponent in FIRST_CALL_CASES:
         group = presented[name] if name else semidirect_pq(23, 11, 2)
@@ -145,14 +139,7 @@ def main(argv=None):
                      t_cls))
         rows.append(("first element_orders %s" % group.name, t_ord))
 
-    G, a, b, pairs, want = quick_case
-    t_quick, kept = best_of(args.repeats,
-                            lambda: drop_quick_pairs(G, a, b, pairs))
-    if len(kept) != want:
-        raise SystemExit("drop_quick_pairs kept %d pairs, expected %d"
-                         % (len(kept), want))
-    rows.append(("drop_quick_pairs order243_presented, %d kept" % want,
-                 t_quick))
+    G = presented["order243_presented"]
     heis3 = heisenberg(3)
     t_aut, auts = best_of(args.repeats, lambda: automorphisms(heis3))
     if len(auts) != 432:

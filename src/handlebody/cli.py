@@ -20,14 +20,14 @@ from .twists import commutator_base
 from .orbit import (generate_c0, contains, format_path, DEFAULT_DEPTH,
                     OrbitCapExceeded)
 from .groups import (semidirect_pq, automorphisms, pair_orbit_count,
-                     single_aut_orbit_certificate,
+                     single_aut_orbit_certificate, COSET_CAP, AUT_NODE_CAP,
                      CosetCapExceeded, AutCapExceeded)
 from . import homs
 from .homs import (Epimorphism, evaluate, handlebody_witness,
                    standard_metacyclic_images, partner_pairs,
-                   drop_quick_pairs, batch_pair_witnesses, quadruple_search,
+                   batch_pair_witnesses, quadruple_search,
                    QuadrupleCapExceeded, RelationViolated, NotGenerating)
-from .kernel_orbit import (KernelClassCapExceeded,
+from .kernel_orbit import (KernelClassCapExceeded, CLOSURE_CAP,
                            kernel_orbit as compute_kernel_orbit,
                            intersection_avoids_c0, fiber_group_order)
 from .bogomolov import (b0_status, samperton_verdict, all_sylows_abelian,
@@ -201,7 +201,7 @@ def cmd_counts(args, parser):
         return EXIT_OK
     a, b = theta.images[0], theta.images[1]
     pp = partner_pairs(G, a, b)
-    ppf = drop_quick_pairs(G, a, b, pp)
+    ppf = partner_pairs(G, a, b, filter_quick=True)
     _emit("partner_pairs=%d provenance=%s"
           % (len(pp), _prov_for(cfg, "partner_pairs", len(pp))))
     _emit("partner_pairs_filtered=%d provenance=%s"
@@ -253,60 +253,47 @@ def cmd_kernel_orbit(args, parser):
     return EXIT_OK
 
 
+# Each option's spelling and argparse keywords; a cap's default is the
+# library constant it bounds.
+_FLAGS = {
+    "--config": dict(required=True, help="run configuration file"),
+    "--depth": dict(type=_nonnegative, default=DEFAULT_DEPTH,
+                    help="orbit generation depth (default %d)"
+                         % DEFAULT_DEPTH),
+    "--coset-cap": dict(type=_nonnegative, default=COSET_CAP,
+                        help="coset enumeration cap"),
+    "--aut-cap": dict(type=_nonnegative, default=AUT_NODE_CAP,
+                      help="automorphism search node cap"),
+    "--closure-cap": dict(type=_nonnegative, default=CLOSURE_CAP,
+                          help="fiber closure size and quadruple search "
+                               "node cap"),
+}
+
+# Each command: its name (run by cmd_<name>), help and flags in usage order.
+_COMMANDS = (
+    ("orbit", "enumerate the orbit set", ("--depth",)),
+    ("check", "witness verdict for one theta",
+     ("--config", "--depth", "--coset-cap")),
+    ("table1", "verify the recorded metacyclic witness rows", ("--depth",)),
+    ("counts", "pair-counting report",
+     ("--config", "--depth", "--coset-cap", "--aut-cap")),
+    ("quadruple", "search a commuting generating quadruple",
+     ("--config", "--coset-cap", "--closure-cap")),
+    ("kernel-orbit", "kernel orbit and intersection report",
+     ("--config", "--depth", "--coset-cap", "--closure-cap")),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="handlebody",
         description="Decide handlebody extension of free genus-2-quotient "
                     "surface actions by orbit-witness search.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, config=False, orbit=False, caps=()):
-        if config:
-            p.add_argument("--config", required=True,
-                           help="run configuration file")
-        if orbit:
-            p.add_argument("--depth", type=_nonnegative,
-                           default=DEFAULT_DEPTH,
-                           help="orbit generation depth (default %d)"
-                                % DEFAULT_DEPTH)
-        if "coset" in caps:
-            p.add_argument("--coset-cap", type=_nonnegative, default=50000,
-                           help="coset enumeration cap")
-        if "aut" in caps:
-            p.add_argument("--aut-cap", type=_nonnegative, default=200000,
-                           help="automorphism search node cap")
-        if "closure" in caps:
-            p.add_argument("--closure-cap", type=_nonnegative,
-                           default=1000000, help="closure/search node cap")
-
-    p_orbit = sub.add_parser("orbit", help="enumerate the orbit set")
-    add_common(p_orbit, orbit=True)
-    p_orbit.set_defaults(func="cmd_orbit")
-
-    p_check = sub.add_parser("check", help="witness verdict for one theta")
-    add_common(p_check, config=True, orbit=True, caps=("coset",))
-    p_check.set_defaults(func="cmd_check")
-
-    p_table = sub.add_parser("table1",
-                             help="verify the recorded metacyclic witness "
-                                  "rows")
-    add_common(p_table, orbit=True)
-    p_table.set_defaults(func="cmd_table1")
-
-    p_counts = sub.add_parser("counts", help="pair-counting report")
-    add_common(p_counts, config=True, orbit=True, caps=("coset", "aut"))
-    p_counts.set_defaults(func="cmd_counts")
-
-    p_quad = sub.add_parser("quadruple",
-                            help="search a commuting generating quadruple")
-    add_common(p_quad, config=True, caps=("coset", "closure"))
-    p_quad.set_defaults(func="cmd_quadruple")
-
-    p_ko = sub.add_parser("kernel-orbit",
-                          help="kernel orbit and intersection report")
-    add_common(p_ko, config=True, orbit=True,
-               caps=("coset", "closure"))
-    p_ko.set_defaults(func="cmd_kernel_orbit")
+    for name, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -321,9 +308,10 @@ def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        # The parser names each command's function; it is looked up at
-        # call time, so the kept parser runs the module's current one.
-        return globals()[args.func](args, parser)
+        # The command's function is looked up at call time, so the kept
+        # parser runs the module's current one.
+        return globals()["cmd_" + args.command.replace("-", "_")](
+            args, parser)
     except _CAP_ERRORS as exc:
         _emit("error=cap-exceeded detail=\"%s\"" % exc)
         return EXIT_CAP

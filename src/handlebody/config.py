@@ -21,8 +21,8 @@ whitespace-free (use ``*`` between factors, e.g. ``b*a^-1``).
 from __future__ import annotations
 
 from .words import parse_word
-from .groups import (Presentation, coset_enumerate, evaluate_in_group,
-                     cyclic, semidirect_pq, heisenberg)
+from .groups import (COSET_CAP, Presentation, coset_enumerate,
+                     evaluate_in_group, cyclic, semidirect_pq, heisenberg)
 from .homs import Epimorphism
 
 KINDS = ("cyclic", "semidirect_pq", "heisenberg", "presentation")
@@ -82,7 +82,7 @@ def _require(params, keys, kind, line_no):
                           % (line_no, kind, ", ".join(keys)))
 
 
-def parse_config(text, coset_cap=50000):
+def parse_config(text, coset_cap=COSET_CAP):
     name = None
     kind = None
     params = {}
@@ -210,7 +210,7 @@ def parse_config(text, coset_cap=50000):
     return RunConfig(name, group, theta_words, known_b0, kind, params)
 
 
-def load_config(path, coset_cap=50000):
+def load_config(path, coset_cap=COSET_CAP):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:

@@ -15,7 +15,7 @@ asymptotics.
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +36,17 @@ class PresentationError(ValueError):
     """Malformed presentation (bad names, empty or out-of-rank relators)."""
 
 
+# Default cap on live cosets in a coset enumeration (``--coset-cap``).
+COSET_CAP = 50_000
+
+
 class CosetCapExceeded(RuntimeError):
     """Coset enumeration hit its cap; the presentation may define a larger
     or infinite group.  Never produces a wrong group."""
+
+
+# Default cap on the rows an automorphism search tries (``--aut-cap``).
+AUT_NODE_CAP = 200_000
 
 
 class AutCapExceeded(RuntimeError):
@@ -298,35 +306,30 @@ def _relator_letters(rel):
     return [2 * gen if sign > 0 else 2 * gen + 1 for gen, sign in rel.letters]
 
 
-# Enumerations kept per process by coset_enumerate, least recently used
-# first: content key -> (read-only table, generators).
-_COSET_CACHE_SIZE = 8
-_coset_cache = OrderedDict()
-
-
-def coset_enumerate(pres, coset_cap=50000):
+def coset_enumerate(pres, coset_cap=COSET_CAP):
     """The group ``pres`` presents, in its regular representation, by
     coset enumeration over the trivial subgroup (``_coset_enumerate``).
 
-    Each process keeps its last eight enumerations (least recently used
-    evicted), keyed by the generator names, each relator's letter bytes in
-    order and ``coset_cap``, since success is not monotone in the cap.  An
-    entry holds the read-only table and the generators, its relators
-    checked once; a run that raises CosetCapExceeded is not kept.  Each
-    call returns its own FiniteGroup over the shared table, validated
-    again and carrying the caller's ``pres``.  The first call for a key
-    does exactly the uncached work.
+    Each process keeps its last eight enumerations (``_enumeration``, least
+    recently used evicted), keyed by the generator names, each relator's
+    letter bytes in order and ``coset_cap``, since success is not monotone
+    in the cap.  An entry holds the read-only table and the generators,
+    its relators checked once; a run that raises is not kept.  Each call
+    returns its own FiniteGroup over the shared table, validated again and
+    carrying the caller's ``pres``.
     """
-    key = (pres.gen_names, tuple(rel.data for rel in pres.relators),
-           coset_cap)
-    if key not in _coset_cache:
-        G = _coset_enumerate(pres, coset_cap)
-        _coset_cache[key] = G.table, G.generators
-        if len(_coset_cache) > _COSET_CACHE_SIZE:
-            _coset_cache.popitem(last=False)
-        return G
-    _coset_cache.move_to_end(key)
-    return _presented_group(pres, *_coset_cache[key])
+    return _presented_group(pres, *_enumeration(
+        pres.gen_names, tuple(rel.data for rel in pres.relators), coset_cap))
+
+
+@lru_cache(maxsize=8)
+def _enumeration(gen_names, relators, coset_cap):
+    """(table, generators) of the presentation with these relator bytes."""
+    rank = len(gen_names)
+    G = _coset_enumerate(Presentation(
+        gen_names, [Word.from_bytes(rel, rank) for rel in relators]),
+        coset_cap)
+    return G.table, G.generators
 
 
 def _presented_group(pres, table, generators):
@@ -669,7 +672,7 @@ def heisenberg(p):
 # --- automorphisms -------------------------------------------------------
 
 
-def automorphisms(G, *, node_cap=200000, fixed=None):
+def automorphisms(G, *, node_cap=AUT_NODE_CAP, fixed=None):
     """Automorphisms of G as tuples of images of ``G.generators``.
 
     The images are assigned one presentation generator at a time, in
@@ -790,7 +793,7 @@ def pair_orbit_count(G, pairs, auts):
     return len(np.unique(canon))
 
 
-def single_aut_orbit_certificate(G, pairs, *, node_cap=200000):
+def single_aut_orbit_certificate(G, pairs, *, node_cap=AUT_NODE_CAP):
     """Best-effort proof that an Aut-closed pair list is one Aut(G) orbit.
 
     The orbit algorithm over a growing generating set (Holt, Eick &

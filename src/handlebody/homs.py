@@ -43,6 +43,11 @@ class NotGenerating(ValueError):
         self.closure_size = closure_size
 
 
+# Default cap on quadruple_search's candidate visits.  Z2^5 is exhausted
+# only after 32^4 = 1,048,576 of them.
+QUADRUPLE_NODE_CAP = 2_000_000
+
+
 class QuadrupleCapExceeded(RuntimeError):
     """quadruple_search node cap hit; distinct from search exhaustion."""
 
@@ -262,13 +267,6 @@ def _quick_mask(G, a, b, rs, ts):
     return trivial
 
 
-def drop_quick_pairs(G, a, b, pairs):
-    """``pairs`` less those (r, t) with a trivial quick product."""
-    rs, ts = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    keep = ~_quick_mask(G, a, b, rs, ts)
-    return [pair for pair, k in zip(pairs, keep.tolist()) if k]
-
-
 def batch_pair_witnesses(G, a, b, pairs, s):
     """First-witness word index in scan order for each pair (r, t) mapped to
     (x2, y2) alongside (a, b); -1 where the searched set has no witness.
@@ -279,7 +277,7 @@ def batch_pair_witnesses(G, a, b, pairs, s):
                     dtype=np.int64)
 
 
-def quadruple_search(G, node_cap=2000000):
+def quadruple_search(G, node_cap=QUADRUPLE_NODE_CAP):
     """A generating quadruple (s1, s2, s3, s4) with [s1,s2] = 1 = [s3,s4],
     in deterministic ascending order; None if the search space is exhausted.
 

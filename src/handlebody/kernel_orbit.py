@@ -35,6 +35,10 @@ from .orbit import MOVES, _letter_rows, _precompose, trie_values
 from .homs import Epimorphism, NotGenerating, evaluate
 
 
+# Cap on the kernel classes a kernel-orbit BFS finds (no CLI flag).
+CLASS_CAP = 10_000
+
+
 class KernelClassCapExceeded(RuntimeError):
     """Kernel-orbit BFS found more classes than its cap; orbit unknown."""
 
@@ -72,7 +76,7 @@ def kernel_keys(G, images):
     return keys.T
 
 
-def kernel_orbit(theta, pres=None, class_cap=10000):
+def kernel_orbit(theta, pres=None, class_cap=CLASS_CAP):
     """BFS of ker(theta) under the moves s1..s5 (``orbit.MOVES``).
 
     Returns (representatives, keys): one epimorphism per distinct kernel
@@ -170,13 +174,18 @@ def intersection_avoids_c0(reps, s):
     return IntersectionReport(False, w, s.path(w), survivors)
 
 
+# Default cap on the elements a fiber closure holds (``--closure-cap``,
+# which also caps the quadruple search's visits).  Past it the order is
+# reported absent, not raised.
+CLOSURE_CAP = 1_000_000
+
 # Coordinate budget for the fiber closure: elements are length-r vectors,
 # so at most budget // r of them are held, once in the element array (one
 # byte a coordinate while |G| <= 256, so 64 MB) and once as set keys.
 _FIBER_INT_BUDGET = 64000000
 
 
-def fiber_group_order(reps, closure_cap=1000000):
+def fiber_group_order(reps, closure_cap=CLOSURE_CAP):
     """Order of the image of the diagonal map into G^r — the group whose
     free action the kernel intersection defines.  None when the closure
     exceeds ``closure_cap`` elements, or the memory-scaled equivalent for

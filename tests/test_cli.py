@@ -4,13 +4,21 @@ Exit code contract: 0 success/witness-found, 2 usage, 3 inconclusive
 negative, 4 invalid input, 5 cap exceeded.
 """
 
+import argparse
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 
 import pytest
 
-from handlebody import groups
-from handlebody.cli import main
+import handlebody
+from handlebody import cli, config, groups, homs
+from handlebody.cli import build_parser, main
+
+# The package exports the function kernel_orbit under the module's name.
+kernel_orbit = importlib.import_module("handlebody.kernel_orbit")
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -410,7 +418,7 @@ def test_size_bounds_exit_invalid(tmp_path, capsys, body, detail):
 
 def test_enumerated_order_bound_exits_invalid(tmp_path, capsys, monkeypatch):
     # C11 x C11 under a bound of 120: refused before its table is built.
-    groups._coset_cache.clear()
+    groups._enumeration.cache_clear()
     monkeypatch.setattr(groups, "MAX_ORDER", 120)
     p = tmp_path / "c11xc11.cfg"
     p.write_text("group g\nkind presentation\ngens a b\n"
@@ -419,3 +427,80 @@ def test_enumerated_order_bound_exits_invalid(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ('error=invalid-input detail="presented(a,b): order 121 '
                    'exceeds the bound 120 on dense tables"\n')
+
+
+# Each subcommand's flags in usage order, with the default each parses to
+# (None for the required --config).
+_SUBCOMMAND_FLAGS = {
+    "orbit": {"--depth": 9},
+    "check": {"--config": None, "--depth": 9, "--coset-cap": 50000},
+    "table1": {"--depth": 9},
+    "counts": {"--config": None, "--depth": 9, "--coset-cap": 50000,
+               "--aut-cap": 200000},
+    "quadruple": {"--config": None, "--coset-cap": 50000,
+                  "--closure-cap": 1000000},
+    "kernel-orbit": {"--config": None, "--depth": 9, "--coset-cap": 50000,
+                     "--closure-cap": 1000000},
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_each_subcommand_keeps_its_flags_and_defaults(capsys):
+    subparsers = _subparsers()
+    assert list(subparsers) == list(_SUBCOMMAND_FLAGS)
+    for name, want in _SUBCOMMAND_FLAGS.items():
+        flags = {action.option_strings[0]: action.default
+                 for action in subparsers[name]._actions
+                 if action.option_strings != ["-h", "--help"]}
+        assert list(flags.items()) == list(want.items())
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        usage, options = capsys.readouterr().out.split("options:")
+        assert re.findall(r"--[a-z-]+", usage) == list(want)
+        assert re.findall(r"^  (--[a-z-]+)", options, re.M) == list(want)
+
+
+def test_cap_defaults_are_the_library_constants():
+    # One declaration per cap: the flag and every function default read
+    # the module constant beside the exception the cap raises.  Compared
+    # by identity, so an equal literal written elsewhere fails.
+    flags = {"--coset-cap": groups.COSET_CAP,
+             "--aut-cap": groups.AUT_NODE_CAP,
+             "--closure-cap": kernel_orbit.CLOSURE_CAP}
+    for sub in _subparsers().values():
+        for action in sub._actions:
+            if action.option_strings[0] in flags:
+                assert action.default is flags[action.option_strings[0]]
+    defaults = [
+        (groups.coset_enumerate, "coset_cap", groups.COSET_CAP),
+        (config.parse_config, "coset_cap", groups.COSET_CAP),
+        (config.load_config, "coset_cap", groups.COSET_CAP),
+        (groups.automorphisms, "node_cap", groups.AUT_NODE_CAP),
+        (groups.single_aut_orbit_certificate, "node_cap",
+         groups.AUT_NODE_CAP),
+        (kernel_orbit.fiber_group_order, "closure_cap",
+         kernel_orbit.CLOSURE_CAP),
+        (kernel_orbit.kernel_orbit, "class_cap", kernel_orbit.CLASS_CAP),
+        (homs.quadruple_search, "node_cap", homs.QUADRUPLE_NODE_CAP)]
+    for func, name, constant in defaults:
+        assert inspect.signature(func).parameters[name].default is constant
+
+
+def test_every_cap_error_ends_a_command(capsys):
+    found = set()
+    for module in pkgutil.iter_modules(handlebody.__path__):
+        mod = importlib.import_module("handlebody." + module.name)
+        found |= {obj for name, obj in vars(mod).items()
+                  if name.endswith("CapExceeded") and isinstance(obj, type)}
+    assert found - {groups.AutCapExceeded} == set(cli._CAP_ERRORS)
+    # counts answers past its automorphism cap instead of exiting 5.
+    code, out = run(capsys, "counts", "--config", cfg("heisenberg_3.cfg"),
+                    "--depth", "0", "--aut-cap", "0")
+    assert code == 0 and "error=" not in out
+    assert "aut_orbits=unverified provenance=unverified" in out

@@ -55,13 +55,13 @@ def test_cli_transcript_matches_golden(name):
 def test_presented_configs_repeat_in_one_process():
     # The first pass enumerates each presentation, the second reads
     # coset_enumerate's cache: both print the transcript.
-    groups._coset_cache.clear()
+    groups._enumeration.cache_clear()
     for _ in range(2):
         for name in ("check_order243_obstructed_standin",
                      "check_order243_presented",
                      "quadruple_order243_obstructed_standin"):
             _assert_run_matches_golden(name)
-    assert len(groups._coset_cache) == 2
+    assert groups._enumeration.cache_info().currsize == 2
 
 
 def capture():

@@ -208,7 +208,7 @@ def test_heisenberg_structure():
 def _enumerate_uncached(pres, coset_cap=50000):
     """coset_enumerate on an emptied cache: the run under test is HLT's
     own, and no entry an earlier call left can stand in for it."""
-    groups._coset_cache.clear()
+    groups._enumeration.cache_clear()
     return coset_enumerate(pres, coset_cap=coset_cap)
 
 
@@ -396,7 +396,7 @@ def test_row_bound_is_a_multiple_of_the_cap(monkeypatch):
 
 def _count_runs(monkeypatch):
     """Empty the cache and record each uncached enumeration after it."""
-    groups._coset_cache.clear()
+    groups._enumeration.cache_clear()
     runs = []
     uncached = groups._coset_enumerate
 
@@ -409,7 +409,7 @@ def _count_runs(monkeypatch):
 
 
 def test_repeat_enumeration_is_a_new_group_over_the_same_table():
-    groups._coset_cache.clear()
+    groups._enumeration.cache_clear()
     first, second = (Presentation(["a", "b"], _STANDIN) for _ in range(2))
     G = coset_enumerate(first)
     H = coset_enumerate(second)
@@ -427,11 +427,11 @@ def test_each_cap_keeps_its_own_outcome_when_cached():
     # Success is not monotone in the cap, so the cap is part of the key:
     # a success at 486 does not answer 291, nor a failure at 291 486.
     pres = Presentation(["a", "b"], _STANDIN)
-    groups._coset_cache.clear()
+    groups._enumeration.cache_clear()
     assert coset_enumerate(pres, coset_cap=486).order == 243
     with pytest.raises(CosetCapExceeded):
         coset_enumerate(pres, coset_cap=291)
-    groups._coset_cache.clear()
+    groups._enumeration.cache_clear()
     with pytest.raises(CosetCapExceeded):
         coset_enumerate(pres, coset_cap=291)
     assert coset_enumerate(pres, coset_cap=486).order == 243
@@ -443,7 +443,7 @@ def test_a_capped_run_leaves_no_entry(monkeypatch):
     for _ in range(2):
         with pytest.raises(CosetCapExceeded):
             coset_enumerate(pres, coset_cap=291)
-    assert len(runs) == 2 and not groups._coset_cache
+    assert len(runs) == 2 and not groups._enumeration.cache_info().currsize
 
 
 def test_relators_in_another_order_are_another_entry(monkeypatch):
@@ -454,12 +454,12 @@ def test_relators_in_another_order_are_another_entry(monkeypatch):
         G = coset_enumerate(pres)
         assert np.array_equal(G.table,
                               _reference_coset_enumerate(pres)[0])
-    assert len(runs) == 2 and len(groups._coset_cache) == 2
+    assert len(runs) == 2 and groups._enumeration.cache_info().currsize == 2
 
 
 def test_the_cache_evicts_the_least_recently_used(monkeypatch):
     runs = _count_runs(monkeypatch)
-    size = groups._COSET_CACHE_SIZE
+    size = groups._enumeration.cache_info().maxsize
     cyclic_pres = [Presentation(["a"], ["a^%d" % n])
                    for n in range(2, size + 3)]
     for pres in cyclic_pres[:size]:
@@ -468,7 +468,7 @@ def test_the_cache_evicts_the_least_recently_used(monkeypatch):
     assert len(runs) == size
     coset_enumerate(cyclic_pres[size])           # evicts a^3, not a^2
     assert len(runs) == size + 1
-    assert len(groups._coset_cache) == size
+    assert groups._enumeration.cache_info().currsize == size
     coset_enumerate(cyclic_pres[0])
     assert len(runs) == size + 1
     coset_enumerate(cyclic_pres[1])              # a^3 again: evicts a^4
@@ -1128,6 +1128,6 @@ def test_enumeration_refuses_a_group_past_the_bound(monkeypatch):
     monkeypatch.setattr(groups, "MAX_ORDER", 120)
     with pytest.raises(ValueError, match="order 121 exceeds the bound 120"):
         _enumerate_uncached(pres)
-    assert not groups._coset_cache
+    assert not groups._enumeration.cache_info().currsize
     monkeypatch.setattr(groups, "MAX_ORDER", 121)
     assert _enumerate_uncached(pres).order == 121
