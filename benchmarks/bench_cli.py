@@ -3,15 +3,17 @@
 Runs each entry of ``tests/golden/runs.json`` (``orbit``, ``table1`` and
 ``check``/``counts``/``quadruple``/``kernel-orbit`` on each shipped config,
 at depth 9) through ``handlebody.cli.main`` in this process, stdout
-captured, and prints the first and the best-of-N seconds of each, and
-their sums.  Every run's stdout and exit code must match
+captured, and prints the first and the warm (best-of-N) seconds of each,
+and their sums.  Every run's stdout and exit code must match
 ``tests/golden/<name>.txt`` and ``runs.json``.  In process, the parser and
 the package's caches (the twist plans, the root word, the enumerated
-presentations) are warm after the first run that fills them, as in any
-process that calls ``main`` more than once.  So a run's first time is the
-one-shot cost only of what no earlier run warmed: the ``check`` runs, in
-sorted order the first on each presented config, pay its coset
-enumeration there, and the other commands on that config do not.  A
+presentations, the orbit set of each depth) are warm after the first run
+that fills them, as in any process that calls ``main`` more than once.
+So a run's first time is the one-shot cost only of what no earlier run
+warmed: the ``check`` runs, in sorted order the first on each presented
+config, pay its coset enumeration there, and the other commands on that
+config do not; a run pays for the orbit levels it reads that no earlier
+run generated.  A
 one-command process also pays for the import and the first parser build.
 
 Usage:
@@ -67,7 +69,7 @@ def main(argv=None):
             times.append(seconds)
         rows.append((run["argv"], times[0], min(times)))
 
-    print("%-72s %10s %10s" % ("command", "first s", "best s"))
+    print("%-72s %10s %10s" % ("command", "first s", "warm s"))
     for label, first, best in rows:
         print("%-72s %10.4f %10.4f" % (label, first, best))
     print("%-72s %10.4f %10.4f" % ("sum of %d runs" % len(rows),

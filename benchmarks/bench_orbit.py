@@ -1,7 +1,7 @@
 """Time orbit generation, provenance replay, full-set evaluation and the
 early-exit scans at depth 9.
 
-Prints the best-of-N seconds of these stages: ``generate_c0(9)``
+Prints the best-of-N seconds of these stages: a fresh ``OrbitSet(9)``
 finished to all 29,922 words, with the number of twist applications it
 makes (words substituted) and the number of ``apply_bytes`` calls that
 make them, one per move and level (both counted in a separate, untimed
@@ -42,7 +42,7 @@ import tracemalloc
 
 import numpy as np
 
-from handlebody import (Epimorphism, batch_pair_witnesses,
+from handlebody import (Epimorphism, OrbitSet, batch_pair_witnesses,
                         evaluate_in_group, generate_c0, handlebody_witness,
                         intersection_avoids_c0, kernel_orbit, load_config,
                         partner_pairs, replay_path, semidirect_pq,
@@ -71,8 +71,8 @@ def best_of(repeats, fn, prepare=lambda: ()):
 
 
 def count_twists(depth):
-    """Twist applications made by one finished ``generate_c0(depth)``: the
-    words substituted, and the ``apply_bytes`` calls that substituted
+    """Twist applications made by finishing a fresh ``OrbitSet(depth)``:
+    the words substituted, and the ``apply_bytes`` calls that substituted
     them (each call applies one move to the words of a level's parents,
     joined by zero bytes)."""
     words = calls = 0
@@ -86,7 +86,7 @@ def count_twists(depth):
 
     orbit.apply_bytes = counted
     try:
-        len(generate_c0(depth))
+        len(OrbitSet(depth))
     finally:
         orbit.apply_bytes = inner
     return words, calls
@@ -113,7 +113,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     def full_set():
-        s = generate_c0(DEPTH)
+        # A fresh set, not generate_c0's shared one, which only the first
+        # call would build.
+        s = OrbitSet(DEPTH)
         len(s)  # the set grows on demand; this finishes it
         return s
 
@@ -152,7 +154,7 @@ def main(argv=None):
         fresh = []
 
         def fresh_set():
-            fresh.append(generate_c0(DEPTH))
+            fresh.append(OrbitSet(DEPTH))
             return (fresh[-1],)
 
         t_wit, got = best_of(args.repeats,
@@ -171,7 +173,7 @@ def main(argv=None):
         fresh = []
 
         def fresh_set():
-            fresh.append(generate_c0(DEPTH))
+            fresh.append(OrbitSet(DEPTH))
             return (reps, fresh[-1])
 
         t_int, got = best_of(args.repeats, intersection_avoids_c0, fresh_set)
@@ -198,7 +200,7 @@ def main(argv=None):
 
     print("%-44s %10s" % ("stage", "best s"))
     print("%-44s %10.3f   %d twist applications in %d apply_bytes calls"
-          % ("generate_c0(%d), %d words" % (DEPTH, len(s)), t_gen, twists,
+          % ("OrbitSet(%d), %d words" % (DEPTH, len(s)), t_gen, twists,
              calls))
     print("%-44s %10.2f   MB traced" % ("finished set, held", set_bytes / 1e6))
     print("%-44s %10.3f" % ("replay_path x %d" % REPLAYS, t_replay))

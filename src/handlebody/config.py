@@ -198,6 +198,10 @@ def parse_config(text, coset_cap=COSET_CAP):
     if theta_words is not None:
         # Surface syntax/unknown-generator errors now; group-level
         # validation stays in theta().
+        if not group.gen_names:
+            raise ConfigError("line %d: theta is written over the group's "
+                              "generators, and the trivial group (kind "
+                              "cyclic n=1) has none" % first["theta"])
         parsed = []
         for key in SURFACE_KEYS:
             try:

@@ -315,7 +315,7 @@ def coset_enumerate(pres, coset_cap=COSET_CAP):
     letter bytes in order and ``coset_cap``, since success is not monotone
     in the cap.  An entry holds the read-only table and the generators,
     its relators checked once; a run that raises is not kept.  Each call
-    returns its own FiniteGroup over the shared table, validated again and
+    returns its own FiniteGroup over the shared table, validated once and
     carrying the caller's ``pres``.
     """
     return _presented_group(pres, *_enumeration(
@@ -326,10 +326,9 @@ def coset_enumerate(pres, coset_cap=COSET_CAP):
 def _enumeration(gen_names, relators, coset_cap):
     """(table, generators) of the presentation with these relator bytes."""
     rank = len(gen_names)
-    G = _coset_enumerate(Presentation(
+    return _coset_enumerate(Presentation(
         gen_names, [Word.from_bytes(rel, rank) for rel in relators]),
         coset_cap)
-    return G.table, G.generators
 
 
 def _presented_group(pres, table, generators):
@@ -340,7 +339,9 @@ def _presented_group(pres, table, generators):
 
 def _coset_enumerate(pres, coset_cap):
     """Enumerate the cosets of the trivial subgroup (HLT with lookahead) and
-    return the group in its regular representation, uncached.
+    return the group in its regular representation, uncached: its
+    read-only int32 multiplication table and its generators' elements,
+    each relator checked to read the identity through the table.
 
     HLT (Sims 1994, *Computation with Finitely Presented Groups*): each
     live coset in turn scans every relator, defining cosets to fill the
@@ -523,13 +524,19 @@ def _coset_enumerate(pres, coset_cap):
         p, x = parent[old]
         columns[k] = action[x][columns[index[rep(p)]]]
     generators = [int(action[2 * i, 0]) for i in range(pres.gen_count)]
-    g = _presented_group(pres, columns.T, generators)
-    # Safety: all relators must evaluate to the identity.
-    for rel in pres.relators:
-        if evaluate_in_group(g, rel, g.generators) != 0:
+    table = np.ascontiguousarray(columns.T, dtype=np.int32)
+    table.flags.writeable = False
+    # Safety: all relators must evaluate to the identity.  Code 2 i reads
+    # generator i, and 2 i + 1 its inverse, the column of 0 in its row.
+    letters = [h for g in generators for h in (g, int(table[g].argmin()))]
+    for rel, (codes, _) in zip(pres.relators, relators):
+        out = 0
+        for x in codes:
+            out = table[out, letters[x]]
+        if out != 0:
             raise AssertionError("relator %r violated in enumerated group"
                                  % print_word(rel, pres.gen_names))
-    return g
+    return table, generators
 
 
 def evaluate_in_group(G, word, images):

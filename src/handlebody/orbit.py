@@ -117,8 +117,8 @@ def _precompose(G, letters, parents, moves):
 
 
 class OrbitSet:
-    """A deduplicated orbit fragment with provenance paths, built by
-    ``generate_c0``.
+    """A deduplicated orbit fragment with provenance paths, shared per
+    depth by ``generate_c0``; ``OrbitSet(depth)`` builds a fresh one.
 
     ``path(w)`` gives each word's provenance: the marker string "base"
     (for the two seed words) or a tuple of move indices in application
@@ -366,14 +366,27 @@ def replay_path(path):
 
 
 def generate_c0(depth=DEFAULT_DEPTH):
-    """The orbit set to the given composition depth.
+    """The orbit set to the given composition depth, shared per process.
 
     Breadth-first with global dedup on reduced words; provenance is the
     shortest derivation with lexicographically least move sequence.  The
-    depth is checked at once, but the set is returned with only its two
-    seeds generated: it grows level by level as callers need it (see
-    OrbitSet for the calls that finish it).
+    depth is checked at once.  Every call with the same depth returns the
+    same OrbitSet: it starts with only its two seeds generated and grows
+    level by level as callers need it (see OrbitSet for the calls that
+    finish it), so a call meets the set as earlier calls left it.  That is
+    safe since a set only grows and no call sees a different answer on a
+    partial set.  The memo (``_orbit_set``) holds the two depths used last,
+    each bounded by MAX_WORDS; ``OrbitSet(depth)`` makes a fresh set.
     """
+    # A float is refused here, not looked up; a negative depth raises in
+    # OrbitSet, and a call that raises is not kept.
+    return _orbit_set(operator.index(depth))
+
+
+@lru_cache(maxsize=2)
+def _orbit_set(depth):
+    """The shared set of ``generate_c0``: two entries, the command's depth
+    and depth 0 for the kernel-orbit intersection."""
     return OrbitSet(depth)
 
 

@@ -14,7 +14,7 @@ import re
 import pytest
 
 import handlebody
-from handlebody import cli, config, groups, homs
+from handlebody import cli, config, groups, homs, orbit
 from handlebody.cli import build_parser, main
 
 # The package exports the function kernel_orbit under the module's name.
@@ -103,6 +103,19 @@ def test_check_invalid_group_parameters(tmp_path, capsys):
     code, out = run(capsys, "check", "--config", str(p))
     assert code == 4
     assert "r^q" in out.replace("error=invalid-input detail=", "")
+
+
+@pytest.mark.parametrize("command", ["counts", "check", "kernel-orbit"])
+def test_theta_over_the_trivial_group_is_invalid(tmp_path, capsys, command):
+    # kind cyclic n=1 has no generators, so no theta word can name one.
+    p = tmp_path / "trivial.cfg"
+    p.write_text("group g\nkind cyclic n=1\ntheta x1=a y1=a x2=a y2=a\n")
+    code, out = run(capsys, command, "--config", str(p))
+    assert code == 4
+    assert out.splitlines() == [
+        'error=invalid-input detail="%s: line 3: theta is written over the '
+        "group's generators, and the trivial group (kind cyclic n=1) has "
+        'none"' % p]
 
 
 @pytest.mark.parametrize("command", ["counts", "check", "kernel-orbit"])
@@ -208,7 +221,9 @@ def test_coset_row_bound_exits_5(tmp_path, capsys):
 
 
 def test_orbit_word_bound_exits_5(capsys, monkeypatch):
-    from handlebody import orbit
+    # On an emptied memo: a depth-9 set an earlier test finished would
+    # make no level.
+    orbit._orbit_set.cache_clear()
     monkeypatch.setattr(orbit, "MAX_WORDS", 137)
     code, out = run(capsys, "orbit", "--depth", "9")
     assert code == 5
@@ -307,9 +322,10 @@ def test_reports_are_key_value_lines(capsys):
 
 
 def _orbit_sets(monkeypatch):
-    """Record each orbit set the CLI generates."""
-    from handlebody import cli
+    """Record each orbit set the CLI generates, on an emptied memo: each
+    run meets a fresh set, not one an earlier test has grown."""
     made = []
+    orbit._orbit_set.cache_clear()
 
     def generate(*args, **kwargs):
         made.append(cli_generate(*args, **kwargs))

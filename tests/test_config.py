@@ -95,6 +95,9 @@ def test_known_b0_values():
      "line 2: kind cyclic takes no gens or rel lines"),
     ("group g\nkind semidirect_pq p=7 q=3 r=2\n\nrel a^7\n",
      "line 4: kind semidirect_pq takes no gens or rel lines"),
+    ("group g\nkind cyclic n=1\ntheta x1=a y1=a x2=a y2=a\n",
+     "line 3: theta is written over the group's generators, and the "
+     "trivial group (kind cyclic n=1) has none"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:

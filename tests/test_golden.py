@@ -7,7 +7,8 @@
 collected; the slowest is ``kernel-orbit`` on order243_obstructed_standin,
 about 2.3 s as a CLI process on a 2-CPU machine.  Three runs on the
 presented configs also run twice in one process, the second time over
-``coset_enumerate``'s cached tables.
+``coset_enumerate``'s cached tables, and all 22 run twice in one process
+over ``generate_c0``'s shared orbit sets.
 
 An intended change of output regenerates the transcripts with
 ``python tests/test_golden.py`` and says why in CHANGES.md.
@@ -22,7 +23,7 @@ import sys
 
 import pytest
 
-from handlebody import groups
+from handlebody import groups, orbit
 from handlebody.cli import main
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -62,6 +63,15 @@ def test_presented_configs_repeat_in_one_process():
                      "quadruple_order243_obstructed_standin"):
             _assert_run_matches_golden(name)
     assert groups._enumeration.cache_info().currsize == 2
+
+
+def test_runs_repeat_over_shared_orbit_sets():
+    # In order and then in reverse, from an emptied memo: each run but the
+    # first meets orbit sets that other commands have grown or finished.
+    orbit._orbit_set.cache_clear()
+    names = sorted(RUNS)
+    for name in names + names[::-1]:
+        _assert_run_matches_golden(name)
 
 
 def capture():

@@ -20,7 +20,7 @@ from handlebody.homs import (EXTENDS, Epimorphism, NO_WITNESS,
                              _QUICK_PRODUCTS, _quick_mask, quadruple_search,
                              r3_criterion_word, r_cubed_criterion,
                              standard_metacyclic_images)
-from handlebody.orbit import generate_c0
+from handlebody.orbit import OrbitSet, generate_c0
 from handlebody.words import Word, parse_word
 
 from group_helpers import direct_product
@@ -451,7 +451,7 @@ def test_witness_agrees_on_fresh_and_finished_sets(name, depth, abck):
         theta = Epimorphism(G, (a, b, c, d))
     except NotGenerating:
         assume(False)
-    fresh = generate_c0(depth=depth)
+    fresh = OrbitSet(depth)
     got = handlebody_witness(theta, fresh)
     want = handlebody_witness(theta, _finished(depth))
     assert got.value == want.value
@@ -476,7 +476,7 @@ def test_batch_agrees_on_fresh_and_finished_sets(name, depth, ab, cks):
              for c, k in cks]
     pairs = [(c, d) for c, d in pairs if d is not None]
     assume(pairs)
-    fresh = generate_c0(depth=depth)
+    fresh = OrbitSet(depth)
     got = batch_pair_witnesses(G, a, b, pairs, fresh)
     want = batch_pair_witnesses(G, a, b, pairs, _finished(depth))
     assert got.tolist() == want.tolist()
@@ -487,18 +487,18 @@ def test_batch_agrees_on_fresh_and_finished_sets(name, depth, ab, cks):
 def test_witness_scan_stops_at_the_witness_level(group55):
     # The witness has path (3, 4, 4), a level-3 word: levels 0..3 hold 41.
     theta = Epimorphism(group55, standard_metacyclic_images(group55))
-    s = generate_c0(depth=9)
+    s = OrbitSet(depth=9)
     assert handlebody_witness(theta, s).report.sigma_path == (3, 4, 4)
     assert not s.complete and s.generated == 41
 
 
 def test_no_witness_scan_finishes_the_set(group55, heis3):
     theta = Epimorphism(group55, standard_metacyclic_images(group55))
-    s = generate_c0(depth=2)
+    s = OrbitSet(depth=2)
     assert handlebody_witness(theta, s).value == NO_WITNESS
     assert s.complete and s.generated == 14
 
     a, b, c, d = theta.images
-    s = generate_c0(depth=2)
+    s = OrbitSet(depth=2)
     idxs = batch_pair_witnesses(group55, a, b, [(c, d)], s)
     assert idxs.tolist() == [-1] and s.complete

@@ -18,7 +18,8 @@ from handlebody.kernel_orbit import (KernelClassCapExceeded,
                                      fiber_group_order,
                                      intersection_avoids_c0,
                                      kernel_keys, kernel_orbit)
-from handlebody.orbit import BASE_PATH, MOVES, generate_c0, trie_values
+from handlebody.orbit import (BASE_PATH, MOVES, OrbitSet, generate_c0,
+                             trie_values)
 from handlebody.twists import apply, commutator_base, sigma
 
 ko = importlib.import_module("handlebody.kernel_orbit")
@@ -186,7 +187,7 @@ def test_orbit_values_match_letter_fold(name, depth, seed, orbit9, heis3,
     want = _fold_values(theta, full)
     # A fresh set builds each level's trie as it grows; the complete set
     # keeps the tries of its earlier scans.
-    for s in (generate_c0(depth=depth), full):
+    for s in (OrbitSet(depth), full):
         assert np.array_equal(_block_values(theta, s), want)
 
 
@@ -207,7 +208,7 @@ def test_path_trie_is_cached_with_one_node_per_suffix(orbit3):
         suffixes = {p[::-1][:d] for p in paths for d in range(n + 1)}
         assert trie.size == len(suffixes)
         assert len(set(trie.node.tolist())) == len(paths)
-    fresh = generate_c0(depth=3)
+    fresh = OrbitSet(depth=3)
     assert [(start, t.node.tolist()) for start, t in fresh.trie_blocks()] \
         == [(start, t.node.tolist()) for start, t in blocks]
 
@@ -223,9 +224,9 @@ def test_intersection_matches_fold_oracle(name, seed, maps, depth, grown,
     reps = [_random_epimorphism(G, rng) for _ in range(maps)]
     full = _trie_set(depth, orbit9)
     avoids, counterexample, survivors = _fold_intersection(reps, full)
-    partial = generate_c0(depth=depth)
+    partial = OrbitSet(depth)
     partial.word_at(grown % len(full))
-    for s in (generate_c0(depth=depth), partial, full):
+    for s in (OrbitSet(depth), partial, full):
         report = intersection_avoids_c0(reps, s)
         assert report.avoids is avoids
         assert report.survivors == survivors
@@ -245,7 +246,7 @@ def test_intersection_stops_at_first_common_word():
     # The cyclic_3 config's theta: the base word lies in every kernel, so
     # the scan reads the two seeds and no level.
     reps, _ = kernel_orbit(_abelian_theta())
-    s = generate_c0(9)
+    s = OrbitSet(9)
     report = intersection_avoids_c0(reps, s)
     assert report.counterexample == commutator_base()
     assert report.counterexample_path == BASE_PATH
@@ -256,7 +257,7 @@ def test_intersection_stops_at_first_common_word():
 def test_intersection_on_a_finished_set_stops_at_level_0(monkeypatch):
     # The same scan on a finished depth-9 set reads the level-0 trie only.
     reps, _ = kernel_orbit(_abelian_theta())
-    s = generate_c0(9)
+    s = OrbitSet(9)
     len(s)
     built = []
     path_trie = orbit_module._path_trie

@@ -57,6 +57,43 @@ def test_invalid_arguments():
         generate_c0(9, (1, 2))
 
 
+def test_generate_c0_shares_one_set_per_depth():
+    orbit._orbit_set.cache_clear()
+    s = generate_c0(9)
+    assert generate_c0(depth=9) is s
+    assert generate_c0(np.int64(9)) is s
+    shallow = generate_c0(3)
+    assert shallow is not s and shallow.depth == 3 and s.depth == 9
+
+
+def test_warm_memo_still_checks_the_depth():
+    generate_c0(9)
+    with pytest.raises(TypeError):
+        generate_c0(9.0)
+    with pytest.raises(ValueError):
+        generate_c0(-1)
+
+
+def test_memo_evicts_the_least_recently_used_depth():
+    # Two entries: the command's depth and kernel-orbit's depth 0.
+    orbit._orbit_set.cache_clear()
+    assert orbit._orbit_set.cache_info().maxsize == 2
+    s9, s0 = generate_c0(9), generate_c0(0)
+    generate_c0(9)                          # a hit refreshes depth 9
+    s3 = generate_c0(3)                     # evicts depth 0
+    assert generate_c0(9) is s9 and generate_c0(3) is s3
+    assert generate_c0(0) is not s0         # evicts depth 9
+    assert generate_c0(9) is not s9
+
+
+def test_cache_clear_gives_a_fresh_set():
+    s = generate_c0(4)
+    len(s)
+    orbit._orbit_set.cache_clear()
+    fresh = generate_c0(4)
+    assert fresh is not s and fresh.generated == 2 and not fresh.complete
+
+
 def test_seeds_are_not_expanded():
     # A derivation that reaches a seed stops there.  That loses nothing:
     # the root is expanded, and each move sends [x1,y1] to a seed (the
@@ -123,7 +160,7 @@ def test_depth_9_lookups_grow_only_to_the_words_level(orbit9):
     for lo, hi in zip(bounds, bounds[1:]):
         for i in (lo, (lo + hi) // 2, hi - 1):
             w = orbit9.word_at(i)
-            s = generate_c0(9)
+            s = OrbitSet(9)
             assert s.path(w) == orbit9.path(w)
             assert s.generated == hi
 
@@ -166,7 +203,7 @@ def test_commuting_moves_below_each_move():
 
 
 def test_fresh_set_holds_only_the_seeds():
-    s = generate_c0(depth=9)
+    s = OrbitSet(depth=9)
     assert not s.complete and s.generated == 2
     assert repr(s) == "OrbitSet(2 words so far, depth=9)"
 
@@ -184,7 +221,7 @@ _FINISHING_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(_FINISHING_CALLS))
 def test_full_set_calls_finish_the_set(call):
-    s = generate_c0(depth=4)
+    s = OrbitSet(depth=4)
     _FINISHING_CALLS[call](s)
     assert s.complete and s.generated == CUMULATIVE_COUNTS[4]
     assert _items(s) == _items(generate_c0(depth=4))
@@ -201,7 +238,7 @@ _OFF_RANK_LOOKUPS = {
 
 @pytest.mark.parametrize("lookup", sorted(_OFF_RANK_LOOKUPS))
 def test_off_rank_lookups_grow_nothing(lookup):
-    s = generate_c0(depth=9)
+    s = OrbitSet(depth=9)
     assert _OFF_RANK_LOOKUPS[lookup](s) in (None, False)
     assert s.generated == 2 and not s.complete
 
@@ -223,7 +260,7 @@ def _read_blocks(s, finish_at):
 def test_scan_blocks_cover_the_scan_order(finish_at):
     # The blocks cover the scan order in turn, and each one's values are
     # those of its words, however far the set had grown.
-    s = generate_c0(depth=4)
+    s = OrbitSet(depth=4)
     blocks = _read_blocks(s, finish_at)
     covered = 0
     for start, trie in blocks:
@@ -239,7 +276,7 @@ def test_scan_blocks_cover_the_scan_order(finish_at):
 @pytest.mark.parametrize("finish_at", [None, 0, 1, 3])
 def test_trie_blocks_follow_the_scan_blocks(finish_at):
     # One block per level: the seeds, then each path length.
-    s = generate_c0(depth=4)
+    s = OrbitSet(depth=4)
     sizes = [(start, len(trie.node))
              for start, trie in _read_blocks(s, finish_at)]
     assert sizes == [(0, 2), (2, 3), (5, 9), (14, 27), (41, 81)]
@@ -261,7 +298,7 @@ def test_level_sizes_through_depth_10():
 def test_complete_only_once_no_level_is_left():
     # The set is complete after the call that finds no level past the
     # last, not when the last level is made.
-    s = generate_c0(depth=4)
+    s = OrbitSet(depth=4)
     assert not s.complete
     s.word_at(CUMULATIVE_COUNTS[4] - 1)
     assert s.generated == CUMULATIVE_COUNTS[4] and not s.complete
@@ -273,19 +310,19 @@ def test_complete_only_once_no_level_is_left():
 def test_word_bound_refuses_a_level_before_making_it(monkeypatch):
     # Level 4 makes 96 children beside 41 words, level 5 276 beside 122.
     monkeypatch.setattr(orbit, "MAX_WORDS", 137)
-    assert len(generate_c0(depth=4)) == CUMULATIVE_COUNTS[4]
-    s = generate_c0(depth=9)
+    assert len(OrbitSet(depth=4)) == CUMULATIVE_COUNTS[4]
+    s = OrbitSet(depth=9)
     with pytest.raises(OrbitCapExceeded,
                        match="level 5 would make 276 words beside the 122"):
         len(s)
     # The set keeps its last whole level, and refuses the next again.
     assert s.generated == CUMULATIVE_COUNTS[4] and not s.complete
-    assert s.word_at(121) == generate_c0(depth=4).word_at(121)
+    assert s.word_at(121) == OrbitSet(depth=4).word_at(121)
     with pytest.raises(OrbitCapExceeded):
         s.word_at(122)
     monkeypatch.setattr(orbit, "MAX_WORDS", 136)
     with pytest.raises(OrbitCapExceeded, match="level 4 would make 96"):
-        len(generate_c0(depth=4))
+        len(OrbitSet(depth=4))
 
 
 def test_lookups_grow_only_to_the_words_level():
@@ -294,17 +331,17 @@ def test_lookups_grow_only_to_the_words_level():
         level = 0 if p == BASE_PATH else len(p)
         for lookup in (contains, lambda s, w: s.path(w),
                        lambda s, w: w in s):
-            s = generate_c0(depth=5)
+            s = OrbitSet(depth=5)
             lookup(s, w)
             assert s.generated == CUMULATIVE_COUNTS[level]
-        s = generate_c0(depth=5)
+        s = OrbitSet(depth=5)
         assert s.word_at(i) == w
         assert s.generated == CUMULATIVE_COUNTS[level]
 
 
 def test_word_at_rejects_negative_indices():
     # The answer must not depend on how far the set has grown.
-    s = generate_c0(depth=4)
+    s = OrbitSet(depth=4)
     for state in ("partial", "complete"):
         with pytest.raises(IndexError):
             s.word_at(-1)
@@ -376,7 +413,7 @@ def test_contains_agrees_on_fresh_and_finished_sets(depth, pick, letters):
     # A word of the set, and an arbitrary word (mostly outside it).
     finished = _finished(depth)
     for w in (finished.word_at(pick % len(finished)), Word(letters)):
-        fresh = generate_c0(depth=depth)
+        fresh = OrbitSet(depth=depth)
         assert contains(fresh, w) == contains(finished, w)
         assert (w in fresh) == (w in finished)
 
@@ -405,7 +442,7 @@ def test_generation_order_is_scan_order(orbit9, depth):
 def test_orbit_set_equality_includes_metadata(orbit3):
     # The depth determines the set, so == compares depths and grows
     # neither set.
-    fresh, deep = generate_c0(depth=3), generate_c0(depth=9)
+    fresh, deep = OrbitSet(depth=3), OrbitSet(depth=9)
     assert fresh == orbit3 and fresh != deep
     assert fresh != list(orbit3)
     assert fresh.generated == deep.generated == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from handlebody.groups import cyclic, evaluate_in_group
 from handlebody.homs import (batch_pair_witnesses,
                              standard_metacyclic_images)
-from handlebody.orbit import first_zero, generate_c0
+from handlebody.orbit import OrbitSet, first_zero, generate_c0
 
 orbit_module = importlib.import_module("handlebody.orbit")
 
@@ -37,8 +37,9 @@ def _scalar_first_zero(G, images, words):
 
 def _orbit_set(kind, depth, k):
     """A depth-``depth`` set: fresh, grown to scan index ``k`` by
-    ``word_at``, or finished."""
-    s = generate_c0(depth=depth)
+    ``word_at``, or finished; never the shared set, so the kinds are
+    distinct sets."""
+    s = OrbitSet(depth)
     if kind == "grown":
         s.word_at(k % LEVEL_ENDS[depth])
     elif kind == "finished":
@@ -82,12 +83,13 @@ def test_rows_with_and_without_a_witness(heis3, group55):
     # finished sets.
     words = _reference(3)
     finished = generate_c0(depth=3)
+    len(finished)
     rng = np.random.default_rng(3)
     outcomes = set()
     for G in (heis3, group55, cyclic(3)):
         for row in rng.integers(0, G.order, size=(40, 4)).tolist():
             want = _scalar_first_zero(G, row, words)
-            assert first_zero(generate_c0(depth=3), G, row) == want
+            assert first_zero(OrbitSet(depth=3), G, row) == want
             assert first_zero(finished, G, row) == want
             outcomes.add(want >= 0)
     assert outcomes == {True, False}
@@ -119,7 +121,7 @@ def test_second_scan_reuses_the_level_tries(group55, monkeypatch):
     monkeypatch.setattr(orbit_module, "_path_trie",
                         lambda moves: built.append(len(moves))
                         or path_trie(moves))
-    s = generate_c0(depth=2)
+    s = OrbitSet(depth=2)
     zero = (0, 0, 0, 0)         # every word dies: stops at level 0
     # Its first witness has path (3, 4, 4), on level 3.
     miss = standard_metacyclic_images(group55)
