@@ -4,11 +4,13 @@ Runs each entry of ``tests/golden/runs.json`` (``orbit``, ``table1`` and
 ``check``/``counts``/``quadruple``/``kernel-orbit`` on each shipped config,
 at depth 9) through ``handlebody.cli.main`` in this process, stdout
 captured, and prints the first and the warm (best-of-N) seconds of each,
-and their sums.  Every run's stdout and exit code must match
-``tests/golden/<name>.txt`` and ``runs.json``.  In process, the parser and
-the package's caches (the twist plans, the root word, the enumerated
-presentations, the orbit set of each depth) are warm after the first run
-that fills them, as in any process that calls ``main`` more than once.
+their sums, and the process's peak resident set size after all the runs
+(``ru_maxrss``), which shows how many orbit sets it kept.  Every run's
+stdout and exit code must match ``tests/golden/<name>.txt`` and
+``runs.json``.  In process, the parser and the package's caches (the
+twist plans, the root word, the enumerated presentations, the orbit set
+of the depth used last) are warm after the first run that fills them, as
+in any process that calls ``main`` more than once.
 So a run's first time is the one-shot cost only of what no earlier run
 warmed: the ``check`` runs, in sorted order the first on each presented
 config, pay its coset enumeration there, and the other commands on that
@@ -25,6 +27,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import time
 
 from handlebody.cli import main as cli_main
@@ -75,6 +78,9 @@ def main(argv=None):
     print("%-72s %10.4f %10.4f" % ("sum of %d runs" % len(rows),
                                    sum(r[1] for r in rows),
                                    sum(r[2] for r in rows)))
+    # ru_maxrss is in kilobytes on Linux.
+    print("peak RSS after %d runs: %.1f MB" % (
+        len(rows), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ theta, on a fresh (partial) set, with the number of words that scan
 generated, and on the finished set, whose level tries are kept between
 scans; and ``intersection_avoids_c0`` of the kernel orbits of cyclic_3
 and heisenberg_3 on a fresh set, with the words it generated, and on the
-two seeds alone (a depth-0 set), the decision ``kernel-orbit`` makes: a
-complete kernel orbit's intersection is twist-invariant, so the seeds
-decide it; last, ``batch_pair_witnesses`` on a seeded sample of 640 of
+two seeds alone (a fresh ``OrbitSet(0)``), the decision ``kernel-orbit``
+makes: a complete kernel orbit's intersection is twist-invariant, so the
+seeds decide it; last, ``batch_pair_witnesses`` on a seeded sample of 640 of
 order243_presented's quick-filtered partner pairs on the finished set
 (ten of perfbench's ``pair_census`` 64-pair blocks), one witness scan
 per pair.  Finished and fresh sets, kernel orbits and partner pairs are
@@ -43,7 +43,7 @@ import tracemalloc
 import numpy as np
 
 from handlebody import (Epimorphism, OrbitSet, batch_pair_witnesses,
-                        evaluate_in_group, generate_c0, handlebody_witness,
+                        evaluate_in_group, handlebody_witness,
                         intersection_avoids_c0, kernel_orbit, load_config,
                         partner_pairs, replay_path, semidirect_pq,
                         standard_metacyclic_images)
@@ -181,7 +181,7 @@ def main(argv=None):
         if intersection(got) != intersection(want):
             raise SystemExit("%s: the fresh-set intersection differs" % name)
         t_seeds, got = best_of(args.repeats, intersection_avoids_c0,
-                               lambda: (reps, generate_c0(0)))
+                               lambda: (reps, OrbitSet(0)))
         if decision(got) != decision(want):
             raise SystemExit("%s: the seeds-only decision differs" % name)
         intersections.append((name, fresh[-1].generated, t_int, t_seeds))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .words import parse_word, print_word
 from .twists import commutator_base
-from .orbit import (generate_c0, contains, format_path, DEFAULT_DEPTH,
-                    OrbitCapExceeded)
+from .orbit import (OrbitSet, generate_c0, contains, format_path,
+                    DEFAULT_DEPTH, OrbitCapExceeded)
 from .groups import (semidirect_pq, automorphisms, pair_orbit_count,
                      single_aut_orbit_certificate, COSET_CAP, AUT_NODE_CAP,
                      CosetCapExceeded, AutCapExceeded)
@@ -234,7 +234,7 @@ def cmd_kernel_orbit(args, parser):
     _emit("r=%d provenance=derived" % len(reps))
     # The classes are closed under the ten twists, not only the BFS's five
     # moves, so the seeds decide the scan (kernel_orbit's module docstring).
-    report = intersection_avoids_c0(reps, generate_c0(depth=0))
+    report = intersection_avoids_c0(reps, OrbitSet(0))
     _emit("intersection-avoids-c0=%s depth=%d"
           % (str(report.avoids).lower(), args.depth))
     if not report.avoids:

@@ -300,12 +300,6 @@ class FiniteGroup:
 # --- Todd-Coxeter coset enumeration ------------------------------------
 
 
-def _relator_letters(rel):
-    """Letter codes of ``rel``: 2 g for generator g, 2 g + 1 for its
-    inverse, so code x ^ 1 is the inverse of code x."""
-    return [2 * gen if sign > 0 else 2 * gen + 1 for gen, sign in rel.letters]
-
-
 def coset_enumerate(pres, coset_cap=COSET_CAP):
     """The group ``pres`` presents, in its regular representation, by
     coset enumeration over the trivial subgroup (``_coset_enumerate``).
@@ -318,29 +312,24 @@ def coset_enumerate(pres, coset_cap=COSET_CAP):
     returns its own FiniteGroup over the shared table, validated once and
     carrying the caller's ``pres``.
     """
-    return _presented_group(pres, *_enumeration(
-        pres.gen_names, tuple(rel.data for rel in pres.relators), coset_cap))
-
-
-@lru_cache(maxsize=8)
-def _enumeration(gen_names, relators, coset_cap):
-    """(table, generators) of the presentation with these relator bytes."""
-    rank = len(gen_names)
-    return _coset_enumerate(Presentation(
-        gen_names, [Word.from_bytes(rel, rank) for rel in relators]),
-        coset_cap)
-
-
-def _presented_group(pres, table, generators):
+    table, generators = _enumeration(
+        pres.gen_names, tuple(rel.data for rel in pres.relators), coset_cap)
     return FiniteGroup(table, generators, gen_names=pres.gen_names,
                        name="presented(%s)" % ",".join(pres.gen_names),
                        presentation=pres)
 
 
-def _coset_enumerate(pres, coset_cap):
-    """Enumerate the cosets of the trivial subgroup (HLT with lookahead) and
-    return the group in its regular representation, uncached: its
-    read-only int32 multiplication table and its generators' elements,
+@lru_cache(maxsize=8)
+def _enumeration(gen_names, relators, coset_cap):
+    """``_coset_enumerate`` of one key, kept per process."""
+    return _coset_enumerate(gen_names, relators, coset_cap)
+
+
+def _coset_enumerate(gen_names, relators, coset_cap):
+    """Enumerate the cosets of the trivial subgroup (HLT with lookahead),
+    uncached, for the generator names and relator letter bytes of a
+    ``coset_enumerate`` key: the group's read-only int32 multiplication
+    table in its regular representation and its generators' elements,
     each relator checked to read the identity through the table.
 
     HLT (Sims 1994, *Computation with Finitely Presented Groups*): each
@@ -367,12 +356,16 @@ def _coset_enumerate(pres, coset_cap):
     cap 486).  A group of order past MAX_ORDER raises ValueError before
     its multiplication table is built.
     """
-    L = 2 * pres.gen_count
-    blank = [SENTINEL] * L
+    rank = len(gen_names)
+    L = 2 * rank
+    # Letter code 2 g for generator g (byte g + 1) and 2 g + 1 for its
+    # inverse (byte g + 1 + rank), so code x ^ 1 is the inverse of code x.
+    code = [SENTINEL, *range(0, L, 2), *range(1, L, 2)]
     # Each relator's codes, and the inverse code of each for the scan from
     # the relator's end.
-    relators = [(rel, [x ^ 1 for x in rel])
-                for rel in map(_relator_letters, pres.relators)]
+    scans = [([code[b] for b in rel], [code[b] ^ 1 for b in rel])
+             for rel in relators]
+    blank = [SENTINEL] * L
     table = list(blank)
     parent = [(SENTINEL, SENTINEL)]     # (coset, code) it was defined from
     labels = [0]                        # union-find: labels[c] == c if live
@@ -478,7 +471,7 @@ def _coset_enumerate(pres, coset_cap):
             c += 1
             continue
         try:
-            for rel, inv in relators:
+            for rel, inv in scans:
                 if labels[c] != c:
                     break
                 scan(c, rel, inv, True)
@@ -495,7 +488,7 @@ def _coset_enumerate(pres, coset_cap):
             for d in [d for d in range(len(labels)) if labels[d] == d]:
                 if labels[d] != d:
                     continue
-                for rel, inv in relators:
+                for rel, inv in scans:
                     scan(d, rel, inv, False)
             if live >= before:
                 raise
@@ -506,7 +499,7 @@ def _coset_enumerate(pres, coset_cap):
     reps = np.fromiter(map(rep, range(len(labels))), np.intp, len(labels))
     cosets = np.flatnonzero(reps == np.arange(len(labels)))
     n = len(cosets)
-    _check_order(n, "presented(%s)" % ",".join(pres.gen_names))
+    _check_order(n, "presented(%s)" % ",".join(gen_names))
     entries = np.asarray(table, dtype=np.intp).reshape(-1, L)[cosets]
     if (entries == SENTINEL).any():
         raise AssertionError("incomplete coset table after enumeration")
@@ -523,19 +516,20 @@ def _coset_enumerate(pres, coset_cap):
     for k, old in enumerate(cosets[1:].tolist(), 1):
         p, x = parent[old]
         columns[k] = action[x][columns[index[rep(p)]]]
-    generators = [int(action[2 * i, 0]) for i in range(pres.gen_count)]
+    generators = [int(action[2 * i, 0]) for i in range(rank)]
     table = np.ascontiguousarray(columns.T, dtype=np.int32)
     table.flags.writeable = False
     # Safety: all relators must evaluate to the identity.  Code 2 i reads
     # generator i, and 2 i + 1 its inverse, the column of 0 in its row.
     letters = [h for g in generators for h in (g, int(table[g].argmin()))]
-    for rel, (codes, _) in zip(pres.relators, relators):
+    for rel, (codes, _) in zip(relators, scans):
         out = 0
         for x in codes:
             out = table[out, letters[x]]
         if out != 0:
-            raise AssertionError("relator %r violated in enumerated group"
-                                 % print_word(rel, pres.gen_names))
+            raise AssertionError(
+                "relator %r violated in enumerated group"
+                % print_word(Word.from_bytes(rel, rank), gen_names))
     return table, generators
 
 

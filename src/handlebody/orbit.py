@@ -375,18 +375,17 @@ def generate_c0(depth=DEFAULT_DEPTH):
     level by level as callers need it (see OrbitSet for the calls that
     finish it), so a call meets the set as earlier calls left it.  That is
     safe since a set only grows and no call sees a different answer on a
-    partial set.  The memo (``_orbit_set``) holds the two depths used last,
-    each bounded by MAX_WORDS; ``OrbitSet(depth)`` makes a fresh set.
+    partial set.  The memo (``_orbit_set``) holds the depth used last,
+    bounded by MAX_WORDS; ``OrbitSet(depth)`` makes a fresh set.
     """
     # A float is refused here, not looked up; a negative depth raises in
     # OrbitSet, and a call that raises is not kept.
     return _orbit_set(operator.index(depth))
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _orbit_set(depth):
-    """The shared set of ``generate_c0``: two entries, the command's depth
-    and depth 0 for the kernel-orbit intersection."""
+    """The shared set of ``generate_c0``, for the depth used last."""
     return OrbitSet(depth)
 
 

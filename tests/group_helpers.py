@@ -11,8 +11,7 @@ table object, for the tests to compare tables against.
 
 import numpy as np
 
-from handlebody.groups import (CosetCapExceeded, FiniteGroup,
-                               _relator_letters)
+from handlebody.groups import CosetCapExceeded, FiniteGroup
 
 SENTINEL = -1
 
@@ -175,7 +174,10 @@ def _reference_coset_enumerate(pres, coset_cap=50000):
     strategy of ``groups.coset_enumerate``: its multiplication table and
     generator elements, or CosetCapExceeded where it raises."""
     nletters = 2 * pres.gen_count
-    rels = [_relator_letters(r) for r in pres.relators]
+    # Code 2 g for generator g and 2 g + 1 for its inverse, read from the
+    # relators' letters rather than their bytes.
+    rels = [[2 * gen + (sign < 0) for gen, sign in r.letters]
+            for r in pres.relators]
     ct = _CosetTable(nletters, coset_cap)
 
     def live_cosets():

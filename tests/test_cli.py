@@ -254,25 +254,43 @@ def test_kernel_orbit_abelian_counterexample(capsys):
 def test_kernel_orbit_generates_no_level_past_the_seeds(capsys,
                                                        monkeypatch):
     # The kernel orbit is closed under the twists, so the two seeds decide
-    # the depth-9 answer and the transcript is unchanged.
+    # the depth-9 answer and the transcript is unchanged.  The seeds are a
+    # fresh set: the shared depth-9 set is neither looked up, evicted nor
+    # grown.
     from handlebody.orbit import OrbitSet
+    s9 = orbit.generate_c0(9)
+    memo = orbit._orbit_set.cache_info()
     grown = []
     grow = OrbitSet._grow
 
     def counted(self):
         made = grow(self)
-        if made:
-            grown.append(self.generated)
+        if made or self is s9:
+            grown.append(self)
         return made
 
     monkeypatch.setattr(OrbitSet, "_grow", counted)
     code, out = run(capsys, "kernel-orbit", "--config",
                     cfg("heisenberg_3.cfg"), "--depth", "9")
     assert code == 0 and grown == []
+    assert orbit._orbit_set.cache_info() == memo
+    assert orbit.generate_c0(9) is s9
     golden = os.path.join(os.path.dirname(__file__), "golden",
                           "kernel_orbit_heisenberg_3.txt")
     with open(golden, encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_a_process_keeps_one_shared_orbit_set(capsys):
+    # orbit at depth 6, then check at depth 9: the check's set replaces
+    # the depth-6 one, which is made afresh when asked for again.
+    orbit._orbit_set.cache_clear()
+    code, _ = run(capsys, "orbit", "--depth", "6")
+    assert code == 0
+    code, _ = run(capsys, "check", "--config", cfg("heisenberg_3.cfg"))
+    assert code == 0
+    assert orbit._orbit_set.cache_info().currsize == 1
+    assert orbit.generate_c0(6).generated == 2
 
 
 def test_kernel_orbit_takes_no_aut_cap():

@@ -400,9 +400,9 @@ def _count_runs(monkeypatch):
     runs = []
     uncached = groups._coset_enumerate
 
-    def counted(pres, coset_cap):
-        runs.append(pres)
-        return uncached(pres, coset_cap)
+    def counted(gen_names, relators, coset_cap):
+        runs.append((gen_names, relators))
+        return uncached(gen_names, relators, coset_cap)
 
     monkeypatch.setattr(groups, "_coset_enumerate", counted)
     return runs

@@ -137,7 +137,7 @@ def test_handlebody_witness_finds_recorded_word(group55, orbit3):
 
 def test_handlebody_witness_negative_at_depth_zero(group55):
     theta = Epimorphism(group55, standard_metacyclic_images(group55))
-    verdict = handlebody_witness(theta, generate_c0(depth=0))
+    verdict = handlebody_witness(theta, OrbitSet(0))
     assert verdict.value == NO_WITNESS
     assert verdict.report is None
     assert verdict.searched_depth == 0
@@ -297,7 +297,7 @@ def test_batch_pair_witnesses(heis3, orbit9):
 def test_batch_pair_witnesses_reports_missing(heis3):
     x, y = heis3.generators
     pairs = partner_pairs(heis3, x, y)[:4]
-    idxs = batch_pair_witnesses(heis3, x, y, pairs, generate_c0(depth=0))
+    idxs = batch_pair_witnesses(heis3, x, y, pairs, OrbitSet(0))
     assert (idxs == -1).sum() + (idxs >= 0).sum() == 4
 
 

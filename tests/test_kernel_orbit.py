@@ -323,7 +323,7 @@ def test_seeds_decide_a_complete_kernel_orbit(name, orbit9):
     # The intersection of a closed twist orbit is twist-invariant, so the
     # two seeds give the depth-9 scan's answer.
     reps, _ = _complete_orbit(name)
-    seeds = intersection_avoids_c0(reps, generate_c0(depth=0))
+    seeds = intersection_avoids_c0(reps, OrbitSet(0))
     assert _decision(seeds) == _decision(intersection_avoids_c0(reps, orbit9))
 
 
@@ -357,7 +357,7 @@ def test_seed_class_alone_does_not_decide_its_orbit():
     # yet the orbit's intersection avoids it: class 5 is the first that
     # sends [x1,y1] off the identity.
     theta = _x1_y1_trivial_theta()
-    seeds = generate_c0(depth=0)
+    seeds = OrbitSet(0)
     assert intersection_avoids_c0([theta], seeds).avoids is False
     reps, _ = _complete_orbit("x1-y1-trivial")
     assert len(reps) == 40
@@ -370,7 +370,7 @@ def test_seeds_do_not_decide_a_list_that_is_no_orbit(orbit9):
     # One class alone is not closed under the twists: the seeds miss its
     # kernel, but a level-1 word lies in it.
     theta = load_config(os.path.join(CONFIG_DIR, "heisenberg_3.cfg")).theta()
-    assert intersection_avoids_c0([theta], generate_c0(depth=0)).avoids
+    assert intersection_avoids_c0([theta], OrbitSet(0)).avoids
     report = intersection_avoids_c0([theta], orbit9)
     assert report.avoids is False
     assert report.counterexample_path == (2,)
@@ -560,7 +560,7 @@ def test_intersection_avoids_for_seed_free_set(group55, orbit3):
                                                    group55.generators[0]))))
     # Only the seed class: with no witness in a depth-0 set the kernel
     # classes all avoid it.
-    report = intersection_avoids_c0([theta], generate_c0(depth=0))
+    report = intersection_avoids_c0([theta], OrbitSet(0))
     assert report.avoids is True
     assert report.counterexample is None
     assert report.survivors[-1] == 0

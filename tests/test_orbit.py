@@ -31,7 +31,7 @@ def _items(s):
 
 
 def test_depth_zero_is_the_two_seeds():
-    s = generate_c0(depth=0)
+    s = OrbitSet(0)
     assert len(s) == 2
     assert commutator_base() in s
     assert root_word() in s
@@ -75,15 +75,16 @@ def test_warm_memo_still_checks_the_depth():
 
 
 def test_memo_evicts_the_least_recently_used_depth():
-    # Two entries: the command's depth and kernel-orbit's depth 0.
+    # One entry: a process keeps at most one shared set.
     orbit._orbit_set.cache_clear()
-    assert orbit._orbit_set.cache_info().maxsize == 2
-    s9, s0 = generate_c0(9), generate_c0(0)
-    generate_c0(9)                          # a hit refreshes depth 9
-    s3 = generate_c0(3)                     # evicts depth 0
-    assert generate_c0(9) is s9 and generate_c0(3) is s3
-    assert generate_c0(0) is not s0         # evicts depth 9
-    assert generate_c0(9) is not s9
+    assert orbit._orbit_set.cache_info().maxsize == 1
+    s9 = generate_c0(9)
+    assert generate_c0(9) is s9             # a hit keeps depth 9
+    s3 = generate_c0(3)                     # evicts depth 9
+    assert generate_c0(3) is s3
+    assert orbit._orbit_set.cache_info().currsize == 1
+    assert generate_c0(9) is not s9         # evicts depth 3
+    assert generate_c0(3) is not s3
 
 
 def test_cache_clear_gives_a_fresh_set():
@@ -99,7 +100,7 @@ def test_seeds_are_not_expanded():
     # the root is expanded, and each move sends [x1,y1] to a seed (the
     # fact OrbitSet._grow's commuting prune relies on).
     assert MOVES == (1, 2, 3, 4, 5)
-    seeds = generate_c0(depth=0)
+    seeds = OrbitSet(0)
     for j in MOVES:
         assert apply(j, commutator_base()) in seeds
 
