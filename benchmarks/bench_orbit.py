@@ -21,8 +21,10 @@ makes: a complete kernel orbit's intersection is twist-invariant, so the
 seeds decide it; last, ``batch_pair_witnesses`` on a seeded sample of 640 of
 order243_presented's quick-filtered partner pairs on the finished set
 (ten of perfbench's ``pair_census`` 64-pair blocks), one witness scan
-per pair.  Finished and fresh sets, kernel orbits and partner pairs are
-made outside the timed region; the replayed words, a seeded sample of
+per pair; and finishing a fresh ``OrbitSet(13)``, one level past
+``orbit.MAX_DEPTH``, which must raise ``OrbitCapExceeded`` with only its
+two seeds generated.  Finished and fresh sets, kernel orbits and partner
+pairs are made outside the timed region; the replayed words, a seeded sample of
 the trie values (against ``evaluate_in_group``), each witness and each
 intersection report (against the finished set; the seeds-only answer,
 counterexample and path) and each pair's witness word (it must map to
@@ -48,7 +50,7 @@ from handlebody import (Epimorphism, OrbitSet, batch_pair_witnesses,
                         partner_pairs, replay_path, semidirect_pq,
                         standard_metacyclic_images)
 from handlebody import orbit
-from handlebody.orbit import BASE_PATH, trie_values
+from handlebody.orbit import BASE_PATH, OrbitCapExceeded, trie_values
 
 DEPTH = 9
 REPLAYS = 3000
@@ -90,6 +92,16 @@ def count_twists(depth):
     finally:
         orbit.apply_bytes = inner
     return words, calls
+
+
+def refused_set(depth):
+    """A fresh ``OrbitSet(depth)`` after ``len`` refused to finish it."""
+    s = OrbitSet(depth)
+    try:
+        len(s)
+    except OrbitCapExceeded:
+        return s
+    raise SystemExit("OrbitSet(%d) finished past the depth bound" % depth)
 
 
 def answer(verdict):
@@ -198,6 +210,12 @@ def main(argv=None):
             raise SystemExit("pair (%d, %d): word %d is no witness"
                              % (r, t, i))
 
+    too_deep = orbit.MAX_DEPTH + 1
+    t_refused, refused = best_of(args.repeats, lambda: refused_set(too_deep))
+    if refused.generated != 2:
+        raise SystemExit("OrbitSet(%d) made %d words before it was refused"
+                         % (too_deep, refused.generated))
+
     print("%-44s %10s" % ("stage", "best s"))
     print("%-44s %10.3f   %d twist applications in %d apply_bytes calls"
           % ("OrbitSet(%d), %d words" % (DEPTH, len(s)), t_gen, twists,
@@ -218,6 +236,8 @@ def main(argv=None):
     print("%-44s %10.4f   %d of %d pairs witnessed"
           % ("batch_pair_witnesses order243, %d pairs" % PAIRS, t_pairs,
              int((found >= 0).sum()), PAIRS))
+    print("%-44s %10.6f" % ("OrbitSet(%d) refused, %d words"
+                            % (too_deep, refused.generated), t_refused))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ asymptotics.
 
 from __future__ import annotations
 
+import copy
 import operator
 from functools import lru_cache
 
@@ -171,9 +172,6 @@ class FiniteGroup:
         gh = self.table[g, h]
         return int(self.table[self.table[gh, self.inv[g]], self.inv[h]])
 
-    def element_order(self, g):
-        return int(self.element_orders()[g])
-
     def element_orders(self):
         """Every element's order, the powers of all elements walked at once."""
         if self._orders is None:
@@ -307,30 +305,37 @@ def coset_enumerate(pres, coset_cap=COSET_CAP):
     Each process keeps its last eight enumerations (``_enumeration``, least
     recently used evicted), keyed by the generator names, each relator's
     letter bytes in order and ``coset_cap``, since success is not monotone
-    in the cap.  An entry holds the read-only table and the generators,
-    its relators checked once; a run that raises is not kept.  Each call
-    returns its own FiniteGroup over the shared table, validated once and
-    carrying the caller's ``pres``.
+    in the cap.  An entry holds the one FiniteGroup of its key, validated
+    and its relators checked once; a run that raises is not kept.  Each
+    call returns its own shallow copy of it, over the shared read-only
+    arrays, carrying the caller's ``pres`` and its own lazy caches.
     """
-    table, generators = _enumeration(
-        pres.gen_names, tuple(rel.data for rel in pres.relators), coset_cap)
-    return FiniteGroup(table, generators, gen_names=pres.gen_names,
-                       name="presented(%s)" % ",".join(pres.gen_names),
-                       presentation=pres)
+    G = copy.copy(_enumeration(
+        pres.gen_names, tuple(rel.data for rel in pres.relators), coset_cap))
+    G.presentation = pres
+    return G
 
 
 @lru_cache(maxsize=8)
 def _enumeration(gen_names, relators, coset_cap):
-    """``_coset_enumerate`` of one key, kept per process."""
-    return _coset_enumerate(gen_names, relators, coset_cap)
+    """The FiniteGroup of ``_coset_enumerate`` of one key, kept per
+    process, each relator checked to read the identity."""
+    table, generators = _coset_enumerate(gen_names, relators, coset_cap)
+    G = FiniteGroup(table, generators, gen_names=gen_names,
+                    name="presented(%s)" % ",".join(gen_names))
+    for rel in relators:
+        word = Word.from_bytes(rel, len(gen_names))
+        if evaluate_rows(G, word, generators) != 0:
+            raise AssertionError("relator %r violated in enumerated group"
+                                 % print_word(word, gen_names))
+    return G
 
 
 def _coset_enumerate(gen_names, relators, coset_cap):
     """Enumerate the cosets of the trivial subgroup (HLT with lookahead),
     uncached, for the generator names and relator letter bytes of a
-    ``coset_enumerate`` key: the group's read-only int32 multiplication
-    table in its regular representation and its generators' elements,
-    each relator checked to read the identity through the table.
+    ``coset_enumerate`` key: the group's multiplication table in its
+    regular representation and its generators' elements.
 
     HLT (Sims 1994, *Computation with Finitely Presented Groups*): each
     live coset in turn scans every relator, defining cosets to fill the
@@ -516,39 +521,18 @@ def _coset_enumerate(gen_names, relators, coset_cap):
     for k, old in enumerate(cosets[1:].tolist(), 1):
         p, x = parent[old]
         columns[k] = action[x][columns[index[rep(p)]]]
-    generators = [int(action[2 * i, 0]) for i in range(rank)]
-    table = np.ascontiguousarray(columns.T, dtype=np.int32)
-    table.flags.writeable = False
-    # Safety: all relators must evaluate to the identity.  Code 2 i reads
-    # generator i, and 2 i + 1 its inverse, the column of 0 in its row.
-    letters = [h for g in generators for h in (g, int(table[g].argmin()))]
-    for rel, (codes, _) in zip(relators, scans):
-        out = 0
-        for x in codes:
-            out = table[out, letters[x]]
-        if out != 0:
-            raise AssertionError(
-                "relator %r violated in enumerated group"
-                % print_word(Word.from_bytes(rel, rank), gen_names))
-    return table, generators
+    return columns.T, [int(action[2 * i, 0]) for i in range(rank)]
 
 
 def evaluate_in_group(G, word, images):
-    """Image of a word under generator assignments ``images``.
-
-    The scalar fold: letter byte b maps to ``letters[b]`` (the images, then
-    their inverses), folded left to right through ``G.table``.
+    """Image of a word under generator assignments ``images``, checked to
+    be elements: ``evaluate_rows`` as a Python int, 0 for the empty word.
     """
     images = _as_elements(images[:word.rank], G.order, "generator images")
     if len(images) < word.rank:
         raise ValueError("need %d generator images, got %d"
                          % (word.rank, len(images)))
-    letters = [0, *images] + [int(G.inv[g]) for g in images]
-    table = G.table
-    out = 0
-    for byte in word.data:
-        out = int(table[out, letters[byte]])
-    return out
+    return int(evaluate_rows(G, word, images)) if word.data else 0
 
 
 def evaluate_rows(G, word, gens):

@@ -30,14 +30,15 @@ BASE_PATH = "base"
 DEFAULT_DEPTH = 9
 MOVES = (1, 2, 3, 4, 5)
 
-# The most words a set may hold, counted with the children of the level
-# being made before they are made.  Depth 12 needs 842,104 of them (its
-# 813,885 words peak near 480 MB); depth 13 would need about 2.5 million.
-MAX_WORDS = 1 << 20
+# The deepest level a set may make.  The depth alone determines the set,
+# and depth 12 is the deepest whose children fit 2^20: 842,104 of them
+# (its 813,885 words peak near 480 MB).  Depth 13 would need about 2.5
+# million.
+MAX_DEPTH = 12
 
 
 class OrbitCapExceeded(RuntimeError):
-    """A level would take the set past MAX_WORDS; the set keeps its last
+    """A set would make a level past MAX_DEPTH; the set keeps its last
     whole level."""
 
 
@@ -195,6 +196,7 @@ class OrbitSet:
         if self.complete or k == self.depth:
             self.complete = True
             return False
+        self._check_depth(k + 1)
         # The parents' word bytes in lex path order, and their paths: the
         # last level, or the root alone after the seeds.
         root = k == 0
@@ -203,11 +205,6 @@ class OrbitSet:
         last = np.zeros(1, np.uint8) if root else paths[:, -1]
         # (move, parent) of each child, by move: the order it is made in.
         movers, parents = _takes()[last].T.nonzero()
-        if self.generated + len(movers) > MAX_WORDS:
-            raise OrbitCapExceeded(
-                "orbit word cap %d exceeded: level %d would make %d words "
-                "beside the %d generated"
-                % (MAX_WORDS, k + 1, len(movers), self.generated))
         children = []
         for j in MOVES:
             mine = parents[movers == j].tolist()
@@ -235,7 +232,16 @@ class OrbitSet:
         self._bounds.append(len(order))
         return True
 
+    def _check_depth(self, level):
+        """Refuse (OrbitCapExceeded) to make ``level`` past MAX_DEPTH."""
+        if level > MAX_DEPTH:
+            raise OrbitCapExceeded(
+                "orbit depth cap %d exceeded: depth %d would make level %d"
+                % (MAX_DEPTH, self.depth, MAX_DEPTH + 1))
+
     def _finish(self):
+        # A set too deep to finish is refused before any level is made.
+        self._check_depth(self.depth)
         while self._grow():
             pass
 
@@ -376,7 +382,7 @@ def generate_c0(depth=DEFAULT_DEPTH):
     finish it), so a call meets the set as earlier calls left it.  That is
     safe since a set only grows and no call sees a different answer on a
     partial set.  The memo (``_orbit_set``) holds the depth used last,
-    bounded by MAX_WORDS; ``OrbitSet(depth)`` makes a fresh set.
+    bounded by MAX_DEPTH; ``OrbitSet(depth)`` makes a fresh set.
     """
     # A float is refused here, not looked up; a negative depth raises in
     # OrbitSet, and a call that raises is not kept.

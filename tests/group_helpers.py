@@ -4,9 +4,10 @@ enumerator for the tests.
 The package needs neither the builders nor the scalar arithmetic: no
 command builds a direct product, and the engine works on whole rows of
 the multiplication table.  The oracles here spell the definitions out one
-product at a time.  ``_reference_coset_enumerate`` makes the same
-enumeration as ``groups.coset_enumerate``, one method per step over a
-table object, for the tests to compare tables against.
+product at a time: ``_fold_over_table`` checks the package's one letter
+fold, ``groups.evaluate_rows``.  ``_reference_coset_enumerate`` makes the
+same enumeration as ``groups.coset_enumerate``, one method per step over
+a table object, for the tests to compare tables against.
 """
 
 import numpy as np
@@ -64,6 +65,18 @@ def order_by_powers(G, g):
         acc = G.mult(acc, g)
         k += 1
     return k
+
+
+def _fold_over_table(G, images, w):
+    """Image of ``w``: each letter's element (an image, or the inverse found
+    by searching its row for the identity) multiplied on from the right."""
+    out = 0
+    for gen, sign in w.letters:
+        g = images[gen]
+        if sign < 0:
+            g = int(np.nonzero(G.table[g] == 0)[0][0])
+        out = int(G.table[out, g])
+    return out
 
 
 # --- reference Todd-Coxeter coset enumeration ---------------------------

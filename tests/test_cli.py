@@ -220,20 +220,17 @@ def test_coset_row_bound_exits_5(tmp_path, capsys):
                    'larger or infinite group)"\n')
 
 
-def test_orbit_word_bound_exits_5(capsys, monkeypatch):
-    # On an emptied memo: a depth-9 set an earlier test finished would
-    # make no level.
-    orbit._orbit_set.cache_clear()
-    monkeypatch.setattr(orbit, "MAX_WORDS", 137)
-    code, out = run(capsys, "orbit", "--depth", "9")
+def test_orbit_depth_bound_exits_5(capsys):
+    # Depth 13 is refused before the set makes a level past its seeds.
+    code, out = run(capsys, "orbit", "--depth", "13")
     assert code == 5
-    assert out == ('error=cap-exceeded detail="orbit word cap 137 exceeded: '
-                   'level 5 would make 276 words beside the 122 '
-                   'generated"\n')
+    assert out == ('error=cap-exceeded detail="orbit depth cap 12 exceeded: '
+                   'depth 13 would make level 13"\n')
+    assert orbit.generate_c0(13).generated == 2
 
 
 def test_check_answers_past_the_word_bound_depth(capsys):
-    # The witness lies at level 3, so a depth the word bound refuses in
+    # The witness lies at level 3, so a depth the depth bound refuses in
     # full still answers.
     code, out = run(capsys, "check", "--config",
                     cfg("semidirect_11_5_3.cfg"), "--depth", "50")

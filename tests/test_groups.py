@@ -22,8 +22,9 @@ from handlebody.groups import (AutCapExceeded, CosetCapExceeded, FiniteGroup,
 from handlebody.reference import RECORDED_WITNESS_ROWS
 from handlebody.words import Word, parse_word
 
-from group_helpers import (_reference_coset_enumerate, classes_by_definition,
-                           conjugate, direct_product, order_by_powers, power)
+from group_helpers import (_fold_over_table, _reference_coset_enumerate,
+                           classes_by_definition, conjugate, direct_product,
+                           order_by_powers, power)
 
 
 def test_presentation_validation():
@@ -102,7 +103,7 @@ def test_cyclic_groups(n):
     assert G.is_abelian()
     if n > 1:
         g = G.generators[0]
-        assert G.element_order(g) == n
+        assert G.element_orders()[g] == n
         assert power(G, g, n) == 0
         assert G.inverse(g) == power(G, g, n - 1)
 
@@ -111,8 +112,7 @@ def test_semidirect_structure():
     G = semidirect_pq(11, 5, 3)
     assert G.order == 55
     a, b = G.generators
-    assert G.element_order(a) == 11
-    assert G.element_order(b) == 5
+    assert G.element_orders()[[a, b]].tolist() == [11, 5]
     # b a b^-1 = a^3 is the defining twist.
     assert conjugate(G, a, b) == power(G, a, 3)
     assert not G.is_abelian()
@@ -199,7 +199,7 @@ def test_heisenberg_structure():
     assert len(G.conjugacy_classes()) == 11
     x, y = G.generators
     z = G.commutator(x, y)
-    assert z != 0 and G.element_order(z) == 3
+    assert z != 0 and G.element_orders()[z] == 3
     assert set(G.derived_subgroup()) == set(G.center())
     orders = G.element_orders()
     assert sorted(set(int(o) for o in orders)) == [1, 3]
@@ -408,11 +408,23 @@ def _count_runs(monkeypatch):
     return runs
 
 
-def test_repeat_enumeration_is_a_new_group_over_the_same_table():
+def test_repeat_enumeration_is_a_new_group_over_the_same_table(monkeypatch):
     groups._enumeration.cache_clear()
     first, second = (Presentation(["a", "b"], _STANDIN) for _ in range(2))
     G = coset_enumerate(first)
+    # A warm hit builds no group and evaluates no relator.
+    made, folds = [], []
+    init, fold = FiniteGroup.__init__, groups.evaluate_rows
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
+    monkeypatch.setattr(groups, "evaluate_rows",
+                        lambda *args: folds.append(args) or fold(*args))
     H = coset_enumerate(second)
+    assert made == folds == []
     assert H is not G
     assert (G.presentation, H.presentation) == (first, second)
     assert np.array_equal(H.table, G.table) and H.generators == G.generators
@@ -421,6 +433,24 @@ def test_repeat_enumeration_is_a_new_group_over_the_same_table():
     H.name = "renamed"
     assert G.name == "presented(a,b)"
     assert H.element_orders() is not G.element_orders()
+    # The counters see a cold run: one group, one fold per relator.
+    groups._enumeration.cache_clear()
+    coset_enumerate(second)
+    assert len(made) == 1 and len(folds) == len(_STANDIN)
+
+
+def test_a_table_that_breaks_a_relator_is_refused(monkeypatch):
+    # C6 with a = 3 and b = 2 satisfies a^2 and b^3 but not (ab)^2: the
+    # group is valid, only the relator check can refuse it.
+    groups._enumeration.cache_clear()
+    monkeypatch.setattr(groups, "_coset_enumerate",
+                        lambda gen_names, relators, coset_cap:
+                        (cyclic(6).table, [3, 2]))
+    pres = Presentation(["a", "b"], ["a^2", "b^3", "(a b)^2"])
+    with pytest.raises(AssertionError, match=r"relator 'a b a b' violated "
+                                             r"in enumerated group"):
+        coset_enumerate(pres)
+    assert not groups._enumeration.cache_info().currsize
 
 
 def test_each_cap_keeps_its_own_outcome_when_cached():
@@ -677,8 +707,9 @@ def test_evaluate_in_group_refuses_non_elements(heis3, images):
                         "order243"]),
        st.sampled_from([2, 4]), st.data())
 def test_evaluate_rows_matches_scalar_fold(order243, key, rank, data):
-    """The row fold agrees, row by row, with the scalar fold, whichever
-    generators are broadcast as scalars and which as arrays."""
+    """The row fold, and ``evaluate_in_group`` over it, agree row by row
+    with the oracle fold, whichever generators are broadcast as scalars
+    and which as arrays."""
     G = order243 if key == "order243" else _oracle_group(key)
     letters = data.draw(st.lists(
         st.tuples(st.integers(0, rank - 1), st.sampled_from([1, -1])),
@@ -694,7 +725,8 @@ def test_evaluate_rows_matches_scalar_fold(order243, key, rank, data):
     rows = np.broadcast_to(evaluate_rows(G, w, gens), (K,))
     for k in range(K):
         images = [g if np.ndim(g) == 0 else g[k] for g in gens]
-        assert rows[k] == evaluate_in_group(G, w, images)
+        want = _fold_over_table(G, images, w)
+        assert rows[k] == want == evaluate_in_group(G, w, images)
 
 
 def test_automorphisms_of_known_groups(heis3):
@@ -1093,7 +1125,6 @@ def test_element_orders_match_the_power_loop(make):
     G = make()
     want = [order_by_powers(G, g) for g in range(G.order)]
     assert G.element_orders().tolist() == want
-    assert [G.element_order(g) for g in range(G.order)] == want
 
 
 @pytest.mark.parametrize("build", [

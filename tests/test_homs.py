@@ -23,7 +23,7 @@ from handlebody.homs import (EXTENDS, Epimorphism, NO_WITNESS,
 from handlebody.orbit import OrbitSet, generate_c0
 from handlebody.words import Word, parse_word
 
-from group_helpers import direct_product
+from group_helpers import _fold_over_table, direct_product
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -59,18 +59,6 @@ def test_epimorphism_rejects_images_outside_the_group(heis3, images):
     assert Epimorphism(heis3, (9, 3, 3, 9)).images == (9, 3, 3, 9)
     with pytest.raises(ValueError, match="elements 0..26"):
         Epimorphism(heis3, images)
-
-
-def _fold_over_table(G, images, w):
-    """Image of ``w``: each letter's element (an image, or the inverse found
-    by searching its row for the identity) multiplied on from the right."""
-    out = 0
-    for gen, sign in w.letters:
-        g = images[gen]
-        if sign < 0:
-            g = int(np.nonzero(G.table[g] == 0)[0][0])
-        out = int(G.table[out, g])
-    return out
 
 
 def test_evaluate_matches_scalar_reference(heis3, orbit3):

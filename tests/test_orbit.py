@@ -308,21 +308,25 @@ def test_complete_only_once_no_level_is_left():
     assert repr(s) == "OrbitSet(122 words, depth=4)"
 
 
-def test_word_bound_refuses_a_level_before_making_it(monkeypatch):
-    # Level 4 makes 96 children beside 41 words, level 5 276 beside 122.
-    monkeypatch.setattr(orbit, "MAX_WORDS", 137)
+def test_depth_bound_refuses_a_level_before_making_it(monkeypatch):
+    monkeypatch.setattr(orbit, "MAX_DEPTH", 4)
     assert len(OrbitSet(depth=4)) == CUMULATIVE_COUNTS[4]
+    # A set too deep to finish is refused before it makes any level.
     s = OrbitSet(depth=9)
-    with pytest.raises(OrbitCapExceeded,
-                       match="level 5 would make 276 words beside the 122"):
+    with pytest.raises(OrbitCapExceeded, match="orbit depth cap 4 exceeded: "
+                                               "depth 9 would make level 5"):
         len(s)
-    # The set keeps its last whole level, and refuses the next again.
-    assert s.generated == CUMULATIVE_COUNTS[4] and not s.complete
-    assert s.word_at(121) == OrbitSet(depth=4).word_at(121)
+    assert s.generated == 2
     with pytest.raises(OrbitCapExceeded):
+        list(s)
+    # Lookups still grow it to the bound, then refuse the next level, and
+    # the set keeps its last whole level.
+    assert s.word_at(121) == OrbitSet(depth=4).word_at(121)
+    with pytest.raises(OrbitCapExceeded, match="would make level 5"):
         s.word_at(122)
-    monkeypatch.setattr(orbit, "MAX_WORDS", 136)
-    with pytest.raises(OrbitCapExceeded, match="level 4 would make 96"):
+    assert s.generated == CUMULATIVE_COUNTS[4] and not s.complete
+    monkeypatch.setattr(orbit, "MAX_DEPTH", 3)
+    with pytest.raises(OrbitCapExceeded, match="would make level 4"):
         len(OrbitSet(depth=4))
 
 
