@@ -151,6 +151,7 @@ class FiniteGroup:
                 raise ValueError("declared generators do not generate")
         self._orders = None
         self._classes = None
+        self._frattini = None
 
     # -- element arithmetic -------------------------------------------
 
@@ -243,16 +244,65 @@ class FiniteGroup:
     def count_involutions(self):
         return int(np.count_nonzero(self.element_orders() == 2))
 
-    def derived_subgroup(self):
-        """[G, G] as the normal closure of the commutators [s, t] of a
-        generating set (G.generators, or every element when there are none):
-        G modulo that closure is abelian, since its generators commute.
-        """
+    def _generator_commutators(self):
+        """A generating set (G.generators, or every element when there are
+        none) and the commutators [s, t] of its pairs, in one gather."""
         gens = np.asarray(self.generators or range(self.order), dtype=np.intp)
         st = self.table[gens[:, None], gens]
-        comms = self.table[self.table[st, self.inv[gens][:, None]],
-                           self.inv[gens]]
+        return gens, self.table[self.table[st, self.inv[gens][:, None]],
+                                self.inv[gens]]
+
+    def derived_subgroup(self):
+        """[G, G] as the normal closure of the commutators [s, t] of a
+        generating set: G modulo that closure is abelian, since its
+        generators commute.
+        """
+        _, comms = self._generator_commutators()
         return self.normal_closure(np.unique(comms))
+
+    def frattini_labels(self):
+        """None unless |G| is a prime power p^k; otherwise (p, d, labels),
+        ``labels[g]`` the image of g in G/Phi(G) = F_p^d, d coordinates in
+        0..p-1, read-only and kept on the group.
+
+        Phi(G) = G'G^p is the normal closure of the commutators and p-th
+        powers of a generating set: modulo it the generators commute and
+        have order p.  The basis is taken least element first: each one
+        outside the subgroup M reached so far gives M<g>, the p cosets
+        M g^e, in one gather.  By the Burnside basis theorem a set generates
+        the p-group G exactly when its labels span F_p^d (Holt, Eick &
+        O'Brien, *Handbook of Computational Group Theory*, 2005).
+        """
+        factors = _factorization(self.order)
+        if len(factors) != 1:
+            return None
+        if self._frattini is None:
+            (p, k), = factors
+            gens, comms = self._generator_commutators()
+            powers = gens
+            for _ in range(p - 1):
+                powers = self.table[powers, gens]
+            members = np.asarray(self.normal_closure(
+                np.union1d(comms, powers)), dtype=np.intp)
+            reached = np.zeros(self.order, dtype=bool)
+            reached[members] = True
+            labels = np.zeros((self.order, k), dtype=np.int64)
+            d = 0
+            while members.size < self.order:
+                g = int(reached.argmin())
+                cycle = [0]
+                for _ in range(p - 1):
+                    cycle.append(int(self.table[cycle[-1], g]))
+                block = self.table[members[:, None], cycle]
+                labels[block] = labels[members][:, None]
+                labels[block, d] = np.arange(p)
+                members = block.ravel()
+                reached[members] = True
+                d += 1
+            labels = labels[:, :d]
+            labels.flags.writeable = False
+            self._frattini = (p, d, labels)
+        return self._frattini
 
     def sylow_subgroup(self, p):
         """A Sylow p-subgroup, by greedy normalizer extension: each step

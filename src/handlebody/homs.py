@@ -218,13 +218,14 @@ class _Joins:
             self.joins[H, c] = self.subgroup(self.gens[H] + [c])
         return self.joins[H, c]
 
-    def span(self, H, gs):
-        """<H, gs>, joining one element of ``gs`` outside it at a time."""
+    def fills(self, H, gs):
+        """Whether <H, gs> = G, joining one element of ``gs`` outside it at
+        a time."""
         outside = gs[self.coset(H)[gs] != 0]
         while outside.size:
             H = self.join(H, outside[0])
             outside = outside[self.coset(H)[outside] != 0]
-        return H
+        return len(H) == self.G.order
 
     def generates(self, H, gs):
         """Whether <H, g> = G, for each g of ``gs``."""
@@ -233,6 +234,69 @@ class _Joins:
         cosets, back = np.unique(self.coset(H)[gs], return_inverse=True)
         return np.array([len(self.join(H, c)) == self.G.order
                          for c in cosets.tolist()], dtype=bool)[back]
+
+
+class _Spans:
+    """The quadruple search's generation oracle for a p-group, by rank.
+
+    By the Burnside basis theorem a set generates the p-group G exactly
+    when its labels in G/Phi(G) = F_p^d (``FiniteGroup.frattini_labels``)
+    span F_p^d, so a subgroup is named by the span of its generators'
+    labels and no closure is made.  A label is coded by its digits base p,
+    and a span is an index into its membership mask over the p^d codes;
+    each (span, code) join is made once.  The methods answer as those of
+    ``_Joins`` of the same names."""
+
+    def __init__(self, p, d, labels):
+        self.p, self.d = p, d
+        self.weights = p ** np.arange(d)
+        self.code = labels @ self.weights
+        self.digits = np.arange(p ** d)[:, None] // self.weights % p
+        zero = np.zeros(p ** d, dtype=bool)
+        zero[0] = True
+        self.masks, self.dims = [zero], [0]
+        self.index = {zero.tobytes(): 0}
+        self.joins = {}
+
+    def subgroup(self, gens):
+        V = 0
+        for g in gens:
+            V = self.join(V, g)
+        return V
+
+    def join(self, V, g):
+        return self._join(V, int(self.code[g]))
+
+    def _join(self, V, c):
+        if (V, c) not in self.joins:
+            mask = self.masks[V]
+            if mask[c]:
+                self.joins[V, c] = V
+            else:
+                # V + e c for e in F_p, digit by digit.
+                sums = (self.digits[np.flatnonzero(mask)][:, None]
+                        + np.outer(np.arange(self.p), self.digits[c]))
+                grown = np.zeros_like(mask)
+                grown[(sums % self.p) @ self.weights] = True
+                key = grown.tobytes()
+                if key not in self.index:
+                    self.index[key] = len(self.masks)
+                    self.masks.append(grown)
+                    self.dims.append(self.dims[V] + 1)
+                self.joins[V, c] = self.index[key]
+        return self.joins[V, c]
+
+    def fills(self, V, gs):
+        codes = self.code[gs]
+        outside = codes[~self.masks[V][codes]]
+        while outside.size:
+            V = self._join(V, int(outside[0]))
+            outside = outside[~self.masks[V][outside]]
+        return self.dims[V] == self.d
+
+    def generates(self, V, gs):
+        # <V, g> is V + g, one dimension up exactly when g lies outside V.
+        return self.dims[V] + ~self.masks[V][self.code[gs]] == self.d
 
 
 def partner_pairs(G, a, b, filter_quick=False):
@@ -283,11 +347,17 @@ def quadruple_search(G, node_cap=QUADRUPLE_NODE_CAP):
 
     Raises QuadrupleCapExceeded past ``node_cap`` candidate visits (a capped
     run says nothing about existence).  The s3 loop depends on (s1, s2)
-    only through H = <s1, s2>, so it runs once per H.
+    only through H = <s1, s2>, so it runs once per H.  A p-group's
+    generation tests are rank tests over its Frattini quotient (``_Spans``),
+    where H is named by the span of its labels, which is all the s3 loop
+    reads of it; any other group's are subgroup closures (``_Joins``).
+    Either way every test gives the same answer, so the visits counted
+    are the same.
     """
     n = G.order
     commute = G.table == G.table.T
-    joins = _Joins(G)
+    labels = G.frattini_labels()
+    joins = _Joins(G) if labels is None else _Spans(*labels)
     visits = {}         # H = <s1, s2> -> the visits its s3 loop makes
 
     def s3_loop(H):
@@ -296,7 +366,7 @@ def quadruple_search(G, node_cap=QUADRUPLE_NODE_CAP):
             centralizer = np.flatnonzero(commute[s3])
             # No s4 can help if even the whole centralizer of s3 cannot
             # complete the generation; that s3 counts as one visit.
-            if len(joins.span(H, centralizer)) < n:
+            if not joins.fills(H, centralizer):
                 nodes += 1
                 continue
             hits = joins.generates(joins.join(H, s3), centralizer)

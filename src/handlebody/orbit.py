@@ -381,12 +381,15 @@ def generate_c0(depth=DEFAULT_DEPTH):
     level by level as callers need it (see OrbitSet for the calls that
     finish it), so a call meets the set as earlier calls left it.  That is
     safe since a set only grows and no call sees a different answer on a
-    partial set.  The memo (``_orbit_set``) holds the depth used last,
-    bounded by MAX_DEPTH; ``OrbitSet(depth)`` makes a fresh set.
+    partial set.  The memo (``_orbit_set``) holds the depth used last, up
+    to DEFAULT_DEPTH; a deeper depth gets a fresh ``OrbitSet(depth)`` each
+    call, freed with its last reference, so a long-lived process does not
+    keep it (a finished depth-12 set peaks near 480 MB).
     """
     # A float is refused here, not looked up; a negative depth raises in
     # OrbitSet, and a call that raises is not kept.
-    return _orbit_set(operator.index(depth))
+    depth = operator.index(depth)
+    return _orbit_set(depth) if depth <= DEFAULT_DEPTH else OrbitSet(depth)
 
 
 @lru_cache(maxsize=1)

@@ -1162,3 +1162,99 @@ def test_enumeration_refuses_a_group_past_the_bound(monkeypatch):
     assert not groups._enumeration.cache_info().currsize
     monkeypatch.setattr(groups, "MAX_ORDER", 121)
     assert _enumerate_uncached(pres).order == 121
+
+
+# --- Frattini labels ------------------------------------------------------
+
+_FRATTINI_GROUPS = {
+    # name -> (group, p, d)
+    "heisenberg(2)": (lambda: heisenberg(2), 2, 2),
+    "heisenberg(3)": (lambda: heisenberg(3), 3, 2),
+    "heisenberg(3), no generators": (
+        lambda: FiniteGroup(heisenberg(3).table, ()), 3, 2),
+    "Z2^4": (lambda: functools.reduce(direct_product, [cyclic(2)] * 4), 2, 4),
+    "cyclic(3) x cyclic(9)": (lambda: direct_product(cyclic(3), cyclic(9)),
+                              3, 2),
+    "order243_obstructed_standin": (lambda: load_config(os.path.join(
+        CONFIG_DIR, "order243_obstructed_standin.cfg")).group, 3, 2),
+    "order243_presented": (lambda: load_config(os.path.join(
+        CONFIG_DIR, "order243_presented.cfg")).group, 3, 4),
+}
+
+
+def _rank_mod_p(rows, p):
+    """Rank over F_p of integer row vectors, by elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * scale % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic(1), lambda: cyclic(6),
+    lambda: semidirect_pq(11, 5, 3)], ids=["cyclic(1)", "cyclic(6)",
+                                          "semidirect_pq(11,5,3)"])
+def test_frattini_labels_are_none_off_prime_power_orders(build):
+    assert build().frattini_labels() is None
+
+
+@pytest.mark.parametrize("name", sorted(_FRATTINI_GROUPS))
+def test_frattini_labels_map_onto_the_frattini_quotient(name):
+    build, want_p, want_d = _FRATTINI_GROUPS[name]
+    G = build()
+    p, d, labels = G.frattini_labels()
+    assert (p, d) == (want_p, want_d)
+    assert G.frattini_labels()[2] is labels and not labels.flags.writeable
+    assert labels.shape == (G.order, d) and labels.min() >= 0
+    # A homomorphism onto F_p^d, checked on every product.
+    assert np.array_equal(labels[G.table],
+                          (labels[:, None] + labels[None]) % p)
+    assert len({tuple(row) for row in labels.tolist()}) == p ** d
+    # Its kernel is Phi(G) = G'G^p, closed from every commutator and every
+    # p-th power.
+    allg = np.arange(G.order)
+    powers = functools.reduce(lambda x, _: G.table[x, allg], range(p - 1),
+                              allg)
+    commutators = [G.commutator(g, h) for g in range(G.order)
+                   for h in range(G.order)]
+    kernel = np.flatnonzero(~labels.any(axis=1)).tolist()
+    assert kernel == G.subgroup_closure(sorted(set(commutators)
+                                               | set(powers.tolist())))
+
+
+def test_frattini_rank_decides_generation_on_every_pair_of_heisenberg3():
+    G = heisenberg(3)
+    p, d, labels = G.frattini_labels()
+    for g in range(G.order):
+        for h in range(G.order):
+            assert ((_rank_mod_p(labels[[g, h]].tolist(), p) == d)
+                    == (len(G.subgroup_closure([g, h])) == G.order))
+
+
+@pytest.mark.parametrize("name", ["order243_obstructed_standin",
+                                  "order243_presented"])
+def test_frattini_rank_decides_generation_on_order243_subsets(name):
+    G = _FRATTINI_GROUPS[name][0]()
+    p, d, labels = G.frattini_labels()
+    rng = np.random.default_rng(243)
+    generating = 0
+    for _ in range(2000):
+        gens = rng.choice(G.order, size=4, replace=False).tolist()
+        full = len(G.subgroup_closure(gens)) == G.order
+        assert (_rank_mod_p(labels[gens].tolist(), p) == d) == full
+        generating += full
+    # Both answers occur.
+    assert 0 < generating < 2000

@@ -347,9 +347,16 @@ def _elementary_abelian_2(rank):
     return G
 
 
-# group -> the visits its search counts, the node cap it passes at
+# group -> the visits its search counts, the node cap it passes at.  The
+# p-groups take the Frattini rank oracle and the others the closure one;
+# heisenberg(2) is a non-abelian 2-group, and cyclic(3) x cyclic(9) has
+# exponent 9, so its Frattini subgroup needs the p-th powers.
 _QUADRUPLE_VISITS = {
+    "cyclic(1)": (lambda: cyclic(1), 1),
     "cyclic(3)": (lambda: cyclic(3), 2),
+    "cyclic(3) x cyclic(9)": (lambda: direct_product(cyclic(3), cyclic(9)),
+                              37),
+    "heisenberg(2)": (lambda: heisenberg(2), 49),
     "cyclic(6)": (lambda: cyclic(6), 2),
     "heisenberg(3)": (lambda: heisenberg(3), 325),
     "heisenberg(5)": (lambda: heisenberg(5), 3751),
@@ -376,6 +383,22 @@ def test_quadruple_search_matches_reference_at_its_cap(name):
     assert quadruple_search(G, node_cap=visits) == found
     with pytest.raises(QuadrupleCapExceeded):
         quadruple_search(G, node_cap=visits - 1)
+
+
+@pytest.mark.parametrize("name", ["order243_obstructed_standin",
+                                  "heisenberg(3)", "semidirect_pq(11,5,3)"])
+def test_quadruple_search_closes_subgroups_only_off_p_groups(name,
+                                                             monkeypatch):
+    """Once a p-group's Frattini labels are known, its generation tests are
+    rank tests with no subgroup closure; other groups close subgroups."""
+    G = _QUADRUPLE_VISITS[name][0]()
+    p_group = G.frattini_labels() is not None
+    calls = []
+    closure = type(G).subgroup_closure
+    monkeypatch.setattr(type(G), "subgroup_closure", lambda self, gens: (
+        calls.append(gens), closure(self, gens))[1])
+    assert quadruple_search(G) is not None
+    assert bool(calls) != p_group
 
 
 def test_standard_metacyclic_images_family():

@@ -87,6 +87,18 @@ def test_memo_evicts_the_least_recently_used_depth():
     assert generate_c0(3) is not s3
 
 
+def test_a_depth_past_the_default_is_not_kept():
+    # A finished depth-12 set peaks near 480 MB, so a long-lived process
+    # keeps no set deeper than the default depth.
+    s9 = generate_c0(9)
+    memo = orbit._orbit_set.cache_info()
+    deep = generate_c0(orbit.DEFAULT_DEPTH + 1)
+    assert deep.depth == 10 and deep.generated == 2 and not deep.complete
+    assert generate_c0(10) is not deep
+    assert orbit._orbit_set.cache_info() == memo
+    assert generate_c0(9) is s9
+
+
 def test_cache_clear_gives_a_fresh_set():
     s = generate_c0(4)
     len(s)
